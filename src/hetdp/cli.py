@@ -47,7 +47,14 @@ from hetdp.experiment import (
     run_experiment,
     run_heterogeneity_comparison,
 )
-from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec, agm_sigma, cgm_sigma
+from hetdp.gaussian import (
+    ConvergenceError,
+    Mechanism,
+    PrivacyBudget,
+    SensitivitySpec,
+    agm_sigma,
+    cgm_sigma,
+)
 from hetdp.measures import build_context, measure_all
 
 DATA_DIR_ENV = "HETDP_DATA_DIR"
@@ -340,7 +347,6 @@ def _build_plan(parser, args) -> ExperimentPlan:
     mechanisms = _mechanisms_from_args(parser, args)
     settings = _settings_from_args(parser, args)
     statistics = _statistics_from_args(parser, args)
-    _check_classical_range(parser, mechanisms, args.epsilons)
     try:
         return ExperimentPlan(
             dataset=desc,
@@ -499,7 +505,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except (DatasetFormatError, SampleCapacityError, OSError, ValueError) as err:
+    except (
+        DatasetFormatError,
+        SampleCapacityError,
+        DegenerateStatisticError,
+        ConvergenceError,
+        OSError,
+        ValueError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

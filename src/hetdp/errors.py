@@ -24,8 +24,9 @@ from hetdp.estimators import (
     NoiseDraw,
     Statistic,
     centralized_noisy,
-    evaluate_q_from_draws,
-    noisy_statistic,
+    draw_noise,
+    i_squared_release,
+    release_kernel,
     true_value,
 )
 from hetdp.gaussian import SensitivitySpec
@@ -67,41 +68,13 @@ def derive_seed(base_seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def tmse_dispersion(data: VectorDataset, draws: NoiseDraw) -> float:
-    """Closed-form squared error of a private dispersion from its draws.
-
-    Per row the release shifts by mean_noise . (mean_noise - 2 (x_i - mean))
-    plus the summed statistic noise; the result averages the squared row
-    shifts.
-    """
-    if draws.mean_noise is None or draws.stat_noise is None:
-        raise ValueError("dispersion error needs mean-stage and statistic-stage draws")
-    deviations = data.vectors - dataset_mean(data)
-    per_row = (draws.mean_noise * (draws.mean_noise - 2.0 * deviations)).sum(axis=1)
-    shifted = per_row + draws.stat_noise.sum()
-    return float((shifted**2).mean())
-
-
-def tmse_q(data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw) -> float:
-    """Closed-form squared error of a private Q: weighted analogue of the
-    dispersion form."""
-    if draws.mean_noise is None or draws.stat_noise is None:
-        raise ValueError("q error needs mean-stage and statistic-stage draws")
-    deviations = data.vectors - ctx.weighted_mean
-    per_row = ctx.weights * (
-        draws.mean_noise * (draws.mean_noise - 2.0 * deviations)
-    ).sum(axis=1)
-    shifted = per_row + draws.stat_noise.sum()
-    return float((shifted**2).mean())
-
-
-def tmse_i_squared(n: int, q_true: float, q_noisy: float, i2_noise: float) -> float:
+def tmse_i_squared(n: int, q_true: float, q_noisy, i2_noise):
     """Closed-form squared error of the private heterogeneity fraction.
 
     (1/n) * [i2_noise - (n-1)/q_noisy + (n-1)/q_true]^2; valid while both
-    q values are positive.
+    q values are positive. q_noisy and i2_noise may be arrays of trials.
     """
-    if not q_true > 0 or not q_noisy > 0:
+    if not q_true > 0 or not np.all(np.asarray(q_noisy) > 0):
         raise ValueError(f"q values must be positive, got true={q_true!r}, noisy={q_noisy!r}")
     gap = i2_noise - (n - 1) / q_noisy + (n - 1) / q_true
     return gap**2 / n
@@ -188,47 +161,41 @@ def error_report(
     cfg: EstimatorConfig,
     trials: int,
     ctx: MeasureContext | None = None,
+    memo: dict | None = None,
 ) -> ErrorReport:
-    """Monte Carlo error summary over fresh private releases.
+    """Monte Carlo error summary over fresh private releases, all trials at once.
 
-    Each trial reseeds the estimator from (cfg.seed, trial), computes one
-    private release, and scores it twice: empirically against the true value
-    and theoretically from its own recorded draws. The centralized error uses
-    the full (not split) budget, so it is identical across statistics for a
-    fixed seed.
+    Trial t draws its release from derive_seed(cfg.seed, t) and is scored
+    twice: empirically against the true value and theoretically from its
+    own recorded draws (the mean squared row shift of the release kernel).
+    The centralized error uses the full (not split) budget, so it is
+    identical across statistics for a fixed seed. `memo` shares calibrated
+    noise scales across calls; by default each call calibrates its own.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if ctx is None:
         ctx = build_context(data)
+    memo = {} if memo is None else memo
+    seeds = [derive_seed(cfg.seed, t) for t in range(trials)]
+    draws = draw_noise(statistic, data, cfg, seeds, memo)
+    values, shifts = release_kernel(statistic, data, ctx, draws)
     truth = true_value(statistic, data, ctx)
-    q_true = true_value(Statistic.Q, data, ctx) if statistic is Statistic.I_SQUARED else 0.0
+    if statistic is Statistic.I_SQUARED:
+        released = i_squared_release(values, data.n, draws.i2_noise)
+        emse_vals = (released - truth) ** 2 / data.n
+        q_true = true_value(Statistic.Q, data, ctx)
+        tmse_vals = tmse_i_squared(data.n, q_true, values, draws.i2_noise)
+    else:
+        emse_vals = (values - truth) ** 2
+        shifts += np.atleast_2d(draws.stat_noise).sum(axis=1)
+        tmse_vals = (shifts * shifts).mean(axis=0)
+
     shape = SensitivitySpec.from_shape(data.n, data.d)
     full_part = (cfg.budget.epsilon, cfg.budget.delta)
-
-    emse_vals = np.empty(trials)
-    tmse_vals = np.empty(trials)
-    cmse_vals = np.empty(trials)
-    first_draws: NoiseDraw | None = None
-    for t in range(trials):
-        cfg_t = replace(cfg, seed=derive_seed(cfg.seed, t))
-        value, draws = noisy_statistic(statistic, data, ctx, cfg_t)
-        if first_draws is None:
-            first_draws = draws
-        if statistic is Statistic.DISPERSION:
-            emse_vals[t] = (value - truth) ** 2
-            tmse_vals[t] = tmse_dispersion(data, draws)
-        elif statistic is Statistic.Q:
-            emse_vals[t] = (value - truth) ** 2
-            tmse_vals[t] = tmse_q(data, ctx, draws)
-        else:
-            emse_vals[t] = (value - truth) ** 2 / data.n
-            q_noisy = evaluate_q_from_draws(data, ctx, draws)
-            tmse_vals[t] = tmse_i_squared(data.n, q_true, q_noisy, draws.i2_noise)
-        _, central_draw = centralized_noisy(truth, full_part, shape, cfg_t)
-        cmse_vals[t] = float(central_draw.stat_noise[0]) ** 2
-
-    ci = _ci_half_width(statistic, data, ctx, first_draws)
+    cmse_vals = np.array(
+        [centralized_noisy(0.0, full_part, shape, replace(cfg, seed=s), memo)[0] for s in seeds]
+    ) ** 2
     return ErrorReport(
         emse=float(emse_vals.mean()),
         tmse=float(tmse_vals.mean()),
@@ -236,20 +203,8 @@ def error_report(
         sd_emse=float(emse_vals.std()),
         sd_tmse=float(tmse_vals.std()),
         trials=trials,
-        ci_half_width=ci,
+        ci_half_width=_ci_half_width(statistic, data, ctx, draws),
     )
-
-
-def emse(
-    statistic: Statistic,
-    data: VectorDataset,
-    cfg: EstimatorConfig,
-    trials: int,
-    ctx: MeasureContext | None = None,
-) -> tuple[float, float]:
-    """Mean and standard deviation of the empirical squared error."""
-    report = error_report(statistic, data, cfg, trials, ctx)
-    return report.emse, report.sd_emse
 
 
 def _ci_half_width(

@@ -1,37 +1,37 @@
 """(epsilon, delta)-private releases of the heterogeneity statistics.
 
 Each estimator splits its privacy budget over its stages (one part per noisy
-release), calibrates a Gaussian scale per stage with the configured mechanism,
-and records the exact noise realizations so the closed-form error analysis can
-reuse them.
+release), calibrates a Gaussian scale per stage with the configured
+mechanism, and records the exact noise realizations so the closed-form error
+analysis can reuse them. Stages draw in the order mean, statistic, I^2.
 
 Noise enters in one of two settings. In the distributed setting every client
 adds an independent share of variance n * stage_variance to its contribution
-before plain summation (simulated secure aggregation), so the averaged
-aggregate noise has the stage variance exactly. In the centralized setting a
-single draw of the stage variance is added after aggregation.
+before plain summation (simulated secure aggregation); the averaged aggregate
+of those shares is exactly N(0, stage_variance) per coordinate, so it is drawn
+as that single aggregate vector. In the centralized setting a single draw of
+the stage variance is added after aggregation. Both settings therefore have
+the same noise distribution; the setting is mixed into the random stream, so
+the two draw different realizations at the same seed.
+
+Dispersion is Q with unit weights around the arithmetic mean, so one weighted
+kernel evaluates both, batched over trials: with mean noise e and statistic
+noise s a release is Q + mean(w)||e||^2 - 2 e.mean(w dev) + sum(s).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hetdp.gaussian import (
-    Mechanism,
-    PrivacyBudget,
-    SensitivitySpec,
-    agm_sigma,
-    cgm_sigma,
-    sample_gaussian_vector,
-)
+from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec, agm_sigma, cgm_sigma
 from hetdp.measures import (
     MeasureContext,
     VectorDataset,
-    dataset_mean,
+    build_context,
     dispersion,
     i_squared,
     q_statistic,
@@ -43,6 +43,11 @@ class Setting(enum.Enum):
 
     DISTRIBUTED = "distributed"
     CENTRALIZED = "centralized"
+
+
+#: Mixed into each release's random stream; nonzero, so no setting's stream
+#: aliases the plain-seed stream of the centralized error draw.
+_STREAM_TAG = {Setting.DISTRIBUTED: 1, Setting.CENTRALIZED: 2}
 
 
 class Statistic(enum.Enum):
@@ -63,17 +68,18 @@ class DegenerateStatisticError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseDraw:
-    """Exact noise realizations of one estimator call.
+    """Exact noise realizations of one release, or of T stacked trials.
 
     mean_noise is the aggregate vector added to the (weighted) mean,
     stat_noise the vector added to the statistic before coordinate-summing,
-    i2_noise the scalar added to the clamped heterogeneity fraction. The
-    *_var fields hold the calibrated per-stage variances.
+    i2_noise the scalar added to the clamped heterogeneity fraction. A batch
+    holds (T, d) vectors and T scalars, one trial per row. The *_var fields
+    hold the calibrated per-stage variances.
     """
 
     mean_noise: np.ndarray | None = None
     stat_noise: np.ndarray | None = None
-    i2_noise: float | None = None
+    i2_noise: float | np.ndarray | None = None
     mean_noise_var: float = 0.0
     stat_noise_var: float = 0.0
     i2_noise_var: float = 0.0
@@ -90,187 +96,186 @@ class EstimatorConfig:
     zero_noise: bool = False
 
 
-def release_sigma(mechanism: Mechanism, sens: SensitivitySpec, epsilon: float, delta: float) -> float:
-    """Noise scale of one release under the chosen mechanism."""
-    if mechanism is Mechanism.CLASSICAL:
-        return cgm_sigma(sens, epsilon, delta).sigma
-    return agm_sigma(sens, epsilon, delta).sigma
+def release_sigma(
+    mechanism: Mechanism,
+    sens: SensitivitySpec,
+    epsilon: float,
+    delta: float,
+    memo: dict | None = None,
+) -> float:
+    """Noise scale of one release under the chosen mechanism.
+
+    With `memo`, each (mechanism, sensitivity, epsilon, delta) key is
+    calibrated once and then read back from the dict.
+    """
+    key = (mechanism, sens.delta_l2, epsilon, delta)
+    if memo is not None and key in memo:
+        return memo[key]
+    calibrate = cgm_sigma if mechanism is Mechanism.CLASSICAL else agm_sigma
+    sigma = calibrate(sens, epsilon, delta).sigma
+    if memo is not None:
+        memo[key] = sigma
+    return sigma
 
 
-def _stage_sigma(cfg: EstimatorConfig, data_n: int, data_d: int, part: int) -> float:
-    if cfg.zero_noise:
-        return 0.0
-    epsilon_i, delta_i = cfg.budget.split[part]
-    sens = SensitivitySpec.from_shape(data_n, data_d)
-    return release_sigma(cfg.mechanism, sens, epsilon_i, delta_i)
-
-
-def _aggregate_noise(
-    dim: int, sigma: float, cfg: EstimatorConfig, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One stage's aggregate noise vector under the configured setting."""
-    if sigma == 0.0:
-        return np.zeros(dim)
-    if cfg.setting is Setting.DISTRIBUTED:
-        # n client shares of variance n * sigma^2 average to variance sigma^2.
-        shares = rng.normal(0.0, math.sqrt(n) * sigma, size=(n, dim))
-        return shares.mean(axis=0)
-    return sample_gaussian_vector(dim, sigma, rng)
-
-
-def _require_parts(cfg: EstimatorConfig, parts: int, statistic: str) -> None:
+def _require_parts(statistic: Statistic, cfg: EstimatorConfig) -> int:
+    parts = statistic.budget_parts
     if len(cfg.budget.split) != parts:
         raise ValueError(
-            f"{statistic} needs a {parts}-part budget split, got "
+            f"{statistic.value} needs a {parts}-part budget split, got "
             f"{len(cfg.budget.split)} parts"
         )
+    return parts
 
 
-def noisy_mean(
-    data: VectorDataset, cfg: EstimatorConfig, *, draws: NoiseDraw | None = None
-) -> tuple[np.ndarray, NoiseDraw]:
-    """Private mean: true mean plus one calibrated aggregate noise vector.
+def draw_noise(
+    statistic: Statistic,
+    data: VectorDataset,
+    cfg: EstimatorConfig,
+    seeds,
+    memo: dict | None = None,
+) -> NoiseDraw:
+    """Stage noise of one release per seed, stacked one trial per row.
 
-    Consumes the first budget part. Pass `draws` to inject a fixed noise
-    realization instead of sampling (testing hook).
+    Each trial's stream is seeded by (seed, setting); zero-noise configs
+    return exact zeros without calibrating or drawing.
     """
-    if not cfg.budget.split:
-        raise ValueError("budget split is empty")
-    sigma = _stage_sigma(cfg, data.n, data.d, 0)
+    parts = _require_parts(statistic, cfg)
+    sens = SensitivitySpec.from_shape(data.n, data.d)
+    sigmas = [
+        0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, eps_i, delta_i, memo)
+        for eps_i, delta_i in cfg.budget.split
+    ]
+    mean_noise, stat_noise = np.zeros((2, len(seeds), data.d))
+    i2_noise = np.zeros(len(seeds))
+    if not cfg.zero_noise:
+        for t, seed in enumerate(seeds):
+            rng = np.random.default_rng((seed, _STREAM_TAG[cfg.setting]))
+            mean_noise[t] = rng.normal(0.0, sigmas[0], data.d)
+            stat_noise[t] = rng.normal(0.0, sigmas[1], data.d)
+            if parts == 3:
+                i2_noise[t] = rng.normal(0.0, sigmas[2])
+    return NoiseDraw(
+        mean_noise=mean_noise,
+        stat_noise=stat_noise,
+        i2_noise=i2_noise if parts == 3 else None,
+        mean_noise_var=sigmas[0] ** 2,
+        stat_noise_var=sigmas[1] ** 2,
+        i2_noise_var=sigmas[2] ** 2 if parts == 3 else 0.0,
+    )
+
+
+def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -> float:
+    """Noise-free counterpart of one of the three statistics.
+
+    Reads the values build_context stored on the context; a hand-built
+    context without them is evaluated directly.
+    """
+    if statistic is Statistic.DISPERSION:
+        return ctx.dispersion if ctx.dispersion is not None else dispersion(data, 2.0)
+    q_value = ctx.q_value if ctx.q_value is not None else q_statistic(data, ctx)
+    if statistic is Statistic.Q:
+        return q_value
+    if statistic is Statistic.I_SQUARED:
+        return i_squared(q_value, data.n)
+    raise ValueError(f"unknown statistic {statistic!r}")
+
+
+def release_kernel(
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy dispersion or Q values of a batch of releases, plus row shifts.
+
+    Row i of trial t moves the statistic by
+    shift[i, t] = w_i (||e_t||^2 - 2 dev_i . e_t), dev_i being the row's
+    deviation from the (weighted) mean, with dev . e taken from one GEMM
+    X @ E.T - center @ E.T. The value is the true statistic plus the mean
+    shift plus sum(s_t); dispersion uses unit weights. Zero noise leaves the
+    true value bit for bit.
+    """
+    if draws.mean_noise is None or draws.stat_noise is None:
+        raise ValueError(f"{statistic.value} needs mean-stage and statistic-stage draws")
+    mean_noise = np.atleast_2d(draws.mean_noise)
+    stat_sums = np.atleast_2d(draws.stat_noise).sum(axis=1)
+    unweighted = statistic is Statistic.DISPERSION
+    center = ctx.mean if unweighted else ctx.weighted_mean
+    base = true_value(Statistic.DISPERSION if unweighted else Statistic.Q, data, ctx)
+    projections = data.vectors @ mean_noise.T - center @ mean_noise.T
+    shifts = (mean_noise * mean_noise).sum(axis=1) - 2.0 * projections
+    if not unweighted:
+        shifts *= ctx.weights[:, None]
+    return base + shifts.mean(axis=0) + stat_sums, shifts
+
+
+def i_squared_release(q_values: np.ndarray, n: int, i2_noise) -> np.ndarray:
+    """Clamp 1 - (n-1)/noisy_q into [0, 1], then add the third-stage draw.
+
+    The final value is deliberately not re-clamped.
+
+    Raises:
+        DegenerateStatisticError: if a noisy Q is nonpositive.
+    """
+    if np.any(q_values <= 0.0):
+        raise DegenerateStatisticError(
+            f"noisy q is {float(np.min(q_values))!r}; the heterogeneity fraction "
+            "is undefined for a nonpositive q"
+        )
+    return np.maximum(0.0, 1.0 - (n - 1) / q_values) + i2_noise
+
+
+def noisy_statistic(
+    statistic: Statistic,
+    data: VectorDataset,
+    ctx: MeasureContext,
+    cfg: EstimatorConfig,
+    *,
+    draws: NoiseDraw | None = None,
+) -> tuple[float, NoiseDraw]:
+    """One private release of `statistic`: the batched kernel at T = 1.
+
+    Dispersion and Q are two-release pipelines (mean, then statistic); I^2
+    runs the Q pipeline on its first two budget parts and adds a scalar
+    third-stage draw. Pass `draws` to inject a fixed noise realization.
+    """
+    if statistic is Statistic.I_SQUARED and data.n < 2:
+        raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
     if draws is None:
-        rng = np.random.default_rng(cfg.seed)
-        noise = _aggregate_noise(data.d, sigma, cfg, data.n, rng)
-        draws = NoiseDraw(mean_noise=noise, mean_noise_var=sigma**2)
-    elif draws.mean_noise is None:
-        raise ValueError("injected draws lack a mean-stage vector")
-    return dataset_mean(data) + draws.mean_noise, draws
+        batch = draw_noise(statistic, data, cfg, [cfg.seed])
+        draws = replace(
+            batch,
+            mean_noise=batch.mean_noise[0],
+            stat_noise=batch.stat_noise[0],
+            i2_noise=None if batch.i2_noise is None else float(batch.i2_noise[0]),
+        )
+    else:
+        _require_parts(statistic, cfg)
+    values, _ = release_kernel(statistic, data, ctx, draws)
+    if statistic is Statistic.I_SQUARED:
+        if draws.i2_noise is None:
+            raise ValueError("i_squared needs a third-stage scalar draw")
+        values = i_squared_release(values, data.n, draws.i2_noise)
+    return float(values[0]), draws
 
 
 def noisy_dispersion(
     data: VectorDataset, cfg: EstimatorConfig, *, draws: NoiseDraw | None = None
 ) -> tuple[float, NoiseDraw]:
-    """Private dispersion at exponent 2, a two-release pipeline.
-
-    Release one perturbs the mean, release two perturbs the statistic:
-    value = (1/n) sum_i ||(x_i - mean) - mean_noise||^2 + sum_j stat_noise_j.
-    Total privacy spend is the sum of the two budget parts.
-    """
-    _require_parts(cfg, 2, "dispersion")
-    if draws is None:
-        sigma1 = _stage_sigma(cfg, data.n, data.d, 0)
-        sigma2 = _stage_sigma(cfg, data.n, data.d, 1)
-        rng = np.random.default_rng(cfg.seed)
-        draws = NoiseDraw(
-            mean_noise=_aggregate_noise(data.d, sigma1, cfg, data.n, rng),
-            stat_noise=_aggregate_noise(data.d, sigma2, cfg, data.n, rng),
-            mean_noise_var=sigma1**2,
-            stat_noise_var=sigma2**2,
-        )
-    if draws.mean_noise is None or draws.stat_noise is None:
-        raise ValueError("dispersion needs mean-stage and statistic-stage draws")
-    deviations = data.vectors - dataset_mean(data)
-    value = float(((deviations - draws.mean_noise) ** 2).sum(axis=1).mean())
-    value += float(draws.stat_noise.sum())
-    return value, draws
+    """Private dispersion at exponent 2 (a two-release pipeline)."""
+    return noisy_statistic(Statistic.DISPERSION, data, build_context(data), cfg, draws=draws)
 
 
 def noisy_q(
-    data: VectorDataset,
-    ctx: MeasureContext,
-    cfg: EstimatorConfig,
-    *,
-    draws: NoiseDraw | None = None,
+    data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig, *, draws=None
 ) -> tuple[float, NoiseDraw]:
-    """Private Q, a two-release pipeline over the weighted mean.
-
-    Release one perturbs the weighted mean, release two perturbs the
-    statistic: value = (1/n) sum_i w_i ||x_i - noisy_weighted_mean||^2
-    + sum_j stat_noise_j.
-    """
-    _require_parts(cfg, 2, "q")
-    if ctx.weights.shape != (data.n,):
-        raise ValueError(f"context weights {ctx.weights.shape} do not match n={data.n}")
-    if np.any(ctx.weights <= 0) or not np.all(np.isfinite(ctx.weights)):
-        raise ValueError("context weights must be positive and finite")
-    if draws is None:
-        sigma1 = _stage_sigma(cfg, data.n, data.d, 0)
-        sigma2 = _stage_sigma(cfg, data.n, data.d, 1)
-        rng = np.random.default_rng(cfg.seed)
-        draws = NoiseDraw(
-            mean_noise=_aggregate_noise(data.d, sigma1, cfg, data.n, rng),
-            stat_noise=_aggregate_noise(data.d, sigma2, cfg, data.n, rng),
-            mean_noise_var=sigma1**2,
-            stat_noise_var=sigma2**2,
-        )
-    return evaluate_q_from_draws(data, ctx, draws), draws
-
-
-def evaluate_q_from_draws(data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw) -> float:
-    """Deterministic value of the private Q pipeline for recorded draws."""
-    if draws.mean_noise is None or draws.stat_noise is None:
-        raise ValueError("q needs mean-stage and statistic-stage draws")
-    noisy_center = ctx.weighted_mean + draws.mean_noise
-    squared = ((data.vectors - noisy_center) ** 2).sum(axis=1)
-    return float((ctx.weights * squared).mean()) + float(draws.stat_noise.sum())
-
-
-def noisy_q_deviation_form(data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw) -> float:
-    """Alternative evaluation of the private Q from recorded draws.
-
-    Expands the pipeline as true Q plus the per-row perturbation
-    w_i * mean_noise . (mean_noise - 2 (x_i - weighted_mean)) plus the
-    statistic noise; agrees with noisy_q on the same draws up to rounding.
-    """
-    if draws.mean_noise is None or draws.stat_noise is None:
-        raise ValueError("q needs mean-stage and statistic-stage draws")
-    deviations = data.vectors - ctx.weighted_mean
-    per_row = (draws.mean_noise * (draws.mean_noise - 2.0 * deviations)).sum(axis=1)
-    shift = float((ctx.weights * per_row).mean()) + float(draws.stat_noise.sum())
-    return q_statistic(data, ctx) + shift
+    """Private Q over the weighted mean (a two-release pipeline)."""
+    return noisy_statistic(Statistic.Q, data, ctx, cfg, draws=draws)
 
 
 def noisy_i_squared(
-    data: VectorDataset,
-    ctx: MeasureContext,
-    cfg: EstimatorConfig,
-    *,
-    draws: NoiseDraw | None = None,
+    data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig, *, draws=None
 ) -> tuple[float, NoiseDraw]:
-    """Private heterogeneity fraction, a three-release pipeline.
-
-    Runs the Q pipeline on the first two budget parts, clamps
-    1 - (n-1)/noisy_q into [0, 1], then adds a scalar third-stage draw on
-    top. The final value is deliberately not re-clamped.
-
-    Raises:
-        DegenerateStatisticError: if the noisy Q is nonpositive.
-    """
-    _require_parts(cfg, 3, "i_squared")
-    if data.n < 2:
-        raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
-    if draws is None:
-        sigma1 = _stage_sigma(cfg, data.n, data.d, 0)
-        sigma2 = _stage_sigma(cfg, data.n, data.d, 1)
-        sigma3 = _stage_sigma(cfg, data.n, data.d, 2)
-        rng = np.random.default_rng(cfg.seed)
-        draws = NoiseDraw(
-            mean_noise=_aggregate_noise(data.d, sigma1, cfg, data.n, rng),
-            stat_noise=_aggregate_noise(data.d, sigma2, cfg, data.n, rng),
-            i2_noise=float(_aggregate_noise(1, sigma3, cfg, data.n, rng)[0]),
-            mean_noise_var=sigma1**2,
-            stat_noise_var=sigma2**2,
-            i2_noise_var=sigma3**2,
-        )
-    if draws.i2_noise is None:
-        raise ValueError("i_squared needs a third-stage scalar draw")
-    q_value = evaluate_q_from_draws(data, ctx, draws)
-    if q_value <= 0.0:
-        raise DegenerateStatisticError(
-            f"noisy q is {q_value!r}; the heterogeneity fraction is undefined "
-            "for a nonpositive q"
-        )
-    clamped = max(0.0, 1.0 - (data.n - 1) / q_value)
-    return clamped + draws.i2_noise, draws
+    """Private heterogeneity fraction (a three-release pipeline)."""
+    return noisy_statistic(Statistic.I_SQUARED, data, ctx, cfg, draws=draws)
 
 
 def centralized_noisy(
@@ -278,6 +283,7 @@ def centralized_noisy(
     part: tuple[float, float],
     shape: SensitivitySpec,
     cfg: EstimatorConfig,
+    memo: dict | None = None,
 ) -> tuple[float, NoiseDraw]:
     """Perturb an already-aggregated scalar statistic with one draw.
 
@@ -286,7 +292,7 @@ def centralized_noisy(
     distributed pipeline; its square is the centralized error contribution.
     """
     epsilon_i, delta_i = part
-    sigma = 0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, shape, epsilon_i, delta_i)
+    sigma = 0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, shape, epsilon_i, delta_i, memo)
     scalar_sigma = math.sqrt(shape.d) * sigma
     if scalar_sigma == 0.0:
         noise = 0.0
@@ -295,30 +301,3 @@ def centralized_noisy(
         noise = float(rng.normal(0.0, scalar_sigma))
     draw = NoiseDraw(stat_noise=np.array([noise]), stat_noise_var=scalar_sigma**2)
     return statistic + noise, draw
-
-
-def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -> float:
-    """Noise-free counterpart of one of the three statistics."""
-    if statistic is Statistic.DISPERSION:
-        return dispersion(data, 2.0)
-    if statistic is Statistic.Q:
-        return q_statistic(data, ctx)
-    if statistic is Statistic.I_SQUARED:
-        return i_squared(q_statistic(data, ctx), data.n)
-    raise ValueError(f"unknown statistic {statistic!r}")
-
-
-def noisy_statistic(
-    statistic: Statistic,
-    data: VectorDataset,
-    ctx: MeasureContext,
-    cfg: EstimatorConfig,
-) -> tuple[float, NoiseDraw]:
-    """Dispatch to the private estimator for `statistic`."""
-    if statistic is Statistic.DISPERSION:
-        return noisy_dispersion(data, cfg)
-    if statistic is Statistic.Q:
-        return noisy_q(data, ctx, cfg)
-    if statistic is Statistic.I_SQUARED:
-        return noisy_i_squared(data, ctx, cfg)
-    raise ValueError(f"unknown statistic {statistic!r}")

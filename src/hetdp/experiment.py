@@ -36,9 +36,9 @@ from hetdp.datasets import (
     stratified_sample,
 )
 from hetdp.errors import derive_seed, error_report
-from hetdp.estimators import EstimatorConfig, Setting, Statistic
+from hetdp.estimators import EstimatorConfig, Setting, Statistic, true_value
 from hetdp.gaussian import Mechanism, PrivacyBudget
-from hetdp.measures import VARIANCE_FLOOR, build_context, measure_all
+from hetdp.measures import VARIANCE_FLOOR, build_context
 
 #: Default privacy grid for epsilon sweeps, log-ish spacing over [0.25, 5].
 DEFAULT_EPSILON_GRID: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
@@ -88,6 +88,11 @@ class ExperimentPlan:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if Mechanism.CLASSICAL in self.mechanisms and any(e >= 1.0 for e in self.epsilons):
+            raise ValueError(
+                "the classical calibration is only defined for epsilon < 1; "
+                "drop classical or restrict the epsilon grid"
+            )
         if self.budget_fractions is not None:
             parts = {s.budget_parts for s in self.statistics}
             if parts != {len(self.budget_fractions)}:
@@ -229,28 +234,31 @@ def _budget(plan: ExperimentPlan, stat: Statistic, epsilon: float) -> PrivacyBud
 
 
 def _materialize_samples(plan: ExperimentPlan):
-    """Load the dataset and draw one stratified sample per named profile."""
+    """Load the dataset, draw one stratified sample per named profile, and
+    build the samples' contexts once the full dataset is released."""
     data = load_dataset(plan.dataset)
     samples = {}
     for name, profile in plan.profiles:
         try:
-            sample = stratified_sample(data, profile, seed=_sample_seed(plan, profile))
+            samples[name] = stratified_sample(data, profile, seed=_sample_seed(plan, profile))
         except SampleCapacityError as err:
             raise SampleCapacityError(f"profile {name}: {err}") from err
-        samples[name] = (sample, build_context(sample))
-    return samples
+    del data
+    return {name: (sample, build_context(sample)) for name, sample in samples.items()}
 
 
 def _true_value_table(samples) -> dict[str, dict[str, float]]:
-    table = {}
-    for name, (sample, _ctx) in samples.items():
-        report, _ = measure_all(sample)
-        table[name] = {
-            "dispersion": report.dispersion,
-            "q": report.q_value,
-            "i_squared": report.i_squared,
+    """True statistics per profile, read from the stored contexts (I^2 is 0.0
+    below two rows)."""
+    return {
+        name: {
+            stat.value: 0.0
+            if stat is Statistic.I_SQUARED and sample.n < 2
+            else true_value(stat, sample, ctx)
+            for stat in Statistic
         }
-    return table
+        for name, (sample, ctx) in samples.items()
+    }
 
 
 def run_experiment(
@@ -261,8 +269,10 @@ def run_experiment(
     """Evaluate every plan cell, then write the CSV, plan log, and charts.
 
     Returns the rows (sorted by key). Cells are independent; the output is a
-    deterministic ordered reduction regardless of evaluation order.
+    deterministic ordered reduction regardless of evaluation order. Each
+    distinct noise scale is calibrated once per run.
     """
+    memo: dict = {}
     samples = _materialize_samples(plan)
     true_table = _true_value_table(samples)
     mins = {s: min(v[s] for v in true_table.values()) for s in ("dispersion", "q", "i_squared")}
@@ -286,7 +296,7 @@ def run_experiment(
                             seed=seed,
                             zero_noise=plan.zero_noise,
                         )
-                        report = error_report(stat, sample, cfg, plan.trials, ctx=ctx)
+                        report = error_report(stat, sample, cfg, plan.trials, ctx, memo)
                         rows.append(
                             ResultRow(
                                 dataset=plan.dataset.name,
@@ -437,6 +447,7 @@ def run_heterogeneity_comparison(
         pairs[count] = (baseline[0], other[0])
 
     samples = _materialize_samples(plan)
+    memo: dict = {}
 
     def mean_emse(stat, mech, setting, profile_name) -> list[float]:
         sample, ctx = samples[profile_name]
@@ -450,7 +461,7 @@ def run_heterogeneity_comparison(
                 seed=seed,
                 zero_noise=plan.zero_noise,
             )
-            out.append(error_report(stat, sample, cfg, plan.trials, ctx=ctx).emse)
+            out.append(error_report(stat, sample, cfg, plan.trials, ctx, memo).emse)
         return out
 
     rows: list[ComparisonRow] = []

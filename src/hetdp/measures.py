@@ -8,7 +8,7 @@ average the per-vector scalars over the n vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,13 +36,12 @@ class VectorDataset:
                 f"labels must be one per vector: {labels.shape} labels for "
                 f"{vectors.shape[0]} vectors"
             )
-        if not np.all(np.isfinite(vectors)):
+        # min and max propagate NaN, so finite extremes mean finite data
+        low, high = vectors.min(), vectors.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("vectors contain non-finite coordinates")
-        if vectors.min() < 0.0 or vectors.max() > 1.0:
-            raise ValueError(
-                f"coordinates must lie in [0, 1], got range "
-                f"[{vectors.min()!r}, {vectors.max()!r}]"
-            )
+        if low < 0.0 or high > 1.0:
+            raise ValueError(f"coordinates must lie in [0, 1], got range [{low!r}, {high!r}]")
         if labels.min(initial=0) < 0:
             raise ValueError("labels must be nonnegative integers")
         vectors.setflags(write=False)
@@ -64,7 +63,9 @@ class MeasureContext:
     """Per-dataset quantities shared by the weighted statistics.
 
     weights[i] is 1 / max(within_variances[i], variance_floor); the weighted
-    mean is the weights-normalized average of the rows.
+    mean is the weights-normalized average of the rows. build_context also
+    stores the true dispersion (p = 2) and Q, so releases and error reports
+    read them instead of recomputing; a hand-built context leaves them None.
     """
 
     mean: np.ndarray
@@ -72,6 +73,8 @@ class MeasureContext:
     weights: np.ndarray
     within_variances: np.ndarray
     variance_floor: float = VARIANCE_FLOOR
+    dispersion: float | None = None
+    q_value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -127,16 +130,18 @@ def weighted_mean(data: VectorDataset, weights: np.ndarray) -> np.ndarray:
 
 
 def build_context(data: VectorDataset, variance_floor: float = VARIANCE_FLOOR) -> MeasureContext:
-    """Compute mean, within-vector variances, weights and weighted mean once."""
+    """Compute mean, within-vector variances, weights, weighted mean, and the
+    true dispersion and Q once."""
     within = data.vectors.var(axis=1)
     weights = weights_from_variances(within, variance_floor)
-    return MeasureContext(
+    ctx = MeasureContext(
         mean=dataset_mean(data),
         weighted_mean=weighted_mean(data, weights),
         weights=weights,
         within_variances=within,
         variance_floor=variance_floor,
     )
+    return replace(ctx, dispersion=dispersion(data, 2.0), q_value=q_statistic(data, ctx))
 
 
 def dispersion(data: VectorDataset, p: float = 2.0) -> float:
@@ -152,9 +157,7 @@ def dispersion(data: VectorDataset, p: float = 2.0) -> float:
         raise ValueError(f"dispersion exponent must be >= 1, got {p!r}")
     deviations = data.vectors - dataset_mean(data)
     if p == 2.0:
-        # integer-exponent squaring, so the zero-noise estimator path
-        # reproduces this value bit for bit
-        powered = deviations**2
+        powered = np.square(deviations, out=deviations)
     else:
         powered = np.abs(deviations) ** p
     return float(powered.sum(axis=1).mean())
@@ -193,11 +196,10 @@ def i_squared(q_value: float, n: int) -> float:
 def measure_all(data: VectorDataset, p: float = 2.0) -> tuple[HeterogeneityReport, MeasureContext]:
     """All three true statistics plus the shared context in one pass."""
     ctx = build_context(data)
-    q_value = q_statistic(data, ctx)
     report = HeterogeneityReport(
-        dispersion=dispersion(data, p),
-        q_value=q_value,
-        i_squared=i_squared(q_value, data.n) if data.n >= 2 else 0.0,
+        dispersion=ctx.dispersion if p == 2.0 else dispersion(data, p),
+        q_value=ctx.q_value,
+        i_squared=i_squared(ctx.q_value, data.n) if data.n >= 2 else 0.0,
         dispersion_exponent=p,
     )
     return report, ctx

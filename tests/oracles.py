@@ -1,0 +1,109 @@
+"""Direct per-trial forms of the private releases and their errors.
+
+These are the straightforward O(n*d)-per-trial evaluations the batched
+release kernel replaces. The suite keeps them as reference oracles and
+asserts that the kernel agrees with them on identical draws.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from hetdp.errors import error_report
+from hetdp.estimators import EstimatorConfig, NoiseDraw, Setting, release_sigma
+from hetdp.gaussian import SensitivitySpec
+from hetdp.measures import MeasureContext, VectorDataset, dataset_mean, q_statistic
+
+
+def share_aggregate(dim: int, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Simulated secure aggregation: the mean of n client shares, each with
+    standard deviation sqrt(n) * sigma, so the aggregate has variance sigma^2."""
+    if sigma == 0.0:
+        return np.zeros(dim)
+    shares = rng.normal(0.0, math.sqrt(n) * sigma, size=(n, dim))
+    return shares.mean(axis=0)
+
+
+def noisy_mean(
+    data: VectorDataset, cfg: EstimatorConfig, *, draws: NoiseDraw | None = None
+) -> tuple[np.ndarray, NoiseDraw]:
+    """Private mean: true mean plus one calibrated aggregate noise vector,
+    on the first budget part; distributed noise is simulated share by share."""
+    if not cfg.budget.split:
+        raise ValueError("budget split is empty")
+    if draws is None:
+        sigma = 0.0
+        if not cfg.zero_noise:
+            epsilon_i, delta_i = cfg.budget.split[0]
+            sens = SensitivitySpec.from_shape(data.n, data.d)
+            sigma = release_sigma(cfg.mechanism, sens, epsilon_i, delta_i)
+        rng = np.random.default_rng(cfg.seed)
+        n = data.n if cfg.setting is Setting.DISTRIBUTED else 1
+        noise = share_aggregate(data.d, sigma, n, rng)
+        draws = NoiseDraw(mean_noise=noise, mean_noise_var=sigma**2)
+    elif draws.mean_noise is None:
+        raise ValueError("injected draws lack a mean-stage vector")
+    return dataset_mean(data) + draws.mean_noise, draws
+
+
+def _require_draws(draws: NoiseDraw) -> None:
+    if draws.mean_noise is None or draws.stat_noise is None:
+        raise ValueError("needs mean-stage and statistic-stage draws")
+
+
+def dispersion_from_draws(data: VectorDataset, draws: NoiseDraw) -> float:
+    """Private dispersion evaluated directly around the perturbed mean."""
+    _require_draws(draws)
+    deviations = data.vectors - dataset_mean(data)
+    value = float(((deviations - draws.mean_noise) ** 2).sum(axis=1).mean())
+    return value + float(draws.stat_noise.sum())
+
+
+def evaluate_q_from_draws(data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw) -> float:
+    """Private Q evaluated directly around the perturbed weighted mean."""
+    _require_draws(draws)
+    noisy_center = ctx.weighted_mean + draws.mean_noise
+    squared = ((data.vectors - noisy_center) ** 2).sum(axis=1)
+    return float((ctx.weights * squared).mean()) + float(draws.stat_noise.sum())
+
+
+def noisy_q_deviation_form(data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw) -> float:
+    """Private Q as true Q plus the per-row perturbation
+    w_i * mean_noise . (mean_noise - 2 (x_i - weighted_mean)) plus the
+    statistic noise; agrees with evaluate_q_from_draws up to rounding."""
+    _require_draws(draws)
+    deviations = data.vectors - ctx.weighted_mean
+    per_row = (draws.mean_noise * (draws.mean_noise - 2.0 * deviations)).sum(axis=1)
+    shift = float((ctx.weights * per_row).mean()) + float(draws.stat_noise.sum())
+    return q_statistic(data, ctx) + shift
+
+
+def tmse_dispersion(data: VectorDataset, draws: NoiseDraw) -> float:
+    """Closed-form squared error of a private dispersion from its draws:
+    the mean of the squared row shifts
+    mean_noise . (mean_noise - 2 (x_i - mean)) + sum(stat_noise)."""
+    if draws.mean_noise is None or draws.stat_noise is None:
+        raise ValueError("dispersion error needs mean-stage and statistic-stage draws")
+    deviations = data.vectors - dataset_mean(data)
+    per_row = (draws.mean_noise * (draws.mean_noise - 2.0 * deviations)).sum(axis=1)
+    shifted = per_row + draws.stat_noise.sum()
+    return float((shifted**2).mean())
+
+
+def tmse_q(data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw) -> float:
+    """Closed-form squared error of a private Q: the weighted analogue of
+    tmse_dispersion."""
+    if draws.mean_noise is None or draws.stat_noise is None:
+        raise ValueError("q error needs mean-stage and statistic-stage draws")
+    deviations = data.vectors - ctx.weighted_mean
+    per_row = ctx.weights * (draws.mean_noise * (draws.mean_noise - 2.0 * deviations)).sum(axis=1)
+    shifted = per_row + draws.stat_noise.sum()
+    return float((shifted**2).mean())
+
+
+def emse(statistic, data, cfg, trials, ctx=None) -> tuple[float, float]:
+    """Mean and standard deviation of the empirical squared error."""
+    report = error_report(statistic, data, cfg, trials, ctx)
+    return report.emse, report.sd_emse

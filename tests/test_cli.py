@@ -66,6 +66,45 @@ class TestExitCodes:
         assert "error: profile uniform-2" in err
 
 
+class TestRunFailuresAreErrors:
+    ARGS = [
+        "experiment", *SYNTH_ARGS, "--profiles", "uniform-2", "--fraction", "0.25",
+        "--statistics", "i_squared", "--epsilons", "0.5", "--delta", "0.1", "--trials", "3",
+    ]
+
+    def test_degenerate_noisy_q_is_one(self, tmp_path, monkeypatch, capsys):
+        import hetdp.errors
+
+        real = hetdp.errors.release_kernel
+
+        def nonpositive_q(*args):
+            values, shifts = real(*args)
+            return -abs(values), shifts
+
+        monkeypatch.setattr(hetdp.errors, "release_kernel", nonpositive_q)
+        for command in ("experiment", "compare-heterogeneity"):
+            args = [command, *self.ARGS[1:]]
+            if command == "compare-heterogeneity":
+                args[args.index("uniform-2")] = "uniform-2,skewed-2"
+            code = main([*args, "--out", str(tmp_path / f"{command}.csv")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: noisy q is ")
+            assert "Traceback" not in err
+
+    def test_solver_failure_is_one(self, tmp_path, monkeypatch, capsys):
+        import hetdp.estimators
+        from hetdp.gaussian import ConvergenceError
+
+        def failing(sens, epsilon, delta):
+            raise ConvergenceError("bisection exceeded the iteration cap", (0.0, 1.0))
+
+        monkeypatch.setattr(hetdp.estimators, "agm_sigma", failing)
+        code = main([*self.ARGS, "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bisection exceeded")
+
+
 class TestCalibrate:
     def test_table_marks_out_of_range_rows(self, capsys):
         assert main(["calibrate"]) == 0

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import emse, tmse_dispersion, tmse_q
 
 from hetdp.errors import (
     DISPERSION_CI_CONSTANT,
@@ -13,11 +14,8 @@ from hetdp.errors import (
     ci_i_squared,
     ci_q,
     derive_seed,
-    emse,
     error_report,
-    tmse_dispersion,
     tmse_i_squared,
-    tmse_q,
     variance_oracle_dispersion,
     variance_oracle_q,
 )

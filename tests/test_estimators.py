@@ -5,21 +5,31 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    dispersion_from_draws,
+    evaluate_q_from_draws,
+    noisy_mean,
+    noisy_q_deviation_form,
+    share_aggregate,
+    tmse_dispersion,
+    tmse_q,
+)
+
+from hetdp.errors import derive_seed, error_report, tmse_i_squared
 from hetdp.estimators import (
     DegenerateStatisticError,
     EstimatorConfig,
     NoiseDraw,
     Setting,
     Statistic,
-    _aggregate_noise,
     centralized_noisy,
-    evaluate_q_from_draws,
+    draw_noise,
+    i_squared_release,
     noisy_dispersion,
     noisy_i_squared,
-    noisy_mean,
     noisy_q,
-    noisy_q_deviation_form,
     noisy_statistic,
+    release_kernel,
     release_sigma,
     true_value,
 )
@@ -165,9 +175,8 @@ class TestNoiseGeneration:
         # n shares with standard deviation sqrt(n) sigma average to variance
         # sigma^2 exactly; checked against 20000 Monte Carlo aggregates.
         sigma, n = 0.3, 5
-        cfg = _cfg(budget2)
         rng = np.random.default_rng(123)
-        samples = [_aggregate_noise(1, sigma, cfg, n, rng)[0] for _ in range(20000)]
+        samples = [share_aggregate(1, sigma, n, rng)[0] for _ in range(20000)]
         assert abs(np.var(samples) - sigma**2) / sigma**2 < 0.05
 
     def test_recorded_variances_match_calibration(self, fix, budget2):
@@ -210,3 +219,123 @@ class TestDispatch:
         ctx = build_context(data)
         with pytest.raises(ValueError, match="n >= 2"):
             noisy_i_squared(data, ctx, _cfg(budget3))
+
+
+def _constant_row_data(n=40, d=6, seed=8):
+    # Row 0 is constant: zero within-row variance, so its weight is the
+    # floor's inverse, 1e9.
+    vectors = np.random.default_rng(seed).random((n, d))
+    vectors[0] = 0.5
+    return VectorDataset(vectors, np.zeros(n, dtype=np.int64))
+
+
+def _random_data(n=40, d=6, seed=9):
+    return VectorDataset(np.random.default_rng(seed).random((n, d)), np.zeros(n, dtype=np.int64))
+
+
+def _trial_draws(batch, t):
+    i2 = None if batch.i2_noise is None else float(batch.i2_noise[t])
+    return NoiseDraw(mean_noise=batch.mean_noise[t], stat_noise=batch.stat_noise[t], i2_noise=i2)
+
+
+class TestBatchedKernelAgainstDirectForms:
+    """The batched kernel against the direct per-trial oracles, on identical draws."""
+
+    TRIALS = 12
+
+    def _cases(self):
+        for data in (_random_data(), _constant_row_data()):
+            ctx = build_context(data)
+            for setting in Setting:
+                for statistic in Statistic:
+                    budget = PrivacyBudget.equal_split(0.5, 1e-3, statistic.budget_parts)
+                    yield data, ctx, statistic, _cfg(budget, setting=setting, seed=41)
+
+    def test_values_agree_within_rtol_1e_12(self):
+        seeds = [derive_seed(41, t) for t in range(self.TRIALS)]
+        for data, ctx, statistic, cfg in self._cases():
+            batch = draw_noise(statistic, data, cfg, seeds)
+            assert batch.mean_noise.shape == (self.TRIALS, data.d)
+            values, _ = release_kernel(statistic, data, ctx, batch)
+            if statistic is Statistic.I_SQUARED:
+                values = i_squared_release(values, data.n, batch.i2_noise)
+            for t in range(self.TRIALS):
+                draws = _trial_draws(batch, t)
+                if statistic is Statistic.DISPERSION:
+                    direct = dispersion_from_draws(data, draws)
+                elif statistic is Statistic.Q:
+                    direct = evaluate_q_from_draws(data, ctx, draws)
+                else:
+                    q_direct = evaluate_q_from_draws(data, ctx, draws)
+                    direct = max(0.0, 1.0 - (data.n - 1) / q_direct) + draws.i2_noise
+                assert values[t] == pytest.approx(direct, rel=1e-12, abs=0.0), (
+                    statistic, cfg.setting, t
+                )
+                single, _ = noisy_statistic(statistic, data, ctx, cfg, draws=draws)
+                assert single == pytest.approx(values[t], rel=1e-12, abs=0.0)
+
+    def test_tmse_agrees_within_rtol_1e_12(self):
+        for data, ctx, statistic, cfg in self._cases():
+            report = error_report(statistic, data, cfg, self.TRIALS, ctx)
+            batch = draw_noise(
+                statistic, data, cfg, [derive_seed(cfg.seed, t) for t in range(self.TRIALS)]
+            )
+            direct = []
+            for t in range(self.TRIALS):
+                draws = _trial_draws(batch, t)
+                if statistic is Statistic.DISPERSION:
+                    direct.append(tmse_dispersion(data, draws))
+                elif statistic is Statistic.Q:
+                    direct.append(tmse_q(data, ctx, draws))
+                else:
+                    q_noisy = evaluate_q_from_draws(data, ctx, draws)
+                    q_true = true_value(Statistic.Q, data, ctx)
+                    direct.append(tmse_i_squared(data.n, q_true, q_noisy, draws.i2_noise))
+            assert report.tmse == pytest.approx(float(np.mean(direct)), rel=1e-12, abs=0.0), (
+                statistic, cfg.setting
+            )
+
+    def test_single_release_uses_trial_seed_stream(self, budget2):
+        data = _random_data()
+        cfg = _cfg(budget2, setting=Setting.CENTRALIZED, seed=5)
+        batch = draw_noise(Statistic.DISPERSION, data, cfg, [5])
+        _, draws = noisy_statistic(Statistic.DISPERSION, data, build_context(data), cfg)
+        assert np.array_equal(draws.mean_noise, batch.mean_noise[0])
+        assert np.array_equal(draws.stat_noise, batch.stat_noise[0])
+
+    def test_calibration_memo_calibrates_each_key_once(self, budget2, monkeypatch):
+        import hetdp.estimators as estimators
+
+        calls = []
+        real = estimators.agm_sigma
+
+        def counting(sens, epsilon, delta):
+            calls.append((sens.delta_l2, epsilon, delta))
+            return real(sens, epsilon, delta)
+
+        monkeypatch.setattr(estimators, "agm_sigma", counting)
+        data = _random_data()
+        memo: dict = {}
+        for statistic in (Statistic.DISPERSION, Statistic.Q):
+            error_report(statistic, data, _cfg(budget2), 5, memo=memo)
+        # both stages share one split part; the centralized error uses the total
+        assert len(calls) == len(set(calls)) == 2
+
+
+class TestSingleDrawDistribution:
+    def test_single_draw_matches_share_simulation(self, budget2):
+        # The distributed aggregate is drawn as one N(0, sigma^2) vector; the
+        # mean of n simulated shares of variance n sigma^2 has the same law.
+        data = _random_data(n=5, d=4)
+        cfg = _cfg(budget2, setting=Setting.DISTRIBUTED, seed=12)
+        batch = draw_noise(Statistic.DISPERSION, data, cfg, list(range(5000)))
+        sigma = math.sqrt(batch.mean_noise_var)
+        single = batch.mean_noise.ravel()
+        rng = np.random.default_rng(99)
+        shares = np.concatenate([share_aggregate(4, sigma, data.n, rng) for _ in range(5000)])
+        for sample in (single, shares):
+            assert abs(np.var(sample) / sigma**2 - 1.0) < 0.05
+            assert abs(np.mean(sample)) < 4 * sigma / math.sqrt(sample.size)
+        quantiles = (0.05, 0.25, 0.5, 0.75, 0.95)
+        gap = np.abs(np.quantile(single, quantiles) - np.quantile(shares, quantiles))
+        assert np.all(gap < 0.05 * sigma + 3 * sigma / math.sqrt(single.size) * 4)

@@ -86,6 +86,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="trials"):
             _plan(trials=0)
 
+    def test_classical_needs_epsilon_below_one(self):
+        with pytest.raises(ValueError, match="classical calibration is only defined"):
+            _plan(mechanisms=(Mechanism.ANALYTIC, Mechanism.CLASSICAL), epsilons=(0.5, 1.0))
+        plan = _plan(mechanisms=(Mechanism.CLASSICAL,), epsilons=(0.25, 0.5))
+        assert plan.mechanisms == (Mechanism.CLASSICAL,)
+
     def test_budget_fractions_must_match_all_statistics(self):
         with pytest.raises(ValueError, match="parts"):
             _plan(budget_fractions=(0.5, 0.5))
