@@ -203,6 +203,10 @@ def release_kernel(
     projections = data.vectors @ mean_noise.T - center @ mean_noise.T
     shifts = (mean_noise * mean_noise).sum(axis=1) - 2.0 * projections
     if not unweighted:
+        if ctx.weights.shape != (data.n,):
+            raise ValueError(f"context weights {ctx.weights.shape} do not match n={data.n}")
+        if np.any(ctx.weights <= 0) or not np.all(np.isfinite(ctx.weights)):
+            raise ValueError("context weights must be positive and finite")
         shifts *= ctx.weights[:, None]
     return base + shifts.mean(axis=0) + stat_sums, shifts
 

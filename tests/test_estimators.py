@@ -1,6 +1,7 @@
 """Private estimators: zero-noise identity, injected draws, noise settings."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,6 +337,17 @@ class TestSingleDrawDistribution:
         for sample in (single, shares):
             assert abs(np.var(sample) / sigma**2 - 1.0) < 0.05
             assert abs(np.mean(sample)) < 4 * sigma / math.sqrt(sample.size)
+        # a 5% quantile of 20000 normals has standard error 0.015 sigma, so
+        # 0.1 sigma is over four standard errors of the two-sample gap
         quantiles = (0.05, 0.25, 0.5, 0.75, 0.95)
         gap = np.abs(np.quantile(single, quantiles) - np.quantile(shares, quantiles))
-        assert np.all(gap < 0.05 * sigma + 3 * sigma / math.sqrt(single.size) * 4)
+        assert np.all(gap < 0.1 * sigma)
+
+
+def test_kernel_rejects_mismatched_or_nonpositive_weights(fix, zero_cfg2):
+    ctx = build_context(fix)
+    draws = NoiseDraw(mean_noise=np.zeros(2), stat_noise=np.zeros(2))
+    for weights in (np.ones(3), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
+        bad = replace(ctx, weights=weights)
+        with pytest.raises(ValueError, match="context weights"):
+            noisy_q(fix, bad, zero_cfg2, draws=draws)
