@@ -26,6 +26,7 @@ from hetdp.datasets import (
     HeterogeneityProfile,
     LabelScheme,
     SampleCapacityError,
+    decode_rows,
     load_dataset,
     stratified_sample,
 )
@@ -187,31 +188,12 @@ def _profiles_from_args(parser, args) -> tuple[tuple[str, HeterogeneityProfile],
     return tuple(_profile_from_token(parser, tok, args.fraction) for tok in args.profiles)
 
 
-def _mechanisms_from_args(parser, args) -> tuple[Mechanism, ...]:
-    out = []
-    for name in args.mechanisms:
-        if name not in _MECHANISMS:
-            parser.error(f"unknown mechanism {name!r}; choose from {sorted(_MECHANISMS)}")
-        out.append(_MECHANISMS[name])
-    return tuple(out)
-
-
-def _settings_from_args(parser, args) -> tuple[Setting, ...]:
-    out = []
-    for name in args.settings:
-        if name not in _SETTINGS:
-            parser.error(f"unknown setting {name!r}; choose from {sorted(_SETTINGS)}")
-        out.append(_SETTINGS[name])
-    return tuple(out)
-
-
-def _statistics_from_args(parser, args) -> tuple[Statistic, ...]:
-    out = []
-    for name in args.statistics:
-        if name not in _STATISTICS:
-            parser.error(f"unknown statistic {name!r}; choose from {sorted(_STATISTICS)}")
-        out.append(_STATISTICS[name])
-    return tuple(out)
+def _lookup(parser, kind: str, table: dict, names) -> tuple:
+    """Map each CLI name through `table`; an unknown name is a usage error."""
+    for name in names:
+        if name not in table:
+            parser.error(f"unknown {kind} {name!r}; choose from {sorted(table)}")
+    return tuple(table[name] for name in names)
 
 
 def _check_classical_range(parser, mechanisms, epsilons) -> None:
@@ -269,12 +251,14 @@ def cmd_calibrate(parser, args) -> int:
 
 def cmd_measure(parser, args) -> int:
     desc = _dataset_from_args(parser, args)
-    data = load_dataset(desc)
+    loaded = load_dataset(desc)
     sampled_as = None
     if args.profile:
-        name, profile = _profile_from_token(parser, args.profile, args.fraction)
-        data = stratified_sample(data, profile, seed=args.sample_seed)
-        sampled_as = name
+        sampled_as, profile = _profile_from_token(parser, args.profile, args.fraction)
+        data = stratified_sample(loaded, profile, seed=args.sample_seed)
+    else:
+        data = decode_rows(loaded)
+    del loaded
     report, ctx = measure_all(data)
     out = {
         "dataset": desc.name,
@@ -290,11 +274,16 @@ def cmd_measure(parser, args) -> int:
         _check_classical_range(parser, (_MECHANISMS[args.mechanism],), (args.epsilon,))
         released = {}
         for index, stat in enumerate(Statistic):
-            budget = (
-                PrivacyBudget.from_fractions(args.epsilon, args.delta, args.budget_split)
-                if args.budget_split is not None and len(args.budget_split) == stat.budget_parts
-                else PrivacyBudget.equal_split(args.epsilon, args.delta, stat.budget_parts)
-            )
+            if args.budget_split is None:
+                budget = PrivacyBudget.equal_split(args.epsilon, args.delta, stat.budget_parts)
+            elif len(args.budget_split) == stat.budget_parts:
+                budget = PrivacyBudget.from_fractions(args.epsilon, args.delta, args.budget_split)
+            else:
+                released[stat.value] = {
+                    "error": f"--budget-split has {len(args.budget_split)} parts but "
+                    f"{stat.value} needs {stat.budget_parts}"
+                }
+                continue
             cfg = EstimatorConfig(
                 mechanism=_MECHANISMS[args.mechanism],
                 setting=_SETTINGS[args.setting],
@@ -344,9 +333,9 @@ def cmd_measure(parser, args) -> int:
 def _build_plan(parser, args) -> ExperimentPlan:
     desc = _dataset_from_args(parser, args)
     profiles = _profiles_from_args(parser, args)
-    mechanisms = _mechanisms_from_args(parser, args)
-    settings = _settings_from_args(parser, args)
-    statistics = _statistics_from_args(parser, args)
+    mechanisms = _lookup(parser, "mechanism", _MECHANISMS, args.mechanisms)
+    settings = _lookup(parser, "setting", _SETTINGS, args.settings)
+    statistics = _lookup(parser, "statistic", _STATISTICS, args.statistics)
     try:
         return ExperimentPlan(
             dataset=desc,

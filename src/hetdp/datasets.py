@@ -3,7 +3,9 @@
 Real datasets come from two binary formats: big-endian magic-tagged image and
 label files (28x28 grayscale images flattened to 784 coordinates) and fixed
 record-length RGB image files (3073- or 3074-byte records flattened to 3072
-coordinates). Pixels are normalized by 255 into [0, 1].
+coordinates). Pixels are normalized by 255 into [0, 1]. The files are
+validated whole but kept as stored bytes until a sample picks its rows; only
+those rows are normalized.
 
 Heterogeneity of a working subset is controlled by stratified sampling with
 explicit per-label ratios; a deterministic synthetic generator provides
@@ -124,8 +126,56 @@ class DatasetDescriptor:
             raise ValueError(f"{self.format.value} descriptor needs at least one path")
 
 
-def load_dataset(desc: DatasetDescriptor) -> VectorDataset:
-    """Materialize a descriptor into vectors and labels.
+@dataclass(frozen=True)
+class StoredImages:
+    """Image records kept as stored until rows are chosen.
+
+    pixels is the n x d uint8 matrix as read (a view of the file buffer for
+    one file) and labels the n int64 labels. decode() turns only the chosen
+    rows into a VectorDataset, so a sample never pays for the rows it leaves
+    out. A stored byte divided by 255 is always finite and in [0, 1], so
+    rows left undecoded need no range check.
+    """
+
+    pixels: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.pixels.shape[0] < 1:
+            raise ValueError("dataset must contain at least one vector")
+
+    @property
+    def n(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.pixels.shape[1]
+
+    def decode(self, index: np.ndarray | None = None) -> VectorDataset:
+        """The rows at `index` (all rows when None), pixels divided by 255."""
+        pixels, labels = self.pixels, self.labels
+        if index is not None:
+            pixels, labels = pixels[index], labels[index]
+        return VectorDataset(vectors=pixels.astype(np.float64) / 255.0, labels=labels)
+
+
+def decode_rows(
+    data: VectorDataset | StoredImages, index: np.ndarray | None = None
+) -> VectorDataset:
+    """The rows at `index` (all rows when None) of either loaded form as a
+    VectorDataset; stored images decode only those rows."""
+    if isinstance(data, StoredImages):
+        return data.decode(index)
+    if index is None:
+        return data
+    return VectorDataset(vectors=data.vectors[index], labels=data.labels[index])
+
+
+def load_dataset(desc: DatasetDescriptor) -> VectorDataset | StoredImages:
+    """Materialize a descriptor: synthetic data as a VectorDataset, the
+    binary formats as StoredImages, validated over every record but left
+    undecoded so that stratified_sample decodes only the rows it picks.
 
     Raises:
         DatasetFormatError: malformed files, or loaded width differing from
@@ -134,11 +184,11 @@ def load_dataset(desc: DatasetDescriptor) -> VectorDataset:
     if desc.format is DataFormat.SYNTHETIC:
         data = synthetic_dataset(desc.synth_n, desc.d, desc.heterogeneity, desc.synth_seed)
     elif desc.format is DataFormat.IDX_IMAGES:
-        data = load_idx(desc.paths[0], desc.paths[1])
+        data = _read_idx(desc.paths[0], desc.paths[1])
     elif desc.format is DataFormat.CIFAR10_BIN:
-        data = load_cifar(list(desc.paths), CifarVariant.TEN)
+        data = _read_cifar(list(desc.paths), CifarVariant.TEN)
     else:
-        data = load_cifar(list(desc.paths), CifarVariant.HUNDRED)
+        data = _read_cifar(list(desc.paths), CifarVariant.HUNDRED)
     if desc.d is not None and data.d != desc.d:
         raise DatasetFormatError(
             f"descriptor {desc.name} declares d={desc.d} but the data has d={data.d}"
@@ -175,6 +225,10 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset:
         DatasetFormatError: wrong magic, truncation, or image/label count
             mismatch, with the offending byte offset.
     """
+    return _read_idx(images_path, labels_path).decode()
+
+
+def _read_idx(images_path: str | Path, labels_path: str | Path) -> StoredImages:
     image_buf = Path(images_path).read_bytes()
     magic = _read_be_u32(image_buf, 0, images_path, "image magic")
     if magic != IDX_IMAGE_MAGIC:
@@ -195,7 +249,6 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset:
             offset=len(image_buf),
         )
     pixels = np.frombuffer(image_buf, dtype=np.uint8, count=pixel_bytes, offset=16)
-    vectors = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
 
     label_buf = Path(labels_path).read_bytes()
     label_magic = _read_be_u32(label_buf, 0, labels_path, "label magic")
@@ -219,7 +272,7 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset:
             offset=len(label_buf),
         )
     labels = np.frombuffer(label_buf, dtype=np.uint8, count=label_count, offset=8)
-    return VectorDataset(vectors=vectors, labels=labels.astype(np.int64))
+    return StoredImages(pixels=pixels.reshape(count, rows * cols), labels=labels.astype(np.int64))
 
 
 def write_idx(data: VectorDataset, images_path: str | Path, labels_path: str | Path) -> None:
@@ -256,8 +309,12 @@ def load_cifar(paths: "list[str | Path]", variant: CifarVariant) -> VectorDatase
         DatasetFormatError: file length not a whole number of records, or a
             label byte out of range.
     """
+    return _read_cifar(paths, variant).decode()
+
+
+def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> StoredImages:
     record = CIFAR10_RECORD if variant is CifarVariant.TEN else CIFAR100_RECORD
-    all_vectors: list[np.ndarray] = []
+    all_pixels: list[np.ndarray] = []
     all_labels: list[np.ndarray] = []
     for path in paths:
         buf = Path(path).read_bytes()
@@ -298,9 +355,11 @@ def load_cifar(paths: "list[str | Path]", variant: CifarVariant) -> VectorDatase
                 )
             labels = coarse // 2  # pairwise buckets: (0,1)->0, (2,3)->1, ...
             pixels = records[:, 2:]
-        all_vectors.append(pixels.astype(np.float64) / 255.0)
+        all_pixels.append(pixels)
         all_labels.append(labels)
-    return VectorDataset(vectors=np.vstack(all_vectors), labels=np.concatenate(all_labels))
+    # one file stays a view of its buffer; several concatenate as bytes
+    pixels = all_pixels[0] if len(all_pixels) == 1 else np.concatenate(all_pixels)
+    return StoredImages(pixels=pixels, labels=np.concatenate(all_labels))
 
 
 def write_cifar(data: VectorDataset, path: str | Path, variant: CifarVariant) -> None:
@@ -338,14 +397,15 @@ def _allocate(total: int, shares: np.ndarray) -> np.ndarray:
 
 
 def stratified_sample(
-    data: VectorDataset, profile: HeterogeneityProfile, seed: int
+    data: VectorDataset | StoredImages, profile: HeterogeneityProfile, seed: int
 ) -> VectorDataset:
     """Draw a label-ratio-controlled subset without replacement.
 
     The total is floor(sample_fraction * n); per-bucket counts follow the
     profile ratios via floor-plus-remainder allocation. Bucket i draws
     uniformly from the rows whose label equals the i-th smallest label
-    present. Deterministic given the seed.
+    present. Deterministic given the seed. Stored images decode only the
+    picked rows.
 
     Raises:
         SampleCapacityError: a bucket asks for more rows than its label has.
@@ -373,8 +433,7 @@ def stratified_sample(
                 f"but only {pool.size} are available"
             )
         picked.append(rng.choice(pool, size=int(want), replace=False))
-    index = np.concatenate(picked)
-    return VectorDataset(vectors=data.vectors[index], labels=data.labels[index])
+    return decode_rows(data, np.concatenate(picked))
 
 
 # Synthetic generator geometry: ten label clusters sit at distinct base

@@ -1,16 +1,27 @@
-"""Direct per-trial forms of the private releases and their errors.
+"""Direct forms of the private releases, their errors, and dataset sampling.
 
 These are the straightforward O(n*d)-per-trial evaluations the batched
-release kernel replaces. The suite keeps them as reference oracles and
-asserts that the kernel agrees with them on identical draws.
+release kernel replaces, and the decode-everything-then-index loading that
+sampling stored image bytes replaces. The suite keeps them as reference
+oracles and asserts that the fast forms agree with them.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
+from hetdp.datasets import (
+    CIFAR100_RECORD,
+    CIFAR10_RECORD,
+    DataFormat,
+    DatasetDescriptor,
+    HeterogeneityProfile,
+    _allocate,
+    synthetic_dataset,
+)
 from hetdp.errors import error_report
 from hetdp.estimators import EstimatorConfig, NoiseDraw, Setting, release_sigma
 from hetdp.gaussian import SensitivitySpec
@@ -107,3 +118,40 @@ def emse(statistic, data, cfg, trials, ctx=None) -> tuple[float, float]:
     """Mean and standard deviation of the empirical squared error."""
     report = error_report(statistic, data, cfg, trials, ctx)
     return report.emse, report.sd_emse
+
+
+def load_decoded(desc: DatasetDescriptor) -> VectorDataset:
+    """Every pixel of a well-formed descriptor's files as float64, no checks."""
+    if desc.format is DataFormat.SYNTHETIC:
+        return synthetic_dataset(desc.synth_n, desc.d, desc.heterogeneity, desc.synth_seed)
+    if desc.format is DataFormat.IDX_IMAGES:
+        image_buf = Path(desc.paths[0]).read_bytes()
+        count, rows, cols = (int.from_bytes(image_buf[i : i + 4], "big") for i in (4, 8, 12))
+        pixels = np.frombuffer(image_buf, dtype=np.uint8, count=count * rows * cols, offset=16)
+        vectors = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+        labels = np.frombuffer(Path(desc.paths[1]).read_bytes(), np.uint8, count, offset=8)
+        return VectorDataset(vectors, labels.astype(np.int64))
+    ten = desc.format is DataFormat.CIFAR10_BIN
+    record = CIFAR10_RECORD if ten else CIFAR100_RECORD
+    blocks, labels = [], []
+    for path in desc.paths:
+        records = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8).reshape(-1, record)
+        blocks.append(records[:, record - 3072 :].astype(np.float64) / 255.0)
+        labels.append(records[:, 0].astype(np.int64) // (1 if ten else 2))
+    return VectorDataset(np.vstack(blocks), np.concatenate(labels))
+
+
+def sample_decoded(data: VectorDataset, profile: HeterogeneityProfile, seed: int) -> VectorDataset:
+    """Stratified sample of a fully decoded dataset: pick rows per label
+    bucket as stratified_sample does, then index the float64 vectors."""
+    total = math.floor(profile.sample_fraction * data.n)
+    counts = _allocate(total, np.asarray(profile.ratios, dtype=np.float64))
+    present = np.unique(data.labels)
+    rng = np.random.default_rng(seed)
+    index = np.concatenate(
+        [
+            rng.choice(np.nonzero(data.labels == present[bucket])[0], size=int(want), replace=False)
+            for bucket, want in enumerate(counts)
+        ]
+    )
+    return VectorDataset(data.vectors[index], data.labels[index])

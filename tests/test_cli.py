@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hetdp.cli import DATA_DIR_ENV, main
-from hetdp.datasets import write_idx
+from hetdp.datasets import CifarVariant, write_cifar, write_idx
 from hetdp.experiment import read_result_csv
 from hetdp.gaussian import SensitivitySpec, agm_sigma, cgm_sigma
 from hetdp.measures import VectorDataset
@@ -64,6 +64,71 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "error: profile uniform-2" in err
+
+
+class TestUnknownNames:
+    @pytest.mark.parametrize(
+        "flag, kind", [("--mechanisms", "mechanism"), ("--settings", "setting"),
+                       ("--statistics", "statistic")]
+    )
+    def test_unknown_name_is_two(self, tmp_path, capsys, flag, kind):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["experiment", *SYNTH_ARGS, "--profiles", "uniform-2", flag, "nonesuch",
+                 "--out", str(tmp_path / "o.csv")]
+            )
+        assert exc.value.code == 2
+        assert f"unknown {kind} 'nonesuch'; choose from [" in capsys.readouterr().err
+
+
+class TestUnsampledRecordsAreValidated:
+    """The whole file is checked, not only the rows a profile samples: the
+    profile takes 2% of the rows with the two smallest labels, and each
+    fault lies in a record outside that sample."""
+
+    PLAN = ["--profiles", "uniform-2", "--fraction", "0.02", "--statistics", "dispersion",
+            "--epsilons", "0.5", "--delta", "0.1", "--trials", "1"]
+
+    @staticmethod
+    def _labels(n):
+        return np.arange(n, dtype=np.int64) % 2
+
+    def _run(self, tmp_path, source):
+        return main(["experiment", *source, *self.PLAN, "--out", str(tmp_path / "o.csv")])
+
+    def test_out_of_range_cifar_label(self, tmp_path, capsys):
+        path = tmp_path / "batch.bin"
+        data = VectorDataset(np.zeros((100, 3072)), self._labels(100))
+        write_cifar(data, path, CifarVariant.TEN)
+        raw = bytearray(path.read_bytes())
+        raw[99 * 3073] = 77
+        path.write_bytes(bytes(raw))
+        assert self._run(tmp_path, ["--cifar10", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: label byte 77 out of range 0..9")
+        assert f"at offset {99 * 3073}" in err
+
+    def _idx(self, tmp_path):
+        rng = np.random.default_rng(0)
+        data = VectorDataset(rng.integers(0, 256, (100, 6)) / 255.0, self._labels(100))
+        images, labels = tmp_path / "img.bin", tmp_path / "lab.bin"
+        write_idx(data, images, labels)
+        return images, ["--idx-images", str(images), "--idx-labels", str(labels)]
+
+    def test_truncated_idx_images(self, tmp_path, capsys):
+        images, source = self._idx(tmp_path)
+        images.write_bytes(images.read_bytes()[:-3])
+        assert self._run(tmp_path, source) == 1
+        assert capsys.readouterr().err.startswith("error: truncated pixel data")
+
+    def test_declared_dim_mismatch(self, tmp_path, capsys):
+        _, source = self._idx(tmp_path)
+        assert self._run(tmp_path, [*source, "--dim", "7"]) == 1
+        assert "declares d=7 but the data has d=6" in capsys.readouterr().err
+
+    def test_intact_files_run(self, tmp_path, capsys):
+        _, source = self._idx(tmp_path)
+        assert self._run(tmp_path, source) == 0
 
 
 class TestRunFailuresAreErrors:
@@ -191,12 +256,16 @@ class TestMeasure:
 
     def test_release_with_budget_split(self, capsys):
         # A two-part split applies to the two-stage statistics; the
-        # three-stage one falls back to the equal split.
+        # three-stage one is reported unavailable, naming both part counts.
         assert main(
             ["measure", *SYNTH_ARGS, "--release", "--budget-split", "0.7,0.3", "--json"]
         ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload["release"]["values"]) == {"dispersion", "q", "i_squared"}
+        values = json.loads(capsys.readouterr().out)["release"]["values"]
+        assert set(values) == {"dispersion", "q", "i_squared"}
+        assert "value" in values["dispersion"] and "value" in values["q"]
+        assert values["i_squared"] == {
+            "error": "--budget-split has 2 parts but i_squared needs 3"
+        }
 
 
 class TestDataDirResolution:

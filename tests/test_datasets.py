@@ -13,6 +13,7 @@ from hetdp.datasets import (
     LabelScheme,
     SampleCapacityError,
     _allocate,
+    decode_rows,
     load_cifar,
     load_dataset,
     load_idx,
@@ -22,6 +23,8 @@ from hetdp.datasets import (
     write_idx,
 )
 from hetdp.measures import VectorDataset, build_context, i_squared, q_statistic
+
+from oracles import load_decoded, sample_decoded
 
 
 def _grid_dataset(n, d, seed=0, labels=None):
@@ -297,6 +300,77 @@ class TestDescriptors:
     def test_synthetic_shape_required(self):
         with pytest.raises(ValueError, match="synth_n >= 2 and d >= 1"):
             DatasetDescriptor(format=DataFormat.SYNTHETIC, name="x", synth_n=1, d=4)
+
+
+@pytest.fixture
+def stored_descriptors(tmp_path):
+    """One descriptor per format: 300 rows each, with labels 0..9 (CIFAR-100
+    coarse labels 0..19, bucketed pairwise), the CIFAR-10 rows split over two
+    batch files."""
+    idx_images, idx_labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    write_idx(_grid_dataset(300, 12, seed=11), idx_images, idx_labels)
+    ten = (tmp_path / "a.bin", tmp_path / "b.bin")
+    write_cifar(_grid_dataset(180, 3072, seed=12), ten[0], CifarVariant.TEN)
+    write_cifar(_grid_dataset(120, 3072, seed=13), ten[1], CifarVariant.TEN)
+    rng = np.random.default_rng(14)
+    records = rng.integers(0, 256, size=(300, 3074), dtype=np.uint8)
+    records[:, 0] = rng.integers(0, 20, size=300)
+    records[:, 1] = rng.integers(0, 100, size=300)
+    hundred = tmp_path / "c.bin"
+    hundred.write_bytes(records.tobytes())
+    return {
+        "idx": DatasetDescriptor(
+            DataFormat.IDX_IMAGES, "idx", paths=(str(idx_images), str(idx_labels)), d=12
+        ),
+        "cifar10": DatasetDescriptor(
+            DataFormat.CIFAR10_BIN, "c10", paths=tuple(map(str, ten)), d=3072
+        ),
+        "cifar100": DatasetDescriptor(
+            DataFormat.CIFAR100_BIN, "c100", paths=(str(hundred),), d=3072,
+            label_scheme=LabelScheme.COARSE_BUCKETED,
+        ),
+        "synthetic": DatasetDescriptor(
+            DataFormat.SYNTHETIC, "syn", d=5, synth_n=300, heterogeneity=0.4, synth_seed=3
+        ),
+    }
+
+
+class TestSampleBeforeDecoding:
+    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100", "synthetic"])
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            HeterogeneityProfile((1,) * 10, sample_fraction=0.1),
+            HeterogeneityProfile((3, 1), sample_fraction=0.1),
+            HeterogeneityProfile((1, 2, 3, 4, 5), sample_fraction=0.05),
+        ],
+        ids=["uniform-10", "ratio-3:1", "ratio-1:2:3:4:5"],
+    )
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_matches_decode_then_index_oracle(self, stored_descriptors, kind, profile, seed):
+        desc = stored_descriptors[kind]
+        sample = stratified_sample(load_dataset(desc), profile, seed)
+        expected = sample_decoded(load_decoded(desc), profile, seed)
+        assert np.array_equal(sample.vectors, expected.vectors)
+        assert np.array_equal(sample.labels, expected.labels)
+
+    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100"])
+    def test_stored_form_holds_at_most_the_pixel_bytes(self, stored_descriptors, kind):
+        desc = stored_descriptors[kind]
+        stored = load_dataset(desc)
+        pixel_arrays = [
+            value
+            for value in vars(stored).values()
+            if isinstance(value, np.ndarray) and value is not stored.labels
+        ]
+        assert sum(a.nbytes for a in pixel_arrays) <= 300 * desc.d
+
+    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100"])
+    def test_full_decode_matches_oracle(self, stored_descriptors, kind):
+        decoded = decode_rows(load_dataset(stored_descriptors[kind]))
+        expected = load_decoded(stored_descriptors[kind])
+        assert np.array_equal(decoded.vectors, expected.vectors)
+        assert np.array_equal(decoded.labels, expected.labels)
 
 
 class TestStratifiedSample:
