@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Run the default epsilon sweep on a synthetic dataset.
 
-Writes the result CSV, the resolved plan log, and one EMSE-vs-epsilon chart
-per statistic into --out-dir. The defaults mirror the library's sweep
+Thin wrapper over `hetdp experiment`: writes the result CSV
+(<out-dir>/sweep.csv), the resolved plan log, and one EMSE-vs-epsilon chart
+per statistic into <out-dir>/charts. The defaults mirror the library's sweep
 conventions (delta 1e-5, the 0.25..5 epsilon grid, 100 trials per cell).
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from hetdp.datasets import CANONICAL_PROFILES, DataFormat, DatasetDescriptor, HeterogeneityProfile
-from hetdp.estimators import Setting, Statistic
-from hetdp.experiment import DEFAULT_EPSILON_GRID, SWEEP_DELTA, ExperimentPlan, run_experiment
-from hetdp.gaussian import Mechanism
+from hetdp.cli import main as cli_main
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=20000, help="synthetic dataset size")
     parser.add_argument("--d", type=int, default=8, help="vector dimension")
@@ -31,37 +30,22 @@ def main() -> None:
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
-    def profile(name: str) -> HeterogeneityProfile:
-        base = CANONICAL_PROFILES[name]
-        return HeterogeneityProfile(base.ratios, base.label_count, args.fraction)
-
-    mechanism_map = {"analytic": Mechanism.ANALYTIC, "classical": Mechanism.CLASSICAL}
-    plan = ExperimentPlan(
-        dataset=DatasetDescriptor(
-            format=DataFormat.SYNTHETIC,
-            name=f"synthetic-{args.n}x{args.d}-h{args.heterogeneity:g}",
-            d=args.d,
-            synth_n=args.n,
-            heterogeneity=args.heterogeneity,
-            synth_seed=args.synth_seed,
-        ),
-        profiles=tuple((name, profile(name)) for name in args.profiles.split(",")),
-        statistics=tuple(Statistic),
-        mechanisms=tuple(mechanism_map[m] for m in args.mechanisms.split(",")),
-        settings=(Setting.DISTRIBUTED,),
-        epsilons=DEFAULT_EPSILON_GRID,
-        delta=SWEEP_DELTA,
-        trials=args.trials,
-        seed=args.seed,
-    )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "sweep.csv"
-    rows = run_experiment(plan, csv_path, svg_dir=out_dir / "charts")
-    print(f"wrote {len(rows)} rows to {csv_path}")
-    print(f"plan log: {csv_path.with_suffix('.plan.json')}")
-    print(f"charts: {out_dir / 'charts'}")
+    return cli_main(
+        [
+            "experiment",
+            "--synthetic", f"{args.n},{args.d},{args.heterogeneity}",
+            "--synth-seed", str(args.synth_seed),
+            "--profiles", args.profiles,
+            "--fraction", str(args.fraction),
+            "--mechanisms", args.mechanisms,
+            "--trials", str(args.trials),
+            "--seed", str(args.seed),
+            "--out", str(out_dir / "sweep.csv"),
+            "--svg-dir", str(out_dir / "charts"),
+        ]
+    )
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

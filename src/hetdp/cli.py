@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from hetdp.datasets import (
@@ -184,10 +185,6 @@ def _profile_from_token(parser, token: str, fraction: float | None) -> tuple[str
         parser.error(f"bad profile {token!r}: {err}")
 
 
-def _profiles_from_args(parser, args) -> tuple[tuple[str, HeterogeneityProfile], ...]:
-    return tuple(_profile_from_token(parser, tok, args.fraction) for tok in args.profiles)
-
-
 def _lookup(parser, kind: str, table: dict, names) -> tuple:
     """Map each CLI name through `table`; an unknown name is a usage error."""
     for name in names:
@@ -332,7 +329,7 @@ def cmd_measure(parser, args) -> int:
 
 def _build_plan(parser, args) -> ExperimentPlan:
     desc = _dataset_from_args(parser, args)
-    profiles = _profiles_from_args(parser, args)
+    profiles = tuple(_profile_from_token(parser, t, args.fraction) for t in args.profiles)
     mechanisms = _lookup(parser, "mechanism", _MECHANISMS, args.mechanisms)
     settings = _lookup(parser, "setting", _SETTINGS, args.settings)
     statistics = _lookup(parser, "statistic", _STATISTICS, args.statistics)
@@ -354,19 +351,31 @@ def _build_plan(parser, args) -> ExperimentPlan:
         parser.error(str(err))
 
 
+def _print_json(rows) -> None:
+    print(json.dumps([asdict(r) for r in rows], indent=2))
+
+
 def cmd_experiment(parser, args) -> int:
     plan = _build_plan(parser, args)
     rows = run_experiment(plan, args.out, svg_dir=args.svg_dir)
     if args.json:
-        from dataclasses import asdict
-
-        print(json.dumps([asdict(r) for r in rows], indent=2))
+        _print_json(rows)
     else:
         print(f"wrote {len(rows)} rows to {args.out}")
         print(f"plan log: {Path(args.out).with_suffix('.plan.json')}")
         if args.svg_dir:
             print(f"charts in {args.svg_dir}")
     return 0
+
+
+#: (row kind, title, subject sort key) of each comparison table; the title's
+#: slot takes "mechanism, setting".
+_COMPARISON_TABLES = (
+    ("ratio", "percentage change of EMSE, skewed vs balanced ({}), averaged over the "
+     "epsilon grid", lambda subject: -int(subject)),
+    ("label_count", "percentage change of EMSE across label counts ({}), balanced "
+     "profiles", None),
+)
 
 
 def cmd_compare(parser, args) -> int:
@@ -376,47 +385,24 @@ def cmd_compare(parser, args) -> int:
     except ValueError as err:
         parser.error(str(err))
     if args.json:
-        from dataclasses import asdict
-
-        print(json.dumps([asdict(r) for r in rows], indent=2))
+        _print_json(rows)
         return 0
     stat_names = [s.value for s in plan.statistics]
     for mech in plan.mechanisms:
         for setting in plan.settings:
-            scoped = [
-                r for r in rows if r.mechanism == mech.value and r.setting == setting.value
-            ]
-            print(f"\npercentage change of EMSE, skewed vs balanced "
-                  f"({mech.value}, {setting.value}), averaged over the epsilon grid")
-            print(f"{'labels':>8} " + " ".join(f"{s:>12}" for s in stat_names))
-            for subject in sorted(
-                {r.subject for r in scoped if r.kind == "ratio"}, key=int, reverse=True
-            ):
-                cells = []
-                for stat in stat_names:
-                    (value,) = [
-                        r.pct_change_emse
-                        for r in scoped
-                        if r.kind == "ratio" and r.subject == subject and r.statistic == stat
-                    ]
-                    cells.append(f"{value:>11.2f}%")
-                print(f"{subject:>8} " + " ".join(cells))
-            pair_subjects = sorted({r.subject for r in scoped if r.kind == "label_count"})
-            if pair_subjects:
-                print(f"\npercentage change of EMSE across label counts "
-                      f"({mech.value}, {setting.value}), balanced profiles")
+            pct = {
+                (r.kind, r.subject, r.statistic): r.pct_change_emse
+                for r in rows
+                if r.mechanism == mech.value and r.setting == setting.value
+            }
+            for kind, title, order in _COMPARISON_TABLES:
+                subjects = sorted({subject for k, subject, _ in pct if k == kind}, key=order)
+                if not subjects:
+                    continue
+                print("\n" + title.format(f"{mech.value}, {setting.value}"))
                 print(f"{'labels':>8} " + " ".join(f"{s:>12}" for s in stat_names))
-                for subject in pair_subjects:
-                    cells = []
-                    for stat in stat_names:
-                        (value,) = [
-                            r.pct_change_emse
-                            for r in scoped
-                            if r.kind == "label_count"
-                            and r.subject == subject
-                            and r.statistic == stat
-                        ]
-                        cells.append(f"{value:>11.2f}%")
+                for subject in subjects:
+                    cells = [f"{pct[kind, subject, stat]:>11.2f}%" for stat in stat_names]
                     print(f"{subject:>8} " + " ".join(cells))
     print(f"\nwrote {len(rows)} rows to {args.out}")
     return 0
@@ -457,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     mea.add_argument("--json", action="store_true")
     mea.set_defaults(func=cmd_measure)
 
-    def add_plan_flags(p: argparse.ArgumentParser, default_delta: float) -> None:
+    def add_plan_flags(p: argparse.ArgumentParser) -> None:
         _add_dataset_flags(p)
         p.add_argument("--profiles", type=_names, required=True,
                        help="comma-separated profile names (or name=r1:r2:...)")
@@ -466,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mechanisms", type=_names, default=("analytic",))
         p.add_argument("--settings", type=_names, default=("distributed",))
         p.add_argument("--epsilons", type=_floats, default=DEFAULT_EPSILON_GRID)
-        p.add_argument("--delta", type=float, default=default_delta)
+        p.add_argument("--delta", type=float, default=SWEEP_DELTA)
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget-split", type=_floats, default=None,
@@ -476,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
 
     exp = sub.add_parser("experiment", help="run a sweep plan, emit CSV/SVG/plan log")
-    add_plan_flags(exp, SWEEP_DELTA)
+    add_plan_flags(exp)
     exp.add_argument("--svg-dir", default=None, help="directory for EMSE-vs-epsilon charts")
     exp.set_defaults(func=cmd_experiment)
 
@@ -484,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare-heterogeneity",
         help="percentage change of EMSE across paired balanced/skewed profiles",
     )
-    add_plan_flags(cmp_, SWEEP_DELTA)
+    add_plan_flags(cmp_)
     cmp_.set_defaults(func=cmd_compare)
     return parser
 

@@ -30,7 +30,7 @@ from hetdp.estimators import (
     true_value,
 )
 from hetdp.gaussian import SensitivitySpec
-from hetdp.measures import MeasureContext, VectorDataset, build_context, dataset_mean
+from hetdp.measures import MeasureContext, VectorDataset, build_context
 
 #: 95% interval constant for the dispersion: 1.96 times the fourth-moment
 #: spread factor 4*sqrt(6) of a squared-Gaussian deviation.
@@ -125,34 +125,6 @@ def ci_i_squared(
         (I_SQUARED_CI_CONSTANT * (n - 1) / (weights * math.sqrt(n) * mean_noise_var**2)).sum()
     )
     return i2_noisy - half, i2_noisy + half
-
-
-def variance_oracle_dispersion(data: VectorDataset, mu_noisy: np.ndarray) -> float:
-    """Squared gap between mean squared deviations taken around the true and
-    a perturbed mean, per coordinate, coordinate-summed.
-
-    Equals the summed fourth powers of the mean perturbation; the test suite
-    asserts that identity numerically.
-    """
-    mu = dataset_mean(data)
-    true_ms = ((data.vectors - mu) ** 2).mean(axis=0)
-    noisy_ms = ((data.vectors - np.asarray(mu_noisy, dtype=np.float64)) ** 2).mean(axis=0)
-    return float(((true_ms - noisy_ms) ** 2).sum())
-
-
-def variance_oracle_q(
-    data: VectorDataset, ctx: MeasureContext, weighted_mean_noisy: np.ndarray
-) -> float:
-    """Weighted analogue of variance_oracle_dispersion around the weighted mean.
-
-    Equals the squared mean weight times the summed fourth powers of the
-    perturbation (weighted deviations from the weighted mean sum to zero).
-    """
-    center = np.asarray(weighted_mean_noisy, dtype=np.float64)
-    w = ctx.weights[:, None]
-    true_ms = (w * (data.vectors - ctx.weighted_mean) ** 2).mean(axis=0)
-    noisy_ms = (w * (data.vectors - center) ** 2).mean(axis=0)
-    return float(((true_ms - noisy_ms) ** 2).sum())
 
 
 def error_report(

@@ -31,7 +31,6 @@ from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec, agm_sigma,
 from hetdp.measures import (
     MeasureContext,
     VectorDataset,
-    build_context,
     dispersion,
     i_squared,
     q_statistic,
@@ -259,27 +258,6 @@ def noisy_statistic(
             raise ValueError("i_squared needs a third-stage scalar draw")
         values = i_squared_release(values, data.n, draws.i2_noise)
     return float(values[0]), draws
-
-
-def noisy_dispersion(
-    data: VectorDataset, cfg: EstimatorConfig, *, draws: NoiseDraw | None = None
-) -> tuple[float, NoiseDraw]:
-    """Private dispersion at exponent 2 (a two-release pipeline)."""
-    return noisy_statistic(Statistic.DISPERSION, data, build_context(data), cfg, draws=draws)
-
-
-def noisy_q(
-    data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig, *, draws=None
-) -> tuple[float, NoiseDraw]:
-    """Private Q over the weighted mean (a two-release pipeline)."""
-    return noisy_statistic(Statistic.Q, data, ctx, cfg, draws=draws)
-
-
-def noisy_i_squared(
-    data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig, *, draws=None
-) -> tuple[float, NoiseDraw]:
-    """Private heterogeneity fraction (a three-release pipeline)."""
-    return noisy_statistic(Statistic.I_SQUARED, data, ctx, cfg, draws=draws)
 
 
 def centralized_noisy(

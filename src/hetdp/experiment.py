@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
+from itertools import product
 from pathlib import Path
 
 from hetdp.datasets import (
@@ -143,38 +146,9 @@ class ResultRow:
         )
 
 
-CSV_COLUMNS = (
-    "dataset",
-    "statistic",
-    "mechanism",
-    "setting",
-    "profile",
-    "epsilon",
-    "delta",
-    "trials",
-    "emse",
-    "tmse",
-    "cmse",
-    "sd_emse",
-    "sd_tmse",
-    "ci_half_width",
-    "true_value",
-    "dispersion_min",
-    "dispersion_mean",
-    "q_min",
-    "q_mean",
-    "i_squared_min",
-    "i_squared_mean",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
-_FLOAT_COLUMNS = frozenset(CSV_COLUMNS) - {
-    "dataset",
-    "statistic",
-    "mechanism",
-    "setting",
-    "profile",
-    "trials",
-}
+_FLOAT_COLUMNS = frozenset(f.name for f in fields(ResultRow) if f.type in (float, "float"))
 
 
 @dataclass(frozen=True)
@@ -198,7 +172,7 @@ class ComparisonRow:
         return (self.kind, self.subject, self.statistic, self.mechanism, self.setting)
 
 
-COMPARISON_COLUMNS = ("kind", "subject", "statistic", "mechanism", "setting", "pct_change_emse")
+COMPARISON_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
 
 
 def _fmt(value) -> str:
@@ -261,6 +235,52 @@ def _true_value_table(samples) -> dict[str, dict[str, float]]:
     }
 
 
+def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
+    """Evaluate every plan cell into one row each, sorted by key.
+
+    Cells are independent; the output is a deterministic ordered reduction
+    regardless of evaluation order. Each distinct noise scale is calibrated
+    once per run.
+    """
+    memo: dict = {}
+    samples = _materialize_samples(plan)
+    true_table = _true_value_table(samples)
+    summary = {}
+    for s in ("dispersion", "q", "i_squared"):
+        summary[f"{s}_min"] = min(v[s] for v in true_table.values())
+        summary[f"{s}_mean"] = sum(v[s] for v in true_table.values()) / len(true_table)
+
+    rows: list[ResultRow] = []
+    for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings):
+        seed = _cell_seed(plan, stat, mech, setting)
+        for (name, _profile), epsilon in product(plan.profiles, plan.epsilons):
+            sample, ctx = samples[name]
+            cfg = EstimatorConfig(
+                mechanism=mech,
+                setting=setting,
+                budget=_budget(plan, stat, epsilon),
+                seed=seed,
+                zero_noise=plan.zero_noise,
+            )
+            report = error_report(stat, sample, cfg, plan.trials, ctx, memo)
+            rows.append(
+                ResultRow(
+                    dataset=plan.dataset.name,
+                    statistic=stat.value,
+                    mechanism=mech.value,
+                    setting=setting.value,
+                    profile=name,
+                    epsilon=epsilon,
+                    delta=plan.delta,
+                    true_value=true_table[name][stat.value],
+                    **asdict(report),  # trials and the error columns
+                    **summary,
+                )
+            )
+    rows.sort(key=ResultRow.key)
+    return rows
+
+
 def run_experiment(
     plan: ExperimentPlan,
     csv_path: str | Path,
@@ -268,61 +288,9 @@ def run_experiment(
 ) -> list[ResultRow]:
     """Evaluate every plan cell, then write the CSV, plan log, and charts.
 
-    Returns the rows (sorted by key). Cells are independent; the output is a
-    deterministic ordered reduction regardless of evaluation order. Each
-    distinct noise scale is calibrated once per run.
+    Returns the rows (sorted by key).
     """
-    memo: dict = {}
-    samples = _materialize_samples(plan)
-    true_table = _true_value_table(samples)
-    mins = {s: min(v[s] for v in true_table.values()) for s in ("dispersion", "q", "i_squared")}
-    means = {
-        s: sum(v[s] for v in true_table.values()) / len(true_table)
-        for s in ("dispersion", "q", "i_squared")
-    }
-
-    rows: list[ResultRow] = []
-    for stat in plan.statistics:
-        for mech in plan.mechanisms:
-            for setting in plan.settings:
-                seed = _cell_seed(plan, stat, mech, setting)
-                for name, _profile in plan.profiles:
-                    sample, ctx = samples[name]
-                    for epsilon in plan.epsilons:
-                        cfg = EstimatorConfig(
-                            mechanism=mech,
-                            setting=setting,
-                            budget=_budget(plan, stat, epsilon),
-                            seed=seed,
-                            zero_noise=plan.zero_noise,
-                        )
-                        report = error_report(stat, sample, cfg, plan.trials, ctx, memo)
-                        rows.append(
-                            ResultRow(
-                                dataset=plan.dataset.name,
-                                statistic=stat.value,
-                                mechanism=mech.value,
-                                setting=setting.value,
-                                profile=name,
-                                epsilon=epsilon,
-                                delta=plan.delta,
-                                trials=plan.trials,
-                                emse=report.emse,
-                                tmse=report.tmse,
-                                cmse=report.cmse,
-                                sd_emse=report.sd_emse,
-                                sd_tmse=report.sd_tmse,
-                                ci_half_width=report.ci_half_width,
-                                true_value=true_table[name][stat.value],
-                                dispersion_min=mins["dispersion"],
-                                dispersion_mean=means["dispersion"],
-                                q_min=mins["q"],
-                                q_mean=means["q"],
-                                i_squared_min=mins["i_squared"],
-                                i_squared_mean=means["i_squared"],
-                            )
-                        )
-    rows.sort(key=ResultRow.key)
+    rows = _cell_rows(plan)
     write_result_csv(rows, csv_path)
     write_plan_log(plan, csv_path)
     if svg_dir is not None:
@@ -330,14 +298,15 @@ def run_experiment(
     return rows
 
 
-def write_result_csv(rows: list[ResultRow], path: str | Path) -> None:
+def write_result_csv(rows: list, path: str | Path) -> None:
+    """Write dataclass rows (ResultRow or ComparisonRow) under a header of
+    their field names; an empty list gets the ResultRow header."""
+    header = [f.name for f in fields(rows[0])] if rows else CSV_COLUMNS
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            record = asdict(row)
-            writer.writerow([_fmt(record[col]) for col in CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in astuple(row)] for row in rows)
 
 
 def read_result_csv(path: str | Path) -> list[ResultRow]:
@@ -414,6 +383,13 @@ def write_plan_log(plan: ExperimentPlan, csv_path: str | Path) -> Path:
     return log_path
 
 
+def _pct_change(base: list[float], other: list[float]) -> float:
+    """Signed percentage change of `other` against `base`, averaged over the
+    paired points; equal points count as exactly 0%."""
+    pcts = [0.0 if o == b else (o - b) / b * 100.0 for b, o in zip(base, other)]
+    return sum(pcts) / len(pcts)
+
+
 def run_heterogeneity_comparison(
     plan: ExperimentPlan, csv_path: str | Path
 ) -> list[ComparisonRow]:
@@ -421,7 +397,9 @@ def run_heterogeneity_comparison(
 
     The plan must contain exactly two profiles per label count: the balanced
     one (all ratios equal) is the baseline, the skewed one the subject. Also
-    emits cross-label-count comparisons between the balanced profiles.
+    emits cross-label-count comparisons between the balanced profiles. The
+    EMSE values are the rows of the plan's own sweep, reduced in epsilon-grid
+    order.
 
     Raises:
         ValueError: profiles do not pair up.
@@ -429,94 +407,55 @@ def run_heterogeneity_comparison(
     by_count: dict[int, list[tuple[str, HeterogeneityProfile]]] = {}
     for name, profile in plan.profiles:
         by_count.setdefault(profile.label_count, []).append((name, profile))
+    pairs: dict[int, tuple[str, str]] = {}
     for count, entries in sorted(by_count.items()):
         if len(entries) != 2:
             raise ValueError(
                 f"label count {count} has {len(entries)} profiles; comparisons "
                 "need exactly a balanced/skewed pair per label count"
             )
+        # stable: a balanced profile goes first, else the listed order stays
+        base, other = sorted(entries, key=lambda e: len(set(e[1].ratios)) > 1)
+        pairs[count] = (base[0], other[0])
 
-    def is_balanced(profile: HeterogeneityProfile) -> bool:
-        return len(set(profile.ratios)) == 1
-
-    pairs: dict[int, tuple[str, str]] = {}
-    for count, entries in sorted(by_count.items()):
-        balanced = [e for e in entries if is_balanced(e[1])]
-        baseline = balanced[0] if balanced else entries[0]
-        other = entries[1] if entries[0] is baseline else entries[0]
-        pairs[count] = (baseline[0], other[0])
-
-    samples = _materialize_samples(plan)
-    memo: dict = {}
-
-    def mean_emse(stat, mech, setting, profile_name) -> list[float]:
-        sample, ctx = samples[profile_name]
-        seed = _cell_seed(plan, stat, mech, setting)
-        out = []
-        for epsilon in plan.epsilons:
-            cfg = EstimatorConfig(
-                mechanism=mech,
-                setting=setting,
-                budget=_budget(plan, stat, epsilon),
-                seed=seed,
-                zero_noise=plan.zero_noise,
-            )
-            out.append(error_report(stat, sample, cfg, plan.trials, ctx, memo).emse)
-        return out
-
+    emse = {
+        (r.statistic, r.mechanism, r.setting, r.profile, r.epsilon): r.emse
+        for r in _cell_rows(plan)
+    }
     rows: list[ComparisonRow] = []
-    for stat in plan.statistics:
-        for mech in plan.mechanisms:
-            for setting in plan.settings:
-                base_curves: dict[int, list[float]] = {}
-                for count, (base_name, other_name) in sorted(pairs.items()):
-                    base = mean_emse(stat, mech, setting, base_name)
-                    other = mean_emse(stat, mech, setting, other_name)
-                    base_curves[count] = base
-                    pcts = [
-                        0.0 if o == b else (o - b) / b * 100.0
-                        for b, o in zip(base, other)
-                    ]
-                    rows.append(
-                        ComparisonRow(
-                            kind="ratio",
-                            subject=str(count),
-                            statistic=stat.value,
-                            mechanism=mech.value,
-                            setting=setting.value,
-                            pct_change_emse=sum(pcts) / len(pcts),
-                        )
-                    )
-                counts = sorted(base_curves, reverse=True)
-                for i, high in enumerate(counts):
-                    for low in counts[i + 1 :]:
-                        pcts = [
-                            0.0 if o == b else (o - b) / b * 100.0
-                            for b, o in zip(base_curves[high], base_curves[low])
-                        ]
-                        rows.append(
-                            ComparisonRow(
-                                kind="label_count",
-                                subject=f"{high}-vs-{low}",
-                                statistic=stat.value,
-                                mechanism=mech.value,
-                                setting=setting.value,
-                                pct_change_emse=sum(pcts) / len(pcts),
-                            )
-                        )
+    for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings):
+        cell = (stat.value, mech.value, setting.value)
+
+        def curve(profile: str) -> list[float]:
+            return [emse[(*cell, profile, eps)] for eps in plan.epsilons]
+
+        for count, (base, other) in pairs.items():
+            pct = _pct_change(curve(base), curve(other))
+            rows.append(ComparisonRow("ratio", str(count), *cell, pct))
+        counts = sorted(pairs, reverse=True)
+        for i, high in enumerate(counts):
+            for low in counts[i + 1 :]:
+                pct = _pct_change(curve(pairs[high][0]), curve(pairs[low][0]))
+                rows.append(ComparisonRow("label_count", f"{high}-vs-{low}", *cell, pct))
     rows.sort(key=ComparisonRow.key)
-    Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COMPARISON_COLUMNS)
-        for row in rows:
-            record = asdict(row)
-            writer.writerow([_fmt(record[col]) for col in COMPARISON_COLUMNS])
+    write_result_csv(rows, csv_path)
     write_plan_log(plan, csv_path)
     return rows
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def _escape(text: str) -> str:
+    """`text` as XML character data, as xml.sax.saxutils.escape gives it
+    (importing that module pulls in urllib and http: MiB of resident memory)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _comment(text: str) -> str:
+    """XML comment holding `text`: comments may not contain "--", so a space
+    follows every dash that precedes another."""
+    return f"<!-- {re.sub('-(?=-)', '- ', text)} -->"
 
 
 def emse_chart_svg(title: str, series: dict[str, list[tuple[float, float]]]) -> str:
@@ -531,13 +470,11 @@ def emse_chart_svg(title: str, series: dict[str, list[tuple[float, float]]]) -> 
     positives = [y for pts in series.values() for _, y in pts if y > 0]
     if not xs:
         raise ValueError("chart needs at least one point")
-    import math as _math
-
     x_lo, x_hi = min(xs), max(xs)
     x_span = (x_hi - x_lo) or 1.0
     if positives:
-        exp_lo = _math.floor(_math.log10(min(positives)))
-        exp_hi = _math.ceil(_math.log10(max(positives)))
+        exp_lo = math.floor(math.log10(min(positives)))
+        exp_hi = math.ceil(math.log10(max(positives)))
         if exp_lo == exp_hi:
             exp_hi += 1
     else:
@@ -549,16 +486,16 @@ def emse_chart_svg(title: str, series: dict[str, list[tuple[float, float]]]) -> 
     def y_px(y: float) -> float:
         if y <= 0:
             return height - bottom
-        frac = (_math.log10(y) - exp_lo) / (exp_hi - exp_lo)
+        frac = (math.log10(y) - exp_lo) / (exp_hi - exp_lo)
         return height - bottom - frac * (height - top - bottom)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f"<!-- {title} -->",
+        _comment(title),
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
         f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
         f'y2="{height - bottom}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="black"/>',
@@ -590,7 +527,7 @@ def emse_chart_svg(title: str, series: dict[str, list[tuple[float, float]]]) -> 
         color = _PALETTE[index % len(_PALETTE)]
         pts = sorted(pts)
         data = " ".join(f"{x:.6g},{y:.6g}" for x, y in pts)
-        parts.append(f"<!-- series {label}: {data} -->")
+        parts.append(_comment(f"series {label}: {data}"))
         polyline = " ".join(f"{x_px(x):.1f},{y_px(y):.1f}" for x, y in pts)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{polyline}"/>'
@@ -606,7 +543,7 @@ def emse_chart_svg(title: str, series: dict[str, list[tuple[float, float]]]) -> 
         )
         parts.append(
             f'<text x="{width - right - 124}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -18,8 +18,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 _SQRT2 = math.sqrt(2.0)
 _MAX_SOLVER_STEPS = 200
 
@@ -193,26 +191,6 @@ def achieved_delta(sigma: float, delta_l2: float, epsilon: float) -> float:
     )
 
 
-def achieved_delta_low_noise(epsilon: float, v: float) -> float:
-    """Privacy slack along the low-noise branch, parameterized by v >= 0.
-
-    Nondecreasing in v; equals the branch-point slack delta0 at v = 0.
-    """
-    return std_normal_cdf(math.sqrt(epsilon * v)) - math.exp(epsilon) * std_normal_cdf(
-        -math.sqrt(epsilon * (v + 2.0))
-    )
-
-
-def achieved_delta_high_noise(epsilon: float, u: float) -> float:
-    """Privacy slack along the high-noise branch, parameterized by u >= 0.
-
-    Nonincreasing in u; equals the branch-point slack delta0 at u = 0.
-    """
-    return std_normal_cdf(-math.sqrt(epsilon * u)) - math.exp(epsilon) * std_normal_cdf(
-        -math.sqrt(epsilon * (u + 2.0))
-    )
-
-
 def _alpha_low_noise(v: float) -> float:
     # 1/(sqrt(1+v/2) + sqrt(v/2)) == sqrt(1+v/2) - sqrt(v/2), cancellation-free.
     return 1.0 / (math.sqrt(1.0 + 0.5 * v) + math.sqrt(0.5 * v))
@@ -370,18 +348,3 @@ def _smallest_nonpositive(g, tol: float) -> float:
         if steps > _MAX_SOLVER_STEPS:
             raise ConvergenceError("bisection exceeded the iteration cap", (lo, hi))
     return hi
-
-
-def sample_gaussian_vector(dim: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw an i.i.d. zero-mean Gaussian vector with standard deviation sigma.
-
-    sigma = 0 returns the zero vector without consuming the stream, so
-    zero-noise runs are exact.
-    """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma!r}")
-    if sigma == 0.0:
-        return np.zeros(dim)
-    return rng.normal(0.0, sigma, size=dim)

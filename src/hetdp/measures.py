@@ -8,7 +8,7 @@ average the per-vector scalars over the n vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,17 +92,6 @@ def dataset_mean(data: VectorDataset) -> np.ndarray:
     return data.vectors.mean(axis=0)
 
 
-def within_vector_variance(vector: np.ndarray) -> float:
-    """Population variance of one vector's coordinates (divide by d).
-
-    For coordinates in [0, 1] the result lies in [0, 0.25].
-    """
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.ndim != 1 or vector.size < 1:
-        raise ValueError(f"expected a nonempty 1-d vector, got shape {vector.shape}")
-    return float(vector.var())
-
-
 def weights_from_variances(
     within_variances: np.ndarray, variance_floor: float = VARIANCE_FLOOR
 ) -> np.ndarray:
@@ -129,19 +118,32 @@ def weighted_mean(data: VectorDataset, weights: np.ndarray) -> np.ndarray:
     return weights @ data.vectors / weights.sum()
 
 
+def _mean_sq_deviation(vectors: np.ndarray, center: np.ndarray, weights=1.0) -> float:
+    """(1/n) sum_i w_i ||x_i - center||^2; unit weights by default.
+
+    Squares the one n x d deviation temporary in place.
+    """
+    deviations = vectors - center
+    squared = np.square(deviations, out=deviations).sum(axis=1)
+    return float((weights * squared).mean())
+
+
 def build_context(data: VectorDataset, variance_floor: float = VARIANCE_FLOOR) -> MeasureContext:
     """Compute mean, within-vector variances, weights, weighted mean, and the
     true dispersion and Q once."""
     within = data.vectors.var(axis=1)
     weights = weights_from_variances(within, variance_floor)
-    ctx = MeasureContext(
-        mean=dataset_mean(data),
-        weighted_mean=weighted_mean(data, weights),
+    mean = dataset_mean(data)
+    center = weighted_mean(data, weights)
+    return MeasureContext(
+        mean=mean,
+        weighted_mean=center,
         weights=weights,
         within_variances=within,
         variance_floor=variance_floor,
+        dispersion=_mean_sq_deviation(data.vectors, mean),
+        q_value=_mean_sq_deviation(data.vectors, center, weights),
     )
-    return replace(ctx, dispersion=dispersion(data, 2.0), q_value=q_statistic(data, ctx))
 
 
 def dispersion(data: VectorDataset, p: float = 2.0) -> float:
@@ -155,12 +157,9 @@ def dispersion(data: VectorDataset, p: float = 2.0) -> float:
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"dispersion exponent must be >= 1, got {p!r}")
-    deviations = data.vectors - dataset_mean(data)
     if p == 2.0:
-        powered = np.square(deviations, out=deviations)
-    else:
-        powered = np.abs(deviations) ** p
-    return float(powered.sum(axis=1).mean())
+        return _mean_sq_deviation(data.vectors, dataset_mean(data))
+    return float((np.abs(data.vectors - dataset_mean(data)) ** p).sum(axis=1).mean())
 
 
 def q_statistic(data: VectorDataset, ctx: MeasureContext) -> float:
@@ -174,8 +173,7 @@ def q_statistic(data: VectorDataset, ctx: MeasureContext) -> float:
             f"context shaped for (n={ctx.weights.shape}, d={ctx.weighted_mean.shape}) "
             f"does not match dataset (n={data.n}, d={data.d})"
         )
-    squared = ((data.vectors - ctx.weighted_mean) ** 2).sum(axis=1)
-    return float((ctx.weights * squared).mean())
+    return _mean_sq_deviation(data.vectors, ctx.weighted_mean, ctx.weights)
 
 
 def i_squared(q_value: float, n: int) -> float:

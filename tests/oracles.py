@@ -3,7 +3,9 @@
 These are the straightforward O(n*d)-per-trial evaluations the batched
 release kernel replaces, and the decode-everything-then-index loading that
 sampling stored image bytes replaces. The suite keeps them as reference
-oracles and asserts that the fast forms agree with them.
+oracles and asserts that the fast forms agree with them. The closing
+helpers (within-vector variance, the branch-parameterized privacy slack,
+the variance oracles) serve only the suite's identity checks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from hetdp.datasets import (
 )
 from hetdp.errors import error_report
 from hetdp.estimators import EstimatorConfig, NoiseDraw, Setting, release_sigma
-from hetdp.gaussian import SensitivitySpec
+from hetdp.gaussian import SensitivitySpec, std_normal_cdf
 from hetdp.measures import MeasureContext, VectorDataset, dataset_mean, q_statistic
 
 
@@ -155,3 +157,62 @@ def sample_decoded(data: VectorDataset, profile: HeterogeneityProfile, seed: int
         ]
     )
     return VectorDataset(data.vectors[index], data.labels[index])
+
+
+def within_vector_variance(vector: np.ndarray) -> float:
+    """Population variance of one vector's coordinates (divide by d).
+
+    For coordinates in [0, 1] the result lies in [0, 0.25].
+    """
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.ndim != 1 or vector.size < 1:
+        raise ValueError(f"expected a nonempty 1-d vector, got shape {vector.shape}")
+    return float(vector.var())
+
+
+def achieved_delta_low_noise(epsilon: float, v: float) -> float:
+    """Privacy slack along the low-noise branch, parameterized by v >= 0.
+
+    Nondecreasing in v; equals the branch-point slack delta0 at v = 0.
+    """
+    return std_normal_cdf(math.sqrt(epsilon * v)) - math.exp(epsilon) * std_normal_cdf(
+        -math.sqrt(epsilon * (v + 2.0))
+    )
+
+
+def achieved_delta_high_noise(epsilon: float, u: float) -> float:
+    """Privacy slack along the high-noise branch, parameterized by u >= 0.
+
+    Nonincreasing in u; equals the branch-point slack delta0 at u = 0.
+    """
+    return std_normal_cdf(-math.sqrt(epsilon * u)) - math.exp(epsilon) * std_normal_cdf(
+        -math.sqrt(epsilon * (u + 2.0))
+    )
+
+
+def variance_oracle_dispersion(data: VectorDataset, mu_noisy: np.ndarray) -> float:
+    """Squared gap between mean squared deviations taken around the true and
+    a perturbed mean, per coordinate, coordinate-summed.
+
+    Equals the summed fourth powers of the mean perturbation; the test suite
+    asserts that identity numerically.
+    """
+    mu = dataset_mean(data)
+    true_ms = ((data.vectors - mu) ** 2).mean(axis=0)
+    noisy_ms = ((data.vectors - np.asarray(mu_noisy, dtype=np.float64)) ** 2).mean(axis=0)
+    return float(((true_ms - noisy_ms) ** 2).sum())
+
+
+def variance_oracle_q(
+    data: VectorDataset, ctx: MeasureContext, weighted_mean_noisy: np.ndarray
+) -> float:
+    """Weighted analogue of variance_oracle_dispersion around the weighted mean.
+
+    Equals the squared mean weight times the summed fourth powers of the
+    perturbation (weighted deviations from the weighted mean sum to zero).
+    """
+    center = np.asarray(weighted_mean_noisy, dtype=np.float64)
+    w = ctx.weights[:, None]
+    true_ms = (w * (data.vectors - ctx.weighted_mean) ** 2).mean(axis=0)
+    noisy_ms = (w * (data.vectors - center) ** 2).mean(axis=0)
+    return float(((true_ms - noisy_ms) ** 2).sum())

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import variance_oracle_dispersion, variance_oracle_q
 
 from hetdp.datasets import (
     CANONICAL_PROFILES,
@@ -29,8 +30,6 @@ from hetdp.errors import (
     I_SQUARED_CI_CONSTANT,
     ci_dispersion,
     error_report,
-    variance_oracle_dispersion,
-    variance_oracle_q,
 )
 from hetdp.estimators import (
     EstimatorConfig,

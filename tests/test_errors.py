@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import emse, tmse_dispersion, tmse_q
+from oracles import emse, tmse_dispersion, tmse_q, variance_oracle_dispersion, variance_oracle_q
 
 from hetdp.errors import (
     DISPERSION_CI_CONSTANT,
@@ -16,15 +16,12 @@ from hetdp.errors import (
     derive_seed,
     error_report,
     tmse_i_squared,
-    variance_oracle_dispersion,
-    variance_oracle_q,
 )
 from hetdp.estimators import (
     EstimatorConfig,
     NoiseDraw,
     Setting,
     Statistic,
-    noisy_dispersion,
     noisy_statistic,
     release_sigma,
 )
@@ -71,7 +68,9 @@ class TestClosedFormMse:
             draws = NoiseDraw(
                 mean_noise=rng.normal(0, 0.1, 4), stat_noise=rng.normal(0, 0.1, 4)
             )
-            value, _ = noisy_dispersion(data, zero_cfg2, draws=draws)
+            value, _ = noisy_statistic(
+                Statistic.DISPERSION, data, build_context(data), zero_cfg2, draws=draws
+            )
             truth = float(((data.vectors - dataset_mean(data)) ** 2).sum(axis=1).mean())
             projections = (data.vectors - dataset_mean(data)) @ draws.mean_noise
             decomposed = (value - truth) ** 2 + 4.0 * float((projections**2).mean())

@@ -26,9 +26,6 @@ from hetdp.estimators import (
     centralized_noisy,
     draw_noise,
     i_squared_release,
-    noisy_dispersion,
-    noisy_i_squared,
-    noisy_q,
     noisy_statistic,
     release_kernel,
     release_sigma,
@@ -51,24 +48,25 @@ class TestBudgetParts:
     def test_wrong_part_count_rejected(self, fix, budget2, budget3):
         ctx = build_context(fix)
         with pytest.raises(ValueError, match="2-part"):
-            noisy_dispersion(fix, _cfg(budget3))
+            noisy_statistic(Statistic.DISPERSION, fix, ctx, _cfg(budget3))
         with pytest.raises(ValueError, match="2-part"):
-            noisy_q(fix, ctx, _cfg(budget3))
+            noisy_statistic(Statistic.Q, fix, ctx, _cfg(budget3))
         with pytest.raises(ValueError, match="3-part"):
-            noisy_i_squared(fix, ctx, _cfg(budget2))
+            noisy_statistic(Statistic.I_SQUARED, fix, ctx, _cfg(budget2))
 
 
 class TestZeroNoiseIdentity:
     def test_all_statistics_bit_identical(self, fix, zero_cfg2, zero_cfg3):
         report, ctx = measure_all(fix)
-        assert noisy_dispersion(fix, zero_cfg2)[0] == report.dispersion
-        assert noisy_q(fix, ctx, zero_cfg2)[0] == report.q_value
-        assert noisy_i_squared(fix, ctx, zero_cfg3)[0] == report.i_squared
+        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2)[0] == report.dispersion
+        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2)[0] == report.q_value
+        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3)[0] == report.i_squared
         assert np.array_equal(noisy_mean(fix, zero_cfg2)[0], dataset_mean(fix))
 
     def test_centralized_setting_too(self, fix_diag, budget2):
         cfg = _cfg(budget2, setting=Setting.CENTRALIZED, zero=True)
-        assert noisy_dispersion(fix_diag, cfg)[0] == dispersion(fix_diag)
+        ctx = build_context(fix_diag)
+        assert noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg)[0] == dispersion(fix_diag)
 
     def test_centralized_scalar_release(self, budget2):
         cfg = _cfg(budget2, zero=True)
@@ -83,7 +81,8 @@ class TestInjectedDraws:
         draws = NoiseDraw(mean_noise=np.array([0.1, 0.1]), stat_noise=np.array([-0.01, 0.0]))
         # deviations [-0.5, 0] and [0.5, 0]; shifted by 0.1 per coordinate:
         # row sums 0.37 and 0.17, mean 0.27, plus stat sum -0.01.
-        value, _ = noisy_dispersion(fix, zero_cfg2, draws=draws)
+        ctx = build_context(fix)
+        value, _ = noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2, draws=draws)
         assert value == pytest.approx(0.26, abs=1e-15)
 
     def test_q_hand_value(self, fix, zero_cfg2):
@@ -91,7 +90,7 @@ class TestInjectedDraws:
         draws = NoiseDraw(mean_noise=np.array([0.05, -0.05]), stat_noise=np.array([0.02, 0.0]))
         # noisy center [0.55, 0.45]; squared distances 0.305 and 0.205,
         # weights 16: (4.88 + 3.28)/2 + 0.02.
-        value, _ = noisy_q(fix, ctx, zero_cfg2, draws=draws)
+        value, _ = noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2, draws=draws)
         assert value == pytest.approx(0.5 * (4.88 + 3.28) + 0.02, abs=1e-12)
 
     def test_i_squared_hand_value(self, fix, zero_cfg2, zero_cfg3):
@@ -101,8 +100,8 @@ class TestInjectedDraws:
             stat_noise=np.array([0.02, 0.0]),
             i2_noise=0.01,
         )
-        q_noisy, _ = noisy_q(fix, ctx, zero_cfg2, draws=draws)
-        value, _ = noisy_i_squared(fix, ctx, zero_cfg3, draws=draws)
+        q_noisy, _ = noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2, draws=draws)
+        value, _ = noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3, draws=draws)
         assert value == pytest.approx(1.0 - 1.0 / q_noisy + 0.01, abs=1e-12)
 
     def test_i_squared_not_reclamped_after_final_noise(self, fix, zero_cfg3):
@@ -112,7 +111,7 @@ class TestInjectedDraws:
         draws = NoiseDraw(
             mean_noise=np.zeros(2), stat_noise=np.zeros(2), i2_noise=-5.0
         )
-        value, _ = noisy_i_squared(fix, ctx, zero_cfg3, draws=draws)
+        value, _ = noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3, draws=draws)
         assert value == pytest.approx(0.75 - 5.0, abs=1e-12)
 
     def test_degenerate_noisy_q_raises(self, fix, zero_cfg3):
@@ -121,11 +120,13 @@ class TestInjectedDraws:
             mean_noise=np.zeros(2), stat_noise=np.array([-10.0, 0.0]), i2_noise=0.0
         )
         with pytest.raises(DegenerateStatisticError, match="nonpositive"):
-            noisy_i_squared(fix, ctx, zero_cfg3, draws=draws)
+            noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3, draws=draws)
 
     def test_missing_stage_draws_rejected(self, fix, zero_cfg2):
+        ctx = build_context(fix)
+        partial = NoiseDraw(mean_noise=np.zeros(2))
         with pytest.raises(ValueError):
-            noisy_dispersion(fix, zero_cfg2, draws=NoiseDraw(mean_noise=np.zeros(2)))
+            noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2, draws=partial)
         with pytest.raises(ValueError):
             noisy_mean(fix, zero_cfg2, draws=NoiseDraw())
 
@@ -159,16 +160,22 @@ class TestQEvaluationForms:
 class TestNoiseGeneration:
     def test_deterministic_given_seed(self, fix_diag, budget2):
         cfg = _cfg(budget2, seed=17)
-        assert noisy_dispersion(fix_diag, cfg)[0] == noisy_dispersion(fix_diag, cfg)[0]
+        ctx = build_context(fix_diag)
+        first = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg)[0]
+        assert first == noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg)[0]
 
     def test_seeds_change_draws(self, fix_diag, budget2):
-        a = noisy_dispersion(fix_diag, _cfg(budget2, seed=1))[0]
-        b = noisy_dispersion(fix_diag, _cfg(budget2, seed=2))[0]
+        ctx = build_context(fix_diag)
+        a = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, _cfg(budget2, seed=1))[0]
+        b = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, _cfg(budget2, seed=2))[0]
         assert a != b
 
     def test_settings_draw_differently_with_same_variance(self, fix_diag, budget2):
-        dist = noisy_dispersion(fix_diag, _cfg(budget2, setting=Setting.DISTRIBUTED))
-        cent = noisy_dispersion(fix_diag, _cfg(budget2, setting=Setting.CENTRALIZED))
+        ctx = build_context(fix_diag)
+        dist_cfg = _cfg(budget2, setting=Setting.DISTRIBUTED)
+        cent_cfg = _cfg(budget2, setting=Setting.CENTRALIZED)
+        dist = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, dist_cfg)
+        cent = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cent_cfg)
         assert dist[0] != cent[0]
         assert dist[1].mean_noise_var == cent[1].mean_noise_var
 
@@ -181,7 +188,7 @@ class TestNoiseGeneration:
         assert abs(np.var(samples) - sigma**2) / sigma**2 < 0.05
 
     def test_recorded_variances_match_calibration(self, fix, budget2):
-        value, draws = noisy_dispersion(fix, _cfg(budget2))
+        value, draws = noisy_statistic(Statistic.DISPERSION, fix, build_context(fix), _cfg(budget2))
         sens = SensitivitySpec.from_shape(fix.n, fix.d)
         eps1, delta1 = budget2.split[0]
         sigma1 = release_sigma(Mechanism.ANALYTIC, sens, eps1, delta1)
@@ -189,7 +196,8 @@ class TestNoiseGeneration:
 
     def test_classical_mechanism_runs_below_epsilon_one(self, fix):
         budget = PrivacyBudget.equal_split(0.5, 0.01, 2)
-        value, draws = noisy_dispersion(fix, _cfg(budget, mech=Mechanism.CLASSICAL))
+        cfg = _cfg(budget, mech=Mechanism.CLASSICAL)
+        value, draws = noisy_statistic(Statistic.DISPERSION, fix, build_context(fix), cfg)
         assert math.isfinite(value)
         assert draws.mean_noise_var > 0
 
@@ -219,7 +227,7 @@ class TestDispatch:
         data = VectorDataset(np.array([[0.2, 0.4]]), np.array([0]))
         ctx = build_context(data)
         with pytest.raises(ValueError, match="n >= 2"):
-            noisy_i_squared(data, ctx, _cfg(budget3))
+            noisy_statistic(Statistic.I_SQUARED, data, ctx, _cfg(budget3))
 
 
 def _constant_row_data(n=40, d=6, seed=8):
@@ -350,4 +358,4 @@ def test_kernel_rejects_mismatched_or_nonpositive_weights(fix, zero_cfg2):
     for weights in (np.ones(3), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
         bad = replace(ctx, weights=weights)
         with pytest.raises(ValueError, match="context weights"):
-            noisy_q(fix, bad, zero_cfg2, draws=draws)
+            noisy_statistic(Statistic.Q, fix, bad, zero_cfg2, draws=draws)

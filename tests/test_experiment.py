@@ -1,6 +1,7 @@
 """Experiment runner: plans, CSV/plan-log/SVG emission, paired comparisons."""
 
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hetdp.experiment import (
     COMPARISON_COLUMNS,
     CSV_COLUMNS,
     DEFAULT_EPSILON_GRID,
+    ComparisonRow,
     ExperimentPlan,
     _cell_seed,
     _sample_seed,
@@ -222,6 +224,17 @@ class TestCharts:
         with pytest.raises(ValueError, match="at least one point"):
             emse_chart_svg("t", {})
 
+    def test_names_with_xml_metacharacters_parse(self):
+        # Dataset and profile names come from the command line; the chart
+        # stays well-formed XML and its text shows the names as given.
+        title = "EMSE vs epsilon: q on a<b&c>--d---"
+        label = "p<1>&--x/analytic/distributed"
+        svg = emse_chart_svg(title, {label: [(0.5, 1.0), (1.0, 2.0)]})
+        root = ET.fromstring(svg)
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert title in texts
+        assert label in texts
+
 
 class TestHeterogeneityComparison:
     def test_ratio_and_label_count_rows(self, tmp_path):
@@ -260,3 +273,52 @@ class TestHeterogeneityComparison:
         a = run_heterogeneity_comparison(forward, tmp_path / "a.csv")
         b = run_heterogeneity_comparison(flipped, tmp_path / "b.csv")
         assert [r.pct_change_emse for r in a] == [r.pct_change_emse for r in b]
+
+    def test_pairing_checked_before_loading(self, tmp_path):
+        missing = DatasetDescriptor(
+            format=DataFormat.IDX_IMAGES,
+            name="missing",
+            paths=(str(tmp_path / "no-images"), str(tmp_path / "no-labels")),
+        )
+        plan = _plan(dataset=missing, profiles=(("uniform-2", UNIFORM2),))
+        with pytest.raises(ValueError, match="exactly a balanced/skewed pair"):
+            run_heterogeneity_comparison(plan, tmp_path / "cmp.csv")
+
+    def test_equals_reduction_of_experiment_rows(self, tmp_path):
+        # The comparison is the sweep's own EMSE, averaged in grid order.
+        plan = _plan(
+            profiles=(
+                ("skewed-5", SKEWED5),
+                ("uniform-2", UNIFORM2),
+                ("uniform-5", UNIFORM5),
+                ("skewed-2", SKEWED2),
+            ),
+            statistics=tuple(Statistic),
+            mechanisms=(Mechanism.ANALYTIC, Mechanism.CLASSICAL),
+            settings=(Setting.DISTRIBUTED, Setting.CENTRALIZED),
+            epsilons=(0.9, 0.25, 0.5),
+            trials=4,
+        )
+        emse = {
+            (r.statistic, r.mechanism, r.setting, r.profile, r.epsilon): r.emse
+            for r in run_experiment(plan, tmp_path / "sweep.csv")
+        }
+        expected = []
+        for stat in ("dispersion", "q", "i_squared"):
+            for mech in ("analytic", "classical"):
+                for setting in ("distributed", "centralized"):
+                    for kind, subject, base, other in (
+                        ("ratio", "2", "uniform-2", "skewed-2"),
+                        ("ratio", "5", "uniform-5", "skewed-5"),
+                        ("label_count", "5-vs-2", "uniform-5", "uniform-2"),
+                    ):
+                        total = 0.0
+                        for eps in (0.9, 0.25, 0.5):
+                            b = emse[stat, mech, setting, base, eps]
+                            o = emse[stat, mech, setting, other, eps]
+                            total += 0.0 if o == b else (o - b) / b * 100.0
+                        expected.append(
+                            ComparisonRow(kind, subject, stat, mech, setting, total / 3)
+                        )
+        rows = run_heterogeneity_comparison(plan, tmp_path / "cmp.csv")
+        assert rows == sorted(expected, key=ComparisonRow.key)

@@ -2,10 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import achieved_delta_high_noise, achieved_delta_low_noise
 
 from hetdp.gaussian import (
     Mechanism,
@@ -13,11 +13,8 @@ from hetdp.gaussian import (
     PrivacyBudget,
     SensitivitySpec,
     achieved_delta,
-    achieved_delta_high_noise,
-    achieved_delta_low_noise,
     agm_sigma,
     cgm_sigma,
-    sample_gaussian_vector,
     std_normal_cdf,
 )
 
@@ -247,24 +244,3 @@ class TestPrivacyBudget:
             PrivacyBudget(epsilon=1.0, delta=0.1, split=((0.4, 0.05), (0.4, 0.05)))
         with pytest.raises(ValueError):
             PrivacyBudget(epsilon=1.0, delta=0.1, split=())
-
-
-class TestSampleGaussianVector:
-    def test_zero_sigma_is_exact_zero_without_stream_use(self):
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        out = sample_gaussian_vector(5, 0.0, rng)
-        assert np.array_equal(out, np.zeros(5))
-        assert rng.bit_generator.state == before
-
-    def test_moments(self):
-        rng = np.random.default_rng(1)
-        out = sample_gaussian_vector(200_000, 0.3, rng)
-        assert abs(out.std() - 0.3) / 0.3 < 0.02
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_gaussian_vector(0, 1.0, rng)
-        with pytest.raises(ValueError):
-            sample_gaussian_vector(3, -1.0, rng)

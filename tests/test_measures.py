@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import within_vector_variance
 
 from hetdp.measures import (
     VARIANCE_FLOOR,
@@ -18,7 +19,6 @@ from hetdp.measures import (
     q_statistic,
     weighted_mean,
     weights_from_variances,
-    within_vector_variance,
 )
 
 unit_matrices = hnp.arrays(
