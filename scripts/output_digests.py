@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Print `sha256  path` for every output of a fixed set of CLI runs.
+
+Runs the default sweep, a mixed plan (three profiles, both mechanisms and
+settings, epsilons 0.5,0.25,0.9), a comparison and `measure --release`
+through hetdp.cli.main in a temporary directory, and digests each CSV, plan
+log, chart and --json stdout. Two checkouts wrote the same bytes exactly when
+`diff` of their printouts is empty:
+
+    PYTHONPATH=src python3 scripts/output_digests.py --seed 0 > digests.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from hetdp.cli import main as cli_main
+
+SYNTH = ["--synthetic", "20000,8,0.5", "--synth-seed", "0", "--fraction", "0.1"]
+BOTH = ["--mechanisms", "analytic,classical", "--settings", "distributed,centralized",
+        "--epsilons", "0.5,0.25,0.9", "--trials", "20", "--json"]
+
+
+def runs(seed: str) -> dict[str, list[str]]:
+    return {
+        "sweep": ["experiment", *SYNTH, "--profiles", "uniform-10,skewed-10", "--seed", seed,
+                  "--out", "sweep/sweep.csv", "--svg-dir", "sweep/charts"],
+        "mixed": ["experiment", *SYNTH, "--profiles", "uniform-2,skewed-2,uniform-5", *BOTH,
+                  "--seed", seed, "--out", "mixed/mixed.csv", "--svg-dir", "mixed/charts"],
+        "compare": ["compare-heterogeneity", *SYNTH, *BOTH, "--seed", seed,
+                    "--profiles", "uniform-2,skewed-2,uniform-5,skewed-5",
+                    "--out", "compare/compare.csv"],
+        "measure": ["measure", *SYNTH, "--profile", "skewed-10", "--release", "--seed", seed,
+                    "--json"],
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", default="0", help="plan and release seed")
+    args = parser.parse_args()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name, argv in runs(args.seed).items():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                if cli_main(argv) != 0:
+                    sys.exit(f"{name} failed")
+            if "--json" in argv:
+                Path(f"{name}.stdout.json").write_text(stdout.getvalue())
+        for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+        os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

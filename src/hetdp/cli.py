@@ -23,7 +23,6 @@ from hetdp.datasets import (
     CANONICAL_PROFILES,
     DataFormat,
     DatasetDescriptor,
-    DatasetFormatError,
     HeterogeneityProfile,
     LabelScheme,
     SampleCapacityError,
@@ -46,6 +45,7 @@ from hetdp.experiment import (
     FIXED_EPSILON,
     SWEEP_DELTA,
     ExperimentPlan,
+    ProfilePairingError,
     run_experiment,
     run_heterogeneity_comparison,
 )
@@ -143,21 +143,14 @@ def _dataset_from_args(parser: argparse.ArgumentParser, args) -> DatasetDescript
                 paths=(_resolve(args.idx_images), _resolve(args.idx_labels)),
                 d=args.dim,
             )
-        if args.cifar10:
-            paths = tuple(_resolve(p.strip()) for p in args.cifar10.split(",") if p.strip())
-            return DatasetDescriptor(
-                format=DataFormat.CIFAR10_BIN,
-                name=args.dataset_name or "cifar10",
-                paths=paths,
-                d=args.dim,
-            )
-        paths = tuple(_resolve(p.strip()) for p in args.cifar100.split(",") if p.strip())
+        ten = bool(args.cifar10)
+        paths = (args.cifar10 or args.cifar100).split(",")
         return DatasetDescriptor(
-            format=DataFormat.CIFAR100_BIN,
-            name=args.dataset_name or "cifar100",
-            paths=paths,
+            format=DataFormat.CIFAR10_BIN if ten else DataFormat.CIFAR100_BIN,
+            name=args.dataset_name or ("cifar10" if ten else "cifar100"),
+            paths=tuple(_resolve(p.strip()) for p in paths if p.strip()),
             d=args.dim,
-            label_scheme=LabelScheme.COARSE_BUCKETED,
+            label_scheme=LabelScheme.FINE if ten else LabelScheme.COARSE_BUCKETED,
         )
     except ValueError as err:
         parser.error(str(err))
@@ -382,7 +375,7 @@ def cmd_compare(parser, args) -> int:
     plan = _build_plan(parser, args)
     try:
         rows = run_heterogeneity_comparison(plan, args.out)
-    except ValueError as err:
+    except ProfilePairingError as err:
         parser.error(str(err))
     if args.json:
         _print_json(rows)
@@ -481,7 +474,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(parser, args)
     except (
-        DatasetFormatError,
         SampleCapacityError,
         DegenerateStatisticError,
         ConvergenceError,

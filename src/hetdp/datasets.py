@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,6 +112,8 @@ class DatasetDescriptor:
     synth_seed: int = 0
 
     def __post_init__(self) -> None:
+        if "/" in self.name or os.sep in self.name:
+            raise ValueError(f"dataset name {self.name!r} may not contain a path separator")
         if self.format is DataFormat.CIFAR100_BIN:
             if self.label_scheme is not LabelScheme.COARSE_BUCKETED:
                 raise ValueError("the 3074-byte record format always buckets coarse labels")

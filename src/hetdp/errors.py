@@ -5,7 +5,8 @@ releases from the true statistic. The theoretical error (TMSE) evaluates the
 closed-form per-release error using the exact recorded noise draws of the
 paired release, so the two are comparable trial by trial. The centralized
 error (CMSE) is the squared single draw a centralized release would add after
-aggregation, and does not depend on which statistic is released.
+aggregation: each trial's shared unit scalar scaled by sqrt(d) times the
+full-budget sigma, whatever the statistic.
 
 The heterogeneity-fraction EMSE is normalized per client (divided by n): its
 closed-form counterpart carries a 1/n factor, and the ratio check between the
@@ -15,7 +16,7 @@ two is only meaningful on a common scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +24,13 @@ from hetdp.estimators import (
     EstimatorConfig,
     NoiseDraw,
     Statistic,
-    centralized_noisy,
-    draw_noise,
+    UnitNormals,
     i_squared_release,
     release_kernel,
+    release_sigma,
+    scale_normals,
     true_value,
+    unit_normals,
 )
 from hetdp.gaussian import SensitivitySpec
 from hetdp.measures import MeasureContext, VectorDataset, build_context
@@ -127,6 +130,24 @@ def ci_i_squared(
     return i2_noisy - half, i2_noisy + half
 
 
+def trial_normals(statistic: Statistic, cfg: EstimatorConfig, d: int, trials: int) -> UnitNormals:
+    """Unit normals of `trials` releases, trial t seeded by derive_seed(cfg.seed, t)."""
+    return unit_normals(statistic, cfg, d, [derive_seed(cfg.seed, t) for t in range(trials)])
+
+
+def centralized_errors(
+    data: VectorDataset, cfg: EstimatorConfig, normals: UnitNormals, memo: dict | None = None
+) -> np.ndarray:
+    """Per-trial squared error (sqrt(d) * sigma_full * z_t)^2 of a centralized
+    single-draw release: the trial's shared scalar z_t at the variance of the
+    coordinate-summed noise under the full budget, whatever the statistic."""
+    sens = SensitivitySpec.from_shape(data.n, data.d)
+    full = (cfg.budget.epsilon, cfg.budget.delta)
+    sigma = 0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, *full, memo)
+    scalar_sigma = math.sqrt(data.d) * sigma
+    return (scalar_sigma * normals.central) ** 2
+
+
 def error_report(
     statistic: Statistic,
     data: VectorDataset,
@@ -134,23 +155,27 @@ def error_report(
     trials: int,
     ctx: MeasureContext | None = None,
     memo: dict | None = None,
+    normals: UnitNormals | None = None,
 ) -> ErrorReport:
     """Monte Carlo error summary over fresh private releases, all trials at once.
 
-    Trial t draws its release from derive_seed(cfg.seed, t) and is scored
-    twice: empirically against the true value and theoretically from its
-    own recorded draws (the mean squared row shift of the release kernel).
-    The centralized error uses the full (not split) budget, so it is
-    identical across statistics for a fixed seed. `memo` shares calibrated
-    noise scales across calls; by default each call calibrates its own.
+    Trial t scales the unit normals of derive_seed(cfg.seed, t) by the stage
+    sigmas; pass `normals` when that block is already drawn, as a plan cell
+    does once for all its profiles and epsilons. Each release is scored
+    empirically against the true value and theoretically from its own draws
+    (the mean squared row shift of the release kernel). `memo` is a dict of
+    calibrated noise scales to share across calls.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if ctx is None:
         ctx = build_context(data)
     memo = {} if memo is None else memo
-    seeds = [derive_seed(cfg.seed, t) for t in range(trials)]
-    draws = draw_noise(statistic, data, cfg, seeds, memo)
+    if normals is None:
+        normals = trial_normals(statistic, cfg, data.d, trials)
+    elif normals.central.shape != (trials,):
+        raise ValueError(f"unit normals hold {len(normals.central)} trials, not {trials}")
+    draws = scale_normals(statistic, data, cfg, normals, memo)
     values, shifts = release_kernel(statistic, data, ctx, draws)
     truth = true_value(statistic, data, ctx)
     if statistic is Statistic.I_SQUARED:
@@ -163,11 +188,7 @@ def error_report(
         shifts += np.atleast_2d(draws.stat_noise).sum(axis=1)
         tmse_vals = (shifts * shifts).mean(axis=0)
 
-    shape = SensitivitySpec.from_shape(data.n, data.d)
-    full_part = (cfg.budget.epsilon, cfg.budget.delta)
-    cmse_vals = np.array(
-        [centralized_noisy(0.0, full_part, shape, replace(cfg, seed=s), memo)[0] for s in seeds]
-    ) ** 2
+    cmse_vals = centralized_errors(data, cfg, normals, memo)
     return ErrorReport(
         emse=float(emse_vals.mean()),
         tmse=float(tmse_vals.mean()),
@@ -180,16 +201,10 @@ def error_report(
 
 
 def _ci_half_width(
-    statistic: Statistic,
-    data: VectorDataset,
-    ctx: MeasureContext,
-    draws: NoiseDraw,
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw
 ) -> float:
-    var1 = draws.mean_noise_var
     if statistic is Statistic.DISPERSION:
-        lo, hi = ci_dispersion(0.0, data.n, var1)
-    elif statistic is Statistic.Q:
-        lo, hi = ci_q(0.0, data.n, ctx.weights, var1)
-    else:
-        lo, hi = ci_i_squared(0.0, data.n, ctx.weights, var1)
-    return hi
+        return ci_dispersion(0.0, data.n, draws.mean_noise_var)[1]
+    if statistic is Statistic.Q:
+        return ci_q(0.0, data.n, ctx.weights, draws.mean_noise_var)[1]
+    return ci_i_squared(0.0, data.n, ctx.weights, draws.mean_noise_var)[1]

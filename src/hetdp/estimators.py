@@ -3,26 +3,27 @@
 Each estimator splits its privacy budget over its stages (one part per noisy
 release), calibrates a Gaussian scale per stage with the configured
 mechanism, and records the exact noise realizations so the closed-form error
-analysis can reuse them. Stages draw in the order mean, statistic, I^2.
+analysis can reuse them.
 
 Noise enters in one of two settings. In the distributed setting every client
-adds an independent share of variance n * stage_variance to its contribution
-before plain summation (simulated secure aggregation); the averaged aggregate
-of those shares is exactly N(0, stage_variance) per coordinate, so it is drawn
-as that single aggregate vector. In the centralized setting a single draw of
-the stage variance is added after aggregation. Both settings therefore have
-the same noise distribution; the setting is mixed into the random stream, so
-the two draw different realizations at the same seed.
+adds a share of variance n * stage_variance before plain summation (simulated
+secure aggregation); the averaged shares are exactly N(0, stage_variance) per
+coordinate, so that aggregate is drawn directly. In the centralized setting
+one draw of the stage variance is added after aggregation. The two settings
+have the same noise distribution; the setting is mixed into the random
+stream, so they draw different realizations at the same seed.
 
-Dispersion is Q with unit weights around the arithmetic mean, so one weighted
-kernel evaluates both, batched over trials: with mean noise e and statistic
-noise s a release is Q + mean(w)||e||^2 - 2 e.mean(w dev) + sum(s).
+A stage's noise is its sigma times unit normals drawn in the order mean,
+statistic, I^2: `unit_normals` draws a block once and `scale_normals` scales
+it, so every budget reuses the same array (common random numbers). Dispersion
+is Q with unit weights around the arithmetic mean, so one weighted kernel
+evaluates both, batched over trials: with mean noise e and statistic noise s
+a release is Q + mean(w)||e||^2 - 2 e.mean(w dev) + sum(s).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,37 +128,54 @@ def _require_parts(statistic: Statistic, cfg: EstimatorConfig) -> int:
     return parts
 
 
-def draw_noise(
+@dataclass(frozen=True)
+class UnitNormals:
+    """Standard normals of T trials: row t of `stages` holds trial t's mean,
+    statistic and (I^2 only) third-stage draws in that order, `central[t]`
+    its centralized-error scalar. No noise scale is applied yet."""
+
+    stages: np.ndarray
+    central: np.ndarray
+
+
+def unit_normals(statistic: Statistic, cfg: EstimatorConfig, d: int, seeds) -> UnitNormals:
+    """Unit normals of one release per seed, from the only per-trial generators:
+    default_rng((seed, setting)) for the stages, default_rng(seed) for the
+    centralized scalar. Zero-noise configs get zeros and build none."""
+    width = 2 * d + statistic.budget_parts - 2
+    stages, central = np.zeros((len(seeds), width)), np.zeros(len(seeds))
+    if not cfg.zero_noise:
+        tag = _STREAM_TAG[cfg.setting]
+        for t, seed in enumerate(seeds):
+            stages[t] = np.random.default_rng((seed, tag)).standard_normal(width)
+            central[t] = np.random.default_rng(seed).standard_normal()
+    return UnitNormals(stages, central)
+
+
+def scale_normals(
     statistic: Statistic,
     data: VectorDataset,
     cfg: EstimatorConfig,
-    seeds,
+    normals: UnitNormals,
     memo: dict | None = None,
 ) -> NoiseDraw:
-    """Stage noise of one release per seed, stacked one trial per row.
-
-    Each trial's stream is seeded by (seed, setting); zero-noise configs
-    return exact zeros without calibrating or drawing.
-    """
+    """Stage noise of T releases, one trial per row: each stage's calibrated
+    sigma times its columns of `normals`. Generator.normal(0, sigma, k) is
+    sigma * standard_normal(k) bit for bit, so this equals drawing each stage
+    at its own scale."""
     parts = _require_parts(statistic, cfg)
-    sens = SensitivitySpec.from_shape(data.n, data.d)
+    d, z = data.d, normals.stages
+    if z.shape[1] != 2 * d + parts - 2:
+        raise ValueError(f"unit normals of width {z.shape[1]} do not fit {statistic.value}, d={d}")
+    sens = SensitivitySpec.from_shape(data.n, d)
     sigmas = [
         0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, eps_i, delta_i, memo)
         for eps_i, delta_i in cfg.budget.split
     ]
-    mean_noise, stat_noise = np.zeros((2, len(seeds), data.d))
-    i2_noise = np.zeros(len(seeds))
-    if not cfg.zero_noise:
-        for t, seed in enumerate(seeds):
-            rng = np.random.default_rng((seed, _STREAM_TAG[cfg.setting]))
-            mean_noise[t] = rng.normal(0.0, sigmas[0], data.d)
-            stat_noise[t] = rng.normal(0.0, sigmas[1], data.d)
-            if parts == 3:
-                i2_noise[t] = rng.normal(0.0, sigmas[2])
     return NoiseDraw(
-        mean_noise=mean_noise,
-        stat_noise=stat_noise,
-        i2_noise=i2_noise if parts == 3 else None,
+        mean_noise=sigmas[0] * z[:, :d],
+        stat_noise=sigmas[1] * z[:, d : 2 * d],
+        i2_noise=sigmas[2] * z[:, 2 * d] if parts == 3 else None,
         mean_noise_var=sigmas[0] ** 2,
         stat_noise_var=sigmas[1] ** 2,
         i2_noise_var=sigmas[2] ** 2 if parts == 3 else 0.0,
@@ -243,13 +261,11 @@ def noisy_statistic(
     if statistic is Statistic.I_SQUARED and data.n < 2:
         raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
     if draws is None:
-        batch = draw_noise(statistic, data, cfg, [cfg.seed])
-        draws = replace(
-            batch,
-            mean_noise=batch.mean_noise[0],
-            stat_noise=batch.stat_noise[0],
-            i2_noise=None if batch.i2_noise is None else float(batch.i2_noise[0]),
-        )
+        normals = unit_normals(statistic, cfg, data.d, [cfg.seed])
+        batch = scale_normals(statistic, data, cfg, normals)
+        i2 = None if batch.i2_noise is None else float(batch.i2_noise[0])
+        draws = replace(batch, mean_noise=batch.mean_noise[0], stat_noise=batch.stat_noise[0],
+                        i2_noise=i2)
     else:
         _require_parts(statistic, cfg)
     values, _ = release_kernel(statistic, data, ctx, draws)
@@ -259,27 +275,3 @@ def noisy_statistic(
         values = i_squared_release(values, data.n, draws.i2_noise)
     return float(values[0]), draws
 
-
-def centralized_noisy(
-    statistic: float,
-    part: tuple[float, float],
-    shape: SensitivitySpec,
-    cfg: EstimatorConfig,
-    memo: dict | None = None,
-) -> tuple[float, NoiseDraw]:
-    """Perturb an already-aggregated scalar statistic with one draw.
-
-    The draw's variance is d times the per-coordinate stage variance, i.e.
-    the variance the coordinate-summed vector noise would carry in the
-    distributed pipeline; its square is the centralized error contribution.
-    """
-    epsilon_i, delta_i = part
-    sigma = 0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, shape, epsilon_i, delta_i, memo)
-    scalar_sigma = math.sqrt(shape.d) * sigma
-    if scalar_sigma == 0.0:
-        noise = 0.0
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        noise = float(rng.normal(0.0, scalar_sigma))
-    draw = NoiseDraw(stat_noise=np.array([noise]), stat_noise_var=scalar_sigma**2)
-    return statistic + noise, draw

@@ -3,9 +3,10 @@
 A plan is a cross product of cells (statistic x mechanism x setting x profile
 x epsilon) evaluated on stratified samples of one dataset. Runs are
 deterministic given the plan seed: per-profile sample seeds and per-cell
-estimator seeds are derived from it, and estimator seeds deliberately do not
-depend on the profile or on epsilon, so noise realizations are shared across
-those axes (common random numbers). That makes epsilon sweeps smooth and
+estimator seeds are derived from it. Each (statistic, mechanism, setting)
+cell draws one block of unit normals and one centralized scalar per trial,
+and every profile and epsilon of the cell scales that same array by its own
+sigma (common random numbers). That makes epsilon sweeps smooth and
 paired-profile comparisons difference out the noise.
 
 CSV schema (stable, one header line, rows sorted by the key tuple):
@@ -27,7 +28,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from hetdp.datasets import (
     load_dataset,
     stratified_sample,
 )
-from hetdp.errors import derive_seed, error_report
+from hetdp.errors import derive_seed, error_report, trial_normals
 from hetdp.estimators import EstimatorConfig, Setting, Statistic, true_value
 from hetdp.gaussian import Mechanism, PrivacyBudget
 from hetdp.measures import VARIANCE_FLOOR, build_context
@@ -148,8 +149,6 @@ class ResultRow:
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
-_FLOAT_COLUMNS = frozenset(f.name for f in fields(ResultRow) if f.type in (float, "float"))
-
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -250,19 +249,22 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
         summary[f"{s}_min"] = min(v[s] for v in true_table.values())
         summary[f"{s}_mean"] = sum(v[s] for v in true_table.values()) / len(true_table)
 
+    d = next(iter(samples.values()))[0].d
     rows: list[ResultRow] = []
     for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings):
-        seed = _cell_seed(plan, stat, mech, setting)
+        cell = EstimatorConfig(
+            mechanism=mech,
+            setting=setting,
+            budget=_budget(plan, stat, plan.epsilons[0]),
+            seed=_cell_seed(plan, stat, mech, setting),
+            zero_noise=plan.zero_noise,
+        )
+        # one block for every budget and profile; rebinding it frees it
+        normals = trial_normals(stat, cell, d, plan.trials)
         for (name, _profile), epsilon in product(plan.profiles, plan.epsilons):
             sample, ctx = samples[name]
-            cfg = EstimatorConfig(
-                mechanism=mech,
-                setting=setting,
-                budget=_budget(plan, stat, epsilon),
-                seed=seed,
-                zero_noise=plan.zero_noise,
-            )
-            report = error_report(stat, sample, cfg, plan.trials, ctx, memo)
+            cfg = replace(cell, budget=_budget(plan, stat, epsilon))
+            report = error_report(stat, sample, cfg, plan.trials, ctx, memo, normals)
             rows.append(
                 ResultRow(
                     dataset=plan.dataset.name,
@@ -311,22 +313,15 @@ def write_result_csv(rows: list, path: str | Path) -> None:
 
 def read_result_csv(path: str | Path) -> list[ResultRow]:
     """Parse an emitted CSV back into exact ResultRows."""
-    rows = []
+    parse = {"float": float, "int": int, "str": str}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}: {reader.fieldnames}")
-        for record in reader:
-            kwargs = {}
-            for col in CSV_COLUMNS:
-                if col in _FLOAT_COLUMNS:
-                    kwargs[col] = float(record[col])
-                elif col == "trials":
-                    kwargs[col] = int(record[col])
-                else:
-                    kwargs[col] = record[col]
-            rows.append(ResultRow(**kwargs))
-    return rows
+        return [
+            ResultRow(**{f.name: parse[f.type](record[f.name]) for f in fields(ResultRow)})
+            for record in reader
+        ]
 
 
 def write_plan_log(plan: ExperimentPlan, csv_path: str | Path) -> Path:
@@ -383,6 +378,11 @@ def write_plan_log(plan: ExperimentPlan, csv_path: str | Path) -> Path:
     return log_path
 
 
+class ProfilePairingError(ValueError):
+    """A comparison plan's profiles do not form one balanced/skewed pair per
+    label count."""
+
+
 def _pct_change(base: list[float], other: list[float]) -> float:
     """Signed percentage change of `other` against `base`, averaged over the
     paired points; equal points count as exactly 0%."""
@@ -402,7 +402,7 @@ def run_heterogeneity_comparison(
     order.
 
     Raises:
-        ValueError: profiles do not pair up.
+        ProfilePairingError: profiles do not pair up.
     """
     by_count: dict[int, list[tuple[str, HeterogeneityProfile]]] = {}
     for name, profile in plan.profiles:
@@ -410,7 +410,7 @@ def run_heterogeneity_comparison(
     pairs: dict[int, tuple[str, str]] = {}
     for count, entries in sorted(by_count.items()):
         if len(entries) != 2:
-            raise ValueError(
+            raise ProfilePairingError(
                 f"label count {count} has {len(entries)} profiles; comparisons "
                 "need exactly a balanced/skewed pair per label count"
             )

@@ -1,9 +1,11 @@
 """Direct forms of the private releases, their errors, and dataset sampling.
 
 These are the straightforward O(n*d)-per-trial evaluations the batched
-release kernel replaces, and the decode-everything-then-index loading that
-sampling stored image bytes replaces. The suite keeps them as reference
-oracles and asserts that the fast forms agree with them. The closing
+release kernel replaces, the per-trial generators and per-stage normal
+draws the shared unit-normal block of a plan cell replaces, and the
+decode-everything-then-index loading that sampling stored image bytes
+replaces. The suite keeps them as reference oracles and asserts that the
+fast forms agree with them. The closing
 helpers (within-vector variance, the branch-parameterized privacy slack,
 the variance oracles) serve only the suite's identity checks.
 """
@@ -25,7 +27,15 @@ from hetdp.datasets import (
     synthetic_dataset,
 )
 from hetdp.errors import error_report
-from hetdp.estimators import EstimatorConfig, NoiseDraw, Setting, release_sigma
+from hetdp.estimators import (
+    EstimatorConfig,
+    NoiseDraw,
+    Setting,
+    Statistic,
+    release_sigma,
+    scale_normals,
+    unit_normals,
+)
 from hetdp.gaussian import SensitivitySpec, std_normal_cdf
 from hetdp.measures import MeasureContext, VectorDataset, dataset_mean, q_statistic
 
@@ -59,6 +69,82 @@ def noisy_mean(
     elif draws.mean_noise is None:
         raise ValueError("injected draws lack a mean-stage vector")
     return dataset_mean(data) + draws.mean_noise, draws
+
+
+def draw_noise(statistic, data, cfg, seeds, memo=None) -> NoiseDraw:
+    """Stage noise of one release per seed, stacked one trial per row: the
+    library's unit normals of those seeds, scaled."""
+    return scale_normals(statistic, data, cfg, unit_normals(statistic, cfg, data.d, seeds), memo)
+
+
+#: The setting tags of each release's stream, (seed, tag).
+STREAM_TAG = {Setting.DISTRIBUTED: 1, Setting.CENTRALIZED: 2}
+
+
+def draw_noise_per_trial(
+    statistic: Statistic,
+    data: VectorDataset,
+    cfg: EstimatorConfig,
+    seeds,
+    memo: dict | None = None,
+) -> NoiseDraw:
+    """Stage noise of one release per seed, stacked one trial per row, each
+    stage drawn at its own scale from the trial's own generator.
+
+    Each trial's stream is seeded by (seed, setting); zero-noise configs
+    return exact zeros without calibrating or drawing.
+    """
+    parts = statistic.budget_parts
+    if len(cfg.budget.split) != parts:
+        raise ValueError(f"{statistic.value} needs a {parts}-part budget split")
+    sens = SensitivitySpec.from_shape(data.n, data.d)
+    sigmas = [
+        0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, eps_i, delta_i, memo)
+        for eps_i, delta_i in cfg.budget.split
+    ]
+    mean_noise, stat_noise = np.zeros((2, len(seeds), data.d))
+    i2_noise = np.zeros(len(seeds))
+    if not cfg.zero_noise:
+        for t, seed in enumerate(seeds):
+            rng = np.random.default_rng((seed, STREAM_TAG[cfg.setting]))
+            mean_noise[t] = rng.normal(0.0, sigmas[0], data.d)
+            stat_noise[t] = rng.normal(0.0, sigmas[1], data.d)
+            if parts == 3:
+                i2_noise[t] = rng.normal(0.0, sigmas[2])
+    return NoiseDraw(
+        mean_noise=mean_noise,
+        stat_noise=stat_noise,
+        i2_noise=i2_noise if parts == 3 else None,
+        mean_noise_var=sigmas[0] ** 2,
+        stat_noise_var=sigmas[1] ** 2,
+        i2_noise_var=sigmas[2] ** 2 if parts == 3 else 0.0,
+    )
+
+
+def centralized_noisy(
+    statistic: float,
+    part: tuple[float, float],
+    shape: SensitivitySpec,
+    cfg: EstimatorConfig,
+    memo: dict | None = None,
+) -> tuple[float, NoiseDraw]:
+    """Perturb an already-aggregated scalar statistic with one draw from its
+    own generator, default_rng(cfg.seed).
+
+    The draw's variance is d times the per-coordinate stage variance, i.e.
+    the variance the coordinate-summed vector noise would carry in the
+    distributed pipeline; its square is the centralized error contribution.
+    """
+    epsilon_i, delta_i = part
+    sigma = 0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, shape, epsilon_i, delta_i, memo)
+    scalar_sigma = math.sqrt(shape.d) * sigma
+    if scalar_sigma == 0.0:
+        noise = 0.0
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        noise = float(rng.normal(0.0, scalar_sigma))
+    draw = NoiseDraw(stat_noise=np.array([noise]), stat_noise_var=scalar_sigma**2)
+    return statistic + noise, draw
 
 
 def _require_draws(draws: NoiseDraw) -> None:

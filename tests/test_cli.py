@@ -1,6 +1,7 @@
 """Command line interface, exercised in process through main(argv)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -66,6 +67,33 @@ class TestExitCodes:
         assert "error: profile uniform-2" in err
 
 
+class TestDatasetName:
+    @pytest.mark.parametrize(
+        "name", [pytest.param("a/b", id="slash"), pytest.param(f"a{os.sep}b", id="os-sep")]
+    )
+    def test_path_separator_is_usage_error_before_loading(self, tmp_path, capsys, name):
+        # The image files do not exist: the name is rejected before any read.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["experiment", "--idx-images", str(tmp_path / "no.bin"),
+                 "--idx-labels", str(tmp_path / "no2.bin"), "--dataset-name", name,
+                 "--profiles", "uniform-2", "--out", str(tmp_path / "o.csv"),
+                 "--svg-dir", str(tmp_path / "charts")]
+            )
+        assert exc.value.code == 2
+        assert "may not contain a path separator" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_plain_name_names_the_charts(self, tmp_path):
+        code = main(
+            ["experiment", *SYNTH_ARGS, "--dataset-name", "plain", "--profiles", "uniform-2",
+             "--fraction", "0.25", "--epsilons", "0.5", "--trials", "2",
+             "--out", str(tmp_path / "o.csv"), "--svg-dir", str(tmp_path / "charts")]
+        )
+        assert code == 0
+        assert (tmp_path / "charts" / "emse_q_plain.svg").is_file()
+
+
 class TestUnknownNames:
     @pytest.mark.parametrize(
         "flag, kind", [("--mechanisms", "mechanism"), ("--settings", "setting"),
@@ -114,6 +142,22 @@ class TestUnsampledRecordsAreValidated:
         images, labels = tmp_path / "img.bin", tmp_path / "lab.bin"
         write_idx(data, images, labels)
         return images, ["--idx-images", str(images), "--idx-labels", str(labels)]
+
+    @pytest.mark.parametrize(
+        "command, profiles", [("experiment", "uniform-2"),
+                              ("compare-heterogeneity", "uniform-2,skewed-2")]
+    )
+    def test_truncated_idx_images_is_one_under_both_subcommands(
+        self, tmp_path, capsys, command, profiles
+    ):
+        images, source = self._idx(tmp_path)
+        images.write_bytes(images.read_bytes()[:-3])
+        code = main([command, *source, *self.PLAN, "--profiles", profiles,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated pixel data")
+        assert "usage:" not in err
 
     def test_truncated_idx_images(self, tmp_path, capsys):
         images, source = self._idx(tmp_path)

@@ -2,12 +2,16 @@
 
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 from oracles import (
+    centralized_noisy,
     dispersion_from_draws,
+    draw_noise,
+    draw_noise_per_trial,
     evaluate_q_from_draws,
     noisy_mean,
     noisy_q_deviation_form,
@@ -16,19 +20,24 @@ from oracles import (
     tmse_q,
 )
 
-from hetdp.errors import derive_seed, error_report, tmse_i_squared
+from hetdp.errors import (
+    centralized_errors,
+    derive_seed,
+    error_report,
+    tmse_i_squared,
+    trial_normals,
+)
 from hetdp.estimators import (
     DegenerateStatisticError,
     EstimatorConfig,
     NoiseDraw,
     Setting,
     Statistic,
-    centralized_noisy,
-    draw_noise,
     i_squared_release,
     noisy_statistic,
     release_kernel,
     release_sigma,
+    scale_normals,
     true_value,
 )
 from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec
@@ -359,3 +368,73 @@ def test_kernel_rejects_mismatched_or_nonpositive_weights(fix, zero_cfg2):
         bad = replace(ctx, weights=weights)
         with pytest.raises(ValueError, match="context weights"):
             noisy_statistic(Statistic.Q, fix, bad, zero_cfg2, draws=draws)
+
+
+class TestSharedNormalsAgainstPerTrialDraws:
+    """One block of unit normals per (statistic, mechanism, setting) cell,
+    scaled for each dataset and epsilon, against per-trial generators that
+    draw every stage at its own scale."""
+
+    TRIALS = 7
+
+    def test_scaled_block_equals_per_trial_draws_exactly(self):
+        # Two datasets of different n and two epsilons, so sigma differs.
+        datasets = (_random_data(n=40, d=6, seed=9), _random_data(n=25, d=6, seed=3))
+        for statistic, setting, mech in product(Statistic, Setting, Mechanism):
+            parts = statistic.budget_parts
+            cell = _cfg(PrivacyBudget.equal_split(0.5, 1e-3, parts), setting, mech, seed=41)
+            normals = trial_normals(statistic, cell, 6, self.TRIALS)
+            seeds = [derive_seed(cell.seed, t) for t in range(self.TRIALS)]
+            variances = set()
+            for data, epsilon in product(datasets, (0.5, 0.9)):
+                cfg = replace(cell, budget=PrivacyBudget.equal_split(epsilon, 1e-3, parts))
+                shared = scale_normals(statistic, data, cfg, normals)
+                direct = draw_noise_per_trial(statistic, data, cfg, seeds)
+                case = (statistic, setting, mech, data.n, epsilon)
+                assert np.array_equal(shared.mean_noise, direct.mean_noise), case
+                assert np.array_equal(shared.stat_noise, direct.stat_noise), case
+                if statistic is Statistic.I_SQUARED:
+                    assert np.array_equal(shared.i2_noise, direct.i2_noise), case
+                else:
+                    assert shared.i2_noise is None and direct.i2_noise is None
+                assert (shared.mean_noise_var, shared.stat_noise_var, shared.i2_noise_var) == (
+                    direct.mean_noise_var, direct.stat_noise_var, direct.i2_noise_var
+                )
+                variances.add(shared.mean_noise_var)
+
+                shape = SensitivitySpec.from_shape(data.n, data.d)
+                full = (cfg.budget.epsilon, cfg.budget.delta)
+                oracle = np.array(
+                    [centralized_noisy(0.0, full, shape, replace(cfg, seed=s))[0] for s in seeds]
+                ) ** 2
+                assert np.array_equal(centralized_errors(data, cfg, normals), oracle), case
+            assert len(variances) == 4
+
+    def test_direct_report_draws_its_own_block(self, budget3):
+        data = _random_data()
+        cfg = _cfg(budget3, setting=Setting.CENTRALIZED, seed=17)
+        normals = trial_normals(Statistic.I_SQUARED, cfg, data.d, self.TRIALS)
+        shared = error_report(Statistic.I_SQUARED, data, cfg, self.TRIALS, normals=normals)
+        assert error_report(Statistic.I_SQUARED, data, cfg, self.TRIALS) == shared
+
+    def test_block_must_fit_statistic_and_trials(self, budget2, budget3):
+        data = _random_data()
+        normals = trial_normals(Statistic.DISPERSION, _cfg(budget2), data.d, 4)
+        with pytest.raises(ValueError, match="do not fit i_squared"):
+            scale_normals(Statistic.I_SQUARED, data, _cfg(budget3), normals)
+        with pytest.raises(ValueError, match="hold 4 trials, not 5"):
+            error_report(Statistic.DISPERSION, data, _cfg(budget2), 5, normals=normals)
+
+    def test_zero_noise_builds_no_generator(self, fix, zero_cfg2, zero_cfg3, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a zero-noise release built a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        ctx = build_context(fix)
+        for statistic, cfg in (
+            (Statistic.DISPERSION, zero_cfg2), (Statistic.Q, zero_cfg2),
+            (Statistic.I_SQUARED, zero_cfg3),
+        ):
+            report = error_report(statistic, fix, cfg, 4, ctx)
+            assert report.emse == report.tmse == report.cmse == 0.0
+            assert noisy_statistic(statistic, fix, ctx, cfg)[0] == true_value(statistic, fix, ctx)

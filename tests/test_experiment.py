@@ -2,6 +2,7 @@
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,14 +13,19 @@ from hetdp.datasets import (
     HeterogeneityProfile,
     SampleCapacityError,
 )
-from hetdp.estimators import Setting, Statistic
+import hetdp.errors
+from hetdp.errors import error_report
+from hetdp.estimators import EstimatorConfig, Setting, Statistic
 from hetdp.experiment import (
     COMPARISON_COLUMNS,
     CSV_COLUMNS,
     DEFAULT_EPSILON_GRID,
     ComparisonRow,
     ExperimentPlan,
+    _budget,
+    _cell_rows,
     _cell_seed,
+    _materialize_samples,
     _sample_seed,
     emse_chart_svg,
     read_result_csv,
@@ -322,3 +328,49 @@ class TestHeterogeneityComparison:
                         )
         rows = run_heterogeneity_comparison(plan, tmp_path / "cmp.csv")
         assert rows == sorted(expected, key=ComparisonRow.key)
+
+
+class TestSharedCellNormals:
+    """Each (statistic, mechanism, setting) cell draws one block of unit
+    normals and shares it across its profiles and epsilons, and only there."""
+
+    PLAN = dict(
+        profiles=(("uniform-2", UNIFORM2), ("skewed-2", SKEWED2), ("uniform-5", UNIFORM5)),
+        statistics=tuple(Statistic),
+        mechanisms=(Mechanism.ANALYTIC, Mechanism.CLASSICAL),
+        settings=(Setting.DISTRIBUTED, Setting.CENTRALIZED),
+        epsilons=(0.5, 0.25, 0.9),
+        trials=4,
+    )
+
+    def test_rows_equal_separate_reports_with_their_own_draws(self):
+        plan = _plan(**self.PLAN)
+        rows = _cell_rows(plan)
+        assert len(rows) == 3 * 2 * 2 * 3 * 3
+        samples = _materialize_samples(plan)
+        for row in rows:
+            stat, mech = Statistic(row.statistic), Mechanism(row.mechanism)
+            setting = Setting(row.setting)
+            cfg = EstimatorConfig(
+                mechanism=mech,
+                setting=setting,
+                budget=_budget(plan, stat, row.epsilon),
+                seed=_cell_seed(plan, stat, mech, setting),
+            )
+            sample, ctx = samples[row.profile]
+            report = asdict(error_report(stat, sample, cfg, plan.trials, ctx))
+            assert report == {name: getattr(row, name) for name in report}, row.key()
+
+    def test_one_block_per_cell(self, monkeypatch):
+        blocks = []
+        real = hetdp.errors.unit_normals
+
+        def counting(statistic, cfg, d, seeds):
+            blocks.append((statistic, cfg.mechanism, cfg.setting, len(seeds)))
+            return real(statistic, cfg, d, seeds)
+
+        monkeypatch.setattr(hetdp.errors, "unit_normals", counting)
+        rows = _cell_rows(_plan(**self.PLAN))
+        assert len(rows) == 108
+        assert len(blocks) == len(set(blocks)) == 12
+        assert {trials for *_, trials in blocks} == {4}
