@@ -15,9 +15,7 @@ from hetdp.datasets import (
     HeterogeneityProfile,
     LabelScheme,
     SampleCapacityError,
-    load_cifar,
     load_dataset,
-    load_idx,
     stratified_sample,
     synthetic_dataset,
     write_cifar,
@@ -112,9 +110,7 @@ __all__ = [
     "dispersion",
     "error_report",
     "i_squared",
-    "load_cifar",
     "load_dataset",
-    "load_idx",
     "measure_all",
     "noisy_statistic",
     "q_statistic",

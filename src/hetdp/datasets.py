@@ -217,20 +217,6 @@ def _read_be_u32(buf: bytes, offset: int, path: str | Path, what: str) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
-def load_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset:
-    """Parse big-endian magic-tagged image/label files into a dataset.
-
-    Image files carry magic 0x00000803 then count, rows, cols and unsigned
-    pixel bytes; label files carry magic 0x00000801 then count and label
-    bytes. Pixels are divided by 255 and flattened row-major.
-
-    Raises:
-        DatasetFormatError: wrong magic, truncation, or image/label count
-            mismatch, with the offending byte offset.
-    """
-    return _read_idx(images_path, labels_path).decode()
-
-
 def _read_idx(images_path: str | Path, labels_path: str | Path) -> StoredImages:
     image_buf = Path(images_path).read_bytes()
     magic = _read_be_u32(image_buf, 0, images_path, "image magic")
@@ -279,7 +265,8 @@ def _read_idx(images_path: str | Path, labels_path: str | Path) -> StoredImages:
 
 
 def write_idx(data: VectorDataset, images_path: str | Path, labels_path: str | Path) -> None:
-    """Write a dataset as image/label files readable by load_idx.
+    """Write a dataset as image/label files that load_dataset reads under the
+    magic-tagged image format.
 
     Coordinates are quantized to the 1/255 grid; the image file declares the
     d coordinates as one row of d columns. Labels must fit in one byte.
@@ -298,21 +285,6 @@ def write_idx(data: VectorDataset, images_path: str | Path, labels_path: str | P
 class CifarVariant(enum.Enum):
     TEN = "ten"
     HUNDRED = "hundred"
-
-
-def load_cifar(paths: "list[str | Path]", variant: CifarVariant) -> VectorDataset:
-    """Parse fixed-record binary RGB image batches into one dataset.
-
-    Ten-class records are 3073 bytes (label + 3072 pixels); hundred-class
-    records are 3074 bytes (coarse label + fine label + 3072 pixels) and are
-    relabeled by bucketing coarse labels pairwise: (0,1)->0, (2,3)->1, and so
-    on. Pixels keep all 3072 channel values, normalized by 255.
-
-    Raises:
-        DatasetFormatError: file length not a whole number of records, or a
-            label byte out of range.
-    """
-    return _read_cifar(paths, variant).decode()
 
 
 def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> StoredImages:
@@ -366,7 +338,8 @@ def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> StoredImage
 
 
 def write_cifar(data: VectorDataset, path: str | Path, variant: CifarVariant) -> None:
-    """Write a dataset as one fixed-record binary batch readable by load_cifar.
+    """Write a dataset as one fixed-record binary batch that load_dataset
+    reads under the 3073- or 3074-byte record format.
 
     For the hundred-class variant the stored coarse label is 2*label (the
     bucketing's canonical representative) and the fine label is 0.

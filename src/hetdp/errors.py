@@ -3,7 +3,10 @@
 The empirical error (EMSE) averages squared deviations of fresh private
 releases from the true statistic. The theoretical error (TMSE) evaluates the
 closed-form per-release error using the exact recorded noise draws of the
-paired release, so the two are comparable trial by trial. The centralized
+paired release, so the two are comparable trial by trial. Both read one
+projection of the sample onto the unit mean-stage normals, which a caller
+may pass in, as an experiment does with one projection per profile sample
+for all its cells and epsilons. The centralized
 error (CMSE) is the squared single draw a centralized release would add after
 aggregation: each trial's shared unit scalar scaled by sqrt(d) times the
 full-budget sigma, whatever the statistic.
@@ -26,9 +29,11 @@ from hetdp.estimators import (
     Statistic,
     UnitNormals,
     i_squared_release,
+    project,
     release_kernel,
     release_sigma,
     scale_normals,
+    stage_sigmas,
     true_value,
     unit_normals,
 )
@@ -156,12 +161,15 @@ def error_report(
     ctx: MeasureContext | None = None,
     memo: dict | None = None,
     normals: UnitNormals | None = None,
+    projected: np.ndarray | None = None,
 ) -> ErrorReport:
     """Monte Carlo error summary over fresh private releases, all trials at once.
 
     Trial t scales the unit normals of derive_seed(cfg.seed, t) by the stage
     sigmas; pass `normals` when that block is already drawn, as a plan cell
-    does once for all its profiles and epsilons. Each release is scored
+    does once for all its profiles and epsilons, and `projected`, the n x d
+    pass project(data, mean-stage columns of `normals`), when a plan has
+    made it for all cells of a profile at once. Each release is scored
     empirically against the true value and theoretically from its own draws
     (the mean squared row shift of the release kernel). `memo` is a dict of
     calibrated noise scales to share across calls.
@@ -176,7 +184,14 @@ def error_report(
     elif normals.central.shape != (trials,):
         raise ValueError(f"unit normals hold {len(normals.central)} trials, not {trials}")
     draws = scale_normals(statistic, data, cfg, normals, memo)
-    values, shifts = release_kernel(statistic, data, ctx, draws)
+    units = normals.stages[:, : data.d]
+    if projected is None:
+        projected = project(data, units)
+    elif projected.shape != (data.n, trials):
+        raise ValueError(f"projection {projected.shape} does not fit n={data.n}, {trials} trials")
+    sigma = stage_sigmas(data, cfg, memo)[0]
+    stat_sums = draws.stat_noise.sum(axis=1)
+    values, shifts = release_kernel(statistic, data, ctx, units, sigma, projected, stat_sums)
     truth = true_value(statistic, data, ctx)
     if statistic is Statistic.I_SQUARED:
         released = i_squared_release(values, data.n, draws.i2_noise)
@@ -185,7 +200,7 @@ def error_report(
         tmse_vals = tmse_i_squared(data.n, q_true, values, draws.i2_noise)
     else:
         emse_vals = (values - truth) ** 2
-        shifts += np.atleast_2d(draws.stat_noise).sum(axis=1)
+        shifts += stat_sums
         tmse_vals = (shifts * shifts).mean(axis=0)
 
     cmse_vals = centralized_errors(data, cfg, normals, memo)

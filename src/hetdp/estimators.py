@@ -17,8 +17,11 @@ A stage's noise is its sigma times unit normals drawn in the order mean,
 statistic, I^2: `unit_normals` draws a block once and `scale_normals` scales
 it, so every budget reuses the same array (common random numbers). Dispersion
 is Q with unit weights around the arithmetic mean, so one weighted kernel
-evaluates both, batched over trials: with mean noise e and statistic noise s
-a release is Q + mean(w)||e||^2 - 2 e.mean(w dev) + sum(s).
+evaluates both, batched over trials: with mean noise e = sigma z and
+statistic noise s a release is Q + mean(w)||e||^2 - 2 e.mean(w dev) + sum(s).
+Its one pass over the n x d sample, `project` (X @ Z.T for unit mean-stage
+normals Z), depends on neither sigma nor the center, so one projection of a
+sample serves every cell and budget; `release_kernel` does O(n T) work.
 """
 
 from __future__ import annotations
@@ -152,6 +155,20 @@ def unit_normals(statistic: Statistic, cfg: EstimatorConfig, d: int, seeds) -> U
     return UnitNormals(stages, central)
 
 
+def stage_sigmas(data: VectorDataset, cfg: EstimatorConfig, memo: dict | None = None) -> list:
+    """Calibrated noise scale of each budget part, all 0.0 under zero noise."""
+    sens = SensitivitySpec.from_shape(data.n, data.d)
+    return [
+        0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, eps_i, delta_i, memo)
+        for eps_i, delta_i in cfg.budget.split
+    ]
+
+
+def project(data: VectorDataset, units: np.ndarray) -> np.ndarray:
+    """X @ units.T (n x T), the one pass over the sample a batch of releases makes."""
+    return data.vectors @ units.T
+
+
 def scale_normals(
     statistic: Statistic,
     data: VectorDataset,
@@ -167,11 +184,7 @@ def scale_normals(
     d, z = data.d, normals.stages
     if z.shape[1] != 2 * d + parts - 2:
         raise ValueError(f"unit normals of width {z.shape[1]} do not fit {statistic.value}, d={d}")
-    sens = SensitivitySpec.from_shape(data.n, d)
-    sigmas = [
-        0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, eps_i, delta_i, memo)
-        for eps_i, delta_i in cfg.budget.split
-    ]
+    sigmas = stage_sigmas(data, cfg, memo)
     return NoiseDraw(
         mean_noise=sigmas[0] * z[:, :d],
         stat_noise=sigmas[1] * z[:, d : 2 * d],
@@ -199,26 +212,23 @@ def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -
 
 
 def release_kernel(
-    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, units: np.ndarray,
+    sigma: float, projected: np.ndarray, stat_sums: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy dispersion or Q values of a batch of releases, plus row shifts.
+    """Noisy dispersion or Q values of T releases, plus row shifts.
 
-    Row i of trial t moves the statistic by
-    shift[i, t] = w_i (||e_t||^2 - 2 dev_i . e_t), dev_i being the row's
-    deviation from the (weighted) mean, with dev . e taken from one GEMM
-    X @ E.T - center @ E.T. The value is the true statistic plus the mean
-    shift plus sum(s_t); dispersion uses unit weights. Zero noise leaves the
-    true value bit for bit.
+    Trial t's mean-stage noise is sigma * z_t, z_t row t of `units`, and
+    `projected` is project(data, units). Row i of trial t moves the statistic
+    by shift[i, t] = w_i (sigma^2 ||z_t||^2 - 2 sigma (projected[i, t] - center . z_t)),
+    so no term is O(n d); dispersion uses unit weights around the mean. The
+    value is the true statistic plus the mean shift plus `stat_sums`, each
+    trial's summed statistic-stage noise. Zero noise leaves the true value bit for bit.
     """
-    if draws.mean_noise is None or draws.stat_noise is None:
-        raise ValueError(f"{statistic.value} needs mean-stage and statistic-stage draws")
-    mean_noise = np.atleast_2d(draws.mean_noise)
-    stat_sums = np.atleast_2d(draws.stat_noise).sum(axis=1)
     unweighted = statistic is Statistic.DISPERSION
     center = ctx.mean if unweighted else ctx.weighted_mean
     base = true_value(Statistic.DISPERSION if unweighted else Statistic.Q, data, ctx)
-    projections = data.vectors @ mean_noise.T - center @ mean_noise.T
-    shifts = (mean_noise * mean_noise).sum(axis=1) - 2.0 * projections
+    projections = sigma * (projected - center @ units.T)
+    shifts = sigma**2 * (units * units).sum(axis=1) - 2.0 * projections
     if not unweighted:
         if ctx.weights.shape != (data.n,):
             raise ValueError(f"context weights {ctx.weights.shape} do not match n={data.n}")
@@ -256,7 +266,8 @@ def noisy_statistic(
 
     Dispersion and Q are two-release pipelines (mean, then statistic); I^2
     runs the Q pipeline on its first two budget parts and adds a scalar
-    third-stage draw. Pass `draws` to inject a fixed noise realization.
+    third-stage draw. Pass `draws` to inject a fixed noise realization; the
+    kernel takes the mean-stage noise as its unit normal at scale 1.
     """
     if statistic is Statistic.I_SQUARED and data.n < 2:
         raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
@@ -268,7 +279,11 @@ def noisy_statistic(
                         i2_noise=i2)
     else:
         _require_parts(statistic, cfg)
-    values, _ = release_kernel(statistic, data, ctx, draws)
+    if draws.mean_noise is None or draws.stat_noise is None:
+        raise ValueError(f"{statistic.value} needs mean-stage and statistic-stage draws")
+    units = np.atleast_2d(draws.mean_noise)
+    stat_sums = np.atleast_2d(draws.stat_noise).sum(axis=1)
+    values, _ = release_kernel(statistic, data, ctx, units, 1.0, project(data, units), stat_sums)
     if statistic is Statistic.I_SQUARED:
         if draws.i2_noise is None:
             raise ValueError("i_squared needs a third-stage scalar draw")

@@ -7,7 +7,9 @@ estimator seeds are derived from it. Each (statistic, mechanism, setting)
 cell draws one block of unit normals and one centralized scalar per trial,
 and every profile and epsilon of the cell scales that same array by its own
 sigma (common random numbers). That makes epsilon sweeps smooth and
-paired-profile comparisons difference out the noise.
+paired-profile comparisons difference out the noise. Each profile sample is
+projected once onto the mean-stage normals of all cells, one n x d by
+d x (cells * trials) product, and every cell and epsilon reads its columns.
 
 CSV schema (stable, one header line, rows sorted by the key tuple):
 
@@ -32,6 +34,8 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from hetdp.datasets import (
     DatasetDescriptor,
     HeterogeneityProfile,
@@ -40,7 +44,7 @@ from hetdp.datasets import (
     stratified_sample,
 )
 from hetdp.errors import derive_seed, error_report, trial_normals
-from hetdp.estimators import EstimatorConfig, Setting, Statistic, true_value
+from hetdp.estimators import EstimatorConfig, Setting, Statistic, project, true_value
 from hetdp.gaussian import Mechanism, PrivacyBudget
 from hetdp.measures import VARIANCE_FLOOR, build_context
 
@@ -81,9 +85,11 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.profiles:
             raise ValueError("plan needs at least one profile")
-        names = [name for name, _ in self.profiles]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate profile names: {names}")
+        for what, names in (("profile names", [name for name, _ in self.profiles]),
+                            ("statistics", self.statistics), ("mechanisms", self.mechanisms),
+                            ("settings", self.settings), ("epsilons", self.epsilons)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate {what}: {[getattr(v, 'value', v) for v in names]}")
         if not self.statistics or not self.mechanisms or not self.settings:
             raise ValueError("plan needs at least one statistic, mechanism and setting")
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
@@ -235,12 +241,11 @@ def _true_value_table(samples) -> dict[str, dict[str, float]]:
 
 
 def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
-    """Evaluate every plan cell into one row each, sorted by key.
-
-    Cells are independent; the output is a deterministic ordered reduction
-    regardless of evaluation order. Each distinct noise scale is calibrated
-    once per run.
-    """
+    """Evaluate every plan cell into one row each, sorted by key, so the
+    evaluation order never shows. Each distinct noise scale is calibrated
+    once per run. Every cell's block is held for the whole run, its
+    mean-stage columns once more in `units`, plus one n x (cells * trials)
+    projection at a time."""
     memo: dict = {}
     samples = _materialize_samples(plan)
     true_table = _true_value_table(samples)
@@ -249,36 +254,30 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
         summary[f"{s}_min"] = min(v[s] for v in true_table.values())
         summary[f"{s}_mean"] = sum(v[s] for v in true_table.values()) / len(true_table)
 
-    d = next(iter(samples.values()))[0].d
-    rows: list[ResultRow] = []
+    d, trials = next(iter(samples.values()))[0].d, plan.trials
+    cells = []
     for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings):
         cell = EstimatorConfig(
-            mechanism=mech,
-            setting=setting,
-            budget=_budget(plan, stat, plan.epsilons[0]),
-            seed=_cell_seed(plan, stat, mech, setting),
-            zero_noise=plan.zero_noise,
+            mechanism=mech, setting=setting, budget=_budget(plan, stat, plan.epsilons[0]),
+            seed=_cell_seed(plan, stat, mech, setting), zero_noise=plan.zero_noise,
         )
-        # one block for every budget and profile; rebinding it frees it
-        normals = trial_normals(stat, cell, d, plan.trials)
-        for (name, _profile), epsilon in product(plan.profiles, plan.epsilons):
-            sample, ctx = samples[name]
+        cells.append((stat, cell, trial_normals(stat, cell, d, trials)))
+    units = np.vstack([normals.stages[:, :d] for *_, normals in cells])
+    rows: list[ResultRow] = []
+    for name, _profile in plan.profiles:
+        sample, ctx = samples[name]
+        projected = project(sample, units)
+        for (c, (stat, cell, normals)), epsilon in product(enumerate(cells), plan.epsilons):
             cfg = replace(cell, budget=_budget(plan, stat, epsilon))
-            report = error_report(stat, sample, cfg, plan.trials, ctx, memo, normals)
-            rows.append(
-                ResultRow(
-                    dataset=plan.dataset.name,
-                    statistic=stat.value,
-                    mechanism=mech.value,
-                    setting=setting.value,
-                    profile=name,
-                    epsilon=epsilon,
-                    delta=plan.delta,
-                    true_value=true_table[name][stat.value],
-                    **asdict(report),  # trials and the error columns
-                    **summary,
-                )
-            )
+            columns = projected[:, c * trials : (c + 1) * trials]
+            report = error_report(stat, sample, cfg, trials, ctx, memo, normals, columns)
+            rows.append(ResultRow(
+                dataset=plan.dataset.name, statistic=stat.value, mechanism=cell.mechanism.value,
+                setting=cell.setting.value, profile=name, epsilon=epsilon, delta=plan.delta,
+                true_value=true_table[name][stat.value],
+                **asdict(report),  # trials and the error columns
+                **summary,
+            ))
     rows.sort(key=ResultRow.key)
     return rows
 

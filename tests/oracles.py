@@ -1,7 +1,9 @@
 """Direct forms of the private releases, their errors, and dataset sampling.
 
 These are the straightforward O(n*d)-per-trial evaluations the batched
-release kernel replaces, the per-trial generators and per-stage normal
+release kernel replaces, the batched kernel's direct form on scaled noise
+(one X @ E.T product per call, which the projection of unit normals shared
+by every budget replaces), the per-trial generators and per-stage normal
 draws the shared unit-normal block of a plan cell replaces, and the
 decode-everything-then-index loading that sampling stored image bytes
 replaces. The suite keeps them as reference oracles and asserts that the
@@ -34,6 +36,7 @@ from hetdp.estimators import (
     Statistic,
     release_sigma,
     scale_normals,
+    true_value,
     unit_normals,
 )
 from hetdp.gaussian import SensitivitySpec, std_normal_cdf
@@ -145,6 +148,29 @@ def centralized_noisy(
         noise = float(rng.normal(0.0, scalar_sigma))
     draw = NoiseDraw(stat_noise=np.array([noise]), stat_noise_var=scalar_sigma**2)
     return statistic + noise, draw
+
+
+def release_kernel_direct(
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy dispersion or Q values of a batch of scaled draws, plus row shifts.
+
+    Row i of trial t moves the statistic by
+    shift[i, t] = w_i (||e_t||^2 - 2 dev_i . e_t), with dev . e taken from one
+    GEMM X @ E.T - center @ E.T on the scaled mean-stage noise E. The value
+    is the true statistic plus the mean shift plus sum(s_t).
+    """
+    _require_draws(draws)
+    mean_noise = np.atleast_2d(draws.mean_noise)
+    stat_sums = np.atleast_2d(draws.stat_noise).sum(axis=1)
+    unweighted = statistic is Statistic.DISPERSION
+    center = ctx.mean if unweighted else ctx.weighted_mean
+    base = true_value(Statistic.DISPERSION if unweighted else Statistic.Q, data, ctx)
+    projections = data.vectors @ mean_noise.T - center @ mean_noise.T
+    shifts = (mean_noise * mean_noise).sum(axis=1) - 2.0 * projections
+    if not unweighted:
+        shifts *= ctx.weights[:, None]
+    return base + shifts.mean(axis=0) + stat_sums, shifts
 
 
 def _require_draws(draws: NoiseDraw) -> None:

@@ -15,13 +15,11 @@ from oracles import variance_oracle_dispersion, variance_oracle_q
 
 from hetdp.datasets import (
     CANONICAL_PROFILES,
-    CifarVariant,
     DataFormat,
     DatasetDescriptor,
     DatasetFormatError,
     HeterogeneityProfile,
-    load_cifar,
-    load_idx,
+    load_dataset,
     synthetic_dataset,
     write_idx,
 )
@@ -374,18 +372,27 @@ def test_error_magnitude_sanity():
 def test_binary_loader_correctness(tmp_path):
     """Hand-built binary fixtures parse to exact vectors/labels; corrupted
     magic bytes and truncations raise structured errors with offsets."""
+
+    def read_idx(images, labels):
+        paths = (str(images), str(labels))
+        return load_dataset(DatasetDescriptor(DataFormat.IDX_IMAGES, "idx", paths)).decode()
+
+    def read_cifar(path):
+        desc = DatasetDescriptor(DataFormat.CIFAR10_BIN, "cifar", (str(path),))
+        return load_dataset(desc).decode()
+
     start = time.perf_counter()
     vectors = np.array([[0.0, 1.0, 128.0 / 255.0], [4.0 / 255.0, 0.0, 1.0]])
     data = VectorDataset(vectors, np.array([3, 8]))
     images, labels = tmp_path / "img.bin", tmp_path / "lab.bin"
     write_idx(data, images, labels)
-    loaded = load_idx(images, labels)
+    loaded = read_idx(images, labels)
     assert np.array_equal(loaded.vectors, vectors)
     assert loaded.labels.tolist() == [3, 8]
 
     cifar = tmp_path / "batch.bin"
     cifar.write_bytes(bytes([7]) + bytes(range(256)) * 12)
-    cpack = load_cifar([cifar], CifarVariant.TEN)
+    cpack = read_cifar(cifar)
     assert cpack.labels.tolist() == [7]
     assert cpack.vectors[0, 1] == 1.0 / 255.0
 
@@ -393,18 +400,18 @@ def test_binary_loader_correctness(tmp_path):
     raw[0] = 0xFF
     images.write_bytes(bytes(raw))
     with pytest.raises(DatasetFormatError) as magic_err:
-        load_idx(images, labels)
+        read_idx(images, labels)
     assert magic_err.value.offset == 0
 
     write_idx(data, images, labels)
     images.write_bytes(images.read_bytes()[:17])
     with pytest.raises(DatasetFormatError) as trunc_err:
-        load_idx(images, labels)
+        read_idx(images, labels)
     assert trunc_err.value.offset == 17
 
     cifar.write_bytes(cifar.read_bytes()[:100])
     with pytest.raises(DatasetFormatError) as ragged_err:
-        load_cifar([cifar], CifarVariant.TEN)
+        read_cifar(cifar)
     assert ragged_err.value.offset == 0
     elapsed = time.perf_counter() - start
     _report_line(

@@ -14,9 +14,7 @@ from hetdp.datasets import (
     SampleCapacityError,
     _allocate,
     decode_rows,
-    load_cifar,
     load_dataset,
-    load_idx,
     stratified_sample,
     synthetic_dataset,
     write_cifar,
@@ -34,6 +32,15 @@ def _grid_dataset(n, d, seed=0, labels=None):
     if labels is None:
         labels = rng.integers(0, 10, size=n).astype(np.int64)
     return VectorDataset(vectors, np.asarray(labels, dtype=np.int64))
+
+
+def _load_files(fmt, *paths):
+    """Every row of the files, read through load_dataset and decoded."""
+    scheme = LabelScheme.COARSE_BUCKETED if fmt is DataFormat.CIFAR100_BIN else LabelScheme.FINE
+    desc = DatasetDescriptor(
+        format=fmt, name="files", paths=tuple(str(p) for p in paths), label_scheme=scheme
+    )
+    return load_dataset(desc).decode()
 
 
 class TestHeterogeneityProfile:
@@ -105,7 +112,7 @@ class TestIdxFiles:
         data = _grid_dataset(12, 6, seed=1)
         images, labels = tmp_path / "img.bin", tmp_path / "lab.bin"
         write_idx(data, images, labels)
-        loaded = load_idx(images, labels)
+        loaded = _load_files(DataFormat.IDX_IMAGES, images, labels)
         assert np.array_equal(loaded.vectors, data.vectors)
         assert np.array_equal(loaded.labels, data.labels)
 
@@ -117,7 +124,7 @@ class TestIdxFiles:
         raw[:4] = b"\x12\x34\x56\x78"
         images.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="bad image magic 0x12345678") as err:
-            load_idx(images, labels)
+            _load_files(DataFormat.IDX_IMAGES, images, labels)
         assert err.value.offset == 0
         assert str(images) in str(err.value)
 
@@ -129,7 +136,7 @@ class TestIdxFiles:
         raw[3] = 0x99
         labels.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="bad label magic") as err:
-            load_idx(images, labels)
+            _load_files(DataFormat.IDX_IMAGES, images, labels)
         assert err.value.offset == 0
 
     def test_count_mismatch(self, tmp_path):
@@ -140,7 +147,7 @@ class TestIdxFiles:
         raw[7] = 9
         labels.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="label count 9 does not match") as err:
-            load_idx(images, labels)
+            _load_files(DataFormat.IDX_IMAGES, images, labels)
         assert err.value.offset == 4
 
     def test_truncated_pixels(self, tmp_path):
@@ -149,7 +156,7 @@ class TestIdxFiles:
         write_idx(data, images, labels)
         images.write_bytes(images.read_bytes()[:20])
         with pytest.raises(DatasetFormatError, match="truncated pixel data") as err:
-            load_idx(images, labels)
+            _load_files(DataFormat.IDX_IMAGES, images, labels)
         assert err.value.offset == 20
 
     def test_truncated_header(self, tmp_path):
@@ -157,7 +164,7 @@ class TestIdxFiles:
         images.write_bytes(b"\x00\x00")
         labels.write_bytes(b"")
         with pytest.raises(DatasetFormatError, match="truncated while reading image magic") as err:
-            load_idx(images, labels)
+            _load_files(DataFormat.IDX_IMAGES, images, labels)
         assert err.value.offset == 2
 
     def test_empty_image_file(self, tmp_path):
@@ -165,7 +172,7 @@ class TestIdxFiles:
         images.write_bytes(b"")
         labels.write_bytes(b"")
         with pytest.raises(DatasetFormatError) as err:
-            load_idx(images, labels)
+            _load_files(DataFormat.IDX_IMAGES, images, labels)
         assert err.value.offset == 0
 
     def test_truncated_labels(self, tmp_path):
@@ -174,7 +181,7 @@ class TestIdxFiles:
         write_idx(data, images, labels)
         labels.write_bytes(labels.read_bytes()[:10])
         with pytest.raises(DatasetFormatError, match="truncated label data") as err:
-            load_idx(images, labels)
+            _load_files(DataFormat.IDX_IMAGES, images, labels)
         assert err.value.offset == 10
 
     def test_wide_labels_rejected_on_write(self, tmp_path):
@@ -188,7 +195,7 @@ class TestCifarFiles:
         data = _grid_dataset(4, 3072, seed=2)
         path = tmp_path / "batch.bin"
         write_cifar(data, path, CifarVariant.TEN)
-        loaded = load_cifar([path], CifarVariant.TEN)
+        loaded = _load_files(DataFormat.CIFAR10_BIN, path)
         assert np.array_equal(loaded.vectors, data.vectors)
         assert np.array_equal(loaded.labels, data.labels)
 
@@ -196,7 +203,7 @@ class TestCifarFiles:
         data = _grid_dataset(4, 3072, seed=3)
         path = tmp_path / "batch.bin"
         write_cifar(data, path, CifarVariant.HUNDRED)
-        loaded = load_cifar([path], CifarVariant.HUNDRED)
+        loaded = _load_files(DataFormat.CIFAR100_BIN, path)
         assert np.array_equal(loaded.vectors, data.vectors)
         assert np.array_equal(loaded.labels, data.labels)
 
@@ -205,7 +212,7 @@ class TestCifarFiles:
         with open(path, "wb") as fh:
             for coarse in (0, 1, 2, 3):
                 fh.write(bytes([coarse, 5]) + bytes(3072))
-        loaded = load_cifar([path], CifarVariant.HUNDRED)
+        loaded = _load_files(DataFormat.CIFAR100_BIN, path)
         assert loaded.labels.tolist() == [0, 0, 1, 1]
 
     def test_multiple_batches_concatenate(self, tmp_path):
@@ -213,7 +220,7 @@ class TestCifarFiles:
         pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
         write_cifar(a, pa, CifarVariant.TEN)
         write_cifar(b, pb, CifarVariant.TEN)
-        loaded = load_cifar([pa, pb], CifarVariant.TEN)
+        loaded = _load_files(DataFormat.CIFAR10_BIN, pa, pb)
         assert loaded.n == 5
         assert np.array_equal(loaded.vectors[:3], a.vectors)
         assert np.array_equal(loaded.vectors[3:], b.vectors)
@@ -224,21 +231,21 @@ class TestCifarFiles:
         write_cifar(data, path, CifarVariant.TEN)
         path.write_bytes(path.read_bytes() + b"\x00" * 5)
         with pytest.raises(DatasetFormatError, match="3073-byte record size") as err:
-            load_cifar([path], CifarVariant.TEN)
+            _load_files(DataFormat.CIFAR10_BIN, path)
         assert err.value.offset == 2 * 3073
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "batch.bin"
         path.write_bytes(b"")
         with pytest.raises(DatasetFormatError, match="not a positive multiple") as err:
-            load_cifar([path], CifarVariant.TEN)
+            _load_files(DataFormat.CIFAR10_BIN, path)
         assert err.value.offset == 0
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "batch.bin"
         path.write_bytes(bytes([77]) + bytes(3072))
         with pytest.raises(DatasetFormatError, match="label byte 77 out of range 0..9") as err:
-            load_cifar([path], CifarVariant.TEN)
+            _load_files(DataFormat.CIFAR10_BIN, path)
         assert err.value.offset == 0
 
     def test_coarse_and_fine_range_offsets(self, tmp_path):
@@ -246,11 +253,11 @@ class TestCifarFiles:
         good = bytes([3, 7]) + bytes(3072)
         path.write_bytes(good + bytes([25, 7]) + bytes(3072))
         with pytest.raises(DatasetFormatError, match="coarse label byte 25") as err:
-            load_cifar([path], CifarVariant.HUNDRED)
+            _load_files(DataFormat.CIFAR100_BIN, path)
         assert err.value.offset == 3074
         path.write_bytes(good + bytes([3, 120]) + bytes(3072))
         with pytest.raises(DatasetFormatError, match="fine label byte 120") as err:
-            load_cifar([path], CifarVariant.HUNDRED)
+            _load_files(DataFormat.CIFAR100_BIN, path)
         assert err.value.offset == 3074 + 1
 
     def test_write_requires_full_width(self, tmp_path):

@@ -15,6 +15,7 @@ from oracles import (
     evaluate_q_from_draws,
     noisy_mean,
     noisy_q_deviation_form,
+    release_kernel_direct,
     share_aggregate,
     tmse_dispersion,
     tmse_q,
@@ -35,10 +36,13 @@ from hetdp.estimators import (
     Statistic,
     i_squared_release,
     noisy_statistic,
+    project,
     release_kernel,
     release_sigma,
     scale_normals,
+    stage_sigmas,
     true_value,
+    unit_normals,
 )
 from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec
 from hetdp.measures import VectorDataset, build_context, dataset_mean, dispersion, measure_all
@@ -256,6 +260,19 @@ def _trial_draws(batch, t):
     return NoiseDraw(mean_noise=batch.mean_noise[t], stat_noise=batch.stat_noise[t], i2_noise=i2)
 
 
+def _library_kernel(statistic, data, ctx, cfg, seeds):
+    """The release kernel on the unit normals of `seeds` and their
+    projection, with the scaled draws of the same normals."""
+    normals = unit_normals(statistic, cfg, data.d, seeds)
+    batch = scale_normals(statistic, data, cfg, normals)
+    units, sigma = normals.stages[:, : data.d], stage_sigmas(data, cfg)[0]
+    stat_sums = batch.stat_noise.sum(axis=1)
+    values, shifts = release_kernel(
+        statistic, data, ctx, units, sigma, project(data, units), stat_sums
+    )
+    return values, shifts, batch
+
+
 class TestBatchedKernelAgainstDirectForms:
     """The batched kernel against the direct per-trial oracles, on identical draws."""
 
@@ -272,9 +289,8 @@ class TestBatchedKernelAgainstDirectForms:
     def test_values_agree_within_rtol_1e_12(self):
         seeds = [derive_seed(41, t) for t in range(self.TRIALS)]
         for data, ctx, statistic, cfg in self._cases():
-            batch = draw_noise(statistic, data, cfg, seeds)
+            values, _, batch = _library_kernel(statistic, data, ctx, cfg, seeds)
             assert batch.mean_noise.shape == (self.TRIALS, data.d)
-            values, _ = release_kernel(statistic, data, ctx, batch)
             if statistic is Statistic.I_SQUARED:
                 values = i_squared_release(values, data.n, batch.i2_noise)
             for t in range(self.TRIALS):
@@ -338,6 +354,53 @@ class TestBatchedKernelAgainstDirectForms:
             error_report(statistic, data, _cfg(budget2), 5, memo=memo)
         # both stages share one split part; the centralized error uses the total
         assert len(calls) == len(set(calls)) == 2
+
+
+class TestProjectedKernelAgainstDirectKernel:
+    """The kernel on unit normals and their projection X @ Z.T against the
+    direct X @ E.T - c @ E.T kernel on the same scaled draws E = sigma Z.
+    sigma * (X @ Z.T) rounds differently from X @ (sigma Z).T, so the two
+    agree within a relative tolerance of 1e-12, not bit for bit."""
+
+    TRIALS = 9
+
+    def test_values_and_tmse_agree_within_rtol_1e_12(self):
+        sigmas = set()
+        for data in (_random_data(), _constant_row_data()):
+            ctx = build_context(data)
+            for statistic, setting, mech, epsilon in product(
+                Statistic, Setting, Mechanism, (0.25, 0.5, 0.9)
+            ):
+                budget = PrivacyBudget.equal_split(epsilon, 1e-3, statistic.budget_parts)
+                cfg = _cfg(budget, setting, mech, seed=23)
+                seeds = [derive_seed(cfg.seed, t) for t in range(self.TRIALS)]
+                case = (statistic, setting, mech, epsilon, data.n)
+                values, _, batch = _library_kernel(statistic, data, ctx, cfg, seeds)
+                direct, shifts = release_kernel_direct(statistic, data, ctx, batch)
+                np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0.0, err_msg=str(case))
+
+                report = error_report(statistic, data, cfg, self.TRIALS, ctx)
+                if statistic is Statistic.I_SQUARED:
+                    q_true = true_value(Statistic.Q, data, ctx)
+                    tmse = tmse_i_squared(data.n, q_true, direct, batch.i2_noise)
+                else:
+                    tmse = ((shifts + batch.stat_noise.sum(axis=1)) ** 2).mean(axis=0)
+                assert report.tmse == pytest.approx(tmse.mean(), rel=1e-12, abs=0.0), case
+                sigmas.add(stage_sigmas(data, cfg)[0])
+        # two- and three-part splits, two mechanisms, three epsilons; a kernel
+        # scaling ||z||^2 by sigma rather than sigma^2 agrees only at sigma 1
+        assert len(sigmas) == 12 and 1.0 not in sigmas
+
+    def test_zero_noise_is_the_true_value_bit_for_bit(self, budget2, budget3):
+        for data in (_random_data(), _constant_row_data()):
+            ctx = build_context(data)
+            for statistic, setting in product(Statistic, Setting):
+                budget = budget3 if statistic is Statistic.I_SQUARED else budget2
+                cfg = _cfg(budget, setting, zero=True)
+                values, shifts, _ = _library_kernel(statistic, data, ctx, cfg, [1, 2, 3])
+                base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
+                assert np.array_equal(values, np.full(3, true_value(base, data, ctx)))
+                assert not np.any(shifts)
 
 
 class TestSingleDrawDistribution:

@@ -14,6 +14,8 @@ from hetdp.datasets import (
     SampleCapacityError,
 )
 import hetdp.errors
+import hetdp.estimators
+import hetdp.experiment
 from hetdp.errors import error_report
 from hetdp.estimators import EstimatorConfig, Setting, Statistic
 from hetdp.experiment import (
@@ -73,6 +75,19 @@ class TestPlanValidation:
     def test_duplicate_profile_names(self):
         with pytest.raises(ValueError, match="duplicate profile names"):
             _plan(profiles=(("p", UNIFORM2), ("p", SKEWED2)))
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("statistics", (Statistic.Q, Statistic.DISPERSION, Statistic.Q)),
+            ("mechanisms", (Mechanism.ANALYTIC, Mechanism.ANALYTIC)),
+            ("settings", (Setting.CENTRALIZED, Setting.CENTRALIZED)),
+            ("epsilons", (0.5, 0.25, 0.5)),
+        ],
+    )
+    def test_duplicate_entries(self, field, values):
+        with pytest.raises(ValueError, match=f"duplicate {field}: "):
+            _plan(**{field: values})
 
     def test_needs_cells(self):
         with pytest.raises(ValueError, match="statistic, mechanism and setting"):
@@ -374,3 +389,22 @@ class TestSharedCellNormals:
         assert len(rows) == 108
         assert len(blocks) == len(set(blocks)) == 12
         assert {trials for *_, trials in blocks} == {4}
+
+    def test_one_projection_per_profile(self, monkeypatch):
+        calls = []
+        real = hetdp.estimators.project
+
+        def counting(data, units):
+            calls.append((data.n, units.shape))
+            return real(data, units)
+
+        for module in (hetdp.estimators, hetdp.errors, hetdp.experiment):
+            monkeypatch.setattr(module, "project", counting)
+        plan = _plan(**self.PLAN)
+        rows = _cell_rows(plan)
+        assert len(rows) == 108
+        assert len(calls) == len(plan.profiles) == 3
+        samples = _materialize_samples(plan)
+        assert [n for n, _ in calls] == [samples[name][0].n for name, _ in plan.profiles]
+        # 12 cells of 4 trials each, stacked
+        assert {shape for _, shape in calls} == {(48, SYNTH.d)}
