@@ -3,9 +3,13 @@
 
 Runs the default sweep, a mixed plan (three profiles, both mechanisms and
 settings, epsilons 0.5,0.25,0.9), a comparison and `measure --release`
-through hetdp.cli.main in a temporary directory, and digests each CSV, plan
-log, chart and --json stdout. Two checkouts wrote the same bytes exactly when
-`diff` of their printouts is empty:
+through hetdp.cli.main in a temporary directory. It also writes an IDX pair
+(d=784) and a CIFAR-10 batch (d=3072) there with write_idx and write_cifar,
+sized so every profile sample spans at least three row blocks of
+hetdp.measures (300 and 100 rows), and runs an experiment on each. It
+digests each input file, CSV, plan log, chart and --json stdout. Two
+checkouts wrote the same bytes exactly when `diff` of their printouts is
+empty:
 
     PYTHONPATH=src python3 scripts/output_digests.py --seed 0 > digests.txt
 """
@@ -20,10 +24,14 @@ import tempfile
 from pathlib import Path
 
 from hetdp.cli import main as cli_main
+from hetdp.datasets import CifarVariant, synthetic_dataset, write_cifar, write_idx
 
 SYNTH = ["--synthetic", "20000,8,0.5", "--synth-seed", "0", "--fraction", "0.1"]
 BOTH = ["--mechanisms", "analytic,classical", "--settings", "distributed,centralized",
         "--epsilons", "0.5,0.25,0.9", "--trials", "20", "--json"]
+WIDE = ["--profiles", "uniform-10,skewed-10", "--fraction", "0.05", "--mechanisms",
+        "analytic,classical", "--settings", "distributed,centralized", "--epsilons", "0.5,0.9",
+        "--trials", "5"]
 
 
 def runs(seed: str) -> dict[str, list[str]]:
@@ -37,7 +45,20 @@ def runs(seed: str) -> dict[str, list[str]]:
                     "--out", "compare/compare.csv"],
         "measure": ["measure", *SYNTH, "--profile", "skewed-10", "--release", "--seed", seed,
                     "--json"],
+        "idx": ["experiment", "--idx-images", "inputs/img.idx", "--idx-labels", "inputs/lab.idx",
+                *WIDE, "--seed", seed, "--out", "idx/idx.csv", "--svg-dir", "idx/charts"],
+        "cifar": ["experiment", "--cifar10", "inputs/batch.bin", *WIDE, "--seed", seed,
+                  "--out", "cifar/cifar.csv", "--svg-dir", "cifar/charts"],
     }
+
+
+def write_inputs() -> None:
+    """IDX and CIFAR inputs whose 5% samples hold 300 x 784 and 100 x 3072 rows."""
+    Path("inputs").mkdir()
+    write_idx(synthetic_dataset(6000, 784, 0.5, 0), Path("inputs/img.idx"),
+              Path("inputs/lab.idx"))
+    write_cifar(synthetic_dataset(2000, 3072, 0.5, 1), Path("inputs/batch.bin"),
+                CifarVariant.TEN)
 
 
 def main() -> int:
@@ -47,6 +68,7 @@ def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        write_inputs()
         for name, argv in runs(args.seed).items():
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):

@@ -264,6 +264,9 @@ def cmd_measure(parser, args) -> int:
         _check_classical_range(parser, (_MECHANISMS[args.mechanism],), (args.epsilon,))
         released = {}
         for index, stat in enumerate(Statistic):
+            if stat is Statistic.I_SQUARED and data.n < 2:
+                released[stat.value] = {"error": f"i_squared needs n >= 2, got n={data.n}"}
+                continue
             if args.budget_split is None:
                 budget = PrivacyBudget.equal_split(args.epsilon, args.delta, stat.budget_parts)
             elif len(args.budget_split) == stat.budget_parts:

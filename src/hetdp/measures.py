@@ -2,7 +2,10 @@
 
 All statistics are reported as scalars with a coordinate-sum convention:
 per-vector quantities sum their d coordinates, and dataset-level statistics
-average the per-vector scalars over the n vectors.
+average the per-vector scalars over the n vectors. Every per-row pass runs
+over blocks of about BLOCK_BYTES of consecutive rows into a length-n vector,
+so no pass allocates an n x d temporary; each row is reduced by the same numpy
+call as in the whole-matrix form, so the results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ import numpy as np
 #: Within-vector variances are clamped below by this before inversion into
 #: weights, so constant rows (zero variance) get a large finite weight.
 VARIANCE_FLOOR = 1e-9
+
+#: Size of one row block's float64 temporaries: small enough to stay in cache.
+BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -118,20 +124,30 @@ def weighted_mean(data: VectorDataset, weights: np.ndarray) -> np.ndarray:
     return weights @ data.vectors / weights.sum()
 
 
-def _mean_sq_deviation(vectors: np.ndarray, center: np.ndarray, weights=1.0) -> float:
-    """(1/n) sum_i w_i ||x_i - center||^2; unit weights by default.
+def _row_blocks(vectors: np.ndarray, row_scalars) -> np.ndarray:
+    """row_scalars of consecutive row blocks of about BLOCK_BYTES, as a length-n vector."""
+    rows = max(1, BLOCK_BYTES // (8 * vectors.shape[1]))
+    out = np.empty(vectors.shape[0])
+    for start in range(0, len(out), rows):
+        out[start : start + rows] = row_scalars(vectors[start : start + rows])
+    return out
 
-    Squares the one n x d deviation temporary in place.
-    """
-    deviations = vectors - center
-    squared = np.square(deviations, out=deviations).sum(axis=1)
-    return float((weights * squared).mean())
+
+def _mean_sq_deviation(vectors: np.ndarray, center: np.ndarray, weights=1.0) -> float:
+    """(1/n) sum_i w_i ||x_i - center||^2; unit weights by default."""
+
+    def row_sq(block: np.ndarray) -> np.ndarray:
+        deviations = block - center  # squared in place: one temporary per block
+        return np.square(deviations, out=deviations).sum(axis=1)
+
+    return float((weights * _row_blocks(vectors, row_sq)).mean())
 
 
 def build_context(data: VectorDataset, variance_floor: float = VARIANCE_FLOOR) -> MeasureContext:
     """Compute mean, within-vector variances, weights, weighted mean, and the
-    true dispersion and Q once."""
-    within = data.vectors.var(axis=1)
+    true dispersion and Q once. The variance and deviation passes run over row
+    blocks and are bit-identical to the whole-matrix forms."""
+    within = _row_blocks(data.vectors, lambda block: block.var(axis=1))
     weights = weights_from_variances(within, variance_floor)
     mean = dataset_mean(data)
     center = weighted_mean(data, weights)
@@ -157,9 +173,10 @@ def dispersion(data: VectorDataset, p: float = 2.0) -> float:
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"dispersion exponent must be >= 1, got {p!r}")
+    mean = dataset_mean(data)
     if p == 2.0:
-        return _mean_sq_deviation(data.vectors, dataset_mean(data))
-    return float((np.abs(data.vectors - dataset_mean(data)) ** p).sum(axis=1).mean())
+        return _mean_sq_deviation(data.vectors, mean)
+    return float(_row_blocks(data.vectors, lambda b: (np.abs(b - mean) ** p).sum(axis=1)).mean())
 
 
 def q_statistic(data: VectorDataset, ctx: MeasureContext) -> float:

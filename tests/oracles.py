@@ -6,8 +6,9 @@ release kernel replaces, the batched kernel's direct form on scaled noise
 by every budget replaces), the per-trial generators and per-stage normal
 draws the shared unit-normal block of a plan cell replaces, and the
 decode-everything-then-index loading that sampling stored image bytes
-replaces. The suite keeps them as reference oracles and asserts that the
-fast forms agree with them. The closing
+replaces, and the whole-matrix context passes (one n x d temporary each)
+that the row-blocked passes replace. The suite keeps them as reference
+oracles and asserts that the fast forms agree with them. The closing
 helpers (within-vector variance, the branch-parameterized privacy slack,
 the variance oracles) serve only the suite's identity checks.
 """
@@ -40,7 +41,14 @@ from hetdp.estimators import (
     unit_normals,
 )
 from hetdp.gaussian import SensitivitySpec, std_normal_cdf
-from hetdp.measures import MeasureContext, VectorDataset, dataset_mean, q_statistic
+from hetdp.measures import (
+    MeasureContext,
+    VectorDataset,
+    dataset_mean,
+    q_statistic,
+    weighted_mean,
+    weights_from_variances,
+)
 
 
 def share_aggregate(dim: int, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -232,6 +240,34 @@ def emse(statistic, data, cfg, trials, ctx=None) -> tuple[float, float]:
     """Mean and standard deviation of the empirical squared error."""
     report = error_report(statistic, data, cfg, trials, ctx)
     return report.emse, report.sd_emse
+
+
+def _mean_sq_deviation_direct(vectors: np.ndarray, center: np.ndarray, weights=1.0) -> float:
+    deviations = vectors - center
+    squared = np.square(deviations, out=deviations).sum(axis=1)
+    return float((weights * squared).mean())
+
+
+def build_context_direct(data: VectorDataset) -> MeasureContext:
+    """build_context over the whole matrix: the within-row variance and both
+    squared-deviation passes each allocate one n x d temporary."""
+    within = data.vectors.var(axis=1)
+    weights = weights_from_variances(within)
+    mean = dataset_mean(data)
+    center = weighted_mean(data, weights)
+    return MeasureContext(
+        mean=mean,
+        weighted_mean=center,
+        weights=weights,
+        within_variances=within,
+        dispersion=_mean_sq_deviation_direct(data.vectors, mean),
+        q_value=_mean_sq_deviation_direct(data.vectors, center, weights),
+    )
+
+
+def dispersion_direct(data: VectorDataset, p: float) -> float:
+    """Whole-matrix p-th power dispersion: one n x d temporary."""
+    return float((np.abs(data.vectors - dataset_mean(data)) ** p).sum(axis=1).mean())
 
 
 def load_decoded(desc: DatasetDescriptor) -> VectorDataset:

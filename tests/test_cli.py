@@ -311,6 +311,18 @@ class TestMeasure:
             "error": "--budget-split has 2 parts but i_squared needs 3"
         }
 
+    def test_release_of_one_row_sample(self, capsys):
+        # Dispersion and Q are defined at n = 1; only I^2 is unavailable.
+        assert main(
+            ["measure", "--synthetic", "20,8,0.5", "--profile", "uniform-10",
+             "--fraction", "0.05", "--release", "--json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == 1
+        values = payload["release"]["values"]
+        assert "value" in values["dispersion"] and "value" in values["q"]
+        assert values["i_squared"] == {"error": "i_squared needs n >= 2, got n=1"}
+
 
 class TestDataDirResolution:
     def test_relative_paths_resolve_against_env(self, tmp_path, monkeypatch, capsys):

@@ -1,13 +1,16 @@
 """Noise-free statistics: hand values, brute-force oracles, invariances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import within_vector_variance
+from oracles import build_context_direct, dispersion_direct, within_vector_variance
 
 from hetdp.measures import (
+    BLOCK_BYTES,
     VARIANCE_FLOOR,
     MeasureContext,
     VectorDataset,
@@ -213,3 +216,46 @@ class TestMeasureAll:
         assert report.q_value == q_statistic(fix, ctx)
         assert report.i_squared == i_squared(report.q_value, fix.n)
         assert report.dispersion_exponent == 2.0
+
+
+# Rows per block at d = 64, and a width whose one row exceeds a block.
+_BLOCK_ROWS = BLOCK_BYTES // (8 * 64)
+_WIDE_D = BLOCK_BYTES // 8 + 3
+
+
+class TestRowBlocksAgainstWholeMatrix:
+    @pytest.mark.parametrize(
+        "n, d, constant_row",
+        [
+            (_BLOCK_ROWS // 3, 64, None),  # below one block
+            (_BLOCK_ROWS, 64, None),  # exactly one block
+            (2 * _BLOCK_ROWS + 37, 64, None),  # two full blocks and a ragged one
+            (3, _WIDE_D, None),  # one row wider than a block
+            (2 * _BLOCK_ROWS + 37, 64, 2 * _BLOCK_ROWS + 5),  # weight 1e9 in the ragged block
+        ],
+    )
+    def test_bit_identical(self, n, d, constant_row):
+        vectors = np.random.default_rng(n + d).random((n, d))
+        if constant_row is not None:
+            vectors[constant_row] = 0.5
+        data = _dataset(vectors)
+        ctx, direct = build_context(data), build_context_direct(data)
+        for field in ("mean", "weighted_mean", "weights", "within_variances"):
+            assert np.array_equal(getattr(ctx, field), getattr(direct, field)), field
+        assert ctx.dispersion == direct.dispersion
+        assert ctx.q_value == direct.q_value
+        assert dispersion(data) == direct.dispersion
+        assert dispersion(data, 3.0) == dispersion_direct(data, 3.0)
+        assert q_statistic(data, ctx) == direct.q_value
+        if constant_row is not None:
+            assert ctx.weights[constant_row] == 1.0 / VARIANCE_FLOOR
+
+    def test_no_n_by_d_temporary(self):
+        data = _dataset(np.random.default_rng(3).random((2000, 3072)))
+        tracemalloc.start()
+        try:
+            build_context(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.vectors.nbytes / 8, f"peak {peak} bytes"
