@@ -2,8 +2,9 @@
 """Print `sha256  path` for every output of a fixed set of CLI runs.
 
 Runs the default sweep, a mixed plan (three profiles, both mechanisms and
-settings, epsilons 0.5,0.25,0.9), a comparison and `measure --release`
-through hetdp.cli.main in a temporary directory. It also writes an IDX pair
+settings, epsilons 0.5,0.25,0.9), a comparison and `measure --release`, with
+and without `--zero-noise` (zero noise must release the true values bit for
+bit), through hetdp.cli.main in a temporary directory. It also writes an IDX pair
 (d=784) and a CIFAR-10 batch (d=3072) there with write_idx and write_cifar,
 sized so every profile sample spans at least three row blocks of
 hetdp.measures (300 and 100 rows), and runs an experiment on each. It
@@ -45,6 +46,8 @@ def runs(seed: str) -> dict[str, list[str]]:
                     "--out", "compare/compare.csv"],
         "measure": ["measure", *SYNTH, "--profile", "skewed-10", "--release", "--seed", seed,
                     "--json"],
+        "measure-zero": ["measure", *SYNTH, "--profile", "skewed-10", "--release",
+                         "--zero-noise", "--seed", seed, "--json"],
         "idx": ["experiment", "--idx-images", "inputs/img.idx", "--idx-labels", "inputs/lab.idx",
                 *WIDE, "--seed", seed, "--out", "idx/idx.csv", "--svg-dir", "idx/charts"],
         "cifar": ["experiment", "--cifar10", "inputs/batch.bin", *WIDE, "--seed", seed,

@@ -23,9 +23,7 @@ from hetdp.datasets import (
 )
 from hetdp.errors import (
     ErrorReport,
-    ci_dispersion,
-    ci_i_squared,
-    ci_q,
+    ci_half_width,
     derive_seed,
     error_report,
     tmse_i_squared,
@@ -33,7 +31,6 @@ from hetdp.errors import (
 from hetdp.estimators import (
     DegenerateStatisticError,
     EstimatorConfig,
-    NoiseDraw,
     Setting,
     Statistic,
     noisy_statistic,
@@ -91,7 +88,6 @@ __all__ = [
     "MeasureContext",
     "Mechanism",
     "NoiseBranch",
-    "NoiseDraw",
     "PrivacyBudget",
     "ResultRow",
     "SampleCapacityError",
@@ -103,9 +99,7 @@ __all__ = [
     "agm_sigma",
     "build_context",
     "cgm_sigma",
-    "ci_dispersion",
-    "ci_i_squared",
-    "ci_q",
+    "ci_half_width",
     "derive_seed",
     "dispersion",
     "error_report",

@@ -285,7 +285,7 @@ def cmd_measure(parser, args) -> int:
                 zero_noise=args.zero_noise,
             )
             try:
-                value, _ = noisy_statistic(stat, data, ctx, cfg)
+                value = noisy_statistic(stat, data, ctx, cfg)
             except DegenerateStatisticError as err:
                 released[stat.value] = {"error": str(err)}
             else:

@@ -2,8 +2,8 @@
 
 The empirical error (EMSE) averages squared deviations of fresh private
 releases from the true statistic. The theoretical error (TMSE) evaluates the
-closed-form per-release error using the exact recorded noise draws of the
-paired release, so the two are comparable trial by trial. Both read one
+closed-form per-release error on the exact noise of the paired release, so
+the two are comparable trial by trial. Both read one
 projection of the sample onto the unit mean-stage normals, which a caller
 may pass in, as an experiment does with one projection per profile sample
 for all its cells and epsilons. The centralized
@@ -25,15 +25,11 @@ import numpy as np
 
 from hetdp.estimators import (
     EstimatorConfig,
-    NoiseDraw,
     Statistic,
     UnitNormals,
     i_squared_release,
-    project,
-    release_kernel,
     release_sigma,
-    scale_normals,
-    stage_sigmas,
+    release_values,
     true_value,
     unit_normals,
 )
@@ -88,51 +84,30 @@ def tmse_i_squared(n: int, q_true: float, q_noisy, i2_noise):
     return gap**2 / n
 
 
-def ci_dispersion(d_noisy: float, n: int, mean_noise_var: float) -> tuple[float, float]:
-    """95% interval around a private dispersion.
+def ci_half_width(statistic: Statistic, n: int, weights, mean_noise_var: float) -> float:
+    """Half-width of the 95% interval around a private release.
 
-    Half-width = 7.84 * sqrt(6) * mean_noise_var^2 / sqrt(n).
+    Dispersion: 7.84 * sqrt(6) * mean_noise_var^2 / sqrt(n). Q: that term
+    scaled by each weight and summed over rows, so at unit weights Q's
+    half-width is n times the dispersion's. I^2:
+    sum_i 0.625 (n-1) / (w_i sqrt(n) mean_noise_var^2); zero noise
+    degenerates to a zero width. Can exceed 1 at small n; reported unclamped.
+    The dispersion ignores `weights`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if mean_noise_var < 0:
         raise ValueError(f"variance must be nonnegative, got {mean_noise_var!r}")
-    half = DISPERSION_CI_CONSTANT * mean_noise_var**2 / math.sqrt(n)
-    return d_noisy - half, d_noisy + half
-
-
-def ci_q(
-    q_noisy: float, n: int, weights: np.ndarray, mean_noise_var: float
-) -> tuple[float, float]:
-    """95% interval around a private Q: the dispersion half-width scaled by
-    each weight and summed over rows."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if statistic is Statistic.DISPERSION:
+        return DISPERSION_CI_CONSTANT * mean_noise_var**2 / math.sqrt(n)
     weights = np.asarray(weights, dtype=np.float64)
-    half = float(
-        (DISPERSION_CI_CONSTANT * weights * mean_noise_var**2 / math.sqrt(n)).sum()
-    )
-    return q_noisy - half, q_noisy + half
-
-
-def ci_i_squared(
-    i2_noisy: float, n: int, weights: np.ndarray, mean_noise_var: float
-) -> tuple[float, float]:
-    """95% interval around a private heterogeneity fraction.
-
-    Half-width = sum_i 0.625 (n-1) / (w_i sqrt(n) mean_noise_var^2); zero
-    noise degenerates to a zero-width interval. Can exceed 1 at small n;
-    reported unclamped.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if statistic is Statistic.Q:
+        return float((DISPERSION_CI_CONSTANT * weights * mean_noise_var**2 / math.sqrt(n)).sum())
     if mean_noise_var == 0.0:
-        return i2_noisy, i2_noisy
-    weights = np.asarray(weights, dtype=np.float64)
-    half = float(
+        return 0.0
+    return float(
         (I_SQUARED_CI_CONSTANT * (n - 1) / (weights * math.sqrt(n) * mean_noise_var**2)).sum()
     )
-    return i2_noisy - half, i2_noisy + half
 
 
 def trial_normals(statistic: Statistic, cfg: EstimatorConfig, d: int, trials: int) -> UnitNormals:
@@ -183,24 +158,16 @@ def error_report(
         normals = trial_normals(statistic, cfg, data.d, trials)
     elif normals.central.shape != (trials,):
         raise ValueError(f"unit normals hold {len(normals.central)} trials, not {trials}")
-    draws = scale_normals(statistic, data, cfg, normals, memo)
-    units = normals.stages[:, : data.d]
-    if projected is None:
-        projected = project(data, units)
-    elif projected.shape != (data.n, trials):
-        raise ValueError(f"projection {projected.shape} does not fit n={data.n}, {trials} trials")
-    sigma = stage_sigmas(data, cfg, memo)[0]
-    stat_sums = draws.stat_noise.sum(axis=1)
-    values, shifts = release_kernel(statistic, data, ctx, units, sigma, projected, stat_sums)
+    values, shifts, sigmas = release_values(statistic, data, ctx, cfg, normals, projected, memo)
     truth = true_value(statistic, data, ctx)
     if statistic is Statistic.I_SQUARED:
-        released = i_squared_release(values, data.n, draws.i2_noise)
+        i2_noise = sigmas[2] * normals.stages[:, 2 * data.d]
+        released = i_squared_release(values, data.n, i2_noise)
         emse_vals = (released - truth) ** 2 / data.n
         q_true = true_value(Statistic.Q, data, ctx)
-        tmse_vals = tmse_i_squared(data.n, q_true, values, draws.i2_noise)
+        tmse_vals = tmse_i_squared(data.n, q_true, values, i2_noise)
     else:
         emse_vals = (values - truth) ** 2
-        shifts += stat_sums
         tmse_vals = (shifts * shifts).mean(axis=0)
 
     cmse_vals = centralized_errors(data, cfg, normals, memo)
@@ -211,15 +178,5 @@ def error_report(
         sd_emse=float(emse_vals.std()),
         sd_tmse=float(tmse_vals.std()),
         trials=trials,
-        ci_half_width=_ci_half_width(statistic, data, ctx, draws),
+        ci_half_width=ci_half_width(statistic, data.n, ctx.weights, sigmas[0] ** 2),
     )
-
-
-def _ci_half_width(
-    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw
-) -> float:
-    if statistic is Statistic.DISPERSION:
-        return ci_dispersion(0.0, data.n, draws.mean_noise_var)[1]
-    if statistic is Statistic.Q:
-        return ci_q(0.0, data.n, ctx.weights, draws.mean_noise_var)[1]
-    return ci_i_squared(0.0, data.n, ctx.weights, draws.mean_noise_var)[1]

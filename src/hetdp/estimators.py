@@ -1,9 +1,9 @@
 """(epsilon, delta)-private releases of the heterogeneity statistics.
 
 Each estimator splits its privacy budget over its stages (one part per noisy
-release), calibrates a Gaussian scale per stage with the configured
-mechanism, and records the exact noise realizations so the closed-form error
-analysis can reuse them.
+release) and calibrates a Gaussian scale per stage with the configured
+mechanism. A release is its unit normals and the stage sigmas, so the
+closed-form error analysis scores each trial on the exact noise it carries.
 
 Noise enters in one of two settings. In the distributed setting every client
 adds a share of variance n * stage_variance before plain summation (simulated
@@ -14,8 +14,9 @@ have the same noise distribution; the setting is mixed into the random
 stream, so they draw different realizations at the same seed.
 
 A stage's noise is its sigma times unit normals drawn in the order mean,
-statistic, I^2: `unit_normals` draws a block once and `scale_normals` scales
-it, so every budget reuses the same array (common random numbers). Dispersion
+statistic, I^2: `unit_normals` draws a block once and every budget scales the
+same array (common random numbers). A single release is trial 0 of the
+batched path on the block of its own seed. Dispersion
 is Q with unit weights around the arithmetic mean, so one weighted kernel
 evaluates both, batched over trials: with mean noise e = sigma z and
 statistic noise s a release is Q + mean(w)||e||^2 - 2 e.mean(w dev) + sum(s).
@@ -27,7 +28,7 @@ sample serves every cell and budget; `release_kernel` does O(n T) work.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,25 +68,6 @@ class Statistic(enum.Enum):
 
 class DegenerateStatisticError(RuntimeError):
     """A noisy intermediate left the statistic's domain (e.g. noisy Q <= 0)."""
-
-
-@dataclass(frozen=True)
-class NoiseDraw:
-    """Exact noise realizations of one release, or of T stacked trials.
-
-    mean_noise is the aggregate vector added to the (weighted) mean,
-    stat_noise the vector added to the statistic before coordinate-summing,
-    i2_noise the scalar added to the clamped heterogeneity fraction. A batch
-    holds (T, d) vectors and T scalars, one trial per row. The *_var fields
-    hold the calibrated per-stage variances.
-    """
-
-    mean_noise: np.ndarray | None = None
-    stat_noise: np.ndarray | None = None
-    i2_noise: float | np.ndarray | None = None
-    mean_noise_var: float = 0.0
-    stat_noise_var: float = 0.0
-    i2_noise_var: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -169,32 +151,6 @@ def project(data: VectorDataset, units: np.ndarray) -> np.ndarray:
     return data.vectors @ units.T
 
 
-def scale_normals(
-    statistic: Statistic,
-    data: VectorDataset,
-    cfg: EstimatorConfig,
-    normals: UnitNormals,
-    memo: dict | None = None,
-) -> NoiseDraw:
-    """Stage noise of T releases, one trial per row: each stage's calibrated
-    sigma times its columns of `normals`. Generator.normal(0, sigma, k) is
-    sigma * standard_normal(k) bit for bit, so this equals drawing each stage
-    at its own scale."""
-    parts = _require_parts(statistic, cfg)
-    d, z = data.d, normals.stages
-    if z.shape[1] != 2 * d + parts - 2:
-        raise ValueError(f"unit normals of width {z.shape[1]} do not fit {statistic.value}, d={d}")
-    sigmas = stage_sigmas(data, cfg, memo)
-    return NoiseDraw(
-        mean_noise=sigmas[0] * z[:, :d],
-        stat_noise=sigmas[1] * z[:, d : 2 * d],
-        i2_noise=sigmas[2] * z[:, 2 * d] if parts == 3 else None,
-        mean_noise_var=sigmas[0] ** 2,
-        stat_noise_var=sigmas[1] ** 2,
-        i2_noise_var=sigmas[2] ** 2 if parts == 3 else 0.0,
-    )
-
-
 def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -> float:
     """Noise-free counterpart of one of the three statistics.
 
@@ -254,39 +210,49 @@ def i_squared_release(q_values: np.ndarray, n: int, i2_noise) -> np.ndarray:
     return np.maximum(0.0, 1.0 - (n - 1) / q_values) + i2_noise
 
 
+def release_values(
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig,
+    normals: UnitNormals, projected: np.ndarray | None = None, memo: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Kernel values, row shifts and stage sigmas of the T releases in `normals`.
+
+    Each stage's noise is its calibrated sigma times its columns of `normals`;
+    Generator.normal(0, sigma, k) is sigma * standard_normal(k) bit for bit,
+    so this equals drawing each stage at its own scale. `projected` is
+    project(data, mean-stage columns of `normals`), made here when not passed.
+    The values are noisy Q for I^2; the row shifts include each trial's
+    summed statistic-stage noise, so their mean square is the closed-form error.
+    """
+    parts = _require_parts(statistic, cfg)
+    d, z = data.d, normals.stages
+    if z.shape[1] != 2 * d + parts - 2:
+        raise ValueError(f"unit normals of width {z.shape[1]} do not fit {statistic.value}, d={d}")
+    sigmas = stage_sigmas(data, cfg, memo)
+    units = z[:, :d]
+    if projected is None:
+        projected = project(data, units)
+    elif projected.shape != (data.n, len(z)):
+        raise ValueError(f"projection {projected.shape} does not fit n={data.n}, {len(z)} trials")
+    stat_sums = (sigmas[1] * z[:, d : 2 * d]).sum(axis=1)
+    values, shifts = release_kernel(statistic, data, ctx, units, sigmas[0], projected, stat_sums)
+    shifts += stat_sums
+    return values, shifts, sigmas
+
+
 def noisy_statistic(
-    statistic: Statistic,
-    data: VectorDataset,
-    ctx: MeasureContext,
-    cfg: EstimatorConfig,
-    *,
-    draws: NoiseDraw | None = None,
-) -> tuple[float, NoiseDraw]:
-    """One private release of `statistic`: the batched kernel at T = 1.
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig
+) -> float:
+    """One private release of `statistic`: trial 0 of the batched release on
+    the unit normals of cfg.seed.
 
     Dispersion and Q are two-release pipelines (mean, then statistic); I^2
     runs the Q pipeline on its first two budget parts and adds a scalar
-    third-stage draw. Pass `draws` to inject a fixed noise realization; the
-    kernel takes the mean-stage noise as its unit normal at scale 1.
+    third-stage draw.
     """
     if statistic is Statistic.I_SQUARED and data.n < 2:
         raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
-    if draws is None:
-        normals = unit_normals(statistic, cfg, data.d, [cfg.seed])
-        batch = scale_normals(statistic, data, cfg, normals)
-        i2 = None if batch.i2_noise is None else float(batch.i2_noise[0])
-        draws = replace(batch, mean_noise=batch.mean_noise[0], stat_noise=batch.stat_noise[0],
-                        i2_noise=i2)
-    else:
-        _require_parts(statistic, cfg)
-    if draws.mean_noise is None or draws.stat_noise is None:
-        raise ValueError(f"{statistic.value} needs mean-stage and statistic-stage draws")
-    units = np.atleast_2d(draws.mean_noise)
-    stat_sums = np.atleast_2d(draws.stat_noise).sum(axis=1)
-    values, _ = release_kernel(statistic, data, ctx, units, 1.0, project(data, units), stat_sums)
+    normals = unit_normals(statistic, cfg, data.d, [cfg.seed])
+    values, _, sigmas = release_values(statistic, data, ctx, cfg, normals)
     if statistic is Statistic.I_SQUARED:
-        if draws.i2_noise is None:
-            raise ValueError("i_squared needs a third-stage scalar draw")
-        values = i_squared_release(values, data.n, draws.i2_noise)
-    return float(values[0]), draws
-
+        values = i_squared_release(values, data.n, sigmas[2] * normals.stages[:, 2 * data.d])
+    return float(values[0])

@@ -3,7 +3,9 @@
 These are the straightforward O(n*d)-per-trial evaluations the batched
 release kernel replaces, the batched kernel's direct form on scaled noise
 (one X @ E.T product per call, which the projection of unit normals shared
-by every budget replaces), the per-trial generators and per-stage normal
+by every budget replaces), the per-trial stage noise vectors whose sigmas
+the kernel applies to its unit normals instead, with the single release on
+injected vectors at sigma 1, the per-trial generators and per-stage normal
 draws the shared unit-normal block of a plan cell replaces, and the
 decode-everything-then-index loading that sampling stored image bytes
 replaces, and the whole-matrix context passes (one n x d temporary each)
@@ -16,6 +18,7 @@ the variance oracles) serve only the suite's identity checks.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +35,14 @@ from hetdp.datasets import (
 from hetdp.errors import error_report
 from hetdp.estimators import (
     EstimatorConfig,
-    NoiseDraw,
     Setting,
     Statistic,
+    UnitNormals,
+    i_squared_release,
+    project,
+    release_kernel,
     release_sigma,
-    scale_normals,
+    stage_sigmas,
     true_value,
     unit_normals,
 )
@@ -51,6 +57,25 @@ from hetdp.measures import (
 )
 
 
+@dataclass(frozen=True)
+class StageDraws:
+    """Scaled noise of one release, or of T stacked trials.
+
+    mean_noise is the aggregate vector added to the (weighted) mean,
+    stat_noise the vector added to the statistic before coordinate-summing,
+    i2_noise the scalar added to the clamped heterogeneity fraction. A batch
+    holds (T, d) vectors and T scalars, one trial per row. The *_var fields
+    hold the calibrated per-stage variances.
+    """
+
+    mean_noise: np.ndarray | None = None
+    stat_noise: np.ndarray | None = None
+    i2_noise: float | np.ndarray | None = None
+    mean_noise_var: float = 0.0
+    stat_noise_var: float = 0.0
+    i2_noise_var: float = 0.0
+
+
 def share_aggregate(dim: int, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Simulated secure aggregation: the mean of n client shares, each with
     standard deviation sqrt(n) * sigma, so the aggregate has variance sigma^2."""
@@ -61,8 +86,8 @@ def share_aggregate(dim: int, sigma: float, n: int, rng: np.random.Generator) ->
 
 
 def noisy_mean(
-    data: VectorDataset, cfg: EstimatorConfig, *, draws: NoiseDraw | None = None
-) -> tuple[np.ndarray, NoiseDraw]:
+    data: VectorDataset, cfg: EstimatorConfig, *, draws: StageDraws | None = None
+) -> tuple[np.ndarray, StageDraws]:
     """Private mean: true mean plus one calibrated aggregate noise vector,
     on the first budget part; distributed noise is simulated share by share."""
     if not cfg.budget.split:
@@ -76,16 +101,48 @@ def noisy_mean(
         rng = np.random.default_rng(cfg.seed)
         n = data.n if cfg.setting is Setting.DISTRIBUTED else 1
         noise = share_aggregate(data.d, sigma, n, rng)
-        draws = NoiseDraw(mean_noise=noise, mean_noise_var=sigma**2)
+        draws = StageDraws(mean_noise=noise, mean_noise_var=sigma**2)
     elif draws.mean_noise is None:
         raise ValueError("injected draws lack a mean-stage vector")
     return dataset_mean(data) + draws.mean_noise, draws
 
 
-def draw_noise(statistic, data, cfg, seeds, memo=None) -> NoiseDraw:
+def scaled_draws(
+    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, normals: UnitNormals,
+    memo: dict | None = None,
+) -> StageDraws:
+    """Stage noise of T releases, one trial per row: each stage's calibrated
+    sigma times its columns of `normals`."""
+    d, z = data.d, normals.stages
+    sigmas = stage_sigmas(data, cfg, memo)
+    three = statistic.budget_parts == 3
+    return StageDraws(
+        mean_noise=sigmas[0] * z[:, :d],
+        stat_noise=sigmas[1] * z[:, d : 2 * d],
+        i2_noise=sigmas[2] * z[:, 2 * d] if three else None,
+        mean_noise_var=sigmas[0] ** 2,
+        stat_noise_var=sigmas[1] ** 2,
+        i2_noise_var=sigmas[2] ** 2 if three else 0.0,
+    )
+
+
+def draw_noise(statistic, data, cfg, seeds, memo=None) -> StageDraws:
     """Stage noise of one release per seed, stacked one trial per row: the
     library's unit normals of those seeds, scaled."""
-    return scale_normals(statistic, data, cfg, unit_normals(statistic, cfg, data.d, seeds), memo)
+    return scaled_draws(statistic, data, cfg, unit_normals(statistic, cfg, data.d, seeds), memo)
+
+
+def release_from_draws(
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: StageDraws
+) -> float:
+    """One release on injected scaled draws: the library kernel takes the
+    mean-stage vector as its unit normal at sigma 1, then the I^2 step."""
+    units = np.atleast_2d(draws.mean_noise)
+    stat_sums = np.atleast_2d(draws.stat_noise).sum(axis=1)
+    values, _ = release_kernel(statistic, data, ctx, units, 1.0, project(data, units), stat_sums)
+    if statistic is Statistic.I_SQUARED:
+        values = i_squared_release(values, data.n, draws.i2_noise)
+    return float(values[0])
 
 
 #: The setting tags of each release's stream, (seed, tag).
@@ -98,7 +155,7 @@ def draw_noise_per_trial(
     cfg: EstimatorConfig,
     seeds,
     memo: dict | None = None,
-) -> NoiseDraw:
+) -> StageDraws:
     """Stage noise of one release per seed, stacked one trial per row, each
     stage drawn at its own scale from the trial's own generator.
 
@@ -122,7 +179,7 @@ def draw_noise_per_trial(
             stat_noise[t] = rng.normal(0.0, sigmas[1], data.d)
             if parts == 3:
                 i2_noise[t] = rng.normal(0.0, sigmas[2])
-    return NoiseDraw(
+    return StageDraws(
         mean_noise=mean_noise,
         stat_noise=stat_noise,
         i2_noise=i2_noise if parts == 3 else None,
@@ -138,7 +195,7 @@ def centralized_noisy(
     shape: SensitivitySpec,
     cfg: EstimatorConfig,
     memo: dict | None = None,
-) -> tuple[float, NoiseDraw]:
+) -> tuple[float, StageDraws]:
     """Perturb an already-aggregated scalar statistic with one draw from its
     own generator, default_rng(cfg.seed).
 
@@ -154,12 +211,12 @@ def centralized_noisy(
     else:
         rng = np.random.default_rng(cfg.seed)
         noise = float(rng.normal(0.0, scalar_sigma))
-    draw = NoiseDraw(stat_noise=np.array([noise]), stat_noise_var=scalar_sigma**2)
+    draw = StageDraws(stat_noise=np.array([noise]), stat_noise_var=scalar_sigma**2)
     return statistic + noise, draw
 
 
 def release_kernel_direct(
-    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: StageDraws
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noisy dispersion or Q values of a batch of scaled draws, plus row shifts.
 
@@ -181,12 +238,12 @@ def release_kernel_direct(
     return base + shifts.mean(axis=0) + stat_sums, shifts
 
 
-def _require_draws(draws: NoiseDraw) -> None:
+def _require_draws(draws: StageDraws) -> None:
     if draws.mean_noise is None or draws.stat_noise is None:
         raise ValueError("needs mean-stage and statistic-stage draws")
 
 
-def dispersion_from_draws(data: VectorDataset, draws: NoiseDraw) -> float:
+def dispersion_from_draws(data: VectorDataset, draws: StageDraws) -> float:
     """Private dispersion evaluated directly around the perturbed mean."""
     _require_draws(draws)
     deviations = data.vectors - dataset_mean(data)
@@ -194,7 +251,7 @@ def dispersion_from_draws(data: VectorDataset, draws: NoiseDraw) -> float:
     return value + float(draws.stat_noise.sum())
 
 
-def evaluate_q_from_draws(data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw) -> float:
+def evaluate_q_from_draws(data: VectorDataset, ctx: MeasureContext, draws: StageDraws) -> float:
     """Private Q evaluated directly around the perturbed weighted mean."""
     _require_draws(draws)
     noisy_center = ctx.weighted_mean + draws.mean_noise
@@ -202,7 +259,7 @@ def evaluate_q_from_draws(data: VectorDataset, ctx: MeasureContext, draws: Noise
     return float((ctx.weights * squared).mean()) + float(draws.stat_noise.sum())
 
 
-def noisy_q_deviation_form(data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw) -> float:
+def noisy_q_deviation_form(data: VectorDataset, ctx: MeasureContext, draws: StageDraws) -> float:
     """Private Q as true Q plus the per-row perturbation
     w_i * mean_noise . (mean_noise - 2 (x_i - weighted_mean)) plus the
     statistic noise; agrees with evaluate_q_from_draws up to rounding."""
@@ -213,7 +270,7 @@ def noisy_q_deviation_form(data: VectorDataset, ctx: MeasureContext, draws: Nois
     return q_statistic(data, ctx) + shift
 
 
-def tmse_dispersion(data: VectorDataset, draws: NoiseDraw) -> float:
+def tmse_dispersion(data: VectorDataset, draws: StageDraws) -> float:
     """Closed-form squared error of a private dispersion from its draws:
     the mean of the squared row shifts
     mean_noise . (mean_noise - 2 (x_i - mean)) + sum(stat_noise)."""
@@ -225,7 +282,7 @@ def tmse_dispersion(data: VectorDataset, draws: NoiseDraw) -> float:
     return float((shifted**2).mean())
 
 
-def tmse_q(data: VectorDataset, ctx: MeasureContext, draws: NoiseDraw) -> float:
+def tmse_q(data: VectorDataset, ctx: MeasureContext, draws: StageDraws) -> float:
     """Closed-form squared error of a private Q: the weighted analogue of
     tmse_dispersion."""
     if draws.mean_noise is None or draws.stat_noise is None:

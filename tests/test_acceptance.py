@@ -26,7 +26,7 @@ from hetdp.datasets import (
 from hetdp.errors import (
     DISPERSION_CI_CONSTANT,
     I_SQUARED_CI_CONSTANT,
-    ci_dispersion,
+    ci_half_width,
     error_report,
 )
 from hetdp.estimators import (
@@ -194,7 +194,7 @@ def test_ci_half_width_scaling():
     def half(n: int) -> float:
         sens = SensitivitySpec.from_shape(n, 64)
         var = release_sigma(Mechanism.ANALYTIC, sens, 0.25, 0.1) ** 2
-        return ci_dispersion(0.0, n, var)[1]
+        return ci_half_width(Statistic.DISPERSION, n, None, var)
 
     ratio = half(200) / half(100)
     rel_err = abs(ratio / 2.0**-4.5 - 1.0)
@@ -227,7 +227,7 @@ def test_zero_noise_identity(tmp_path):
                 seed=1,
                 zero_noise=True,
             )
-            value, _ = noisy_statistic(stat, data, ctx, cfg)
+            value = noisy_statistic(stat, data, ctx, cfg)
             assert value == truth[stat], (setting, stat)
 
     plan = ExperimentPlan(

@@ -182,15 +182,15 @@ class TestRunFailuresAreErrors:
     ]
 
     def test_degenerate_noisy_q_is_one(self, tmp_path, monkeypatch, capsys):
-        import hetdp.errors
+        import hetdp.estimators
 
-        real = hetdp.errors.release_kernel
+        real = hetdp.estimators.release_kernel
 
         def nonpositive_q(*args):
             values, shifts = real(*args)
             return -abs(values), shifts
 
-        monkeypatch.setattr(hetdp.errors, "release_kernel", nonpositive_q)
+        monkeypatch.setattr(hetdp.estimators, "release_kernel", nonpositive_q)
         for command in ("experiment", "compare-heterogeneity"):
             args = [command, *self.ARGS[1:]]
             if command == "compare-heterogeneity":

@@ -5,30 +5,35 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import emse, tmse_dispersion, tmse_q, variance_oracle_dispersion, variance_oracle_q
+from oracles import (
+    StageDraws,
+    emse,
+    release_from_draws,
+    tmse_dispersion,
+    tmse_q,
+    variance_oracle_dispersion,
+    variance_oracle_q,
+)
 
 from hetdp.errors import (
     DISPERSION_CI_CONSTANT,
     I_SQUARED_CI_CONSTANT,
-    ci_dispersion,
-    ci_i_squared,
-    ci_q,
+    ci_half_width,
     derive_seed,
     error_report,
     tmse_i_squared,
 )
 from hetdp.estimators import (
     EstimatorConfig,
-    NoiseDraw,
     Setting,
     Statistic,
-    noisy_statistic,
     release_sigma,
+    stage_sigmas,
 )
 from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec
 from hetdp.measures import VectorDataset, build_context, dataset_mean
 
-HAND_DRAWS = NoiseDraw(mean_noise=np.array([0.1, 0.1]), stat_noise=np.array([-0.01, 0.0]))
+HAND_DRAWS = StageDraws(mean_noise=np.array([0.1, 0.1]), stat_noise=np.array([-0.01, 0.0]))
 
 
 class TestClosedFormMse:
@@ -54,23 +59,21 @@ class TestClosedFormMse:
 
     def test_missing_draws_rejected(self, fix):
         with pytest.raises(ValueError, match="mean-stage"):
-            tmse_dispersion(fix, NoiseDraw(stat_noise=np.zeros(2)))
+            tmse_dispersion(fix, StageDraws(stat_noise=np.zeros(2)))
         with pytest.raises(ValueError, match="mean-stage"):
-            tmse_q(fix, build_context(fix), NoiseDraw(mean_noise=np.zeros(2)))
+            tmse_q(fix, build_context(fix), StageDraws(mean_noise=np.zeros(2)))
 
-    def test_dispersion_decomposition(self, zero_cfg2):
+    def test_dispersion_decomposition(self):
         # The closed form splits into the squared value shift plus four times
         # the mean squared projection of the mean noise onto the deviations;
         # the cross term cancels because deviations sum to zero.
         rng = np.random.default_rng(5)
         for trial in range(10):
             data = VectorDataset(rng.random((8, 4)), np.zeros(8, dtype=np.int64))
-            draws = NoiseDraw(
+            draws = StageDraws(
                 mean_noise=rng.normal(0, 0.1, 4), stat_noise=rng.normal(0, 0.1, 4)
             )
-            value, _ = noisy_statistic(
-                Statistic.DISPERSION, data, build_context(data), zero_cfg2, draws=draws
-            )
+            value = release_from_draws(Statistic.DISPERSION, data, build_context(data), draws)
             truth = float(((data.vectors - dataset_mean(data)) ** 2).sum(axis=1).mean())
             projections = (data.vectors - dataset_mean(data)) @ draws.mean_noise
             decomposed = (value - truth) ** 2 + 4.0 * float((projections**2).mean())
@@ -79,46 +82,41 @@ class TestClosedFormMse:
 
 class TestConfidenceIntervals:
     def test_dispersion_hand_value(self):
-        lo, hi = ci_dispersion(1.0, 4, 0.5)
         half = DISPERSION_CI_CONSTANT * 0.25 / 2.0
-        assert (lo, hi) == pytest.approx((1.0 - half, 1.0 + half), rel=1e-15)
+        assert ci_half_width(Statistic.DISPERSION, 4, None, 0.5) == pytest.approx(half, rel=1e-15)
 
     def test_q_sums_weighted_halves(self, fix):
         ctx = build_context(fix)
-        lo, hi = ci_q(4.0, 2, ctx.weights, 0.5)
+        half = ci_half_width(Statistic.Q, 2, ctx.weights, 0.5)
         per_row = DISPERSION_CI_CONSTANT * 16.0 * 0.25 / math.sqrt(2)
-        assert hi - 4.0 == pytest.approx(2 * per_row, rel=1e-12)
-        assert 4.0 - lo == pytest.approx(2 * per_row, rel=1e-12)
+        assert half == pytest.approx(2 * per_row, rel=1e-12)
 
     def test_i_squared_hand_value(self, fix):
         ctx = build_context(fix)
-        lo, hi = ci_i_squared(0.75, 2, ctx.weights, 0.5)
+        half = ci_half_width(Statistic.I_SQUARED, 2, ctx.weights, 0.5)
         per_row = I_SQUARED_CI_CONSTANT * 1.0 / (16.0 * math.sqrt(2) * 0.25)
-        assert hi - 0.75 == pytest.approx(2 * per_row, rel=1e-12)
+        assert half == pytest.approx(2 * per_row, rel=1e-12)
 
     def test_zero_noise_zero_width(self, fix):
         ctx = build_context(fix)
-        assert ci_dispersion(0.3, 5, 0.0) == (0.3, 0.3)
-        assert ci_i_squared(0.75, 2, ctx.weights, 0.0) == (0.75, 0.75)
+        assert ci_half_width(Statistic.DISPERSION, 5, None, 0.0) == 0.0
+        assert ci_half_width(Statistic.I_SQUARED, 2, ctx.weights, 0.0) == 0.0
 
     def test_interval_can_exceed_unit_range(self, fix):
         # The fraction's interval is reported unclamped and may spill outside
         # [0, 1] at small n and variance.
         ctx = build_context(fix)
-        lo, hi = ci_i_squared(0.75, 2, ctx.weights, 0.05)
-        assert hi > 1.0
-        assert lo < 0.0
+        half = ci_half_width(Statistic.I_SQUARED, 2, ctx.weights, 0.05)
+        assert 0.75 + half > 1.0
+        assert 0.75 - half < 0.0
 
-    def test_validation(self, fix):
+    @pytest.mark.parametrize("statistic", list(Statistic))
+    def test_validation(self, fix, statistic):
         ctx = build_context(fix)
         with pytest.raises(ValueError, match=">= 1"):
-            ci_dispersion(0.0, 0, 0.1)
+            ci_half_width(statistic, 0, ctx.weights, 0.1)
         with pytest.raises(ValueError, match="nonnegative"):
-            ci_dispersion(0.0, 2, -0.1)
-        with pytest.raises(ValueError, match=">= 1"):
-            ci_q(0.0, 0, ctx.weights, 0.1)
-        with pytest.raises(ValueError, match=">= 1"):
-            ci_i_squared(0.0, 0, ctx.weights, 0.1)
+            ci_half_width(statistic, 2, ctx.weights, -0.1)
 
 
 class TestIntervalConstants:
@@ -142,7 +140,7 @@ class TestIntervalScaling:
     def _half(n: int, d: int, epsilon: float, delta: float) -> float:
         sens = SensitivitySpec.from_shape(n, d)
         var = release_sigma(Mechanism.ANALYTIC, sens, epsilon, delta) ** 2
-        return ci_dispersion(0.0, n, var)[1]
+        return ci_half_width(Statistic.DISPERSION, n, None, var)
 
     def test_doubling_n_shrinks_by_two_to_the_4_5(self):
         # Noise scale is linear in sqrt(d)/n, the half-width is quartic in it
@@ -164,7 +162,7 @@ class TestIntervalScaling:
         def half(n):
             sens = SensitivitySpec.from_shape(n, 16)
             var = release_sigma(Mechanism.ANALYTIC, sens, 0.5, 0.05) ** 2
-            return ci_q(0.0, n, weights, var)[1]
+            return ci_half_width(Statistic.Q, n, weights, var)
 
         halves = [half(n) for n in (50, 100, 200, 400)]
         assert all(a > b for a, b in zip(halves, halves[1:]))
@@ -177,7 +175,7 @@ class TestIntervalScaling:
         def half(n):
             sens = SensitivitySpec.from_shape(n, 16)
             var = release_sigma(Mechanism.ANALYTIC, sens, 0.5, 0.05) ** 2
-            return ci_i_squared(0.0, n, weights, var)[1]
+            return ci_half_width(Statistic.I_SQUARED, n, weights, var)
 
         halves = [half(n) for n in (50, 100, 200, 400)]
         assert all(a < b for a, b in zip(halves, halves[1:]))
@@ -275,8 +273,8 @@ class TestErrorReport:
         )
         report = error_report(Statistic.DISPERSION, fix, cfg, trials=5)
         first_cfg = replace(cfg, seed=derive_seed(cfg.seed, 0))
-        _, draws = noisy_statistic(Statistic.DISPERSION, fix, build_context(fix), first_cfg)
-        expected = ci_dispersion(0.0, fix.n, draws.mean_noise_var)[1]
+        mean_noise_var = stage_sigmas(fix, first_cfg)[0] ** 2
+        expected = ci_half_width(Statistic.DISPERSION, fix.n, None, mean_noise_var)
         assert report.ci_half_width == expected
 
     def test_trials_validated(self, fix, zero_cfg2):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    StageDraws,
     centralized_noisy,
     dispersion_from_draws,
     draw_noise,
@@ -15,7 +16,9 @@ from oracles import (
     evaluate_q_from_draws,
     noisy_mean,
     noisy_q_deviation_form,
+    release_from_draws,
     release_kernel_direct,
+    scaled_draws,
     share_aggregate,
     tmse_dispersion,
     tmse_q,
@@ -31,15 +34,12 @@ from hetdp.errors import (
 from hetdp.estimators import (
     DegenerateStatisticError,
     EstimatorConfig,
-    NoiseDraw,
     Setting,
     Statistic,
     i_squared_release,
     noisy_statistic,
-    project,
-    release_kernel,
     release_sigma,
-    scale_normals,
+    release_values,
     stage_sigmas,
     true_value,
     unit_normals,
@@ -71,15 +71,15 @@ class TestBudgetParts:
 class TestZeroNoiseIdentity:
     def test_all_statistics_bit_identical(self, fix, zero_cfg2, zero_cfg3):
         report, ctx = measure_all(fix)
-        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2)[0] == report.dispersion
-        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2)[0] == report.q_value
-        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3)[0] == report.i_squared
+        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2) == report.dispersion
+        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2) == report.q_value
+        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3) == report.i_squared
         assert np.array_equal(noisy_mean(fix, zero_cfg2)[0], dataset_mean(fix))
 
     def test_centralized_setting_too(self, fix_diag, budget2):
         cfg = _cfg(budget2, setting=Setting.CENTRALIZED, zero=True)
         ctx = build_context(fix_diag)
-        assert noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg)[0] == dispersion(fix_diag)
+        assert noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg) == dispersion(fix_diag)
 
     def test_centralized_scalar_release(self, budget2):
         cfg = _cfg(budget2, zero=True)
@@ -90,58 +90,54 @@ class TestZeroNoiseIdentity:
 
 
 class TestInjectedDraws:
-    def test_dispersion_hand_value(self, fix, zero_cfg2):
-        draws = NoiseDraw(mean_noise=np.array([0.1, 0.1]), stat_noise=np.array([-0.01, 0.0]))
+    def test_dispersion_hand_value(self, fix):
+        draws = StageDraws(mean_noise=np.array([0.1, 0.1]), stat_noise=np.array([-0.01, 0.0]))
         # deviations [-0.5, 0] and [0.5, 0]; shifted by 0.1 per coordinate:
         # row sums 0.37 and 0.17, mean 0.27, plus stat sum -0.01.
         ctx = build_context(fix)
-        value, _ = noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2, draws=draws)
+        value = release_from_draws(Statistic.DISPERSION, fix, ctx, draws)
         assert value == pytest.approx(0.26, abs=1e-15)
 
-    def test_q_hand_value(self, fix, zero_cfg2):
+    def test_q_hand_value(self, fix):
         ctx = build_context(fix)
-        draws = NoiseDraw(mean_noise=np.array([0.05, -0.05]), stat_noise=np.array([0.02, 0.0]))
+        draws = StageDraws(mean_noise=np.array([0.05, -0.05]), stat_noise=np.array([0.02, 0.0]))
         # noisy center [0.55, 0.45]; squared distances 0.305 and 0.205,
         # weights 16: (4.88 + 3.28)/2 + 0.02.
-        value, _ = noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2, draws=draws)
+        value = release_from_draws(Statistic.Q, fix, ctx, draws)
         assert value == pytest.approx(0.5 * (4.88 + 3.28) + 0.02, abs=1e-12)
 
-    def test_i_squared_hand_value(self, fix, zero_cfg2, zero_cfg3):
+    def test_i_squared_hand_value(self, fix):
         ctx = build_context(fix)
-        draws = NoiseDraw(
+        draws = StageDraws(
             mean_noise=np.array([0.05, -0.05]),
             stat_noise=np.array([0.02, 0.0]),
             i2_noise=0.01,
         )
-        q_noisy, _ = noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2, draws=draws)
-        value, _ = noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3, draws=draws)
+        q_noisy = release_from_draws(Statistic.Q, fix, ctx, draws)
+        value = release_from_draws(Statistic.I_SQUARED, fix, ctx, draws)
         assert value == pytest.approx(1.0 - 1.0 / q_noisy + 0.01, abs=1e-12)
 
-    def test_i_squared_not_reclamped_after_final_noise(self, fix, zero_cfg3):
+    def test_i_squared_not_reclamped_after_final_noise(self, fix):
         # The clamp applies to the fraction before the last draw; a large
         # negative final draw leaves the release below zero by design.
         ctx = build_context(fix)
-        draws = NoiseDraw(
+        draws = StageDraws(
             mean_noise=np.zeros(2), stat_noise=np.zeros(2), i2_noise=-5.0
         )
-        value, _ = noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3, draws=draws)
+        value = release_from_draws(Statistic.I_SQUARED, fix, ctx, draws)
         assert value == pytest.approx(0.75 - 5.0, abs=1e-12)
 
-    def test_degenerate_noisy_q_raises(self, fix, zero_cfg3):
+    def test_degenerate_noisy_q_raises(self, fix):
         ctx = build_context(fix)
-        draws = NoiseDraw(
+        draws = StageDraws(
             mean_noise=np.zeros(2), stat_noise=np.array([-10.0, 0.0]), i2_noise=0.0
         )
         with pytest.raises(DegenerateStatisticError, match="nonpositive"):
-            noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3, draws=draws)
+            release_from_draws(Statistic.I_SQUARED, fix, ctx, draws)
 
     def test_missing_stage_draws_rejected(self, fix, zero_cfg2):
-        ctx = build_context(fix)
-        partial = NoiseDraw(mean_noise=np.zeros(2))
         with pytest.raises(ValueError):
-            noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2, draws=partial)
-        with pytest.raises(ValueError):
-            noisy_mean(fix, zero_cfg2, draws=NoiseDraw())
+            noisy_mean(fix, zero_cfg2, draws=StageDraws())
 
 
 class TestQEvaluationForms:
@@ -150,7 +146,7 @@ class TestQEvaluationForms:
         data = VectorDataset(rng.random((9, 5)), np.zeros(9, dtype=np.int64))
         ctx = build_context(data)
         for trial in range(20):
-            draws = NoiseDraw(
+            draws = StageDraws(
                 mean_noise=rng.normal(0, 0.05, 5), stat_noise=rng.normal(0, 0.05, 5)
             )
             direct = evaluate_q_from_draws(data, ctx, draws)
@@ -162,7 +158,7 @@ class TestQEvaluationForms:
         # different estimator; this documents that the two do not agree, so
         # the weighted deviation form is the one the pipeline implements.
         ctx = build_context(fix)
-        draws = NoiseDraw(mean_noise=np.array([0.05, -0.05]), stat_noise=np.zeros(2))
+        draws = StageDraws(mean_noise=np.array([0.05, -0.05]), stat_noise=np.zeros(2))
         weighted = noisy_q_deviation_form(fix, ctx, draws)
         deviations = fix.vectors - ctx.weighted_mean
         per_row = (draws.mean_noise * (draws.mean_noise - 2.0 * deviations)).sum(axis=1)
@@ -174,13 +170,13 @@ class TestNoiseGeneration:
     def test_deterministic_given_seed(self, fix_diag, budget2):
         cfg = _cfg(budget2, seed=17)
         ctx = build_context(fix_diag)
-        first = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg)[0]
-        assert first == noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg)[0]
+        first = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg)
+        assert first == noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg)
 
     def test_seeds_change_draws(self, fix_diag, budget2):
         ctx = build_context(fix_diag)
-        a = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, _cfg(budget2, seed=1))[0]
-        b = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, _cfg(budget2, seed=2))[0]
+        a = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, _cfg(budget2, seed=1))
+        b = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, _cfg(budget2, seed=2))
         assert a != b
 
     def test_settings_draw_differently_with_same_variance(self, fix_diag, budget2):
@@ -189,8 +185,8 @@ class TestNoiseGeneration:
         cent_cfg = _cfg(budget2, setting=Setting.CENTRALIZED)
         dist = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, dist_cfg)
         cent = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cent_cfg)
-        assert dist[0] != cent[0]
-        assert dist[1].mean_noise_var == cent[1].mean_noise_var
+        assert dist != cent
+        assert stage_sigmas(fix_diag, dist_cfg) == stage_sigmas(fix_diag, cent_cfg)
 
     def test_distributed_aggregate_variance(self, budget2):
         # n shares with standard deviation sqrt(n) sigma average to variance
@@ -201,18 +197,17 @@ class TestNoiseGeneration:
         assert abs(np.var(samples) - sigma**2) / sigma**2 < 0.05
 
     def test_recorded_variances_match_calibration(self, fix, budget2):
-        value, draws = noisy_statistic(Statistic.DISPERSION, fix, build_context(fix), _cfg(budget2))
         sens = SensitivitySpec.from_shape(fix.n, fix.d)
         eps1, delta1 = budget2.split[0]
         sigma1 = release_sigma(Mechanism.ANALYTIC, sens, eps1, delta1)
-        assert draws.mean_noise_var == pytest.approx(sigma1**2, rel=1e-12)
+        assert stage_sigmas(fix, _cfg(budget2))[0] ** 2 == pytest.approx(sigma1**2, rel=1e-12)
 
     def test_classical_mechanism_runs_below_epsilon_one(self, fix):
         budget = PrivacyBudget.equal_split(0.5, 0.01, 2)
         cfg = _cfg(budget, mech=Mechanism.CLASSICAL)
-        value, draws = noisy_statistic(Statistic.DISPERSION, fix, build_context(fix), cfg)
+        value = noisy_statistic(Statistic.DISPERSION, fix, build_context(fix), cfg)
         assert math.isfinite(value)
-        assert draws.mean_noise_var > 0
+        assert stage_sigmas(fix, cfg)[0] > 0
 
     def test_centralized_scalar_noise_scales_with_dimension(self, budget2):
         # The scalar release carries d times the per-coordinate variance.
@@ -232,9 +227,9 @@ class TestDispatch:
 
     def test_noisy_statistic_routes_by_enum(self, fix, zero_cfg2, zero_cfg3):
         report, ctx = measure_all(fix)
-        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2)[0] == report.dispersion
-        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2)[0] == report.q_value
-        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3)[0] == report.i_squared
+        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2) == report.dispersion
+        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2) == report.q_value
+        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3) == report.i_squared
 
     def test_i_squared_needs_two_rows(self, budget3):
         data = VectorDataset(np.array([[0.2, 0.4]]), np.array([0]))
@@ -257,20 +252,15 @@ def _random_data(n=40, d=6, seed=9):
 
 def _trial_draws(batch, t):
     i2 = None if batch.i2_noise is None else float(batch.i2_noise[t])
-    return NoiseDraw(mean_noise=batch.mean_noise[t], stat_noise=batch.stat_noise[t], i2_noise=i2)
+    return StageDraws(mean_noise=batch.mean_noise[t], stat_noise=batch.stat_noise[t], i2_noise=i2)
 
 
 def _library_kernel(statistic, data, ctx, cfg, seeds):
-    """The release kernel on the unit normals of `seeds` and their
-    projection, with the scaled draws of the same normals."""
+    """The library's release values and row shifts on the unit normals of
+    `seeds`, with the scaled draws of the same normals."""
     normals = unit_normals(statistic, cfg, data.d, seeds)
-    batch = scale_normals(statistic, data, cfg, normals)
-    units, sigma = normals.stages[:, : data.d], stage_sigmas(data, cfg)[0]
-    stat_sums = batch.stat_noise.sum(axis=1)
-    values, shifts = release_kernel(
-        statistic, data, ctx, units, sigma, project(data, units), stat_sums
-    )
-    return values, shifts, batch
+    values, shifts, _ = release_values(statistic, data, ctx, cfg, normals)
+    return values, shifts, scaled_draws(statistic, data, cfg, normals)
 
 
 class TestBatchedKernelAgainstDirectForms:
@@ -305,7 +295,7 @@ class TestBatchedKernelAgainstDirectForms:
                 assert values[t] == pytest.approx(direct, rel=1e-12, abs=0.0), (
                     statistic, cfg.setting, t
                 )
-                single, _ = noisy_statistic(statistic, data, ctx, cfg, draws=draws)
+                single = release_from_draws(statistic, data, ctx, draws)
                 assert single == pytest.approx(values[t], rel=1e-12, abs=0.0)
 
     def test_tmse_agrees_within_rtol_1e_12(self):
@@ -332,10 +322,9 @@ class TestBatchedKernelAgainstDirectForms:
     def test_single_release_uses_trial_seed_stream(self, budget2):
         data = _random_data()
         cfg = _cfg(budget2, setting=Setting.CENTRALIZED, seed=5)
-        batch = draw_noise(Statistic.DISPERSION, data, cfg, [5])
-        _, draws = noisy_statistic(Statistic.DISPERSION, data, build_context(data), cfg)
-        assert np.array_equal(draws.mean_noise, batch.mean_noise[0])
-        assert np.array_equal(draws.stat_noise, batch.stat_noise[0])
+        draws = _trial_draws(draw_noise(Statistic.DISPERSION, data, cfg, [5]), 0)
+        value = noisy_statistic(Statistic.DISPERSION, data, build_context(data), cfg)
+        assert value == pytest.approx(dispersion_from_draws(data, draws), rel=1e-12, abs=0.0)
 
     def test_calibration_memo_calibrates_each_key_once(self, budget2, monkeypatch):
         import hetdp.estimators as estimators
@@ -354,6 +343,34 @@ class TestBatchedKernelAgainstDirectForms:
             error_report(statistic, data, _cfg(budget2), 5, memo=memo)
         # both stages share one split part; the centralized error uses the total
         assert len(calls) == len(set(calls)) == 2
+
+
+class TestSingleReleaseIsBatchedTrial:
+    """noisy_statistic at seed derive_seed(s, t) is trial t of error_report's
+    release on trial_normals(..., s, T). The one-column product rounds
+    differently from the T-column GEMM, so the two agree within a relative
+    1e-12, not bit for bit; zero noise gives the true value bit for bit."""
+
+    TRIALS = 12
+
+    def test_single_release_is_trial_t_within_rtol_1e_12(self):
+        for data in (_random_data(), _constant_row_data()):
+            ctx = build_context(data)
+            for statistic, setting, mech in product(Statistic, Setting, Mechanism):
+                budget = PrivacyBudget.equal_split(0.5, 1e-3, statistic.budget_parts)
+                cfg = _cfg(budget, setting, mech, seed=29)
+                normals = trial_normals(statistic, cfg, data.d, self.TRIALS)
+                values, _, sigmas = release_values(statistic, data, ctx, cfg, normals)
+                if statistic is Statistic.I_SQUARED:
+                    i2_noise = sigmas[2] * normals.stages[:, 2 * data.d]
+                    values = i_squared_release(values, data.n, i2_noise)
+                for t in range(self.TRIALS):
+                    trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, t))
+                    single = noisy_statistic(statistic, data, ctx, trial_cfg)
+                    case = (statistic, setting, mech, data.n, t)
+                    assert single == pytest.approx(values[t], rel=1e-12, abs=0.0), case
+                zero = noisy_statistic(statistic, data, ctx, replace(cfg, zero_noise=True))
+                assert zero == true_value(statistic, data, ctx), case
 
 
 class TestProjectedKernelAgainstDirectKernel:
@@ -424,13 +441,13 @@ class TestSingleDrawDistribution:
         assert np.all(gap < 0.1 * sigma)
 
 
-def test_kernel_rejects_mismatched_or_nonpositive_weights(fix, zero_cfg2):
+def test_kernel_rejects_mismatched_or_nonpositive_weights(fix):
     ctx = build_context(fix)
-    draws = NoiseDraw(mean_noise=np.zeros(2), stat_noise=np.zeros(2))
+    draws = StageDraws(mean_noise=np.zeros(2), stat_noise=np.zeros(2))
     for weights in (np.ones(3), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
         bad = replace(ctx, weights=weights)
         with pytest.raises(ValueError, match="context weights"):
-            noisy_statistic(Statistic.Q, fix, bad, zero_cfg2, draws=draws)
+            release_from_draws(Statistic.Q, fix, bad, draws)
 
 
 class TestSharedNormalsAgainstPerTrialDraws:
@@ -451,7 +468,7 @@ class TestSharedNormalsAgainstPerTrialDraws:
             variances = set()
             for data, epsilon in product(datasets, (0.5, 0.9)):
                 cfg = replace(cell, budget=PrivacyBudget.equal_split(epsilon, 1e-3, parts))
-                shared = scale_normals(statistic, data, cfg, normals)
+                shared = scaled_draws(statistic, data, cfg, normals)
                 direct = draw_noise_per_trial(statistic, data, cfg, seeds)
                 case = (statistic, setting, mech, data.n, epsilon)
                 assert np.array_equal(shared.mean_noise, direct.mean_noise), case
@@ -484,7 +501,7 @@ class TestSharedNormalsAgainstPerTrialDraws:
         data = _random_data()
         normals = trial_normals(Statistic.DISPERSION, _cfg(budget2), data.d, 4)
         with pytest.raises(ValueError, match="do not fit i_squared"):
-            scale_normals(Statistic.I_SQUARED, data, _cfg(budget3), normals)
+            release_values(Statistic.I_SQUARED, data, build_context(data), _cfg(budget3), normals)
         with pytest.raises(ValueError, match="hold 4 trials, not 5"):
             error_report(Statistic.DISPERSION, data, _cfg(budget2), 5, normals=normals)
 
@@ -500,4 +517,4 @@ class TestSharedNormalsAgainstPerTrialDraws:
         ):
             report = error_report(statistic, fix, cfg, 4, ctx)
             assert report.emse == report.tmse == report.cmse == 0.0
-            assert noisy_statistic(statistic, fix, ctx, cfg)[0] == true_value(statistic, fix, ctx)
+            assert noisy_statistic(statistic, fix, ctx, cfg) == true_value(statistic, fix, ctx)

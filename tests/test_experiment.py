@@ -398,7 +398,7 @@ class TestSharedCellNormals:
             calls.append((data.n, units.shape))
             return real(data, units)
 
-        for module in (hetdp.estimators, hetdp.errors, hetdp.experiment):
+        for module in (hetdp.estimators, hetdp.experiment):
             monkeypatch.setattr(module, "project", counting)
         plan = _plan(**self.PLAN)
         rows = _cell_rows(plan)
