@@ -2,9 +2,11 @@
 """Print `sha256  path` for every output of a fixed set of CLI runs.
 
 Runs the default sweep, a mixed plan (three profiles, both mechanisms and
-settings, epsilons 0.5,0.25,0.9), a comparison and `measure --release`, with
-and without `--zero-noise` (zero noise must release the true values bit for
-bit), through hetdp.cli.main in a temporary directory. It also writes an IDX pair
+settings, epsilons 0.5,0.25,0.9), a plan with explicit budget fractions
+(dispersion and Q at 0.3,0.7, both mechanisms, epsilons 0.25,0.5,0.9), a
+comparison and `measure --release`, the last with and without `--zero-noise`
+(zero noise must release the true values bit for bit), through
+hetdp.cli.main in a temporary directory. It also writes an IDX pair
 (d=784) and a CIFAR-10 batch (d=3072) there with write_idx and write_cifar,
 sized so every profile sample spans at least three row blocks of
 hetdp.measures (300 and 100 rows), and runs an experiment on each. It
@@ -41,6 +43,11 @@ def runs(seed: str) -> dict[str, list[str]]:
                   "--out", "sweep/sweep.csv", "--svg-dir", "sweep/charts"],
         "mixed": ["experiment", *SYNTH, "--profiles", "uniform-2,skewed-2,uniform-5", *BOTH,
                   "--seed", seed, "--out", "mixed/mixed.csv", "--svg-dir", "mixed/charts"],
+        "fractions": ["experiment", *SYNTH, "--profiles", "uniform-10,skewed-10",
+                      "--statistics", "dispersion,q", "--budget-split", "0.3,0.7",
+                      "--mechanisms", "analytic,classical", "--epsilons", "0.25,0.5,0.9",
+                      "--trials", "20", "--seed", seed, "--out", "fractions/fractions.csv",
+                      "--svg-dir", "fractions/charts", "--json"],
         "compare": ["compare-heterogeneity", *SYNTH, *BOTH, "--seed", seed,
                     "--profiles", "uniform-2,skewed-2,uniform-5,skewed-5",
                     "--out", "compare/compare.csv"],

@@ -160,7 +160,7 @@ class StoredImages:
         pixels, labels = self.pixels, self.labels
         if index is not None:
             pixels, labels = pixels[index], labels[index]
-        return VectorDataset(vectors=pixels.astype(np.float64) / 255.0, labels=labels)
+        return VectorDataset(vectors=np.divide(pixels, 255.0), labels=labels)
 
 
 def decode_rows(

@@ -3,13 +3,14 @@
 The empirical error (EMSE) averages squared deviations of fresh private
 releases from the true statistic. The theoretical error (TMSE) evaluates the
 closed-form per-release error on the exact noise of the paired release, so
-the two are comparable trial by trial. Both read one
-projection of the sample onto the unit mean-stage normals, which a caller
-may pass in, as an experiment does with one projection per profile sample
-for all its cells and epsilons. The centralized
-error (CMSE) is the squared single draw a centralized release would add after
-aggregation: each trial's shared unit scalar scaled by sqrt(d) times the
-full-budget sigma, whatever the statistic.
+the two are comparable trial by trial. `error_reports` scores one cell at
+every budget (epsilon) of a list in one release call; `error_report` is its
+one-budget case. Both read one projection of the sample onto the unit
+mean-stage normals, which a caller may pass in, as an experiment does once
+per profile sample for all its cells. The centralized error (CMSE) is the
+squared single draw a centralized release would add after aggregation: each
+trial's shared unit scalar scaled by sqrt(d) times the full-budget sigma,
+whatever the statistic.
 
 The heterogeneity-fraction EMSE is normalized per client (divided by n): its
 closed-form counterpart carries a 1/n factor, and the ratio check between the
@@ -19,7 +20,7 @@ two is only meaningful on a common scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,26 +129,23 @@ def centralized_errors(
     return (scalar_sigma * normals.central) ** 2
 
 
-def error_report(
-    statistic: Statistic,
-    data: VectorDataset,
-    cfg: EstimatorConfig,
-    trials: int,
-    ctx: MeasureContext | None = None,
-    memo: dict | None = None,
-    normals: UnitNormals | None = None,
-    projected: np.ndarray | None = None,
-) -> ErrorReport:
-    """Monte Carlo error summary over fresh private releases, all trials at once.
+def error_reports(
+    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, budgets, trials: int,
+    ctx: MeasureContext | None = None, memo: dict | None = None,
+    normals: UnitNormals | None = None, projected: np.ndarray | None = None,
+) -> list[ErrorReport]:
+    """Monte Carlo error summary of one cell at each budget, all trials at once.
 
-    Trial t scales the unit normals of derive_seed(cfg.seed, t) by the stage
-    sigmas; pass `normals` when that block is already drawn, as a plan cell
-    does once for all its profiles and epsilons, and `projected`, the n x d
-    pass project(data, mean-stage columns of `normals`), when a plan has
-    made it for all cells of a profile at once. Each release is scored
-    empirically against the true value and theoretically from its own draws
-    (the mean squared row shift of the release kernel). `memo` is a dict of
-    calibrated noise scales to share across calls.
+    `cfg` fixes the mechanism, setting and seed; each of `budgets` replaces
+    its budget. Trial t scales the unit normals of derive_seed(cfg.seed, t)
+    by the stage sigmas of every budget; pass `normals` when that block is
+    already drawn, as a plan cell does once for all its profiles and
+    epsilons, and `projected`, the n x d pass project(data, mean-stage
+    columns of `normals`), when a plan has made it for all cells of a
+    profile at once. Each release is scored empirically against the true
+    value and theoretically from its own draws (the mean squared row shift
+    of the release kernel). `memo` is a dict of calibrated noise scales to
+    share across calls.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -158,25 +156,39 @@ def error_report(
         normals = trial_normals(statistic, cfg, data.d, trials)
     elif normals.central.shape != (trials,):
         raise ValueError(f"unit normals hold {len(normals.central)} trials, not {trials}")
-    values, shifts, sigmas = release_values(statistic, data, ctx, cfg, normals, projected, memo)
-    truth = true_value(statistic, data, ctx)
-    if statistic is Statistic.I_SQUARED:
-        i2_noise = sigmas[2] * normals.stages[:, 2 * data.d]
-        released = i_squared_release(values, data.n, i2_noise)
-        emse_vals = (released - truth) ** 2 / data.n
-        q_true = true_value(Statistic.Q, data, ctx)
-        tmse_vals = tmse_i_squared(data.n, q_true, values, i2_noise)
-    else:
-        emse_vals = (values - truth) ** 2
-        tmse_vals = (shifts * shifts).mean(axis=0)
-
-    cmse_vals = centralized_errors(data, cfg, normals, memo)
-    return ErrorReport(
-        emse=float(emse_vals.mean()),
-        tmse=float(tmse_vals.mean()),
-        cmse=float(cmse_vals.mean()),
-        sd_emse=float(emse_vals.std()),
-        sd_tmse=float(tmse_vals.std()),
-        trials=trials,
-        ci_half_width=ci_half_width(statistic, data.n, ctx.weights, sigmas[0] ** 2),
+    values, errors, sigmas = release_values(
+        statistic, data, ctx, cfg, budgets, normals, projected, memo
     )
+    truth = true_value(statistic, data, ctx)
+    reports = []
+    for b, budget in enumerate(budgets):
+        if statistic is Statistic.I_SQUARED:
+            i2_noise = sigmas[b][2] * normals.stages[:, 2 * data.d]
+            released = i_squared_release(values[b], data.n, i2_noise)
+            emse_vals = (released - truth) ** 2 / data.n
+            q_true = true_value(Statistic.Q, data, ctx)
+            tmse_vals = tmse_i_squared(data.n, q_true, values[b], i2_noise)
+        else:
+            emse_vals = (values[b] - truth) ** 2
+            tmse_vals = errors[b]
+        cmse_vals = centralized_errors(data, replace(cfg, budget=budget), normals, memo)
+        reports.append(ErrorReport(
+            emse=float(emse_vals.mean()),
+            tmse=float(tmse_vals.mean()),
+            cmse=float(cmse_vals.mean()),
+            sd_emse=float(emse_vals.std()),
+            sd_tmse=float(tmse_vals.std()),
+            trials=trials,
+            ci_half_width=ci_half_width(statistic, data.n, ctx.weights, sigmas[b][0] ** 2),
+        ))
+    return reports
+
+
+def error_report(
+    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, trials: int,
+    ctx: MeasureContext | None = None, memo: dict | None = None,
+    normals: UnitNormals | None = None, projected: np.ndarray | None = None,
+) -> ErrorReport:
+    """error_reports at the one budget of `cfg`."""
+    budgets = [cfg.budget]
+    return error_reports(statistic, data, cfg, budgets, trials, ctx, memo, normals, projected)[0]

@@ -15,20 +15,20 @@ stream, so they draw different realizations at the same seed.
 
 A stage's noise is its sigma times unit normals drawn in the order mean,
 statistic, I^2: `unit_normals` draws a block once and every budget scales the
-same array (common random numbers). A single release is trial 0 of the
-batched path on the block of its own seed. Dispersion
-is Q with unit weights around the arithmetic mean, so one weighted kernel
-evaluates both, batched over trials: with mean noise e = sigma z and
-statistic noise s a release is Q + mean(w)||e||^2 - 2 e.mean(w dev) + sum(s).
-Its one pass over the n x d sample, `project` (X @ Z.T for unit mean-stage
-normals Z), depends on neither sigma nor the center, so one projection of a
-sample serves every cell and budget; `release_kernel` does O(n T) work.
+same array (common random numbers). Dispersion is Q with unit weights around
+the arithmetic mean, so one weighted kernel evaluates both, batched over
+trials and budgets: with mean noise e = sigma z and statistic noise s a
+release is Q + mean(w)||e||^2 - 2 e.mean(w dev) + sum(s). Its one pass over
+the n x d sample, `project` (X @ Z.T for unit normals Z), depends on neither
+sigma nor the center, so one projection serves every cell and budget;
+`release_kernel` makes its sigma-free O(n T) part once and then O(n T) per
+budget in one reused buffer. A single release is trial 0 of one budget.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,16 +103,6 @@ def release_sigma(
     return sigma
 
 
-def _require_parts(statistic: Statistic, cfg: EstimatorConfig) -> int:
-    parts = statistic.budget_parts
-    if len(cfg.budget.split) != parts:
-        raise ValueError(
-            f"{statistic.value} needs a {parts}-part budget split, got "
-            f"{len(cfg.budget.split)} parts"
-        )
-    return parts
-
-
 @dataclass(frozen=True)
 class UnitNormals:
     """Standard normals of T trials: row t of `stages` holds trial t's mean,
@@ -169,29 +159,47 @@ def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -
 
 def release_kernel(
     statistic: Statistic, data: VectorDataset, ctx: MeasureContext, units: np.ndarray,
-    sigma: float, projected: np.ndarray, stat_sums: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy dispersion or Q values of T releases, plus row shifts.
+    projected: np.ndarray, sigmas: np.ndarray, stat_sums: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Noisy dispersion or Q values of T releases at each of B budgets, plus
+    their closed-form errors, both B x T.
 
-    Trial t's mean-stage noise is sigma * z_t, z_t row t of `units`, and
-    `projected` is project(data, units). Row i of trial t moves the statistic
-    by shift[i, t] = w_i (sigma^2 ||z_t||^2 - 2 sigma (projected[i, t] - center . z_t)),
-    so no term is O(n d); dispersion uses unit weights around the mean. The
-    value is the true statistic plus the mean shift plus `stat_sums`, each
-    trial's summed statistic-stage noise. Zero noise leaves the true value bit for bit.
+    At budget b trial t's mean-stage noise is sigmas[b] z_t, z_t row t of
+    `units`; `projected` is project(data, units). With
+    P = projected - center @ units.T, row i moves the statistic by
+    shift[i, t] = w_i (sigma^2 ||z_t||^2 - 2 sigma P[i, t]) + stat_sums[b, t];
+    dispersion uses unit weights around the mean. P, ||z_t||^2 and the weight
+    checks are made once; a value adds the mean shift, read from the row means
+    of w and w P, to the true statistic, and an error is the mean square of
+    the shifts, formed per budget in one reused n x T buffer (none for I^2,
+    scored from its values). Zero noise leaves the true value bit for bit.
     """
     unweighted = statistic is Statistic.DISPERSION
     center = ctx.mean if unweighted else ctx.weighted_mean
     base = true_value(Statistic.DISPERSION if unweighted else Statistic.Q, data, ctx)
-    projections = sigma * (projected - center @ units.T)
-    shifts = sigma**2 * (units * units).sum(axis=1) - 2.0 * projections
-    if not unweighted:
+    deviations = projected - center @ units.T
+    norms = (units * units).sum(axis=1)
+    if unweighted:
+        mean_w, mean_wdev = 1.0, deviations.mean(axis=0)
+    else:
         if ctx.weights.shape != (data.n,):
             raise ValueError(f"context weights {ctx.weights.shape} do not match n={data.n}")
         if np.any(ctx.weights <= 0) or not np.all(np.isfinite(ctx.weights)):
             raise ValueError("context weights must be positive and finite")
-        shifts *= ctx.weights[:, None]
-    return base + shifts.mean(axis=0) + stat_sums, shifts
+        mean_w, mean_wdev = ctx.weights.mean(), ctx.weights @ deviations / data.n
+    column = sigmas[:, None]
+    values = base + (column**2 * norms * mean_w - 2.0 * column * mean_wdev) + stat_sums
+    if statistic is Statistic.I_SQUARED:
+        return values, None
+    errors, shifts = np.empty_like(values), np.empty_like(deviations)
+    for b, sigma in enumerate(sigmas):
+        np.multiply(deviations, -2.0 * sigma, out=shifts)
+        shifts += sigma**2 * norms
+        if not unweighted:
+            shifts *= ctx.weights[:, None]
+        shifts += stat_sums[b]
+        errors[b] = np.einsum("it,it->t", shifts, shifts) / data.n
+    return values, errors
 
 
 def i_squared_release(q_values: np.ndarray, n: int, i2_noise) -> np.ndarray:
@@ -212,38 +220,44 @@ def i_squared_release(q_values: np.ndarray, n: int, i2_noise) -> np.ndarray:
 
 def release_values(
     statistic: Statistic, data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig,
-    normals: UnitNormals, projected: np.ndarray | None = None, memo: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Kernel values, row shifts and stage sigmas of the T releases in `normals`.
+    budgets, normals: UnitNormals, projected: np.ndarray | None = None,
+    memo: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, list]:
+    """Kernel values, closed-form errors and stage sigmas of the T releases in
+    `normals` at each budget (B x T arrays and one sigma list per budget);
+    `cfg` gives the mechanism and setting, `budgets` replace its budget.
 
     Each stage's noise is its calibrated sigma times its columns of `normals`;
     Generator.normal(0, sigma, k) is sigma * standard_normal(k) bit for bit,
     so this equals drawing each stage at its own scale. `projected` is
     project(data, mean-stage columns of `normals`), made here when not passed.
-    The values are noisy Q for I^2; the row shifts include each trial's
-    summed statistic-stage noise, so their mean square is the closed-form error.
+    The values are noisy Q for I^2, which gets no errors.
     """
-    parts = _require_parts(statistic, cfg)
+    parts = statistic.budget_parts
+    for budget in budgets:
+        if len(budget.split) != parts:
+            raise ValueError(f"{statistic.value} needs a {parts}-part budget split, got "
+                             f"{len(budget.split)} parts")
     d, z = data.d, normals.stages
     if z.shape[1] != 2 * d + parts - 2:
         raise ValueError(f"unit normals of width {z.shape[1]} do not fit {statistic.value}, d={d}")
-    sigmas = stage_sigmas(data, cfg, memo)
+    sigmas = [stage_sigmas(data, replace(cfg, budget=budget), memo) for budget in budgets]
     units = z[:, :d]
     if projected is None:
         projected = project(data, units)
     elif projected.shape != (data.n, len(z)):
         raise ValueError(f"projection {projected.shape} does not fit n={data.n}, {len(z)} trials")
-    stat_sums = (sigmas[1] * z[:, d : 2 * d]).sum(axis=1)
-    values, shifts = release_kernel(statistic, data, ctx, units, sigmas[0], projected, stat_sums)
-    shifts += stat_sums
-    return values, shifts, sigmas
+    mean_sigmas, stat_sigmas = np.array([s[:2] for s in sigmas]).T
+    stat_sums = stat_sigmas[:, None] * z[:, d : 2 * d].sum(axis=1)
+    values, errors = release_kernel(statistic, data, ctx, units, projected, mean_sigmas, stat_sums)
+    return values, errors, sigmas
 
 
 def noisy_statistic(
     statistic: Statistic, data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig
 ) -> float:
     """One private release of `statistic`: trial 0 of the batched release on
-    the unit normals of cfg.seed.
+    the unit normals of cfg.seed at cfg.budget.
 
     Dispersion and Q are two-release pipelines (mean, then statistic); I^2
     runs the Q pipeline on its first two budget parts and adds a scalar
@@ -252,7 +266,7 @@ def noisy_statistic(
     if statistic is Statistic.I_SQUARED and data.n < 2:
         raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
     normals = unit_normals(statistic, cfg, data.d, [cfg.seed])
-    values, _, sigmas = release_values(statistic, data, ctx, cfg, normals)
+    values, _, sigmas = release_values(statistic, data, ctx, cfg, [cfg.budget], normals)
     if statistic is Statistic.I_SQUARED:
-        values = i_squared_release(values, data.n, sigmas[2] * normals.stages[:, 2 * data.d])
-    return float(values[0])
+        values = i_squared_release(values, data.n, sigmas[0][2] * normals.stages[0, 2 * data.d])
+    return float(values[0, 0])

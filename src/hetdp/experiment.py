@@ -9,7 +9,8 @@ and every profile and epsilon of the cell scales that same array by its own
 sigma (common random numbers). That makes epsilon sweeps smooth and
 paired-profile comparisons difference out the noise. Each profile sample is
 projected once onto the mean-stage normals of all cells, one n x d by
-d x (cells * trials) product, and every cell and epsilon reads its columns.
+d x (cells * trials) product; each cell reads its columns and scores all its
+epsilons in one `error_reports` call.
 
 CSV schema (stable, one header line, rows sorted by the key tuple):
 
@@ -30,7 +31,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from hetdp.datasets import (
     load_dataset,
     stratified_sample,
 )
-from hetdp.errors import derive_seed, error_report, trial_normals
+from hetdp.errors import derive_seed, error_reports, trial_normals
 from hetdp.estimators import EstimatorConfig, Setting, Statistic, project, true_value
 from hetdp.gaussian import Mechanism, PrivacyBudget
 from hetdp.measures import VARIANCE_FLOOR, build_context
@@ -267,17 +268,20 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
     for name, _profile in plan.profiles:
         sample, ctx = samples[name]
         projected = project(sample, units)
-        for (c, (stat, cell, normals)), epsilon in product(enumerate(cells), plan.epsilons):
-            cfg = replace(cell, budget=_budget(plan, stat, epsilon))
+        for c, (stat, cell, normals) in enumerate(cells):
+            budgets = [_budget(plan, stat, epsilon) for epsilon in plan.epsilons]
             columns = projected[:, c * trials : (c + 1) * trials]
-            report = error_report(stat, sample, cfg, trials, ctx, memo, normals, columns)
-            rows.append(ResultRow(
-                dataset=plan.dataset.name, statistic=stat.value, mechanism=cell.mechanism.value,
-                setting=cell.setting.value, profile=name, epsilon=epsilon, delta=plan.delta,
-                true_value=true_table[name][stat.value],
-                **asdict(report),  # trials and the error columns
-                **summary,
-            ))
+            reports = error_reports(
+                stat, sample, cell, budgets, trials, ctx, memo, normals, columns
+            )
+            for epsilon, report in zip(plan.epsilons, reports):
+                rows.append(ResultRow(
+                    dataset=plan.dataset.name, statistic=stat.value,
+                    mechanism=cell.mechanism.value, setting=cell.setting.value, profile=name,
+                    epsilon=epsilon, delta=plan.delta, true_value=true_table[name][stat.value],
+                    **vars(report),  # trials and the error columns
+                    **summary,
+                ))
     rows.sort(key=ResultRow.key)
     return rows
 
@@ -307,7 +311,7 @@ def write_result_csv(rows: list, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(value) for value in astuple(row)] for row in rows)
+        writer.writerows([_fmt(getattr(row, name)) for name in header] for row in rows)
 
 
 def read_result_csv(path: str | Path) -> list[ResultRow]:

@@ -139,7 +139,10 @@ def release_from_draws(
     mean-stage vector as its unit normal at sigma 1, then the I^2 step."""
     units = np.atleast_2d(draws.mean_noise)
     stat_sums = np.atleast_2d(draws.stat_noise).sum(axis=1)
-    values, _ = release_kernel(statistic, data, ctx, units, 1.0, project(data, units), stat_sums)
+    values, _ = release_kernel(
+        statistic, data, ctx, units, project(data, units), np.ones(1), stat_sums[None, :]
+    )
+    values = values[0]
     if statistic is Statistic.I_SQUARED:
         values = i_squared_release(values, data.n, draws.i2_noise)
     return float(values[0])

@@ -12,6 +12,7 @@ from hetdp.datasets import (
     HeterogeneityProfile,
     LabelScheme,
     SampleCapacityError,
+    StoredImages,
     _allocate,
     decode_rows,
     load_dataset,
@@ -378,6 +379,12 @@ class TestSampleBeforeDecoding:
         expected = load_decoded(stored_descriptors[kind])
         assert np.array_equal(decoded.vectors, expected.vectors)
         assert np.array_equal(decoded.labels, expected.labels)
+        # every byte value decodes to the bits of a float64 division by 255
+        pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        every_byte = StoredImages(pixels, np.zeros(16, dtype=np.int64)).decode().vectors
+        oracle = pixels.astype(np.float64) / 255.0
+        assert every_byte.dtype == np.float64
+        assert np.array_equal(every_byte.view(np.uint64), oracle.view(np.uint64))
 
 
 class TestStratifiedSample:

@@ -28,6 +28,7 @@ from hetdp.errors import (
     centralized_errors,
     derive_seed,
     error_report,
+    error_reports,
     tmse_i_squared,
     trial_normals,
 )
@@ -256,11 +257,13 @@ def _trial_draws(batch, t):
 
 
 def _library_kernel(statistic, data, ctx, cfg, seeds):
-    """The library's release values and row shifts on the unit normals of
-    `seeds`, with the scaled draws of the same normals."""
+    """The library's release values and per-trial errors at cfg.budget on the
+    unit normals of `seeds` (no errors for I^2), with the scaled draws of the
+    same normals."""
     normals = unit_normals(statistic, cfg, data.d, seeds)
-    values, shifts, _ = release_values(statistic, data, ctx, cfg, normals)
-    return values, shifts, scaled_draws(statistic, data, cfg, normals)
+    values, errors, _ = release_values(statistic, data, ctx, cfg, [cfg.budget], normals)
+    draws = scaled_draws(statistic, data, cfg, normals)
+    return values[0], None if errors is None else errors[0], draws
 
 
 class TestBatchedKernelAgainstDirectForms:
@@ -360,9 +363,12 @@ class TestSingleReleaseIsBatchedTrial:
                 budget = PrivacyBudget.equal_split(0.5, 1e-3, statistic.budget_parts)
                 cfg = _cfg(budget, setting, mech, seed=29)
                 normals = trial_normals(statistic, cfg, data.d, self.TRIALS)
-                values, _, sigmas = release_values(statistic, data, ctx, cfg, normals)
+                values, _, sigmas = release_values(
+                    statistic, data, ctx, cfg, [cfg.budget], normals
+                )
+                values = values[0]
                 if statistic is Statistic.I_SQUARED:
-                    i2_noise = sigmas[2] * normals.stages[:, 2 * data.d]
+                    i2_noise = sigmas[0][2] * normals.stages[:, 2 * data.d]
                     values = i_squared_release(values, data.n, i2_noise)
                 for t in range(self.TRIALS):
                     trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, t))
@@ -414,10 +420,83 @@ class TestProjectedKernelAgainstDirectKernel:
             for statistic, setting in product(Statistic, Setting):
                 budget = budget3 if statistic is Statistic.I_SQUARED else budget2
                 cfg = _cfg(budget, setting, zero=True)
-                values, shifts, _ = _library_kernel(statistic, data, ctx, cfg, [1, 2, 3])
+                values, errors, _ = _library_kernel(statistic, data, ctx, cfg, [1, 2, 3])
                 base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
                 assert np.array_equal(values, np.full(3, true_value(base, data, ctx)))
-                assert not np.any(shifts)
+                if statistic is Statistic.I_SQUARED:
+                    assert errors is None
+                else:
+                    assert np.array_equal(errors, np.zeros(3))
+
+
+class TestBudgetBatchAgainstDirectKernel:
+    """One release call scores every budget of a cell: each budget's values
+    and per-trial errors against the direct kernel on that budget's scaled
+    draws of the same normals, and a one-budget call against its slot."""
+
+    TRIALS = 9
+    EPSILONS = (0.25, 0.5, 0.9)
+
+    def _cases(self):
+        for data in (_random_data(), _constant_row_data()):
+            ctx = build_context(data)
+            for statistic, setting, mech in product(Statistic, Setting, Mechanism):
+                budgets = [
+                    PrivacyBudget.equal_split(epsilon, 1e-3, statistic.budget_parts)
+                    for epsilon in self.EPSILONS
+                ]
+                cell = _cfg(budgets[0], setting, mech, seed=31)
+                yield data, ctx, statistic, cell, budgets
+
+    def test_each_budget_agrees_with_direct_kernel_within_rtol_1e_12(self):
+        for data, ctx, statistic, cell, budgets in self._cases():
+            normals = trial_normals(statistic, cell, data.d, self.TRIALS)
+            values, errors, sigmas = release_values(statistic, data, ctx, cell, budgets, normals)
+            assert values.shape == (3, self.TRIALS)
+            assert (errors is None) == (statistic is Statistic.I_SQUARED)
+            reports = error_reports(statistic, data, cell, budgets, self.TRIALS, ctx)
+            seeds = [derive_seed(cell.seed, t) for t in range(self.TRIALS)]
+            for b, budget in enumerate(budgets):
+                cfg = replace(cell, budget=budget)
+                case = (statistic, cfg.setting, cfg.mechanism, budget.epsilon, data.n)
+                assert sigmas[b] == stage_sigmas(data, cfg), case
+                batch = draw_noise(statistic, data, cfg, seeds)
+                direct, shifts = release_kernel_direct(statistic, data, ctx, batch)
+                close = dict(rtol=1e-12, atol=0.0, err_msg=str(case))
+                np.testing.assert_allclose(values[b], direct, **close)
+                if statistic is Statistic.I_SQUARED:
+                    q_true = true_value(Statistic.Q, data, ctx)
+                    tmse = tmse_i_squared(data.n, q_true, direct, batch.i2_noise)
+                else:
+                    tmse = ((shifts + batch.stat_noise.sum(axis=1)) ** 2).mean(axis=0)
+                    np.testing.assert_allclose(errors[b], tmse, **close)
+                assert reports[b].tmse == pytest.approx(tmse.mean(), rel=1e-12, abs=0.0), case
+
+    def test_one_budget_call_equals_its_slot_exactly(self):
+        for data, ctx, statistic, cell, budgets in self._cases():
+            normals = trial_normals(statistic, cell, data.d, self.TRIALS)
+            values, errors, sigmas = release_values(statistic, data, ctx, cell, budgets, normals)
+            reports = error_reports(statistic, data, cell, budgets, self.TRIALS, normals=normals)
+            for b, budget in enumerate(budgets):
+                one = release_values(statistic, data, ctx, cell, [budget], normals)
+                case = (statistic, cell.setting, cell.mechanism, budget.epsilon, data.n)
+                assert np.array_equal(one[0][0], values[b]), case
+                if errors is not None:
+                    assert np.array_equal(one[1][0], errors[b]), case
+                assert one[2] == [sigmas[b]], case
+                cfg = replace(cell, budget=budget)
+                assert error_report(statistic, data, cfg, self.TRIALS, ctx) == reports[b], case
+
+    def test_zero_noise_is_the_true_value_bit_for_bit(self):
+        for data, ctx, statistic, cell, budgets in self._cases():
+            cell = replace(cell, zero_noise=True)
+            normals = trial_normals(statistic, cell, data.d, self.TRIALS)
+            values, errors, _ = release_values(statistic, data, ctx, cell, budgets, normals)
+            base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
+            assert np.array_equal(values, np.full((3, self.TRIALS), true_value(base, data, ctx)))
+            assert errors is None or np.array_equal(errors, np.zeros((3, self.TRIALS)))
+            for report in error_reports(statistic, data, cell, budgets, self.TRIALS, ctx):
+                assert report.emse == report.tmse == report.cmse == 0.0
 
 
 class TestSingleDrawDistribution:
@@ -501,7 +580,9 @@ class TestSharedNormalsAgainstPerTrialDraws:
         data = _random_data()
         normals = trial_normals(Statistic.DISPERSION, _cfg(budget2), data.d, 4)
         with pytest.raises(ValueError, match="do not fit i_squared"):
-            release_values(Statistic.I_SQUARED, data, build_context(data), _cfg(budget3), normals)
+            release_values(
+                Statistic.I_SQUARED, data, build_context(data), _cfg(budget3), [budget3], normals
+            )
         with pytest.raises(ValueError, match="hold 4 trials, not 5"):
             error_report(Statistic.DISPERSION, data, _cfg(budget2), 5, normals=normals)
 

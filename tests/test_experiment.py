@@ -408,3 +408,22 @@ class TestSharedCellNormals:
         assert [n for n, _ in calls] == [samples[name][0].n for name, _ in plan.profiles]
         # 12 cells of 4 trials each, stacked
         assert {shape for _, shape in calls} == {(48, SYNTH.d)}
+
+    def test_one_release_call_per_profile_and_cell(self, monkeypatch):
+        calls = []
+        real = hetdp.estimators.release_kernel
+
+        def counting(*args):
+            calls.append((args[1].n, args[3].shape))
+            return real(*args)
+
+        monkeypatch.setattr(hetdp.estimators, "release_kernel", counting)
+        plan = _plan(**dict(self.PLAN, profiles=self.PLAN["profiles"][:2]))
+        rows = _cell_rows(plan)
+        assert len(rows) == 2 * 12 * 3
+        # every epsilon of a cell is scored by the same call
+        assert len(calls) == len(plan.profiles) * 12 == 24
+        samples = _materialize_samples(plan)
+        sizes = [samples[name][0].n for name, _ in plan.profiles]
+        assert [n for n, _ in calls] == [size for size in sizes for _ in range(12)]
+        assert {shape for _, shape in calls} == {(4, SYNTH.d)}
