@@ -59,13 +59,11 @@ from hetdp.gaussian import (
     std_normal_cdf,
 )
 from hetdp.measures import (
-    HeterogeneityReport,
     MeasureContext,
     VectorDataset,
     build_context,
     dispersion,
     i_squared,
-    measure_all,
     q_statistic,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "EstimatorConfig",
     "ExperimentPlan",
     "HeterogeneityProfile",
-    "HeterogeneityReport",
     "LabelScheme",
     "MeasureContext",
     "Mechanism",
@@ -105,7 +102,6 @@ __all__ = [
     "error_report",
     "i_squared",
     "load_dataset",
-    "measure_all",
     "noisy_statistic",
     "q_statistic",
     "read_result_csv",

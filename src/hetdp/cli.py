@@ -26,7 +26,7 @@ from hetdp.datasets import (
     HeterogeneityProfile,
     LabelScheme,
     SampleCapacityError,
-    decode_rows,
+    StoredImages,
     load_dataset,
     stratified_sample,
 )
@@ -57,7 +57,7 @@ from hetdp.gaussian import (
     agm_sigma,
     cgm_sigma,
 )
-from hetdp.measures import build_context, measure_all
+from hetdp.measures import build_context, i_squared
 
 DATA_DIR_ENV = "HETDP_DATA_DIR"
 
@@ -247,18 +247,18 @@ def cmd_measure(parser, args) -> int:
         sampled_as, profile = _profile_from_token(parser, args.profile, args.fraction)
         data = stratified_sample(loaded, profile, seed=args.sample_seed)
     else:
-        data = decode_rows(loaded)
+        data = loaded.decode() if isinstance(loaded, StoredImages) else loaded
     del loaded
-    report, ctx = measure_all(data)
+    ctx = build_context(data)
     out = {
         "dataset": desc.name,
         "profile": sampled_as,
         "n": data.n,
         "d": data.d,
-        "dispersion": report.dispersion,
-        "q": report.q_value,
-        "i_squared": report.i_squared,
-        "heterogeneity_at_consensus_threshold": report.q_value < 0.1,
+        "dispersion": ctx.dispersion,
+        "q": ctx.q_value,
+        "i_squared": i_squared(ctx.q_value, data.n) if data.n >= 2 else 0.0,
+        "heterogeneity_at_consensus_threshold": ctx.q_value < 0.1,
     }
     if args.release:
         _check_classical_range(parser, (_MECHANISMS[args.mechanism],), (args.epsilon,))

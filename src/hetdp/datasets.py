@@ -5,7 +5,8 @@ label files (28x28 grayscale images flattened to 784 coordinates) and fixed
 record-length RGB image files (3073- or 3074-byte records flattened to 3072
 coordinates). Pixels are normalized by 255 into [0, 1]. The files are
 validated whole but kept as stored bytes until a sample picks its rows; only
-those rows are normalized.
+those rows are normalized, and their exact byte moments are taken from the
+picked bytes before those are dropped (VectorDataset.from_bytes).
 
 Heterogeneity of a working subset is controlled by stratified sampling with
 explicit per-label ratios; a deterministic synthetic generator provides
@@ -134,10 +135,10 @@ class StoredImages:
     """Image records kept as stored until rows are chosen.
 
     pixels is the n x d uint8 matrix as read (a view of the file buffer for
-    one file) and labels the n int64 labels. decode() turns only the chosen
-    rows into a VectorDataset, so a sample never pays for the rows it leaves
-    out. A stored byte divided by 255 is always finite and in [0, 1], so
-    rows left undecoded need no range check.
+    one file) and labels the n nonnegative int64 labels. decode() turns only
+    the chosen rows into a VectorDataset, so a sample never pays for the rows
+    it leaves out. A stored byte divided by 255 is always finite and in
+    [0, 1], so no decoded row needs a range check.
     """
 
     pixels: np.ndarray
@@ -156,23 +157,12 @@ class StoredImages:
         return self.pixels.shape[1]
 
     def decode(self, index: np.ndarray | None = None) -> VectorDataset:
-        """The rows at `index` (all rows when None), pixels divided by 255."""
+        """The rows at `index` (all rows when None), pixels divided by 255,
+        with the exact moments of their bytes."""
         pixels, labels = self.pixels, self.labels
         if index is not None:
             pixels, labels = pixels[index], labels[index]
-        return VectorDataset(vectors=np.divide(pixels, 255.0), labels=labels)
-
-
-def decode_rows(
-    data: VectorDataset | StoredImages, index: np.ndarray | None = None
-) -> VectorDataset:
-    """The rows at `index` (all rows when None) of either loaded form as a
-    VectorDataset; stored images decode only those rows."""
-    if isinstance(data, StoredImages):
-        return data.decode(index)
-    if index is None:
-        return data
-    return VectorDataset(vectors=data.vectors[index], labels=data.labels[index])
+        return VectorDataset.from_bytes(pixels, labels)
 
 
 def load_dataset(desc: DatasetDescriptor) -> VectorDataset | StoredImages:
@@ -217,15 +207,17 @@ def _read_be_u32(buf: bytes, offset: int, path: str | Path, what: str) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
+def _check_magic(buf: bytes, expected: int, path: str | Path, what: str) -> None:
+    magic = _read_be_u32(buf, 0, path, f"{what} magic")
+    if magic != expected:
+        raise DatasetFormatError(
+            f"bad {what} magic 0x{magic:08x}, expected 0x{expected:08x}", path=path, offset=0
+        )
+
+
 def _read_idx(images_path: str | Path, labels_path: str | Path) -> StoredImages:
     image_buf = Path(images_path).read_bytes()
-    magic = _read_be_u32(image_buf, 0, images_path, "image magic")
-    if magic != IDX_IMAGE_MAGIC:
-        raise DatasetFormatError(
-            f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}",
-            path=images_path,
-            offset=0,
-        )
+    _check_magic(image_buf, IDX_IMAGE_MAGIC, images_path, "image")
     count = _read_be_u32(image_buf, 4, images_path, "image count")
     rows = _read_be_u32(image_buf, 8, images_path, "row count")
     cols = _read_be_u32(image_buf, 12, images_path, "column count")
@@ -240,13 +232,7 @@ def _read_idx(images_path: str | Path, labels_path: str | Path) -> StoredImages:
     pixels = np.frombuffer(image_buf, dtype=np.uint8, count=pixel_bytes, offset=16)
 
     label_buf = Path(labels_path).read_bytes()
-    label_magic = _read_be_u32(label_buf, 0, labels_path, "label magic")
-    if label_magic != IDX_LABEL_MAGIC:
-        raise DatasetFormatError(
-            f"bad label magic 0x{label_magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}",
-            path=labels_path,
-            offset=0,
-        )
+    _check_magic(label_buf, IDX_LABEL_MAGIC, labels_path, "label")
     label_count = _read_be_u32(label_buf, 4, labels_path, "label count")
     if label_count != count:
         raise DatasetFormatError(
@@ -287,6 +273,19 @@ class CifarVariant(enum.Enum):
     HUNDRED = "hundred"
 
 
+def _label_bytes(records: np.ndarray, column: int, top: int, what: str, path) -> np.ndarray:
+    """One label column of fixed-length records as int64, checked to be <= top."""
+    labels = records[:, column].astype(np.int64)
+    bad = np.nonzero(labels > top)[0]
+    if bad.size:
+        raise DatasetFormatError(
+            f"{what} byte {labels[bad[0]]} out of range 0..{top}",
+            path=path,
+            offset=int(bad[0]) * records.shape[1] + column,
+        )
+    return labels
+
+
 def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> StoredImages:
     record = CIFAR10_RECORD if variant is CifarVariant.TEN else CIFAR100_RECORD
     all_pixels: list[np.ndarray] = []
@@ -302,32 +301,11 @@ def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> StoredImage
             )
         records = np.frombuffer(buf, dtype=np.uint8).reshape(-1, record)
         if variant is CifarVariant.TEN:
-            labels = records[:, 0].astype(np.int64)
-            bad = np.nonzero(labels > 9)[0]
-            if bad.size:
-                raise DatasetFormatError(
-                    f"label byte {labels[bad[0]]} out of range 0..9",
-                    path=path,
-                    offset=int(bad[0]) * record,
-                )
+            labels = _label_bytes(records, 0, 9, "label", path)
             pixels = records[:, 1:]
         else:
-            coarse = records[:, 0].astype(np.int64)
-            fine = records[:, 1].astype(np.int64)
-            bad = np.nonzero(coarse > 19)[0]
-            if bad.size:
-                raise DatasetFormatError(
-                    f"coarse label byte {coarse[bad[0]]} out of range 0..19",
-                    path=path,
-                    offset=int(bad[0]) * record,
-                )
-            bad = np.nonzero(fine > 99)[0]
-            if bad.size:
-                raise DatasetFormatError(
-                    f"fine label byte {fine[bad[0]]} out of range 0..99",
-                    path=path,
-                    offset=int(bad[0]) * record + 1,
-                )
+            coarse = _label_bytes(records, 0, 19, "coarse label", path)
+            _label_bytes(records, 1, 99, "fine label", path)
             labels = coarse // 2  # pairwise buckets: (0,1)->0, (2,3)->1, ...
             pixels = records[:, 2:]
         all_pixels.append(pixels)
@@ -409,7 +387,10 @@ def stratified_sample(
                 f"but only {pool.size} are available"
             )
         picked.append(rng.choice(pool, size=int(want), replace=False))
-    return decode_rows(data, np.concatenate(picked))
+    index = np.concatenate(picked)
+    if isinstance(data, StoredImages):
+        return data.decode(index)
+    return VectorDataset(vectors=data.vectors[index], labels=data.labels[index])
 
 
 # Synthetic generator geometry: ten label clusters sit at distinct base

@@ -214,8 +214,9 @@ def _budget(plan: ExperimentPlan, stat: Statistic, epsilon: float) -> PrivacyBud
 
 
 def _materialize_samples(plan: ExperimentPlan):
-    """Load the dataset, draw one stratified sample per named profile, and
-    build the samples' contexts once the full dataset is released."""
+    """Load the dataset, draw one stratified sample per named profile (image
+    samples keep their exact byte moments, not their bytes), and build the
+    samples' contexts once the full dataset is released."""
     data = load_dataset(plan.dataset)
     samples = {}
     for name, profile in plan.profiles:

@@ -4,14 +4,18 @@ All statistics are reported as scalars with a coordinate-sum convention:
 per-vector quantities sum their d coordinates, and dataset-level statistics
 average the per-vector scalars over the n vectors. Every per-row pass runs
 over blocks of about BLOCK_BYTES of consecutive rows into a length-n vector,
-so no pass allocates an n x d temporary; each row is reduced by the same numpy
-call as in the whole-matrix form, so the results are bit-identical to it.
+so no pass allocates an n x d temporary. Rows decoded from stored bytes take
+a context's unweighted part (variances, mean, dispersion) from exact integer
+sums of the bytes; float rows reduce each row by the same numpy call as the
+whole-matrix form, so they are bit-identical to it. The weighted mean and Q
+are float passes either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,12 +27,22 @@ VARIANCE_FLOOR = 1e-9
 BLOCK_BYTES = 512 * 1024
 
 
+class UnweightedPart(NamedTuple):
+    """The context quantities that need no weights (dispersion at p = 2)."""
+
+    within_variances: np.ndarray
+    mean: np.ndarray
+    dispersion: float
+
+
 @dataclass(frozen=True)
 class VectorDataset:
-    """n vectors in [0,1]^d with one nonnegative integer label per vector."""
+    """n vectors in [0,1]^d with one nonnegative integer label per vector;
+    rows made by from_bytes also carry their exact unweighted part."""
 
     vectors: np.ndarray
     labels: np.ndarray
+    byte_moments: UnweightedPart | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -54,6 +68,22 @@ class VectorDataset:
         labels.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_bytes(cls, pixels: np.ndarray, labels: np.ndarray) -> VectorDataset:
+        """Rows pixels / 255 of an n x d uint8 matrix, one nonnegative int64
+        label each, with their byte moments; such rows are finite and in
+        [0, 1], so they skip the constructor's scan over the coordinates."""
+        if pixels.dtype != np.uint8 or pixels.ndim != 2 or not len(pixels) == len(labels) >= 1:
+            raise ValueError(f"need one label per uint8 row, got {pixels.shape} {pixels.dtype}")
+        if labels.dtype != np.int64 or labels.min() < 0:
+            raise ValueError("labels must be nonnegative int64")
+        data = object.__new__(cls)
+        object.__setattr__(data, "byte_moments", byte_moments(pixels))
+        for name, value in ("vectors", np.divide(pixels, 255.0)), ("labels", labels):
+            value.setflags(write=False)
+            object.__setattr__(data, name, value)
+        return data
 
     @property
     def n(self) -> int:
@@ -83,19 +113,31 @@ class MeasureContext:
     q_value: float | None = None
 
 
-@dataclass(frozen=True)
-class HeterogeneityReport:
-    """True (noise-free) values of the three heterogeneity statistics."""
-
-    dispersion: float
-    q_value: float
-    i_squared: float
-    dispersion_exponent: float = 2.0
-
-
 def dataset_mean(data: VectorDataset) -> np.ndarray:
     """Coordinate-wise arithmetic mean of the dataset rows."""
+    if data.byte_moments is not None:
+        return data.byte_moments.mean
     return data.vectors.mean(axis=0)
+
+
+def byte_moments(pixels: np.ndarray) -> UnweightedPart:
+    """The unweighted part of rows x = p / 255 from exact integer sums of the
+    n x d bytes p: row sums S and S2 of p and p^2, column sums C.
+
+    Variance (d S2 - S^2) / (255 d)^2, mean C / (255 n) and dispersion
+    (n sum S2 - sum C^2) / (255 n)^2 divide exact integers once, so nothing
+    cancels; the last numerator is a Python int, which cannot wrap. The sums
+    reduce the bytes in place (numpy casts them in small buffers), in int32
+    while no sum can reach 2^31.
+    """
+    n, d = pixels.shape
+    acc = np.int32 if max(n, d) * 255**2 < 2**31 else np.int64
+    sums = pixels.sum(axis=1, dtype=acc).astype(np.int64)
+    squares = np.einsum("ij,ij->i", pixels, pixels, dtype=acc).astype(np.int64)
+    columns = pixels.sum(axis=0, dtype=acc)
+    spread = n * int(squares.sum()) - sum(c * c for c in columns.tolist())
+    within = (d * squares - sums * sums) / (255.0**2 * d * d)
+    return UnweightedPart(within, columns / (255.0 * n), spread / (255**2 * n * n))
 
 
 def weights_from_variances(
@@ -145,19 +187,23 @@ def _mean_sq_deviation(vectors: np.ndarray, center: np.ndarray, weights=1.0) -> 
 
 def build_context(data: VectorDataset, variance_floor: float = VARIANCE_FLOOR) -> MeasureContext:
     """Compute mean, within-vector variances, weights, weighted mean, and the
-    true dispersion and Q once. The variance and deviation passes run over row
-    blocks and are bit-identical to the whole-matrix forms."""
-    within = _row_blocks(data.vectors, lambda block: block.var(axis=1))
-    weights = weights_from_variances(within, variance_floor)
-    mean = dataset_mean(data)
+    true dispersion and Q once. The unweighted part is the rows' byte moments
+    when they have them; float rows take row-blocked passes, bit-identical to
+    the whole-matrix forms."""
+    part = data.byte_moments
+    if part is None:
+        mean = data.vectors.mean(axis=0)
+        within = _row_blocks(data.vectors, lambda block: block.var(axis=1))
+        part = UnweightedPart(within, mean, _mean_sq_deviation(data.vectors, mean))
+    weights = weights_from_variances(part.within_variances, variance_floor)
     center = weighted_mean(data, weights)
     return MeasureContext(
-        mean=mean,
+        mean=part.mean,
         weighted_mean=center,
         weights=weights,
-        within_variances=within,
+        within_variances=part.within_variances,
         variance_floor=variance_floor,
-        dispersion=_mean_sq_deviation(data.vectors, mean),
+        dispersion=part.dispersion,
         q_value=_mean_sq_deviation(data.vectors, center, weights),
     )
 
@@ -173,6 +219,8 @@ def dispersion(data: VectorDataset, p: float = 2.0) -> float:
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"dispersion exponent must be >= 1, got {p!r}")
+    if p == 2.0 and data.byte_moments is not None:
+        return data.byte_moments.dispersion
     mean = dataset_mean(data)
     if p == 2.0:
         return _mean_sq_deviation(data.vectors, mean)
@@ -206,15 +254,3 @@ def i_squared(q_value: float, n: int) -> float:
     if q_value == 0.0:
         return 0.0
     return max(0.0, 1.0 - (n - 1) / q_value)
-
-
-def measure_all(data: VectorDataset, p: float = 2.0) -> tuple[HeterogeneityReport, MeasureContext]:
-    """All three true statistics plus the shared context in one pass."""
-    ctx = build_context(data)
-    report = HeterogeneityReport(
-        dispersion=ctx.dispersion if p == 2.0 else dispersion(data, p),
-        q_value=ctx.q_value,
-        i_squared=i_squared(ctx.q_value, data.n) if data.n >= 2 else 0.0,
-        dispersion_exponent=p,
-    )
-    return report, ctx

@@ -313,7 +313,7 @@ def build_context_direct(data: VectorDataset) -> MeasureContext:
     squared-deviation passes each allocate one n x d temporary."""
     within = data.vectors.var(axis=1)
     weights = weights_from_variances(within)
-    mean = dataset_mean(data)
+    mean = data.vectors.mean(axis=0)
     center = weighted_mean(data, weights)
     return MeasureContext(
         mean=mean,
@@ -327,7 +327,7 @@ def build_context_direct(data: VectorDataset) -> MeasureContext:
 
 def dispersion_direct(data: VectorDataset, p: float) -> float:
     """Whole-matrix p-th power dispersion: one n x d temporary."""
-    return float((np.abs(data.vectors - dataset_mean(data)) ** p).sum(axis=1).mean())
+    return float((np.abs(data.vectors - data.vectors.mean(axis=0)) ** p).sum(axis=1).mean())
 
 
 def load_decoded(desc: DatasetDescriptor) -> VectorDataset:

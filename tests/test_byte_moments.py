@@ -1,0 +1,201 @@
+"""Rows decoded from stored bytes: exact integer moments against the float
+oracle, the trusted decode, and the zero-noise and rerun invariants."""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+from oracles import build_context_direct
+
+from hetdp.cli import main
+from hetdp.datasets import (
+    CifarVariant,
+    DataFormat,
+    DatasetDescriptor,
+    HeterogeneityProfile,
+    LabelScheme,
+    StoredImages,
+    load_dataset,
+    stratified_sample,
+    write_cifar,
+    write_idx,
+)
+from hetdp.estimators import EstimatorConfig, Setting, Statistic, noisy_statistic, true_value
+from hetdp.experiment import read_result_csv
+from hetdp.gaussian import Mechanism, PrivacyBudget
+from hetdp.measures import (
+    BLOCK_BYTES,
+    VARIANCE_FLOOR,
+    VectorDataset,
+    build_context,
+    byte_moments,
+    dataset_mean,
+    dispersion,
+)
+
+RTOL = 1e-12
+#: A constant row's float variance is rounding residue (below 2e-31 for
+#: bytes / 255); its exact variance is 0.
+VARIANCE_ATOL = 1e-30
+PROFILE = HeterogeneityProfile((1,) * 10, sample_fraction=0.5)
+
+
+@pytest.fixture
+def stored(tmp_path):
+    """An IDX pair (400 x 784), a CIFAR-10 and a CIFAR-100 batch (200 x 3072
+    each) of random bytes, 10 labels in turn."""
+    rng = np.random.default_rng(5)
+
+    def images(n, d):
+        return VectorDataset(rng.integers(0, 256, (n, d)) / 255.0, np.arange(n) % 10)
+
+    write_idx(images(400, 784), tmp_path / "img.idx", tmp_path / "lab.idx")
+    write_cifar(images(200, 3072), tmp_path / "c10.bin", CifarVariant.TEN)
+    write_cifar(images(200, 3072), tmp_path / "c100.bin", CifarVariant.HUNDRED)
+    return {
+        "idx": DatasetDescriptor(
+            DataFormat.IDX_IMAGES, "idx", (str(tmp_path / "img.idx"), str(tmp_path / "lab.idx"))
+        ),
+        "cifar10": DatasetDescriptor(DataFormat.CIFAR10_BIN, "c10", (str(tmp_path / "c10.bin"),)),
+        "cifar100": DatasetDescriptor(
+            DataFormat.CIFAR100_BIN, "c100", (str(tmp_path / "c100.bin"),),
+            label_scheme=LabelScheme.COARSE_BUCKETED,
+        ),
+    }
+
+
+def _agrees_with_float_oracle(data: VectorDataset):
+    """build_context of byte-decoded rows against the whole-matrix float form."""
+    assert data.byte_moments is not None
+    ctx, direct = build_context(data), build_context_direct(data)
+    for name in ("mean", "weights", "weighted_mean"):
+        np.testing.assert_allclose(getattr(ctx, name), getattr(direct, name), rtol=RTOL, err_msg=name)
+    np.testing.assert_allclose(
+        ctx.within_variances, direct.within_variances, rtol=RTOL, atol=VARIANCE_ATOL
+    )
+    assert ctx.dispersion == pytest.approx(direct.dispersion, rel=RTOL, abs=0)
+    assert ctx.q_value == pytest.approx(direct.q_value, rel=RTOL, abs=0)
+    assert dispersion(data) == ctx.dispersion
+    assert np.array_equal(dataset_mean(data), ctx.mean)
+    return ctx
+
+
+class TestAgainstFloatOracle:
+    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100"])
+    def test_stored_samples(self, stored, kind):
+        _agrees_with_float_oracle(stratified_sample(load_dataset(stored[kind]), PROFILE, seed=2))
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            (2 * (BLOCK_BYTES // (8 * 784)) + 37, 784),  # two float row blocks and a ragged one
+            (3, 33_100),  # a row's sum of squares passes 2^31: int64 sums
+        ],
+    )
+    def test_row_blocks_and_a_constant_row(self, n, d):
+        pixels = np.random.default_rng(n).integers(0, 256, (n, d), dtype=np.uint8)
+        pixels[0] = 255  # the largest row sums
+        pixels[n - 2] = 77  # a constant row in the last row block
+        ctx = _agrees_with_float_oracle(StoredImages(pixels, np.zeros(n, dtype=np.int64)).decode())
+        assert ctx.within_variances[n - 2] == 0.0
+        assert ctx.weights[n - 2] == 1.0 / VARIANCE_FLOOR
+
+    def test_numerators_cancel_exactly(self):
+        # All bytes 255 but one: the dispersion numerator is n - 1, while its
+        # two terms are about 1.04e16, past the integers float64 holds.
+        n, d = 20_000, 400
+        pixels = np.full((n, d), 255, dtype=np.uint8)
+        pixels[7, 3] = 254
+        part = byte_moments(pixels)
+        assert part.dispersion == (n - 1) / (255**2 * n * n)
+        assert part.within_variances[7] == (d - 1) / (255**2 * d * d)
+        assert np.count_nonzero(part.within_variances) == 1
+
+    def test_numerators_past_int64_stay_exact(self):
+        # Zero strides: no n x d memory. Both n * sum(p^2) and sum(C_j^2)
+        # are 160 * (255 n)^2, about 1.04e19, past the int64 range.
+        n, d = 1_000_000, 160
+        pixels = np.broadcast_to(np.uint8(255), (n, d))
+        assert pixels.strides == (0, 0)
+        assert d * (255 * n) ** 2 > np.iinfo(np.int64).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            part = byte_moments(pixels)
+        assert part.dispersion == 0.0
+        assert not part.within_variances.any()
+        assert np.all(part.mean == 1.0)
+
+
+class TestTrustedDecode:
+    def test_every_byte_value(self):
+        pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        stored = StoredImages(pixels, np.arange(16, dtype=np.int64))
+        for index, rows in ((None, np.arange(16)), (np.array([15, 0, 7]), np.array([15, 0, 7]))):
+            data = stored.decode(index)
+            assert data.vectors.shape == (len(rows), 16)
+            assert data.vectors.dtype == np.float64 and data.labels.dtype == np.int64
+            assert not data.vectors.flags.writeable and not data.labels.flags.writeable
+            assert np.array_equal(data.vectors, pixels[rows] / 255.0)
+            assert np.array_equal(data.labels, rows)
+        assert (data.vectors.min(), stored.decode().vectors.max()) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "row", [[0.5, np.nan], [0.5, np.inf], [1.5, 0.5], [-0.1, 0.5]],
+        ids=["nan", "inf", "above-1", "below-0"],
+    )
+    def test_public_constructor_keeps_its_checks(self, row):
+        with pytest.raises(ValueError):
+            VectorDataset(np.array([row]), np.array([0]))
+        assert VectorDataset(np.array([[0.5, 1.0]]), np.array([0])).byte_moments is None
+
+    def test_from_bytes_checks_bytes_and_labels(self):
+        with pytest.raises(ValueError, match="uint8"):
+            VectorDataset.from_bytes(np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="one label"):
+            VectorDataset.from_bytes(np.zeros((2, 3), np.uint8), np.zeros(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="one label"):
+            VectorDataset.from_bytes(np.zeros((0, 3), np.uint8), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="nonnegative"):
+            VectorDataset.from_bytes(np.zeros((2, 3), np.uint8), np.array([0, -1]))
+
+
+class TestReleaseInvariants:
+    def test_zero_noise_release_is_the_true_value(self, stored):
+        sample = stratified_sample(load_dataset(stored["cifar10"]), PROFILE, seed=4)
+        ctx = build_context(sample)
+        for setting in Setting:
+            for stat in Statistic:
+                cfg = EstimatorConfig(
+                    Mechanism.ANALYTIC, setting,
+                    PrivacyBudget.equal_split(1.0, 0.1, stat.budget_parts), seed=1, zero_noise=True,
+                )
+                assert noisy_statistic(stat, sample, ctx, cfg) == true_value(stat, sample, ctx)
+
+    def test_experiment_rows_rerun_and_recompute(self, stored, tmp_path):
+        images, labels = stored["idx"].paths
+        args = [
+            "experiment", "--idx-images", images, "--idx-labels", labels,
+            "--profiles", "uniform-10,uniform-5", "--fraction", "0.25", "--epsilons", "0.5,1.0",
+            "--trials", "3", "--seed", "5",
+        ]
+        a, b, zero = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "zero.csv"
+        for out, extra in ((a, []), (b, []), (zero, ["--zero-noise"])):
+            assert main([*args, "--out", str(out), *extra]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+        log = json.loads(zero.with_suffix(".plan.json").read_text())
+        data = load_dataset(stored["idx"])
+        samples = {}
+        for entry in log["profiles"]:
+            profile = HeterogeneityProfile(
+                tuple(entry["ratios"]), entry["label_count"], entry["sample_fraction"]
+            )
+            sample = stratified_sample(data, profile, seed=entry["sample_seed"])
+            samples[entry["name"]] = (sample, build_context(sample))
+        rows = read_result_csv(zero)
+        assert len(rows) == 2 * 2 * len(Statistic)
+        for row in rows:
+            assert (row.emse, row.tmse, row.cmse) == (0.0, 0.0, 0.0)
+            sample, ctx = samples[row.profile]
+            assert row.true_value == true_value(Statistic(row.statistic), sample, ctx)

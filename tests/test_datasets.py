@@ -14,7 +14,6 @@ from hetdp.datasets import (
     SampleCapacityError,
     StoredImages,
     _allocate,
-    decode_rows,
     load_dataset,
     stratified_sample,
     synthetic_dataset,
@@ -375,7 +374,7 @@ class TestSampleBeforeDecoding:
 
     @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100"])
     def test_full_decode_matches_oracle(self, stored_descriptors, kind):
-        decoded = decode_rows(load_dataset(stored_descriptors[kind]))
+        decoded = load_dataset(stored_descriptors[kind]).decode()
         expected = load_decoded(stored_descriptors[kind])
         assert np.array_equal(decoded.vectors, expected.vectors)
         assert np.array_equal(decoded.labels, expected.labels)

@@ -46,7 +46,7 @@ from hetdp.estimators import (
     unit_normals,
 )
 from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec
-from hetdp.measures import VectorDataset, build_context, dataset_mean, dispersion, measure_all
+from hetdp.measures import VectorDataset, build_context, dataset_mean, dispersion, i_squared
 
 
 def _cfg(budget, setting=Setting.DISTRIBUTED, mech=Mechanism.ANALYTIC, seed=7, zero=False):
@@ -71,10 +71,12 @@ class TestBudgetParts:
 
 class TestZeroNoiseIdentity:
     def test_all_statistics_bit_identical(self, fix, zero_cfg2, zero_cfg3):
-        report, ctx = measure_all(fix)
-        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2) == report.dispersion
-        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2) == report.q_value
-        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3) == report.i_squared
+        ctx = build_context(fix)
+        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2) == ctx.dispersion
+        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2) == ctx.q_value
+        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3) == i_squared(
+            ctx.q_value, fix.n
+        )
         assert np.array_equal(noisy_mean(fix, zero_cfg2)[0], dataset_mean(fix))
 
     def test_centralized_setting_too(self, fix_diag, budget2):
@@ -221,16 +223,18 @@ class TestNoiseGeneration:
 
 class TestDispatch:
     def test_true_values(self, fix):
-        report, ctx = measure_all(fix)
-        assert true_value(Statistic.DISPERSION, fix, ctx) == report.dispersion
-        assert true_value(Statistic.Q, fix, ctx) == report.q_value
-        assert true_value(Statistic.I_SQUARED, fix, ctx) == report.i_squared
+        ctx = build_context(fix)
+        assert true_value(Statistic.DISPERSION, fix, ctx) == ctx.dispersion
+        assert true_value(Statistic.Q, fix, ctx) == ctx.q_value
+        assert true_value(Statistic.I_SQUARED, fix, ctx) == i_squared(ctx.q_value, fix.n)
 
     def test_noisy_statistic_routes_by_enum(self, fix, zero_cfg2, zero_cfg3):
-        report, ctx = measure_all(fix)
-        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2) == report.dispersion
-        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2) == report.q_value
-        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3) == report.i_squared
+        ctx = build_context(fix)
+        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2) == ctx.dispersion
+        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2) == ctx.q_value
+        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3) == i_squared(
+            ctx.q_value, fix.n
+        )
 
     def test_i_squared_needs_two_rows(self, budget3):
         data = VectorDataset(np.array([[0.2, 0.4]]), np.array([0]))

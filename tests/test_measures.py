@@ -18,7 +18,6 @@ from hetdp.measures import (
     dataset_mean,
     dispersion,
     i_squared,
-    measure_all,
     q_statistic,
     weighted_mean,
     weights_from_variances,
@@ -135,8 +134,7 @@ class TestWeights:
 
 class TestQStatistic:
     def test_hand_value(self, fix):
-        report, _ = measure_all(fix)
-        assert report.q_value == pytest.approx(4.0, abs=1e-12)
+        assert build_context(fix).q_value == pytest.approx(4.0, abs=1e-12)
 
     def test_unit_weights_reduce_to_dispersion(self):
         rng = np.random.default_rng(7)
@@ -184,8 +182,7 @@ class TestQStatistic:
 
 class TestISquared:
     def test_hand_value(self, fix):
-        report, _ = measure_all(fix)
-        assert report.i_squared == pytest.approx(0.75, abs=1e-12)
+        assert i_squared(build_context(fix).q_value, fix.n) == pytest.approx(0.75, abs=1e-12)
 
     def test_zero_q_gives_zero(self):
         assert i_squared(0.0, 5) == 0.0
@@ -209,13 +206,12 @@ class TestISquared:
         assert i_squared(q + 1.0, n) >= value
 
 
-class TestMeasureAll:
-    def test_bundles_consistent_values(self, fix):
-        report, ctx = measure_all(fix)
-        assert report.dispersion == dispersion(fix)
-        assert report.q_value == q_statistic(fix, ctx)
-        assert report.i_squared == i_squared(report.q_value, fix.n)
-        assert report.dispersion_exponent == 2.0
+class TestContextTotals:
+    def test_context_holds_consistent_values(self, fix):
+        ctx = build_context(fix)
+        assert ctx.dispersion == dispersion(fix)
+        assert ctx.q_value == q_statistic(fix, ctx)
+        assert np.array_equal(ctx.mean, dataset_mean(fix))
 
 
 # Rows per block at d = 64, and a width whose one row exceeds a block.
