@@ -4,8 +4,9 @@
 Runs the default sweep, a mixed plan (three profiles, both mechanisms and
 settings, epsilons 0.5,0.25,0.9), a plan with explicit budget fractions
 (dispersion and Q at 0.3,0.7, both mechanisms, epsilons 0.25,0.5,0.9), a
-comparison and `measure --release`, the last with and without `--zero-noise`
-(zero noise must release the true values bit for bit), through
+comparison, `measure --release` with and without `--zero-noise`
+(zero noise must release the true values bit for bit), and a `calibrate`
+grid that spans both analytic branches and the classical range, through
 hetdp.cli.main in a temporary directory. It also writes an IDX pair
 (d=784) and a CIFAR-10 batch (d=3072) there with write_idx and write_cifar,
 sized so every profile sample spans at least three row blocks of
@@ -55,6 +56,8 @@ def runs(seed: str) -> dict[str, list[str]]:
                     "--json"],
         "measure-zero": ["measure", *SYNTH, "--profile", "skewed-10", "--release",
                          "--zero-noise", "--seed", seed, "--json"],
+        "calibrate": ["calibrate", "--epsilons", "0.01,0.25,0.5,0.99,2,5,50",
+                      "--delta", "1e-12,1e-5,0.1,0.5", "--n", "2000", "--d", "8", "--json"],
         "idx": ["experiment", "--idx-images", "inputs/img.idx", "--idx-labels", "inputs/lab.idx",
                 *WIDE, "--seed", seed, "--out", "idx/idx.csv", "--svg-dir", "idx/charts"],
         "cifar": ["experiment", "--cifar10", "inputs/batch.bin", *WIDE, "--seed", seed,

@@ -58,14 +58,7 @@ from hetdp.gaussian import (
     cgm_sigma,
     std_normal_cdf,
 )
-from hetdp.measures import (
-    MeasureContext,
-    VectorDataset,
-    build_context,
-    dispersion,
-    i_squared,
-    q_statistic,
-)
+from hetdp.measures import MeasureContext, VectorDataset, build_context, i_squared
 
 __all__ = [
     "CANONICAL_PROFILES",
@@ -98,12 +91,10 @@ __all__ = [
     "cgm_sigma",
     "ci_half_width",
     "derive_seed",
-    "dispersion",
     "error_report",
     "i_squared",
     "load_dataset",
     "noisy_statistic",
-    "q_statistic",
     "read_result_csv",
     "release_sigma",
     "run_experiment",

@@ -56,6 +56,7 @@ from hetdp.gaussian import (
     SensitivitySpec,
     agm_sigma,
     cgm_sigma,
+    check_classical_range,
 )
 from hetdp.measures import build_context, i_squared
 
@@ -126,10 +127,12 @@ def _dataset_from_args(parser: argparse.ArgumentParser, args) -> DatasetDescript
             if len(parts) != 3:
                 parser.error(f"--synthetic takes N,D,H, got {args.synthetic!r}")
             n, d, h = int(parts[0]), int(parts[1]), float(parts[2])
+            if args.dim is not None and args.dim != d:
+                parser.error(f"--dim {args.dim} contradicts the synthetic dimension D={d}")
             return DatasetDescriptor(
                 format=DataFormat.SYNTHETIC,
                 name=args.dataset_name or f"synthetic-{n}x{d}-h{h:g}",
-                d=args.dim if args.dim is not None else d,
+                d=d,
                 synth_n=n,
                 heterogeneity=h,
                 synth_seed=args.synth_seed,
@@ -186,14 +189,6 @@ def _lookup(parser, kind: str, table: dict, names) -> tuple:
     return tuple(table[name] for name in names)
 
 
-def _check_classical_range(parser, mechanisms, epsilons) -> None:
-    if Mechanism.CLASSICAL in mechanisms and any(e >= 1.0 for e in epsilons):
-        parser.error(
-            "the classical calibration is only defined for epsilon < 1; "
-            "drop classical or restrict the epsilon grid"
-        )
-
-
 def cmd_calibrate(parser, args) -> int:
     if args.sensitivity is not None:
         sens_values = args.sensitivity
@@ -240,6 +235,8 @@ def cmd_calibrate(parser, args) -> int:
 
 
 def cmd_measure(parser, args) -> int:
+    if args.fraction is not None and not args.profile:
+        parser.error("--fraction needs --profile: it sets the sample fraction of that profile")
     desc = _dataset_from_args(parser, args)
     loaded = load_dataset(desc)
     sampled_as = None
@@ -261,7 +258,10 @@ def cmd_measure(parser, args) -> int:
         "heterogeneity_at_consensus_threshold": ctx.q_value < 0.1,
     }
     if args.release:
-        _check_classical_range(parser, (_MECHANISMS[args.mechanism],), (args.epsilon,))
+        try:
+            check_classical_range((_MECHANISMS[args.mechanism],), (args.epsilon,))
+        except ValueError as err:
+            parser.error(str(err))
         released = {}
         for index, stat in enumerate(Statistic):
             if stat is Statistic.I_SQUARED and data.n < 2:

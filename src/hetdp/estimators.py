@@ -33,13 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec, agm_sigma, cgm_sigma
-from hetdp.measures import (
-    MeasureContext,
-    VectorDataset,
-    dispersion,
-    i_squared,
-    q_statistic,
-)
+from hetdp.measures import MeasureContext, VectorDataset, i_squared
 
 
 class Setting(enum.Enum):
@@ -142,18 +136,14 @@ def project(data: VectorDataset, units: np.ndarray) -> np.ndarray:
 
 
 def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -> float:
-    """Noise-free counterpart of one of the three statistics.
-
-    Reads the values build_context stored on the context; a hand-built
-    context without them is evaluated directly.
-    """
+    """Noise-free counterpart of one of the three statistics, read from the
+    values build_context stored on `ctx`."""
     if statistic is Statistic.DISPERSION:
-        return ctx.dispersion if ctx.dispersion is not None else dispersion(data, 2.0)
-    q_value = ctx.q_value if ctx.q_value is not None else q_statistic(data, ctx)
+        return ctx.dispersion
     if statistic is Statistic.Q:
-        return q_value
+        return ctx.q_value
     if statistic is Statistic.I_SQUARED:
-        return i_squared(q_value, data.n)
+        return i_squared(ctx.q_value, data.n)
     raise ValueError(f"unknown statistic {statistic!r}")
 
 

@@ -46,7 +46,7 @@ from hetdp.datasets import (
 )
 from hetdp.errors import derive_seed, error_reports, trial_normals
 from hetdp.estimators import EstimatorConfig, Setting, Statistic, project, true_value
-from hetdp.gaussian import Mechanism, PrivacyBudget
+from hetdp.gaussian import Mechanism, PrivacyBudget, check_classical_range
 from hetdp.measures import VARIANCE_FLOOR, build_context
 
 #: Default privacy grid for epsilon sweeps, log-ish spacing over [0.25, 5].
@@ -99,11 +99,7 @@ class ExperimentPlan:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if Mechanism.CLASSICAL in self.mechanisms and any(e >= 1.0 for e in self.epsilons):
-            raise ValueError(
-                "the classical calibration is only defined for epsilon < 1; "
-                "drop classical or restrict the epsilon grid"
-            )
+        check_classical_range(self.mechanisms, self.epsilons)
         if self.budget_fractions is not None:
             parts = {s.budget_parts for s in self.statistics}
             if parts != {len(self.budget_fractions)}:

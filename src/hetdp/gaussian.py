@@ -229,6 +229,15 @@ def cgm_sigma(sens: SensitivitySpec, epsilon: float, delta: float) -> Calibratio
     return CalibrationResult(mechanism=Mechanism.CLASSICAL, sigma=sigma)
 
 
+def check_classical_range(mechanisms, epsilons) -> None:
+    """Raise ValueError if the classical calibration is paired with an epsilon >= 1."""
+    if Mechanism.CLASSICAL in mechanisms and any(e >= 1.0 for e in epsilons):
+        raise ValueError(
+            "the classical calibration is only defined for epsilon < 1; "
+            "drop classical or restrict the epsilon grid"
+        )
+
+
 def agm_sigma(
     sens: SensitivitySpec, epsilon: float, delta: float, tol: float = 1e-12
 ) -> CalibrationResult:
@@ -276,11 +285,7 @@ def agm_sigma(
     def slack_gap(x: float) -> float:
         return achieved_delta(alpha_of(x) * scale_unit, delta_l2, epsilon) - delta
 
-    if branch is NoiseBranch.LOW_NOISE:
-        root = _largest_nonpositive(slack_gap, tol)
-    else:
-        root = _smallest_nonpositive(slack_gap, tol)
-
+    root = _nonpositive_end(slack_gap, tol, branch is NoiseBranch.LOW_NOISE)
     alpha = alpha_of(root)
     return CalibrationResult(
         mechanism=Mechanism.ANALYTIC,
@@ -292,59 +297,36 @@ def agm_sigma(
     )
 
 
-def _largest_nonpositive(g, tol: float) -> float:
-    """Largest x >= 0 with g(x) <= 0 for nondecreasing g with g(0) <= 0.
+def _nonpositive_end(g, tol: float, nondecreasing: bool) -> float:
+    """Largest x >= 0 with g(x) <= 0 for nondecreasing g with g(0) <= 0, or
+    smallest for nonincreasing g with g(0) > 0.
 
-    Stops once -g(x) <= tol; the satisfying side of the bracket is returned.
+    Doubles the bracket [lo, hi] while g(hi) lies on the side of g(0), then
+    bisects between its satisfying end `ok` and the other end; stops once
+    -g(ok) <= tol and returns ok.
     """
-    lo, g_lo = 0.0, g(0.0)
+    lo, g_lo = 0.0, g(0.0) if nondecreasing else 0.0
     if g_lo > 0.0:
         raise ConvergenceError("no satisfying point at the branch origin", (0.0, 0.0))
     steps = 0
     hi, g_hi = 1.0, g(1.0)
-    while g_hi <= 0.0:
+    while (g_hi <= 0.0) == nondecreasing:
         lo, g_lo = hi, g_hi
         hi *= 2.0
         g_hi = g(hi)
         steps += 1
         if steps > _MAX_SOLVER_STEPS:
             raise ConvergenceError("bracketing exceeded the iteration cap", (lo, hi))
-    while -g_lo > tol:
-        mid = 0.5 * (lo + hi)
+    ok, g_ok, other = (lo, g_lo, hi) if nondecreasing else (hi, g_hi, lo)
+    while -g_ok > tol:
+        mid = 0.5 * (ok + other)
         g_mid = g(mid)
         if g_mid <= 0.0:
-            lo, g_lo = mid, g_mid
+            ok, g_ok = mid, g_mid
         else:
-            hi = mid
+            other = mid
         steps += 1
         if steps > _MAX_SOLVER_STEPS:
-            raise ConvergenceError("bisection exceeded the iteration cap", (lo, hi))
-    return lo
-
-
-def _smallest_nonpositive(g, tol: float) -> float:
-    """Smallest x >= 0 with g(x) <= 0 for nonincreasing g with g(0) > 0.
-
-    Stops once -g(x) <= tol; the satisfying side of the bracket is returned.
-    """
-    lo = 0.0
-    steps = 0
-    hi, g_hi = 1.0, g(1.0)
-    while g_hi > 0.0:
-        lo = hi
-        hi *= 2.0
-        g_hi = g(hi)
-        steps += 1
-        if steps > _MAX_SOLVER_STEPS:
-            raise ConvergenceError("bracketing exceeded the iteration cap", (lo, hi))
-    while -g_hi > tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid <= 0.0:
-            hi, g_hi = mid, g_mid
-        else:
-            lo = mid
-        steps += 1
-        if steps > _MAX_SOLVER_STEPS:
-            raise ConvergenceError("bisection exceeded the iteration cap", (lo, hi))
-    return hi
+            bracket = (ok, other) if nondecreasing else (other, ok)
+            raise ConvergenceError("bisection exceeded the iteration cap", bracket)
+    return ok

@@ -8,7 +8,9 @@ so no pass allocates an n x d temporary. Rows decoded from stored bytes take
 a context's unweighted part (variances, mean, dispersion) from exact integer
 sums of the bytes; float rows reduce each row by the same numpy call as the
 whole-matrix form, so they are bit-identical to it. The weighted mean and Q
-are float passes either way.
+are float passes either way. build_context is the only code that computes
+the true statistics; releases, error reports and the CLI read them from its
+MeasureContext.
 """
 
 from __future__ import annotations
@@ -96,28 +98,19 @@ class VectorDataset:
 
 @dataclass(frozen=True)
 class MeasureContext:
-    """Per-dataset quantities shared by the weighted statistics.
+    """Per-dataset quantities shared by the weighted statistics, and the true
+    dispersion (p = 2) and Q; build_context is the one place they are made.
 
-    weights[i] is 1 / max(within_variances[i], variance_floor); the weighted
-    mean is the weights-normalized average of the rows. build_context also
-    stores the true dispersion (p = 2) and Q, so releases and error reports
-    read them instead of recomputing; a hand-built context leaves them None.
+    weights[i] is 1 / max(within_variances[i], VARIANCE_FLOOR); the weighted
+    mean is the weights-normalized average of the rows.
     """
 
     mean: np.ndarray
     weighted_mean: np.ndarray
     weights: np.ndarray
     within_variances: np.ndarray
-    variance_floor: float = VARIANCE_FLOOR
-    dispersion: float | None = None
-    q_value: float | None = None
-
-
-def dataset_mean(data: VectorDataset) -> np.ndarray:
-    """Coordinate-wise arithmetic mean of the dataset rows."""
-    if data.byte_moments is not None:
-        return data.byte_moments.mean
-    return data.vectors.mean(axis=0)
+    dispersion: float
+    q_value: float
 
 
 def byte_moments(pixels: np.ndarray) -> UnweightedPart:
@@ -140,32 +133,6 @@ def byte_moments(pixels: np.ndarray) -> UnweightedPart:
     return UnweightedPart(within, columns / (255.0 * n), spread / (255**2 * n * n))
 
 
-def weights_from_variances(
-    within_variances: np.ndarray, variance_floor: float = VARIANCE_FLOOR
-) -> np.ndarray:
-    """Inverse-variance weights w_i = 1 / max(s_i^2, variance_floor)."""
-    if not variance_floor > 0:
-        raise ValueError(f"variance floor must be positive, got {variance_floor!r}")
-    within_variances = np.asarray(within_variances, dtype=np.float64)
-    return 1.0 / np.maximum(within_variances, variance_floor)
-
-
-def weighted_mean(data: VectorDataset, weights: np.ndarray) -> np.ndarray:
-    """Weights-normalized mean (sum_i w_i x_i) / (sum_i w_i), coordinate-wise.
-
-    Equal weights reduce this to dataset_mean.
-
-    Raises:
-        ValueError: on nonpositive, non-finite, or wrongly shaped weights.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (data.n,):
-        raise ValueError(f"need one weight per vector: {weights.shape} for n={data.n}")
-    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-        raise ValueError("weights must be positive and finite")
-    return weights @ data.vectors / weights.sum()
-
-
 def _row_blocks(vectors: np.ndarray, row_scalars) -> np.ndarray:
     """row_scalars of consecutive row blocks of about BLOCK_BYTES, as a length-n vector."""
     rows = max(1, BLOCK_BYTES // (8 * vectors.shape[1]))
@@ -185,60 +152,31 @@ def _mean_sq_deviation(vectors: np.ndarray, center: np.ndarray, weights=1.0) -> 
     return float((weights * _row_blocks(vectors, row_sq)).mean())
 
 
-def build_context(data: VectorDataset, variance_floor: float = VARIANCE_FLOOR) -> MeasureContext:
+def build_context(data: VectorDataset) -> MeasureContext:
     """Compute mean, within-vector variances, weights, weighted mean, and the
     true dispersion and Q once. The unweighted part is the rows' byte moments
     when they have them; float rows take row-blocked passes, bit-identical to
-    the whole-matrix forms."""
+    the whole-matrix forms.
+
+    Dispersion = (1/n) sum_i ||x_i - mean||^2 and
+    Q = (1/n) sum_i w_i ||x_i - weighted_mean||^2, so unit weights reduce Q
+    to dispersion.
+    """
     part = data.byte_moments
     if part is None:
         mean = data.vectors.mean(axis=0)
         within = _row_blocks(data.vectors, lambda block: block.var(axis=1))
         part = UnweightedPart(within, mean, _mean_sq_deviation(data.vectors, mean))
-    weights = weights_from_variances(part.within_variances, variance_floor)
-    center = weighted_mean(data, weights)
+    weights = 1.0 / np.maximum(part.within_variances, VARIANCE_FLOOR)
+    center = weights @ data.vectors / weights.sum()
     return MeasureContext(
         mean=part.mean,
         weighted_mean=center,
         weights=weights,
         within_variances=part.within_variances,
-        variance_floor=variance_floor,
         dispersion=part.dispersion,
         q_value=_mean_sq_deviation(data.vectors, center, weights),
     )
-
-
-def dispersion(data: VectorDataset, p: float = 2.0) -> float:
-    """Mean p-th power deviation of the rows from the dataset mean.
-
-    Per row the deviation is sum_j |x_ij - mean_j|^p; the dataset value
-    averages the row scalars. p = 2 is the variance case.
-
-    Raises:
-        ValueError: if p < 1.
-    """
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError(f"dispersion exponent must be >= 1, got {p!r}")
-    if p == 2.0 and data.byte_moments is not None:
-        return data.byte_moments.dispersion
-    mean = dataset_mean(data)
-    if p == 2.0:
-        return _mean_sq_deviation(data.vectors, mean)
-    return float(_row_blocks(data.vectors, lambda b: (np.abs(b - mean) ** p).sum(axis=1)).mean())
-
-
-def q_statistic(data: VectorDataset, ctx: MeasureContext) -> float:
-    """Weighted squared deviation from the weighted mean, averaged over rows.
-
-    Q = (1/n) sum_i w_i * sum_j (x_ij - weighted_mean_j)^2. Unit weights
-    reduce Q to dispersion at p = 2.
-    """
-    if ctx.weights.shape != (data.n,) or ctx.weighted_mean.shape != (data.d,):
-        raise ValueError(
-            f"context shaped for (n={ctx.weights.shape}, d={ctx.weighted_mean.shape}) "
-            f"does not match dataset (n={data.n}, d={data.d})"
-        )
-    return _mean_sq_deviation(data.vectors, ctx.weighted_mean, ctx.weights)
 
 
 def i_squared(q_value: float, n: int) -> float:

@@ -9,8 +9,10 @@ injected vectors at sigma 1, the per-trial generators and per-stage normal
 draws the shared unit-normal block of a plan cell replaces, and the
 decode-everything-then-index loading that sampling stored image bytes
 replaces, and the whole-matrix context passes (one n x d temporary each)
-that the row-blocked passes replace. The suite keeps them as reference
-oracles and asserts that the fast forms agree with them. The closing
+that the row-blocked passes replace, and the analytic calibration with one
+root finder per branch, which the branch-parameterized finder replaces. The
+suite keeps them as reference oracles and asserts that the fast forms agree
+with them. The closing
 helpers (within-vector variance, the branch-parameterized privacy slack,
 the variance oracles) serve only the suite's identity checks.
 """
@@ -46,15 +48,19 @@ from hetdp.estimators import (
     true_value,
     unit_normals,
 )
-from hetdp.gaussian import SensitivitySpec, std_normal_cdf
-from hetdp.measures import (
-    MeasureContext,
-    VectorDataset,
-    dataset_mean,
-    q_statistic,
-    weighted_mean,
-    weights_from_variances,
+from hetdp import gaussian
+from hetdp.gaussian import (
+    _MAX_SOLVER_STEPS,
+    CalibrationResult,
+    ConvergenceError,
+    Mechanism,
+    NoiseBranch,
+    SensitivitySpec,
+    _alpha_high_noise,
+    _alpha_low_noise,
+    std_normal_cdf,
 )
+from hetdp.measures import VARIANCE_FLOOR, MeasureContext, VectorDataset
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ def noisy_mean(
         draws = StageDraws(mean_noise=noise, mean_noise_var=sigma**2)
     elif draws.mean_noise is None:
         raise ValueError("injected draws lack a mean-stage vector")
-    return dataset_mean(data) + draws.mean_noise, draws
+    return data.vectors.mean(axis=0) + draws.mean_noise, draws
 
 
 def scaled_draws(
@@ -249,7 +255,7 @@ def _require_draws(draws: StageDraws) -> None:
 def dispersion_from_draws(data: VectorDataset, draws: StageDraws) -> float:
     """Private dispersion evaluated directly around the perturbed mean."""
     _require_draws(draws)
-    deviations = data.vectors - dataset_mean(data)
+    deviations = data.vectors - data.vectors.mean(axis=0)
     value = float(((deviations - draws.mean_noise) ** 2).sum(axis=1).mean())
     return value + float(draws.stat_noise.sum())
 
@@ -270,7 +276,7 @@ def noisy_q_deviation_form(data: VectorDataset, ctx: MeasureContext, draws: Stag
     deviations = data.vectors - ctx.weighted_mean
     per_row = (draws.mean_noise * (draws.mean_noise - 2.0 * deviations)).sum(axis=1)
     shift = float((ctx.weights * per_row).mean()) + float(draws.stat_noise.sum())
-    return q_statistic(data, ctx) + shift
+    return ctx.q_value + shift
 
 
 def tmse_dispersion(data: VectorDataset, draws: StageDraws) -> float:
@@ -279,7 +285,7 @@ def tmse_dispersion(data: VectorDataset, draws: StageDraws) -> float:
     mean_noise . (mean_noise - 2 (x_i - mean)) + sum(stat_noise)."""
     if draws.mean_noise is None or draws.stat_noise is None:
         raise ValueError("dispersion error needs mean-stage and statistic-stage draws")
-    deviations = data.vectors - dataset_mean(data)
+    deviations = data.vectors - data.vectors.mean(axis=0)
     per_row = (draws.mean_noise * (draws.mean_noise - 2.0 * deviations)).sum(axis=1)
     shifted = per_row + draws.stat_noise.sum()
     return float((shifted**2).mean())
@@ -312,9 +318,9 @@ def build_context_direct(data: VectorDataset) -> MeasureContext:
     """build_context over the whole matrix: the within-row variance and both
     squared-deviation passes each allocate one n x d temporary."""
     within = data.vectors.var(axis=1)
-    weights = weights_from_variances(within)
+    weights = 1.0 / np.maximum(within, VARIANCE_FLOOR)
     mean = data.vectors.mean(axis=0)
-    center = weighted_mean(data, weights)
+    center = weights @ data.vectors / weights.sum()
     return MeasureContext(
         mean=mean,
         weighted_mean=center,
@@ -323,11 +329,6 @@ def build_context_direct(data: VectorDataset) -> MeasureContext:
         dispersion=_mean_sq_deviation_direct(data.vectors, mean),
         q_value=_mean_sq_deviation_direct(data.vectors, center, weights),
     )
-
-
-def dispersion_direct(data: VectorDataset, p: float) -> float:
-    """Whole-matrix p-th power dispersion: one n x d temporary."""
-    return float((np.abs(data.vectors - data.vectors.mean(axis=0)) ** p).sum(axis=1).mean())
 
 
 def load_decoded(desc: DatasetDescriptor) -> VectorDataset:
@@ -405,7 +406,7 @@ def variance_oracle_dispersion(data: VectorDataset, mu_noisy: np.ndarray) -> flo
     Equals the summed fourth powers of the mean perturbation; the test suite
     asserts that identity numerically.
     """
-    mu = dataset_mean(data)
+    mu = data.vectors.mean(axis=0)
     true_ms = ((data.vectors - mu) ** 2).mean(axis=0)
     noisy_ms = ((data.vectors - np.asarray(mu_noisy, dtype=np.float64)) ** 2).mean(axis=0)
     return float(((true_ms - noisy_ms) ** 2).sum())
@@ -424,3 +425,82 @@ def variance_oracle_q(
     true_ms = (w * (data.vectors - ctx.weighted_mean) ** 2).mean(axis=0)
     noisy_ms = (w * (data.vectors - center) ** 2).mean(axis=0)
     return float(((true_ms - noisy_ms) ** 2).sum())
+
+
+def largest_nonpositive(g, tol: float) -> float:
+    """Largest x >= 0 with g(x) <= 0 for nondecreasing g with g(0) <= 0.
+
+    Stops once -g(x) <= tol; the satisfying side of the bracket is returned.
+    """
+    lo, g_lo = 0.0, g(0.0)
+    if g_lo > 0.0:
+        raise ConvergenceError("no satisfying point at the branch origin", (0.0, 0.0))
+    steps = 0
+    hi, g_hi = 1.0, g(1.0)
+    while g_hi <= 0.0:
+        lo, g_lo = hi, g_hi
+        hi *= 2.0
+        g_hi = g(hi)
+        steps += 1
+        if steps > _MAX_SOLVER_STEPS:
+            raise ConvergenceError("bracketing exceeded the iteration cap", (lo, hi))
+    while -g_lo > tol:
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid <= 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+        steps += 1
+        if steps > _MAX_SOLVER_STEPS:
+            raise ConvergenceError("bisection exceeded the iteration cap", (lo, hi))
+    return lo
+
+
+def smallest_nonpositive(g, tol: float) -> float:
+    """Smallest x >= 0 with g(x) <= 0 for nonincreasing g with g(0) > 0.
+
+    Stops once -g(x) <= tol; the satisfying side of the bracket is returned.
+    """
+    lo = 0.0
+    steps = 0
+    hi, g_hi = 1.0, g(1.0)
+    while g_hi > 0.0:
+        lo = hi
+        hi *= 2.0
+        g_hi = g(hi)
+        steps += 1
+        if steps > _MAX_SOLVER_STEPS:
+            raise ConvergenceError("bracketing exceeded the iteration cap", (lo, hi))
+    while -g_hi > tol:
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid <= 0.0:
+            hi, g_hi = mid, g_mid
+        else:
+            lo = mid
+        steps += 1
+        if steps > _MAX_SOLVER_STEPS:
+            raise ConvergenceError("bisection exceeded the iteration cap", (lo, hi))
+    return hi
+
+
+def agm_sigma_per_branch(
+    sens: SensitivitySpec, epsilon: float, delta: float, tol: float = 1e-12
+) -> CalibrationResult:
+    """agm_sigma with largest_nonpositive on the low-noise branch and
+    smallest_nonpositive on the high-noise one; the privacy slack is read
+    through hetdp.gaussian, so a patched achieved_delta sees every call."""
+    delta_l2 = sens.delta_l2
+    scale_unit = delta_l2 / math.sqrt(2.0 * epsilon)
+    delta0 = gaussian.achieved_delta(scale_unit, delta_l2, epsilon)
+    low = delta >= delta0
+    alpha_of = _alpha_low_noise if low else _alpha_high_noise
+
+    def slack_gap(x: float) -> float:
+        return gaussian.achieved_delta(alpha_of(x) * scale_unit, delta_l2, epsilon) - delta
+
+    root = (largest_nonpositive if low else smallest_nonpositive)(slack_gap, tol)
+    alpha = alpha_of(root)
+    branch = NoiseBranch.LOW_NOISE if low else NoiseBranch.HIGH_NOISE
+    return CalibrationResult(Mechanism.ANALYTIC, alpha * scale_unit, alpha, delta0, root, branch)

@@ -45,7 +45,7 @@ from hetdp.gaussian import (
     agm_sigma,
     cgm_sigma,
 )
-from hetdp.measures import VectorDataset, build_context, dataset_mean, i_squared
+from hetdp.measures import VectorDataset, build_context, i_squared
 
 SENS = SensitivitySpec.from_shape(100, 64)
 
@@ -160,7 +160,7 @@ def test_oracle_identities_and_interval_constants():
         ctx = build_context(data)
         shift = rng.normal(0.0, 0.15, d)
 
-        gap = variance_oracle_dispersion(data, dataset_mean(data) + shift)
+        gap = variance_oracle_dispersion(data, ctx.mean + shift)
         expect = float((shift**4).sum())
         err = abs(gap - expect) / max(1.0, expect)
         worst = max(worst, err)

@@ -30,8 +30,6 @@ from hetdp.measures import (
     VectorDataset,
     build_context,
     byte_moments,
-    dataset_mean,
-    dispersion,
 )
 
 RTOL = 1e-12
@@ -76,8 +74,6 @@ def _agrees_with_float_oracle(data: VectorDataset):
     )
     assert ctx.dispersion == pytest.approx(direct.dispersion, rel=RTOL, abs=0)
     assert ctx.q_value == pytest.approx(direct.q_value, rel=RTOL, abs=0)
-    assert dispersion(data) == ctx.dispersion
-    assert np.array_equal(dataset_mean(data), ctx.mean)
     return ctx
 
 

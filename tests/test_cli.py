@@ -40,6 +40,41 @@ class TestExitCodes:
             )
         assert exc.value.code == 2
 
+    def test_classical_range_message_matches_the_plan(self, tmp_path, capsys):
+        message = ("the classical calibration is only defined for epsilon < 1; "
+                   "drop classical or restrict the epsilon grid")
+        release = ["measure", *SYNTH_ARGS, "--release", "--mechanism", "classical",
+                   "--epsilon", "1.5"]
+        plan = ["experiment", *SYNTH_ARGS, "--profiles", "uniform-2", "--mechanisms",
+                "classical", "--epsilons", "0.5,1.5", "--out", str(tmp_path / "o.csv")]
+        for argv in (release, plan):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
+    @pytest.mark.parametrize("command", ["measure", "experiment"])
+    def test_synthetic_dim_mismatch_is_two(self, tmp_path, capsys, command):
+        argv = [command, "--synthetic", "200,8,0.5", "--dim", "16", "--json"]
+        if command == "experiment":
+            argv += ["--profiles", "uniform-2", "--out", str(tmp_path / "o.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--dim 16 contradicts the synthetic dimension D=8" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_synthetic_dim_equal_to_d_passes(self, capsys):
+        assert main(["measure", "--synthetic", "200,8,0.5", "--dim", "8", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["dataset"], payload["d"]) == ("synthetic-200x8-h0.5", 8)
+
+    def test_fraction_without_profile_is_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", *SYNTH_ARGS, "--fraction", "0.25"])
+        assert exc.value.code == 2
+        assert "--fraction needs --profile" in capsys.readouterr().err
+
     def test_unknown_profile_is_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(

@@ -20,7 +20,7 @@ from hetdp.datasets import (
     write_cifar,
     write_idx,
 )
-from hetdp.measures import VectorDataset, build_context, i_squared, q_statistic
+from hetdp.measures import VectorDataset, build_context, i_squared
 
 from oracles import load_decoded, sample_decoded
 
@@ -483,13 +483,13 @@ class TestSyntheticData:
         worst = 0.0
         for seed in range(20):
             data = synthetic_dataset(200, 8, 0.0, seed=seed)
-            q = q_statistic(data, build_context(data))
+            q = build_context(data).q_value
             worst = max(worst, i_squared(q, data.n))
         assert worst <= 0.25
 
     @staticmethod
     def _fraction(data):
-        return i_squared(q_statistic(data, build_context(data)), data.n)
+        return i_squared(build_context(data).q_value, data.n)
 
     def test_knob_raises_heterogeneity_fraction(self):
         low = synthetic_dataset(400, 8, 0.1, seed=3)
@@ -499,4 +499,4 @@ class TestSyntheticData:
     def test_knob_raises_weighted_q(self):
         low = synthetic_dataset(400, 8, 0.1, seed=4)
         high = synthetic_dataset(400, 8, 0.9, seed=4)
-        assert q_statistic(high, build_context(high)) > q_statistic(low, build_context(low))
+        assert build_context(high).q_value > build_context(low).q_value

@@ -31,7 +31,7 @@ from hetdp.estimators import (
     stage_sigmas,
 )
 from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec
-from hetdp.measures import VectorDataset, build_context, dataset_mean
+from hetdp.measures import VectorDataset, build_context
 
 HAND_DRAWS = StageDraws(mean_noise=np.array([0.1, 0.1]), stat_noise=np.array([-0.01, 0.0]))
 
@@ -73,9 +73,10 @@ class TestClosedFormMse:
             draws = StageDraws(
                 mean_noise=rng.normal(0, 0.1, 4), stat_noise=rng.normal(0, 0.1, 4)
             )
-            value = release_from_draws(Statistic.DISPERSION, data, build_context(data), draws)
-            truth = float(((data.vectors - dataset_mean(data)) ** 2).sum(axis=1).mean())
-            projections = (data.vectors - dataset_mean(data)) @ draws.mean_noise
+            ctx = build_context(data)
+            value = release_from_draws(Statistic.DISPERSION, data, ctx, draws)
+            truth = float(((data.vectors - ctx.mean) ** 2).sum(axis=1).mean())
+            projections = (data.vectors - ctx.mean) @ draws.mean_noise
             decomposed = (value - truth) ** 2 + 4.0 * float((projections**2).mean())
             assert tmse_dispersion(data, draws) == pytest.approx(decomposed, rel=1e-10)
 
@@ -207,7 +208,7 @@ class TestVarianceOracles:
         for trial in range(10):
             data = VectorDataset(rng.random((7, 3)), np.zeros(7, dtype=np.int64))
             shift = rng.normal(0, 0.2, 3)
-            gap = variance_oracle_dispersion(data, dataset_mean(data) + shift)
+            gap = variance_oracle_dispersion(data, data.vectors.mean(axis=0) + shift)
             assert gap == pytest.approx(float((shift**4).sum()), rel=1e-9)
 
     def test_q_oracle_equals_mean_weight_squared_times_fourth_powers(self):

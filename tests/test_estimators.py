@@ -46,7 +46,7 @@ from hetdp.estimators import (
     unit_normals,
 )
 from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec
-from hetdp.measures import VectorDataset, build_context, dataset_mean, dispersion, i_squared
+from hetdp.measures import VectorDataset, build_context, i_squared
 
 
 def _cfg(budget, setting=Setting.DISTRIBUTED, mech=Mechanism.ANALYTIC, seed=7, zero=False):
@@ -77,12 +77,12 @@ class TestZeroNoiseIdentity:
         assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3) == i_squared(
             ctx.q_value, fix.n
         )
-        assert np.array_equal(noisy_mean(fix, zero_cfg2)[0], dataset_mean(fix))
+        assert np.array_equal(noisy_mean(fix, zero_cfg2)[0], ctx.mean)
 
     def test_centralized_setting_too(self, fix_diag, budget2):
         cfg = _cfg(budget2, setting=Setting.CENTRALIZED, zero=True)
         ctx = build_context(fix_diag)
-        assert noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg) == dispersion(fix_diag)
+        assert noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg) == ctx.dispersion
 
     def test_centralized_scalar_release(self, budget2):
         cfg = _cfg(budget2, zero=True)

@@ -5,9 +5,17 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import achieved_delta_high_noise, achieved_delta_low_noise
+from oracles import (
+    achieved_delta_high_noise,
+    achieved_delta_low_noise,
+    agm_sigma_per_branch,
+    largest_nonpositive,
+    smallest_nonpositive,
+)
 
+from hetdp import gaussian
 from hetdp.gaussian import (
+    ConvergenceError,
     Mechanism,
     NoiseBranch,
     PrivacyBudget,
@@ -201,6 +209,58 @@ class TestAnalyticCalibration:
         slack = achieved_delta(sigma, SENS.delta_l2, eps)
         assert slack <= delta
         assert slack > delta - 1e-9
+
+
+class TestOneRootFinder:
+    """The branch-parameterized finder against one finder per branch."""
+
+    # 5 sensitivities x 10 epsilons x 10 deltas, log-spaced over their ranges.
+    GRID = [
+        (10.0 ** (-4 + 5.477 * i / 4), 10.0 ** (-2 + 3.699 * j / 9), 10.0 ** (-12 + 11.954 * k / 9))
+        for i in range(5) for j in range(10) for k in range(10)
+    ]
+
+    def test_bit_identical_with_equal_slack_evaluations(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return achieved_delta(*args)
+
+        monkeypatch.setattr(gaussian, "achieved_delta", counted)
+        branches = set()
+        for dl2, eps, delta in self.GRID:
+            sens = SensitivitySpec(dl2, 1, 1)
+            calls[0] = 0
+            merged = agm_sigma(sens, eps, delta)
+            merged_calls, calls[0] = calls[0], 0
+            reference = agm_sigma_per_branch(sens, eps, delta)
+            case = (dl2, eps, delta)
+            assert merged.branch is reference.branch, case
+            for name in ("sigma", "alpha", "root", "delta0"):
+                assert getattr(merged, name) == getattr(reference, name), (name, case)
+            assert merged_calls == calls[0], case
+            branches.add(merged.branch)
+        assert branches == set(NoiseBranch)
+
+    @pytest.mark.parametrize(
+        "g, nondecreasing",
+        [
+            (lambda x: 1.0, True),  # no satisfying point at the origin
+            (lambda x: -1.0, True),  # bracketing never leaves the satisfying side
+            (lambda x: 1.0, False),  # bracketing never reaches it
+            (lambda x: -1.0 if x <= 0.3 else 1.0, True),  # a step: bisection never converges
+            (lambda x: 1.0 if x < 0.3 else -1.0, False),
+        ],
+    )
+    def test_same_failures(self, g, nondecreasing):
+        reference = largest_nonpositive if nondecreasing else smallest_nonpositive
+        with pytest.raises(ConvergenceError) as expected:
+            reference(g, 1e-12)
+        with pytest.raises(ConvergenceError) as raised:
+            gaussian._nonpositive_end(g, 1e-12, nondecreasing)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.bracket == expected.value.bracket
 
 
 class TestSensitivitySpec:

@@ -7,21 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import build_context_direct, dispersion_direct, within_vector_variance
+from oracles import build_context_direct, within_vector_variance
 
-from hetdp.measures import (
-    BLOCK_BYTES,
-    VARIANCE_FLOOR,
-    MeasureContext,
-    VectorDataset,
-    build_context,
-    dataset_mean,
-    dispersion,
-    i_squared,
-    q_statistic,
-    weighted_mean,
-    weights_from_variances,
-)
+from hetdp.measures import BLOCK_BYTES, VARIANCE_FLOOR, VectorDataset, build_context, i_squared
 
 unit_matrices = hnp.arrays(
     np.float64,
@@ -33,6 +21,13 @@ unit_matrices = hnp.arrays(
 def _dataset(vectors):
     vectors = np.asarray(vectors, dtype=np.float64)
     return VectorDataset(vectors, np.zeros(vectors.shape[0], dtype=np.int64))
+
+
+def _equal_variance_rows(seed: int, n: int, d: int) -> VectorDataset:
+    """n rows, each a permutation of one random vector of length d."""
+    rng = np.random.default_rng(seed)
+    row = rng.random(d)
+    return _dataset([rng.permutation(row) for _ in range(n)])
 
 
 class TestVectorDataset:
@@ -68,38 +63,27 @@ class TestVectorDataset:
         assert (fix.n, fix.d) == (2, 2)
 
 
+def _dispersion(vectors) -> float:
+    return build_context(_dataset(vectors)).dispersion
+
+
 class TestDispersion:
     def test_hand_value(self, fix):
-        assert dispersion(fix) == pytest.approx(0.25, abs=1e-15)
+        assert build_context(fix).dispersion == pytest.approx(0.25, abs=1e-15)
 
     def test_hand_value_diagonal(self, fix_diag):
-        assert dispersion(fix_diag) == pytest.approx(0.5, abs=1e-15)
-
-    def test_cubic_exponent_brute_force(self):
-        rng = np.random.default_rng(0)
-        vectors = rng.random((7, 3))
-        data = _dataset(vectors)
-        mu = vectors.mean(axis=0)
-        brute = np.mean(
-            [sum(abs(vectors[i, j] - mu[j]) ** 3 for j in range(3)) for i in range(7)]
-        )
-        assert dispersion(data, p=3.0) == pytest.approx(brute, abs=1e-14)
-
-    def test_rejects_exponent_below_one(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            dispersion(_dataset([[0.5]]), p=0.5)
+        assert build_context(fix_diag).dispersion == pytest.approx(0.5, abs=1e-15)
 
     def test_identical_rows_give_zero(self):
-        assert dispersion(_dataset([[0.3, 0.7]] * 5)) == 0.0
+        assert _dispersion([[0.3, 0.7]] * 5) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(unit_matrices)
     def test_nonnegative_and_permutation_invariant(self, vectors):
-        data = _dataset(vectors)
-        value = dispersion(data)
+        value = _dispersion(vectors)
         assert value >= 0.0
         perm = np.random.default_rng(0).permutation(vectors.shape[0])
-        assert dispersion(_dataset(vectors[perm])) == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert _dispersion(vectors[perm]) == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 class TestWeights:
@@ -114,38 +98,22 @@ class TestWeights:
         ctx = build_context(fix_diag)
         assert np.allclose(ctx.weights, [1.0 / VARIANCE_FLOOR] * 2)
 
-    def test_floor_must_be_positive(self):
-        with pytest.raises(ValueError):
-            weights_from_variances(np.array([0.1]), variance_floor=0.0)
-
     def test_weighted_mean_with_equal_weights_is_mean(self):
-        rng = np.random.default_rng(3)
-        data = _dataset(rng.random((6, 4)))
-        wm = weighted_mean(data, np.full(6, 2.5))
-        assert np.allclose(wm, dataset_mean(data), rtol=1e-14)
-
-    def test_weighted_mean_validation(self):
-        data = _dataset(np.random.default_rng(0).random((4, 2)))
-        with pytest.raises(ValueError):
-            weighted_mean(data, np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            weighted_mean(data, np.array([1.0, -1.0, 1.0, 1.0]))
+        # Rows that permute one vector share its variance, hence one weight.
+        ctx = build_context(_equal_variance_rows(3, 6, 4))
+        assert np.allclose(ctx.weights, ctx.weights[0], rtol=1e-14)
+        assert np.allclose(ctx.weighted_mean, ctx.mean, rtol=1e-14)
 
 
 class TestQStatistic:
     def test_hand_value(self, fix):
         assert build_context(fix).q_value == pytest.approx(4.0, abs=1e-12)
 
-    def test_unit_weights_reduce_to_dispersion(self):
-        rng = np.random.default_rng(7)
-        data = _dataset(rng.random((8, 3)))
-        ctx = MeasureContext(
-            mean=dataset_mean(data),
-            weighted_mean=dataset_mean(data),
-            weights=np.ones(8),
-            within_variances=np.ones(8),
-        )
-        assert q_statistic(data, ctx) == pytest.approx(dispersion(data), rel=1e-13)
+    def test_equal_weights_reduce_to_dispersion(self):
+        # Q with one weight w everywhere is w times the dispersion; unit
+        # weights are the case w = 1.
+        ctx = build_context(_equal_variance_rows(7, 8, 3))
+        assert ctx.q_value == pytest.approx(ctx.weights[0] * ctx.dispersion, rel=1e-13)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(11)
@@ -155,27 +123,15 @@ class TestQStatistic:
         w = 1.0 / np.maximum(vectors.var(axis=1), VARIANCE_FLOOR)
         center = (w[:, None] * vectors).sum(axis=0) / w.sum()
         brute = np.mean([w[i] * ((vectors[i] - center) ** 2).sum() for i in range(5)])
-        assert q_statistic(data, ctx) == pytest.approx(brute, rel=1e-13)
-
-    def test_context_shape_mismatch_rejected(self, fix):
-        bad = MeasureContext(
-            mean=np.zeros(2),
-            weighted_mean=np.zeros(3),
-            weights=np.ones(2),
-            within_variances=np.ones(2),
-        )
-        with pytest.raises(ValueError):
-            q_statistic(fix, bad)
+        assert ctx.q_value == pytest.approx(brute, rel=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(unit_matrices)
     def test_nonnegative_and_permutation_invariant(self, vectors):
-        data = _dataset(vectors)
-        value = q_statistic(data, build_context(data))
+        value = build_context(_dataset(vectors)).q_value
         assert value >= 0.0
         perm = np.random.default_rng(1).permutation(vectors.shape[0])
-        shuffled = _dataset(vectors[perm])
-        assert q_statistic(shuffled, build_context(shuffled)) == pytest.approx(
+        assert build_context(_dataset(vectors[perm])).q_value == pytest.approx(
             value, rel=1e-9, abs=1e-12
         )
 
@@ -206,14 +162,6 @@ class TestISquared:
         assert i_squared(q + 1.0, n) >= value
 
 
-class TestContextTotals:
-    def test_context_holds_consistent_values(self, fix):
-        ctx = build_context(fix)
-        assert ctx.dispersion == dispersion(fix)
-        assert ctx.q_value == q_statistic(fix, ctx)
-        assert np.array_equal(ctx.mean, dataset_mean(fix))
-
-
 # Rows per block at d = 64, and a width whose one row exceeds a block.
 _BLOCK_ROWS = BLOCK_BYTES // (8 * 64)
 _WIDE_D = BLOCK_BYTES // 8 + 3
@@ -240,9 +188,6 @@ class TestRowBlocksAgainstWholeMatrix:
             assert np.array_equal(getattr(ctx, field), getattr(direct, field)), field
         assert ctx.dispersion == direct.dispersion
         assert ctx.q_value == direct.q_value
-        assert dispersion(data) == direct.dispersion
-        assert dispersion(data, 3.0) == dispersion_direct(data, 3.0)
-        assert q_statistic(data, ctx) == direct.q_value
         if constant_row is not None:
             assert ctx.weights[constant_row] == 1.0 / VARIANCE_FLOOR
 
