@@ -109,6 +109,15 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset-name", help="name used in result rows (default: derived)")
     parser.add_argument("--dim", type=int, help="declared vector dimension to validate against")
     parser.add_argument("--synth-seed", type=int, default=0, help="synthetic generator seed")
+    parser.set_defaults(default_of=parser.get_default)
+
+
+def _reject_unused(parser, args, needs: str, *flags: str) -> None:
+    """Usage error for a flag of `flags` off its default: it acts only with `needs`."""
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) != args.default_of(dest):
+            parser.error(f"{flag} needs {needs}")
 
 
 def _dataset_from_args(parser: argparse.ArgumentParser, args) -> DatasetDescriptor:
@@ -121,6 +130,8 @@ def _dataset_from_args(parser: argparse.ArgumentParser, args) -> DatasetDescript
     if sum(sources) != 1:
         parser.error("choose exactly one of --synthetic, --idx-images/--idx-labels, "
                      "--cifar10, --cifar100")
+    if not args.synthetic:
+        _reject_unused(parser, args, "--synthetic", "--synth-seed")
     try:
         if args.synthetic:
             parts = args.synthetic.split(",")
@@ -235,8 +246,11 @@ def cmd_calibrate(parser, args) -> int:
 
 
 def cmd_measure(parser, args) -> int:
-    if args.fraction is not None and not args.profile:
-        parser.error("--fraction needs --profile: it sets the sample fraction of that profile")
+    if not args.profile:
+        _reject_unused(parser, args, "--profile", "--fraction", "--sample-seed")
+    if not args.release:
+        _reject_unused(parser, args, "--release", "--epsilon", "--delta", "--mechanism",
+                       "--setting", "--budget-split", "--seed", "--zero-noise")
     desc = _dataset_from_args(parser, args)
     loaded = load_dataset(desc)
     sampled_as = None

@@ -5,12 +5,11 @@ releases from the true statistic. The theoretical error (TMSE) evaluates the
 closed-form per-release error on the exact noise of the paired release, so
 the two are comparable trial by trial. `error_reports` scores one cell at
 every budget (epsilon) of a list in one release call; `error_report` is its
-one-budget case. Both read one projection of the sample onto the unit
-mean-stage normals, which a caller may pass in, as an experiment does once
-per profile sample for all its cells. The centralized error (CMSE) is the
-squared single draw a centralized release would add after aggregation: each
-trial's shared unit scalar scaled by sqrt(d) times the full-budget sigma,
-whatever the statistic.
+one-budget case. Only the dispersion and Q TMSE read the sample, through one
+projection onto the unit mean-stage normals that a caller may pass in. The
+centralized error (CMSE) is the squared single draw a centralized release
+would add after aggregation: each trial's shared unit scalar scaled by
+sqrt(d) times the full-budget sigma, whatever the statistic.
 
 The heterogeneity-fraction EMSE is normalized per client (divided by n): its
 closed-form counterpart carries a 1/n factor, and the ratio check between the
@@ -29,8 +28,10 @@ from hetdp.estimators import (
     Statistic,
     UnitNormals,
     i_squared_release,
+    project,
+    release_noise,
     release_sigma,
-    release_values,
+    tmse_kernel,
     true_value,
     unit_normals,
 )
@@ -140,11 +141,10 @@ def error_reports(
     its budget. Trial t scales the unit normals of derive_seed(cfg.seed, t)
     by the stage sigmas of every budget; pass `normals` when that block is
     already drawn, as a plan cell does once for all its profiles and
-    epsilons, and `projected`, the n x d pass project(data, mean-stage
-    columns of `normals`), when a plan has made it for all cells of a
-    profile at once. Each release is scored empirically against the true
-    value and theoretically from its own draws (the mean squared row shift
-    of the release kernel). `memo` is a dict of calibrated noise scales to
+    epsilons, and `projected`, project(data, mean-stage columns of
+    `normals`), when a plan has made it for all cells of a profile at once
+    (I^2 reads none). A release's EMSE is its squared noise; its TMSE is
+    scored on its own draws. `memo` is a dict of calibrated noise scales to
     share across calls.
     """
     if trials < 1:
@@ -156,28 +156,27 @@ def error_reports(
         normals = trial_normals(statistic, cfg, data.d, trials)
     elif normals.central.shape != (trials,):
         raise ValueError(f"unit normals hold {len(normals.central)} trials, not {trials}")
-    values, errors, sigmas = release_values(
-        statistic, data, ctx, cfg, budgets, normals, projected, memo
-    )
-    truth = true_value(statistic, data, ctx)
+    noise, sigmas = release_noise(statistic, data, ctx, cfg, budgets, normals, memo)
+    if statistic is Statistic.I_SQUARED:
+        q_true = true_value(Statistic.Q, data, ctx)
+        q_noisy = q_true + noise
+        i2_noise = np.array([s[2] for s in sigmas])[:, None] * normals.stages[:, 2 * data.d]
+        released = i_squared_release(q_noisy, data.n, i2_noise)
+        emse = (released - true_value(statistic, data, ctx)) ** 2 / data.n
+        tmse = tmse_i_squared(data.n, q_true, q_noisy, i2_noise)
+    else:
+        if projected is None:
+            projected = project(data, normals.stages[:, : data.d])
+        emse, tmse = noise**2, tmse_kernel(statistic, data, ctx, normals, projected, sigmas)
     reports = []
     for b, budget in enumerate(budgets):
-        if statistic is Statistic.I_SQUARED:
-            i2_noise = sigmas[b][2] * normals.stages[:, 2 * data.d]
-            released = i_squared_release(values[b], data.n, i2_noise)
-            emse_vals = (released - truth) ** 2 / data.n
-            q_true = true_value(Statistic.Q, data, ctx)
-            tmse_vals = tmse_i_squared(data.n, q_true, values[b], i2_noise)
-        else:
-            emse_vals = (values[b] - truth) ** 2
-            tmse_vals = errors[b]
-        cmse_vals = centralized_errors(data, replace(cfg, budget=budget), normals, memo)
+        cmse = centralized_errors(data, replace(cfg, budget=budget), normals, memo)
         reports.append(ErrorReport(
-            emse=float(emse_vals.mean()),
-            tmse=float(tmse_vals.mean()),
-            cmse=float(cmse_vals.mean()),
-            sd_emse=float(emse_vals.std()),
-            sd_tmse=float(tmse_vals.std()),
+            emse=float(emse[b].mean()),
+            tmse=float(tmse[b].mean()),
+            cmse=float(cmse.mean()),
+            sd_emse=float(emse[b].std()),
+            sd_tmse=float(tmse[b].std()),
             trials=trials,
             ci_half_width=ci_half_width(statistic, data.n, ctx.weights, sigmas[b][0] ** 2),
         ))

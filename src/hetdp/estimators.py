@@ -15,14 +15,10 @@ stream, so they draw different realizations at the same seed.
 
 A stage's noise is its sigma times unit normals drawn in the order mean,
 statistic, I^2: `unit_normals` draws a block once and every budget scales the
-same array (common random numbers). Dispersion is Q with unit weights around
-the arithmetic mean, so one weighted kernel evaluates both, batched over
-trials and budgets: with mean noise e = sigma z and statistic noise s a
-release is Q + mean(w)||e||^2 - 2 e.mean(w dev) + sum(s). Its one pass over
-the n x d sample, `project` (X @ Z.T for unit normals Z), depends on neither
-sigma nor the center, so one projection serves every cell and budget;
-`release_kernel` makes its sigma-free O(n T) part once and then O(n T) per
-budget in one reused buffer. A single release is trial 0 of one budget.
+same array (common random numbers). A release is its true value plus
+`release_noise`, which reads no row of the sample; only the closed-form error
+(`tmse_kernel`) reads it, through one projection (`project`) that serves every
+budget. A single release is trial 0 of one budget.
 """
 
 from __future__ import annotations
@@ -76,10 +72,7 @@ class EstimatorConfig:
 
 
 def release_sigma(
-    mechanism: Mechanism,
-    sens: SensitivitySpec,
-    epsilon: float,
-    delta: float,
+    mechanism: Mechanism, sens: SensitivitySpec, epsilon: float, delta: float,
     memo: dict | None = None,
 ) -> float:
     """Noise scale of one release under the chosen mechanism.
@@ -131,7 +124,7 @@ def stage_sigmas(data: VectorDataset, cfg: EstimatorConfig, memo: dict | None = 
 
 
 def project(data: VectorDataset, units: np.ndarray) -> np.ndarray:
-    """X @ units.T (n x T), the one pass over the sample a batch of releases makes."""
+    """X @ units.T (n x T), the one pass over the sample the TMSE of a batch makes."""
     return data.vectors @ units.T
 
 
@@ -147,49 +140,44 @@ def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
-def release_kernel(
-    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, units: np.ndarray,
-    projected: np.ndarray, sigmas: np.ndarray, stat_sums: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Noisy dispersion or Q values of T releases at each of B budgets, plus
-    their closed-form errors, both B x T.
+def _stage_terms(z: np.ndarray, d: int, sigmas: list):
+    """Each budget's mean-stage sigma, each trial's ||z_t||^2, and the B x T sigma_2 sum(z'_t)."""
+    units = z[:, :d]
+    mean_sigmas, stat_sigmas = np.array([s[:2] for s in sigmas]).T
+    stat_sums = stat_sigmas[:, None] * z[:, d : 2 * d].sum(axis=1)
+    return mean_sigmas, (units * units).sum(axis=1), stat_sums
 
-    At budget b trial t's mean-stage noise is sigmas[b] z_t, z_t row t of
-    `units`; `projected` is project(data, units). With
-    P = projected - center @ units.T, row i moves the statistic by
-    shift[i, t] = w_i (sigma^2 ||z_t||^2 - 2 sigma P[i, t]) + stat_sums[b, t];
-    dispersion uses unit weights around the mean. P, ||z_t||^2 and the weight
-    checks are made once; a value adds the mean shift, read from the row means
-    of w and w P, to the true statistic, and an error is the mean square of
-    the shifts, formed per budget in one reused n x T buffer (none for I^2,
-    scored from its values). Zero noise leaves the true value bit for bit.
+
+def tmse_kernel(
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, normals: UnitNormals,
+    projected: np.ndarray, sigmas: list,
+) -> np.ndarray:
+    """Closed-form errors (B x T) of the dispersion or Q releases in `normals`
+    at each budget of release_noise's `sigmas`; `projected` is project(data,
+    units), units the mean-stage columns of `normals`.
+
+    With P = projected - center @ units.T, row i moves trial t's statistic by
+    shift[i, t] = w_i (sigma^2 ||z_t||^2 - 2 sigma P[i, t]) + stat_sums[b, t]
+    (unit weights around the mean for dispersion). An error is the mean square
+    of the shifts, formed per budget in one reused n x T buffer: expanding the
+    squares into moments of P would cancel digits.
     """
+    d, z = data.d, normals.stages
+    if projected.shape != (data.n, len(z)):
+        raise ValueError(f"projection {projected.shape} does not fit n={data.n}, {len(z)} trials")
     unweighted = statistic is Statistic.DISPERSION
     center = ctx.mean if unweighted else ctx.weighted_mean
-    base = true_value(Statistic.DISPERSION if unweighted else Statistic.Q, data, ctx)
-    deviations = projected - center @ units.T
-    norms = (units * units).sum(axis=1)
-    if unweighted:
-        mean_w, mean_wdev = 1.0, deviations.mean(axis=0)
-    else:
-        if ctx.weights.shape != (data.n,):
-            raise ValueError(f"context weights {ctx.weights.shape} do not match n={data.n}")
-        if np.any(ctx.weights <= 0) or not np.all(np.isfinite(ctx.weights)):
-            raise ValueError("context weights must be positive and finite")
-        mean_w, mean_wdev = ctx.weights.mean(), ctx.weights @ deviations / data.n
-    column = sigmas[:, None]
-    values = base + (column**2 * norms * mean_w - 2.0 * column * mean_wdev) + stat_sums
-    if statistic is Statistic.I_SQUARED:
-        return values, None
-    errors, shifts = np.empty_like(values), np.empty_like(deviations)
-    for b, sigma in enumerate(sigmas):
+    deviations = projected - center @ z[:, :d].T
+    mean_sigmas, norms, stat_sums = _stage_terms(z, d, sigmas)
+    errors, shifts = np.empty(stat_sums.shape), np.empty_like(deviations)
+    for b, sigma in enumerate(mean_sigmas):
         np.multiply(deviations, -2.0 * sigma, out=shifts)
         shifts += sigma**2 * norms
         if not unweighted:
             shifts *= ctx.weights[:, None]
         shifts += stat_sums[b]
         errors[b] = np.einsum("it,it->t", shifts, shifts) / data.n
-    return values, errors
+    return errors
 
 
 def i_squared_release(q_values: np.ndarray, n: int, i2_noise) -> np.ndarray:
@@ -208,20 +196,20 @@ def i_squared_release(q_values: np.ndarray, n: int, i2_noise) -> np.ndarray:
     return np.maximum(0.0, 1.0 - (n - 1) / q_values) + i2_noise
 
 
-def release_values(
+def release_noise(
     statistic: Statistic, data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig,
-    budgets, normals: UnitNormals, projected: np.ndarray | None = None,
-    memo: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, list]:
-    """Kernel values, closed-form errors and stage sigmas of the T releases in
-    `normals` at each budget (B x T arrays and one sigma list per budget);
-    `cfg` gives the mechanism and setting, `budgets` replace its budget.
+    budgets, normals: UnitNormals, memo: dict | None = None,
+) -> tuple[np.ndarray, list]:
+    """Noise of the T releases in `normals` at each budget (B x T) and each
+    budget's stage sigmas; `cfg` gives the mechanism and setting, `budgets`
+    replace its budget. I^2 gets the noise of its Q stage.
 
-    Each stage's noise is its calibrated sigma times its columns of `normals`;
+    With mean-stage noise e = sigma_1 z and statistic noise s = sigma_2 z', a
+    release minus its true dispersion or Q is exactly mean(w)||e||^2 + sum(s)
+    (mean(w) = 1 for dispersion): the cross term -2 e.mean(w dev) vanishes,
+    since weighted deviations from the weighted mean sum to zero.
     Generator.normal(0, sigma, k) is sigma * standard_normal(k) bit for bit,
-    so this equals drawing each stage at its own scale. `projected` is
-    project(data, mean-stage columns of `normals`), made here when not passed.
-    The values are noisy Q for I^2, which gets no errors.
+    so this equals drawing each stage at its own scale.
     """
     parts = statistic.budget_parts
     for budget in budgets:
@@ -231,16 +219,14 @@ def release_values(
     d, z = data.d, normals.stages
     if z.shape[1] != 2 * d + parts - 2:
         raise ValueError(f"unit normals of width {z.shape[1]} do not fit {statistic.value}, d={d}")
+    if ctx.weights.shape != (data.n,):
+        raise ValueError(f"context weights {ctx.weights.shape} do not match n={data.n}")
+    if np.any(ctx.weights <= 0) or not np.all(np.isfinite(ctx.weights)):
+        raise ValueError("context weights must be positive and finite")
+    mean_w = 1.0 if statistic is Statistic.DISPERSION else ctx.weights.mean()
     sigmas = [stage_sigmas(data, replace(cfg, budget=budget), memo) for budget in budgets]
-    units = z[:, :d]
-    if projected is None:
-        projected = project(data, units)
-    elif projected.shape != (data.n, len(z)):
-        raise ValueError(f"projection {projected.shape} does not fit n={data.n}, {len(z)} trials")
-    mean_sigmas, stat_sigmas = np.array([s[:2] for s in sigmas]).T
-    stat_sums = stat_sigmas[:, None] * z[:, d : 2 * d].sum(axis=1)
-    values, errors = release_kernel(statistic, data, ctx, units, projected, mean_sigmas, stat_sums)
-    return values, errors, sigmas
+    mean_sigmas, norms, stat_sums = _stage_terms(z, d, sigmas)
+    return mean_sigmas[:, None] ** 2 * norms * mean_w + stat_sums, sigmas
 
 
 def noisy_statistic(
@@ -256,7 +242,9 @@ def noisy_statistic(
     if statistic is Statistic.I_SQUARED and data.n < 2:
         raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
     normals = unit_normals(statistic, cfg, data.d, [cfg.seed])
-    values, _, sigmas = release_values(statistic, data, ctx, cfg, [cfg.budget], normals)
-    if statistic is Statistic.I_SQUARED:
-        values = i_squared_release(values, data.n, sigmas[0][2] * normals.stages[0, 2 * data.d])
-    return float(values[0, 0])
+    noise, sigmas = release_noise(statistic, data, ctx, cfg, [cfg.budget], normals)
+    if statistic is not Statistic.I_SQUARED:
+        return float(true_value(statistic, data, ctx) + noise[0, 0])
+    q_noisy = true_value(Statistic.Q, data, ctx) + noise[0]
+    i2_noise = sigmas[0][2] * normals.stages[:, 2 * data.d]
+    return float(i_squared_release(q_noisy, data.n, i2_noise)[0])

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_SOLVER_STEPS = 200
+#: Largest slack delta - achieved_delta(sigma) the analytic calibration leaves.
+_AGM_TOL = 1e-12
 
 
 class Mechanism(enum.Enum):
@@ -238,37 +240,32 @@ def check_classical_range(mechanisms, epsilons) -> None:
         )
 
 
-def agm_sigma(
-    sens: SensitivitySpec, epsilon: float, delta: float, tol: float = 1e-12
-) -> CalibrationResult:
+def agm_sigma(sens: SensitivitySpec, epsilon: float, delta: float) -> CalibrationResult:
     """Analytic Gaussian calibration: minimal sigma with achieved_delta <= delta.
 
     Solves achieved_delta(sigma) = delta by exponential bracketing plus
     bisection on a branch-dependent reparameterization
     sigma = alpha(x) * delta_l2 / sqrt(2 epsilon). The bisection evaluates the
     privacy slack through sigma itself, so the returned scale satisfies
-    achieved_delta(sigma) <= delta bit-for-bit, with slack at most tol.
+    achieved_delta(sigma) <= delta bit-for-bit, with slack at most 1e-12.
 
     Args:
         sens: sensitivity of the release.
         epsilon: privacy parameter, any positive value.
         delta: additive privacy parameter in (0, 1).
-        tol: termination tolerance on delta - achieved_delta(sigma).
 
     Returns:
         CalibrationResult with mechanism ANALYTIC and solver internals
         (alpha, delta0, root, branch) populated.
 
     Raises:
-        ValueError: on nonpositive epsilon, delta outside (0, 1), or tol <= 0.
+        ValueError: on nonpositive epsilon or delta outside (0, 1).
         ConvergenceError: if the root search exceeds its iteration cap.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
 
     delta_l2 = sens.delta_l2
     scale_unit = delta_l2 / math.sqrt(2.0 * epsilon)
@@ -285,7 +282,7 @@ def agm_sigma(
     def slack_gap(x: float) -> float:
         return achieved_delta(alpha_of(x) * scale_unit, delta_l2, epsilon) - delta
 
-    root = _nonpositive_end(slack_gap, tol, branch is NoiseBranch.LOW_NOISE)
+    root = _nonpositive_end(slack_gap, _AGM_TOL, branch is NoiseBranch.LOW_NOISE)
     alpha = alpha_of(root)
     return CalibrationResult(
         mechanism=Mechanism.ANALYTIC,

@@ -1,18 +1,18 @@
 """Direct forms of the private releases, their errors, and dataset sampling.
 
-These are the straightforward O(n*d)-per-trial evaluations the batched
-release kernel replaces, the batched kernel's direct form on scaled noise
-(one X @ E.T product per call, which the projection of unit normals shared
-by every budget replaces), the per-trial stage noise vectors whose sigmas
-the kernel applies to its unit normals instead, with the single release on
-injected vectors at sigma 1, the per-trial generators and per-stage normal
-draws the shared unit-normal block of a plan cell replaces, and the
-decode-everything-then-index loading that sampling stored image bytes
-replaces, and the whole-matrix context passes (one n x d temporary each)
-that the row-blocked passes replace, and the analytic calibration with one
-root finder per branch, which the branch-parameterized finder replaces. The
-suite keeps them as reference oracles and asserts that the fast forms agree
-with them. The closing
+These are the straightforward O(n*d)-per-trial evaluations the data-free
+release noise and the batched TMSE kernel replace, the batched kernel's
+direct form on scaled noise (one X @ E.T product per call, which the
+projection of unit normals shared by every budget replaces), the per-trial
+stage noise vectors whose sigmas the library applies to its unit normals
+instead, with the single release on injected vectors at sigma 1, the
+per-trial generators and per-stage normal draws the shared unit-normal block
+of a plan cell replaces, and the decode-everything-then-index loading that
+sampling stored image bytes replaces, and the whole-matrix context passes
+(one n x d temporary each) that the row-blocked passes replace, and the
+analytic calibration with one root finder per branch, which the
+branch-parameterized finder replaces. The suite keeps them as reference
+oracles and asserts that the fast forms agree with them. The closing
 helpers (within-vector variance, the branch-parameterized privacy slack,
 the variance oracles) serve only the suite's identity checks.
 """
@@ -41,8 +41,7 @@ from hetdp.estimators import (
     Statistic,
     UnitNormals,
     i_squared_release,
-    project,
-    release_kernel,
+    release_noise,
     release_sigma,
     stage_sigmas,
     true_value,
@@ -55,6 +54,7 @@ from hetdp.gaussian import (
     ConvergenceError,
     Mechanism,
     NoiseBranch,
+    PrivacyBudget,
     SensitivitySpec,
     _alpha_high_noise,
     _alpha_low_noise,
@@ -141,17 +141,22 @@ def draw_noise(statistic, data, cfg, seeds, memo=None) -> StageDraws:
 def release_from_draws(
     statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: StageDraws
 ) -> float:
-    """One release on injected scaled draws: the library kernel takes the
-    mean-stage vector as its unit normal at sigma 1, then the I^2 step."""
-    units = np.atleast_2d(draws.mean_noise)
-    stat_sums = np.atleast_2d(draws.stat_noise).sum(axis=1)
-    values, _ = release_kernel(
-        statistic, data, ctx, units, project(data, units), np.ones(1), stat_sums[None, :]
-    )
-    values = values[0]
+    """One release on injected scaled draws: the library's noise takes the
+    draws as its unit normals at sigma 1 (a calibration memo that reads 1.0
+    for every stage), added to the true dispersion or Q, then the I^2 step."""
+    budget = PrivacyBudget.equal_split(1.0, 0.5, statistic.budget_parts)
+    cfg = EstimatorConfig(Mechanism.ANALYTIC, Setting.CENTRALIZED, budget, seed=0)
+    delta_l2 = SensitivitySpec.from_shape(data.n, data.d).delta_l2
+    memo = {(cfg.mechanism, delta_l2, *part): 1.0 for part in budget.split}
+    i2 = [draws.i2_noise] if statistic is Statistic.I_SQUARED else []
+    stages = np.concatenate([np.ravel(draws.mean_noise), np.ravel(draws.stat_noise), i2])
+    normals = UnitNormals(stages[None, :], np.zeros(1))
+    noise, _ = release_noise(statistic, data, ctx, cfg, [budget], normals, memo)
+    base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
+    value = true_value(base, data, ctx) + noise[0]
     if statistic is Statistic.I_SQUARED:
-        values = i_squared_release(values, data.n, draws.i2_noise)
-    return float(values[0])
+        value = i_squared_release(value, data.n, draws.i2_noise)
+    return float(value[0])
 
 
 #: The setting tags of each release's stream, (seed, tag).

@@ -75,6 +75,42 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--fraction needs --profile" in capsys.readouterr().err
 
+    def test_sample_seed_without_profile_is_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", *SYNTH_ARGS, "--sample-seed", "5", "--json"])
+        assert exc.value.code == 2
+        assert "--sample-seed needs --profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--epsilon", "7"], ["--delta", "0.01"], ["--mechanism", "classical"],
+        ["--setting", "centralized"], ["--budget-split", "0.3,0.7"], ["--seed", "3"],
+        ["--zero-noise"],
+    ])
+    def test_release_flag_without_release_is_two(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", *SYNTH_ARGS, *flag, "--json"])
+        assert exc.value.code == 2
+        assert f"{flag[0]} needs --release" in capsys.readouterr().err
+
+    def test_flags_at_their_defaults_count_as_absent(self, capsys):
+        assert main(["measure", *SYNTH_ARGS, "--sample-seed", "0", "--seed", "0",
+                     "--mechanism", "analytic", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 400
+
+    @pytest.mark.parametrize("command", ["measure", "experiment", "compare-heterogeneity"])
+    @pytest.mark.parametrize("source", [
+        ["--idx-images", "img.bin", "--idx-labels", "lab.bin"], ["--cifar10", "batch.bin"],
+        ["--cifar100", "batch.bin"],
+    ])
+    def test_synth_seed_with_a_file_source_is_two(self, tmp_path, capsys, command, source):
+        argv = [command, *source, "--synth-seed", "4"]
+        if command != "measure":
+            argv += ["--profiles", "uniform-2,skewed-2", "--out", str(tmp_path / "o.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--synth-seed needs --synthetic" in capsys.readouterr().err
+
     def test_unknown_profile_is_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -219,13 +255,15 @@ class TestRunFailuresAreErrors:
     def test_degenerate_noisy_q_is_one(self, tmp_path, monkeypatch, capsys):
         import hetdp.estimators
 
-        real = hetdp.estimators.release_kernel
+        import hetdp.errors
 
-        def nonpositive_q(*args):
-            values, shifts = real(*args)
-            return -abs(values), shifts
+        real = hetdp.estimators.release_noise
 
-        monkeypatch.setattr(hetdp.estimators, "release_kernel", nonpositive_q)
+        def nonpositive_q(statistic, data, ctx, *args):
+            noise, sigmas = real(statistic, data, ctx, *args)
+            return -abs(noise) - 2.0 * ctx.q_value, sigmas
+
+        monkeypatch.setattr(hetdp.errors, "release_noise", nonpositive_q)
         for command in ("experiment", "compare-heterogeneity"):
             args = [command, *self.ARGS[1:]]
             if command == "compare-heterogeneity":

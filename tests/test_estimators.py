@@ -39,9 +39,11 @@ from hetdp.estimators import (
     Statistic,
     i_squared_release,
     noisy_statistic,
+    project,
+    release_noise,
     release_sigma,
-    release_values,
     stage_sigmas,
+    tmse_kernel,
     true_value,
     unit_normals,
 )
@@ -260,14 +262,30 @@ def _trial_draws(batch, t):
     return StageDraws(mean_noise=batch.mean_noise[t], stat_noise=batch.stat_noise[t], i2_noise=i2)
 
 
+def _released(statistic, data, ctx, noise):
+    """Releases of the true dispersion, or of the true Q for Q and I^2, plus
+    their noise."""
+    base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
+    return true_value(base, data, ctx) + noise
+
+
+def _library_tmse(statistic, data, ctx, normals, sigmas):
+    """tmse_kernel on the projection of the mean-stage normals; None for I^2."""
+    if statistic is Statistic.I_SQUARED:
+        return None
+    projected = project(data, normals.stages[:, : data.d])
+    return tmse_kernel(statistic, data, ctx, normals, projected, sigmas)
+
+
 def _library_kernel(statistic, data, ctx, cfg, seeds):
     """The library's release values and per-trial errors at cfg.budget on the
     unit normals of `seeds` (no errors for I^2), with the scaled draws of the
     same normals."""
     normals = unit_normals(statistic, cfg, data.d, seeds)
-    values, errors, _ = release_values(statistic, data, ctx, cfg, [cfg.budget], normals)
+    noise, sigmas = release_noise(statistic, data, ctx, cfg, [cfg.budget], normals)
+    errors = _library_tmse(statistic, data, ctx, normals, sigmas)
     draws = scaled_draws(statistic, data, cfg, normals)
-    return values[0], None if errors is None else errors[0], draws
+    return _released(statistic, data, ctx, noise[0]), None if errors is None else errors[0], draws
 
 
 class TestBatchedKernelAgainstDirectForms:
@@ -354,23 +372,21 @@ class TestBatchedKernelAgainstDirectForms:
 
 class TestSingleReleaseIsBatchedTrial:
     """noisy_statistic at seed derive_seed(s, t) is trial t of error_report's
-    release on trial_normals(..., s, T). The one-column product rounds
-    differently from the T-column GEMM, so the two agree within a relative
-    1e-12, not bit for bit; zero noise gives the true value bit for bit."""
+    release on trial_normals(..., s, T) bit for bit: the noise reads no row of
+    the sample, so no product rounds differently at one column; zero noise
+    gives the true value bit for bit."""
 
     TRIALS = 12
 
-    def test_single_release_is_trial_t_within_rtol_1e_12(self):
+    def test_single_release_is_trial_t_bit_for_bit(self):
         for data in (_random_data(), _constant_row_data()):
             ctx = build_context(data)
             for statistic, setting, mech in product(Statistic, Setting, Mechanism):
                 budget = PrivacyBudget.equal_split(0.5, 1e-3, statistic.budget_parts)
                 cfg = _cfg(budget, setting, mech, seed=29)
                 normals = trial_normals(statistic, cfg, data.d, self.TRIALS)
-                values, _, sigmas = release_values(
-                    statistic, data, ctx, cfg, [cfg.budget], normals
-                )
-                values = values[0]
+                noise, sigmas = release_noise(statistic, data, ctx, cfg, [cfg.budget], normals)
+                values = _released(statistic, data, ctx, noise[0])
                 if statistic is Statistic.I_SQUARED:
                     i2_noise = sigmas[0][2] * normals.stages[:, 2 * data.d]
                     values = i_squared_release(values, data.n, i2_noise)
@@ -378,16 +394,18 @@ class TestSingleReleaseIsBatchedTrial:
                     trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, t))
                     single = noisy_statistic(statistic, data, ctx, trial_cfg)
                     case = (statistic, setting, mech, data.n, t)
-                    assert single == pytest.approx(values[t], rel=1e-12, abs=0.0), case
+                    assert single == values[t], case
                 zero = noisy_statistic(statistic, data, ctx, replace(cfg, zero_noise=True))
                 assert zero == true_value(statistic, data, ctx), case
 
 
 class TestProjectedKernelAgainstDirectKernel:
-    """The kernel on unit normals and their projection X @ Z.T against the
-    direct X @ E.T - c @ E.T kernel on the same scaled draws E = sigma Z.
-    sigma * (X @ Z.T) rounds differently from X @ (sigma Z).T, so the two
-    agree within a relative tolerance of 1e-12, not bit for bit."""
+    """The releases (truth plus data-free noise) and the TMSE kernel on unit
+    normals and their projection X @ Z.T against the direct X @ E.T - c @ E.T
+    kernel on the same scaled draws E = sigma Z. The direct cross term is
+    zero only up to rounding, and sigma * (X @ Z.T) rounds differently from
+    X @ (sigma Z).T, so the two agree within a relative tolerance of 1e-12,
+    not bit for bit."""
 
     TRIALS = 9
 
@@ -455,7 +473,9 @@ class TestBudgetBatchAgainstDirectKernel:
     def test_each_budget_agrees_with_direct_kernel_within_rtol_1e_12(self):
         for data, ctx, statistic, cell, budgets in self._cases():
             normals = trial_normals(statistic, cell, data.d, self.TRIALS)
-            values, errors, sigmas = release_values(statistic, data, ctx, cell, budgets, normals)
+            noise, sigmas = release_noise(statistic, data, ctx, cell, budgets, normals)
+            values = _released(statistic, data, ctx, noise)
+            errors = _library_tmse(statistic, data, ctx, normals, sigmas)
             assert values.shape == (3, self.TRIALS)
             assert (errors is None) == (statistic is Statistic.I_SQUARED)
             reports = error_reports(statistic, data, cell, budgets, self.TRIALS, ctx)
@@ -479,15 +499,17 @@ class TestBudgetBatchAgainstDirectKernel:
     def test_one_budget_call_equals_its_slot_exactly(self):
         for data, ctx, statistic, cell, budgets in self._cases():
             normals = trial_normals(statistic, cell, data.d, self.TRIALS)
-            values, errors, sigmas = release_values(statistic, data, ctx, cell, budgets, normals)
+            noise, sigmas = release_noise(statistic, data, ctx, cell, budgets, normals)
+            errors = _library_tmse(statistic, data, ctx, normals, sigmas)
             reports = error_reports(statistic, data, cell, budgets, self.TRIALS, normals=normals)
             for b, budget in enumerate(budgets):
-                one = release_values(statistic, data, ctx, cell, [budget], normals)
+                one = release_noise(statistic, data, ctx, cell, [budget], normals)
                 case = (statistic, cell.setting, cell.mechanism, budget.epsilon, data.n)
-                assert np.array_equal(one[0][0], values[b]), case
+                assert np.array_equal(one[0][0], noise[b]), case
                 if errors is not None:
-                    assert np.array_equal(one[1][0], errors[b]), case
-                assert one[2] == [sigmas[b]], case
+                    one_errors = _library_tmse(statistic, data, ctx, normals, one[1])
+                    assert np.array_equal(one_errors[0], errors[b]), case
+                assert one[1] == [sigmas[b]], case
                 cfg = replace(cell, budget=budget)
                 assert error_report(statistic, data, cfg, self.TRIALS, ctx) == reports[b], case
 
@@ -495,7 +517,9 @@ class TestBudgetBatchAgainstDirectKernel:
         for data, ctx, statistic, cell, budgets in self._cases():
             cell = replace(cell, zero_noise=True)
             normals = trial_normals(statistic, cell, data.d, self.TRIALS)
-            values, errors, _ = release_values(statistic, data, ctx, cell, budgets, normals)
+            noise, sigmas = release_noise(statistic, data, ctx, cell, budgets, normals)
+            values = _released(statistic, data, ctx, noise)
+            errors = _library_tmse(statistic, data, ctx, normals, sigmas)
             base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
             assert np.array_equal(values, np.full((3, self.TRIALS), true_value(base, data, ctx)))
             assert errors is None or np.array_equal(errors, np.zeros((3, self.TRIALS)))
@@ -524,13 +548,39 @@ class TestSingleDrawDistribution:
         assert np.all(gap < 0.1 * sigma)
 
 
-def test_kernel_rejects_mismatched_or_nonpositive_weights(fix):
+def test_noise_rejects_mismatched_or_nonpositive_weights(fix, budget2):
     ctx = build_context(fix)
-    draws = StageDraws(mean_noise=np.zeros(2), stat_noise=np.zeros(2))
+    cfg = _cfg(budget2)
+    normals = unit_normals(Statistic.Q, cfg, fix.d, [1])
     for weights in (np.ones(3), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
         bad = replace(ctx, weights=weights)
         with pytest.raises(ValueError, match="context weights"):
-            release_from_draws(Statistic.Q, fix, bad, draws)
+            release_noise(Statistic.Q, fix, bad, cfg, [budget2], normals)
+
+
+def test_release_reads_no_row_of_the_sample(budget2, budget3, monkeypatch):
+    # Only the dispersion and Q TMSE project the sample: a release and the
+    # I^2 scores are the same on an all-zero sample with the real context.
+    import hetdp.errors as errors
+    import hetdp.estimators as estimators
+
+    def no_projection(data, units):
+        raise AssertionError("projected the sample")
+
+    for module in (estimators, errors):
+        monkeypatch.setattr(module, "project", no_projection)
+    data = _random_data()
+    ctx = build_context(data)
+    blank = VectorDataset(np.zeros_like(data.vectors), data.labels)
+    for statistic in Statistic:
+        cfg = _cfg(budget3 if statistic is Statistic.I_SQUARED else budget2, seed=13)
+        value = noisy_statistic(statistic, data, ctx, cfg)
+        assert math.isfinite(value) and value == noisy_statistic(statistic, blank, ctx, cfg)
+    cfg = _cfg(budget3, seed=13)
+    report = error_report(Statistic.I_SQUARED, data, cfg, 6, ctx)
+    assert report.tmse > 0 and report == error_report(Statistic.I_SQUARED, blank, cfg, 6, ctx)
+    with pytest.raises(AssertionError, match="projected the sample"):
+        error_report(Statistic.Q, data, _cfg(budget2), 6, ctx)
 
 
 class TestSharedNormalsAgainstPerTrialDraws:
@@ -584,7 +634,7 @@ class TestSharedNormalsAgainstPerTrialDraws:
         data = _random_data()
         normals = trial_normals(Statistic.DISPERSION, _cfg(budget2), data.d, 4)
         with pytest.raises(ValueError, match="do not fit i_squared"):
-            release_values(
+            release_noise(
                 Statistic.I_SQUARED, data, build_context(data), _cfg(budget3), [budget3], normals
             )
         with pytest.raises(ValueError, match="hold 4 trials, not 5"):

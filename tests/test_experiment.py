@@ -281,6 +281,28 @@ class TestHeterogeneityComparison:
         rows = run_heterogeneity_comparison(plan, tmp_path / "cmp.csv")
         assert all(r.pct_change_emse == 0.0 for r in rows)
 
+    def test_equal_sample_sizes_change_dispersion_by_exactly_zero(self, tmp_path):
+        # A dispersion release's noise reads the sample only through n, so
+        # profiles of one size have bit-identical dispersion EMSE.
+        profiles = tuple(
+            (name, HeterogeneityProfile(profile.ratios, sample_fraction=0.15))
+            for name, profile in (("uniform-2", UNIFORM2), ("skewed-2", SKEWED2),
+                                  ("uniform-5", UNIFORM5), ("skewed-5", SKEWED5))
+        )
+        plan = _plan(profiles=profiles, statistics=(Statistic.DISPERSION, Statistic.Q),
+                     mechanisms=tuple(Mechanism), settings=tuple(Setting),
+                     epsilons=(0.9, 0.25, 0.5), trials=4)
+        assert len({sample.n for sample, _ in _materialize_samples(plan).values()}) == 1
+        emse = {}
+        for row in run_experiment(plan, tmp_path / "sweep.csv"):
+            if row.statistic == "dispersion":
+                emse.setdefault((row.mechanism, row.setting, row.epsilon), set()).add(row.emse)
+        assert len(emse) == 12 and all(len(values) == 1 for values in emse.values())
+        rows = run_heterogeneity_comparison(plan, tmp_path / "cmp.csv")
+        dispersion = [r.pct_change_emse for r in rows if r.statistic == "dispersion"]
+        assert len(dispersion) == 12 and set(dispersion) == {0.0}
+        assert all(r.pct_change_emse != 0.0 for r in rows if r.statistic == "q")
+
     def test_unpaired_profiles_rejected(self, tmp_path):
         plan = _plan(profiles=(("uniform-2", UNIFORM2),))
         with pytest.raises(ValueError, match="exactly a balanced/skewed pair"):
@@ -411,13 +433,13 @@ class TestSharedCellNormals:
 
     def test_one_release_call_per_profile_and_cell(self, monkeypatch):
         calls = []
-        real = hetdp.estimators.release_kernel
+        real = hetdp.estimators.release_noise
 
         def counting(*args):
-            calls.append((args[1].n, args[3].shape))
+            calls.append((args[1].n, args[5].central.shape))
             return real(*args)
 
-        monkeypatch.setattr(hetdp.estimators, "release_kernel", counting)
+        monkeypatch.setattr(hetdp.errors, "release_noise", counting)
         plan = _plan(**dict(self.PLAN, profiles=self.PLAN["profiles"][:2]))
         rows = _cell_rows(plan)
         assert len(rows) == 2 * 12 * 3
@@ -426,4 +448,4 @@ class TestSharedCellNormals:
         samples = _materialize_samples(plan)
         sizes = [samples[name][0].n for name, _ in plan.profiles]
         assert [n for n, _ in calls] == [size for size in sizes for _ in range(12)]
-        assert {shape for _, shape in calls} == {(4, SYNTH.d)}
+        assert {shape for _, shape in calls} == {(4,)}

@@ -196,8 +196,6 @@ class TestAnalyticCalibration:
             agm_sigma(SENS, 0.0, 1e-5)
         with pytest.raises(ValueError):
             agm_sigma(SENS, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            agm_sigma(SENS, 0.5, 1e-5, tol=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
