@@ -10,8 +10,11 @@ grid that spans both analytic branches and the classical range, through
 hetdp.cli.main in a temporary directory. It also writes an IDX pair
 (d=784) and a CIFAR-10 batch (d=3072) there with write_idx and write_cifar,
 sized so every profile sample spans at least three row blocks of
-hetdp.measures (300 and 100 rows), and runs an experiment on each. It
-digests each input file, CSV, plan log, chart and --json stdout. Two
+hetdp.measures (300 and 100 rows), and runs an experiment on each. The
+`library` run is the README's library example (noisy_statistic and a
+200-trial error_report on synthetic_dataset(5000, 16, 0.4, 7)), written as
+library.json. It digests each input file, CSV, plan log, chart, --json
+stdout and library.json. Two
 checkouts wrote the same bytes exactly when `diff` of their printouts is
 empty:
 
@@ -22,11 +25,17 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
+from hetdp import (
+    EstimatorConfig, Mechanism, PrivacyBudget, Setting, Statistic, build_context, error_report,
+    noisy_statistic, true_value,
+)
 from hetdp.cli import main as cli_main
 from hetdp.datasets import CifarVariant, synthetic_dataset, write_cifar, write_idx
 
@@ -74,6 +83,23 @@ def write_inputs() -> None:
                 CifarVariant.TEN)
 
 
+def library_run() -> dict:
+    """The README's library example: one release and a 200-trial report."""
+    data = synthetic_dataset(n=5000, d=16, heterogeneity=0.4, seed=7)
+    ctx = build_context(data)
+    cfg = EstimatorConfig(
+        mechanism=Mechanism.ANALYTIC,
+        setting=Setting.DISTRIBUTED,
+        budget=PrivacyBudget.equal_split(epsilon=1.0, delta=1e-5, parts=2),
+        seed=123,
+    )
+    return {
+        "true_value": true_value(Statistic.DISPERSION, data, ctx),
+        "value": noisy_statistic(Statistic.DISPERSION, data, ctx, cfg),
+        "report": asdict(error_report(Statistic.DISPERSION, data, cfg, trials=200)),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", default="0", help="plan and release seed")
@@ -89,6 +115,7 @@ def main() -> int:
                     sys.exit(f"{name} failed")
             if "--json" in argv:
                 Path(f"{name}.stdout.json").write_text(stdout.getvalue())
+        Path("library.json").write_text(json.dumps(library_run(), indent=2) + "\n")
         for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
         os.chdir(home)

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 
 from hetdp.datasets import (
@@ -201,32 +202,20 @@ def _lookup(parser, kind: str, table: dict, names) -> tuple:
 
 
 def cmd_calibrate(parser, args) -> int:
-    if args.sensitivity is not None:
-        sens_values = args.sensitivity
-    else:
-        sens_values = (SensitivitySpec.from_shape(args.n, args.d).delta_l2,)
     rows = []
-    for sens_value in sens_values:
-        spec = SensitivitySpec(delta_l2=sens_value, n=args.n, d=args.d)
-        for delta in args.delta:
-            for epsilon in args.epsilons:
-                analytic = agm_sigma(spec, epsilon, delta).sigma
-                if epsilon < 1.0:
-                    classical = cgm_sigma(spec, epsilon, delta).sigma
-                    ratio = analytic / classical
-                else:
-                    classical = None
-                    ratio = None
-                rows.append(
-                    {
-                        "epsilon": epsilon,
-                        "delta": delta,
-                        "sensitivity": sens_value,
-                        "sigma_analytic": analytic,
-                        "sigma_classical": classical,
-                        "ratio": ratio,
-                    }
-                )
+    try:  # every value comes from a flag, so a range error is a usage error
+        sens_values = args.sensitivity or (SensitivitySpec.from_shape(args.n, args.d).delta_l2,)
+        for sens_value, delta, epsilon in product(sens_values, args.delta, args.epsilons):
+            spec = SensitivitySpec(delta_l2=sens_value, n=args.n, d=args.d)
+            analytic = agm_sigma(spec, epsilon, delta).sigma
+            classical = cgm_sigma(spec, epsilon, delta).sigma if epsilon < 1.0 else None
+            rows.append({
+                "epsilon": epsilon, "delta": delta, "sensitivity": sens_value,
+                "sigma_analytic": analytic, "sigma_classical": classical,
+                "ratio": None if classical is None else analytic / classical,
+            })
+    except ValueError as err:
+        parser.error(str(err))
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
@@ -251,6 +240,12 @@ def cmd_measure(parser, args) -> int:
     if not args.release:
         _reject_unused(parser, args, "--release", "--epsilon", "--delta", "--mechanism",
                        "--setting", "--budget-split", "--seed", "--zero-noise")
+    else:
+        try:
+            PrivacyBudget.equal_split(args.epsilon, args.delta, 1)
+            check_classical_range((_MECHANISMS[args.mechanism],), (args.epsilon,))
+        except ValueError as err:
+            parser.error(str(err))
     desc = _dataset_from_args(parser, args)
     loaded = load_dataset(desc)
     sampled_as = None
@@ -269,13 +264,9 @@ def cmd_measure(parser, args) -> int:
         "dispersion": ctx.dispersion,
         "q": ctx.q_value,
         "i_squared": i_squared(ctx.q_value, data.n) if data.n >= 2 else 0.0,
-        "heterogeneity_at_consensus_threshold": ctx.q_value < 0.1,
+        "heterogeneity_at_consensus_threshold": ctx.q_value >= 0.1,
     }
     if args.release:
-        try:
-            check_classical_range((_MECHANISMS[args.mechanism],), (args.epsilon,))
-        except ValueError as err:
-            parser.error(str(err))
         released = {}
         for index, stat in enumerate(Statistic):
             if stat is Statistic.I_SQUARED and data.n < 2:
@@ -320,9 +311,10 @@ def cmd_measure(parser, args) -> int:
     print(f"Q          {out['q']:.6g}")
     print(f"I^2        {out['i_squared']:.6g}")
     if out["heterogeneity_at_consensus_threshold"]:
-        print(f"consensus threshold: Q = {out['q']:.4g} < 0.1, statistical heterogeneity present")
+        verdict = ">= 0.1, statistical heterogeneity present"
     else:
-        print(f"consensus threshold: Q = {out['q']:.4g} >= 0.1, threshold not met")
+        verdict = "< 0.1, consensus: no statistical heterogeneity"
+    print(f"consensus threshold: Q = {out['q']:.4g} {verdict}")
     if args.release:
         rel = out["release"]
         print(

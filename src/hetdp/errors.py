@@ -4,12 +4,14 @@ The empirical error (EMSE) averages squared deviations of fresh private
 releases from the true statistic. The theoretical error (TMSE) evaluates the
 closed-form per-release error on the exact noise of the paired release, so
 the two are comparable trial by trial. `error_reports` scores one cell at
-every budget (epsilon) of a list in one release call; `error_report` is its
-one-budget case. Only the dispersion and Q TMSE read the sample, through one
-projection onto the unit mean-stage normals that a caller may pass in. The
-centralized error (CMSE) is the squared single draw a centralized release
-would add after aggregation: each trial's shared unit scalar scaled by
-sqrt(d) times the full-budget sigma, whatever the statistic.
+every budget (epsilon) of a list: arithmetic on the cell's unit normals and
+the noise scales `stage_sigmas` calibrated for those budgets. `error_report`
+draws, calibrates and scores one cell at the one budget of its config. Only
+the dispersion and Q TMSE read the sample, through one projection onto the
+unit mean-stage normals. The centralized error (CMSE) is the squared single
+draw a centralized release would add after aggregation: each trial's shared
+unit scalar scaled by sqrt(d) times the full-budget sigma, whatever the
+statistic.
 
 The heterogeneity-fraction EMSE is normalized per client (divided by n): its
 closed-form counterpart carries a 1/n factor, and the ratio check between the
@@ -19,7 +21,7 @@ two is only meaningful on a common scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +32,11 @@ from hetdp.estimators import (
     i_squared_release,
     project,
     release_noise,
-    release_sigma,
+    stage_sigmas,
     tmse_kernel,
     true_value,
     unit_normals,
 )
-from hetdp.gaussian import SensitivitySpec
 from hetdp.measures import MeasureContext, VectorDataset, build_context
 
 #: 95% interval constant for the dispersion: 1.96 times the fourth-moment
@@ -117,77 +118,56 @@ def trial_normals(statistic: Statistic, cfg: EstimatorConfig, d: int, trials: in
     return unit_normals(statistic, cfg, d, [derive_seed(cfg.seed, t) for t in range(trials)])
 
 
-def centralized_errors(
-    data: VectorDataset, cfg: EstimatorConfig, normals: UnitNormals, memo: dict | None = None
-) -> np.ndarray:
-    """Per-trial squared error (sqrt(d) * sigma_full * z_t)^2 of a centralized
-    single-draw release: the trial's shared scalar z_t at the variance of the
-    coordinate-summed noise under the full budget, whatever the statistic."""
-    sens = SensitivitySpec.from_shape(data.n, data.d)
-    full = (cfg.budget.epsilon, cfg.budget.delta)
-    sigma = 0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, *full, memo)
-    scalar_sigma = math.sqrt(data.d) * sigma
-    return (scalar_sigma * normals.central) ** 2
-
-
 def error_reports(
-    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, budgets, trials: int,
-    ctx: MeasureContext | None = None, memo: dict | None = None,
-    normals: UnitNormals | None = None, projected: np.ndarray | None = None,
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, normals: UnitNormals,
+    projected: np.ndarray | None, sigmas: np.ndarray,
 ) -> list[ErrorReport]:
     """Monte Carlo error summary of one cell at each budget, all trials at once.
 
-    `cfg` fixes the mechanism, setting and seed; each of `budgets` replaces
-    its budget. Trial t scales the unit normals of derive_seed(cfg.seed, t)
-    by the stage sigmas of every budget; pass `normals` when that block is
-    already drawn, as a plan cell does once for all its profiles and
-    epsilons, and `projected`, project(data, mean-stage columns of
-    `normals`), when a plan has made it for all cells of a profile at once
-    (I^2 reads none). A release's EMSE is its squared noise; its TMSE is
-    scored on its own draws. `memo` is a dict of calibrated noise scales to
-    share across calls.
+    Trial t's noise is row t of `normals` scaled by each budget's row of
+    stage_sigmas' `sigmas`. `projected` is project(data, mean-stage columns
+    of `normals`), None for I^2, which reads none. A release's EMSE is its
+    squared noise; its TMSE is scored on its own draws; its CMSE is
+    (sqrt(d) sigma_full z_t)^2, sigma_full the last column of `sigmas`.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if ctx is None:
-        ctx = build_context(data)
-    memo = {} if memo is None else memo
-    if normals is None:
-        normals = trial_normals(statistic, cfg, data.d, trials)
-    elif normals.central.shape != (trials,):
-        raise ValueError(f"unit normals hold {len(normals.central)} trials, not {trials}")
-    noise, sigmas = release_noise(statistic, data, ctx, cfg, budgets, normals, memo)
+    noise = release_noise(statistic, data, ctx, normals, sigmas)
     if statistic is Statistic.I_SQUARED:
         q_true = true_value(Statistic.Q, data, ctx)
         q_noisy = q_true + noise
-        i2_noise = np.array([s[2] for s in sigmas])[:, None] * normals.stages[:, 2 * data.d]
+        i2_noise = sigmas[:, 2, None] * normals.stages[:, 2 * data.d]
         released = i_squared_release(q_noisy, data.n, i2_noise)
         emse = (released - true_value(statistic, data, ctx)) ** 2 / data.n
         tmse = tmse_i_squared(data.n, q_true, q_noisy, i2_noise)
     else:
-        if projected is None:
-            projected = project(data, normals.stages[:, : data.d])
         emse, tmse = noise**2, tmse_kernel(statistic, data, ctx, normals, projected, sigmas)
-    reports = []
-    for b, budget in enumerate(budgets):
-        cmse = centralized_errors(data, replace(cfg, budget=budget), normals, memo)
-        reports.append(ErrorReport(
+    cmse = (math.sqrt(data.d) * sigmas[:, -1, None] * normals.central) ** 2
+    return [
+        ErrorReport(
             emse=float(emse[b].mean()),
             tmse=float(tmse[b].mean()),
-            cmse=float(cmse.mean()),
+            cmse=float(cmse[b].mean()),
             sd_emse=float(emse[b].std()),
             sd_tmse=float(tmse[b].std()),
-            trials=trials,
-            ci_half_width=ci_half_width(statistic, data.n, ctx.weights, sigmas[b][0] ** 2),
-        ))
-    return reports
+            trials=len(normals.central),
+            ci_half_width=ci_half_width(statistic, data.n, ctx.weights, float(sigma) ** 2),
+        )
+        for b, sigma in enumerate(sigmas[:, 0])
+    ]
 
 
 def error_report(
     statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, trials: int,
-    ctx: MeasureContext | None = None, memo: dict | None = None,
-    normals: UnitNormals | None = None, projected: np.ndarray | None = None,
+    ctx: MeasureContext | None = None,
 ) -> ErrorReport:
-    """error_reports at the one budget of `cfg`."""
-    budgets = [cfg.budget]
-    return error_reports(statistic, data, cfg, budgets, trials, ctx, memo, normals, projected)[0]
+    """Error summary of one cell at cfg.budget: trial t scales the unit
+    normals of derive_seed(cfg.seed, t) by the budget's calibrated sigmas."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if ctx is None:
+        ctx = build_context(data)
+    sigmas = stage_sigmas(statistic, data, cfg, [cfg.budget], {})
+    normals = trial_normals(statistic, cfg, data.d, trials)
+    projected = None
+    if statistic is not Statistic.I_SQUARED:
+        projected = project(data, normals.stages[:, : data.d])
+    return error_reports(statistic, data, ctx, normals, projected, sigmas)[0]

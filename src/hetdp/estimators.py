@@ -15,16 +15,19 @@ stream, so they draw different realizations at the same seed.
 
 A stage's noise is its sigma times unit normals drawn in the order mean,
 statistic, I^2: `unit_normals` draws a block once and every budget scales the
-same array (common random numbers). A release is its true value plus
-`release_noise`, which reads no row of the sample; only the closed-form error
-(`tmse_kernel`) reads it, through one projection (`project`) that serves every
-budget. A single release is trial 0 of one budget.
+same array (common random numbers). `stage_sigmas` is the only code that
+turns budgets into noise scales: one row per budget, its stage sigmas and
+then its full-budget sigma. A release is its true value plus
+`release_noise`, arithmetic on the normals and that array that reads no row
+of the sample; only the closed-form error (`tmse_kernel`) reads it, through
+one projection (`project`) that serves every budget. A single release is
+trial 0 of one budget.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,22 +75,11 @@ class EstimatorConfig:
 
 
 def release_sigma(
-    mechanism: Mechanism, sens: SensitivitySpec, epsilon: float, delta: float,
-    memo: dict | None = None,
+    mechanism: Mechanism, sens: SensitivitySpec, epsilon: float, delta: float
 ) -> float:
-    """Noise scale of one release under the chosen mechanism.
-
-    With `memo`, each (mechanism, sensitivity, epsilon, delta) key is
-    calibrated once and then read back from the dict.
-    """
-    key = (mechanism, sens.delta_l2, epsilon, delta)
-    if memo is not None and key in memo:
-        return memo[key]
+    """Noise scale of one release under the chosen mechanism."""
     calibrate = cgm_sigma if mechanism is Mechanism.CLASSICAL else agm_sigma
-    sigma = calibrate(sens, epsilon, delta).sigma
-    if memo is not None:
-        memo[key] = sigma
-    return sigma
+    return calibrate(sens, epsilon, delta).sigma
 
 
 @dataclass(frozen=True)
@@ -114,13 +106,28 @@ def unit_normals(statistic: Statistic, cfg: EstimatorConfig, d: int, seeds) -> U
     return UnitNormals(stages, central)
 
 
-def stage_sigmas(data: VectorDataset, cfg: EstimatorConfig, memo: dict | None = None) -> list:
-    """Calibrated noise scale of each budget part, all 0.0 under zero noise."""
+def stage_sigmas(
+    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, budgets, memo: dict
+) -> np.ndarray:
+    """Noise scales (B x (parts + 1)) of each budget's stages, then of the
+    whole budget (the centralized error's); all 0.0 under zero noise. `memo`
+    holds each (mechanism, sensitivity, epsilon, delta) calibrated once."""
+    parts = statistic.budget_parts
+    for budget in budgets:
+        if len(budget.split) != parts:
+            raise ValueError(f"{statistic.value} needs a {parts}-part budget split, got "
+                             f"{len(budget.split)} parts")
     sens = SensitivitySpec.from_shape(data.n, data.d)
-    return [
-        0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, eps_i, delta_i, memo)
-        for eps_i, delta_i in cfg.budget.split
-    ]
+    sigmas = np.zeros((len(budgets), parts + 1))
+    if cfg.zero_noise:
+        return sigmas
+    for b, budget in enumerate(budgets):
+        for k, (epsilon, delta) in enumerate((*budget.split, (budget.epsilon, budget.delta))):
+            key = (cfg.mechanism, sens.delta_l2, epsilon, delta)
+            if key not in memo:
+                memo[key] = release_sigma(cfg.mechanism, sens, epsilon, delta)
+            sigmas[b, k] = memo[key]
+    return sigmas
 
 
 def project(data: VectorDataset, units: np.ndarray) -> np.ndarray:
@@ -140,20 +147,19 @@ def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
-def _stage_terms(z: np.ndarray, d: int, sigmas: list):
+def _stage_terms(z: np.ndarray, d: int, sigmas: np.ndarray):
     """Each budget's mean-stage sigma, each trial's ||z_t||^2, and the B x T sigma_2 sum(z'_t)."""
     units = z[:, :d]
-    mean_sigmas, stat_sigmas = np.array([s[:2] for s in sigmas]).T
-    stat_sums = stat_sigmas[:, None] * z[:, d : 2 * d].sum(axis=1)
-    return mean_sigmas, (units * units).sum(axis=1), stat_sums
+    stat_sums = sigmas[:, 1, None] * z[:, d : 2 * d].sum(axis=1)
+    return sigmas[:, 0], (units * units).sum(axis=1), stat_sums
 
 
 def tmse_kernel(
     statistic: Statistic, data: VectorDataset, ctx: MeasureContext, normals: UnitNormals,
-    projected: np.ndarray, sigmas: list,
+    projected: np.ndarray, sigmas: np.ndarray,
 ) -> np.ndarray:
     """Closed-form errors (B x T) of the dispersion or Q releases in `normals`
-    at each budget of release_noise's `sigmas`; `projected` is project(data,
+    at each budget of stage_sigmas' `sigmas`; `projected` is project(data,
     units), units the mean-stage columns of `normals`.
 
     With P = projected - center @ units.T, row i moves trial t's statistic by
@@ -197,12 +203,11 @@ def i_squared_release(q_values: np.ndarray, n: int, i2_noise) -> np.ndarray:
 
 
 def release_noise(
-    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig,
-    budgets, normals: UnitNormals, memo: dict | None = None,
-) -> tuple[np.ndarray, list]:
-    """Noise of the T releases in `normals` at each budget (B x T) and each
-    budget's stage sigmas; `cfg` gives the mechanism and setting, `budgets`
-    replace its budget. I^2 gets the noise of its Q stage.
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, normals: UnitNormals,
+    sigmas: np.ndarray,
+) -> np.ndarray:
+    """Noise (B x T) of the T releases in `normals` at each budget of
+    stage_sigmas' `sigmas`. I^2 gets the noise of its Q stage.
 
     With mean-stage noise e = sigma_1 z and statistic noise s = sigma_2 z', a
     release minus its true dispersion or Q is exactly mean(w)||e||^2 + sum(s)
@@ -211,22 +216,16 @@ def release_noise(
     Generator.normal(0, sigma, k) is sigma * standard_normal(k) bit for bit,
     so this equals drawing each stage at its own scale.
     """
-    parts = statistic.budget_parts
-    for budget in budgets:
-        if len(budget.split) != parts:
-            raise ValueError(f"{statistic.value} needs a {parts}-part budget split, got "
-                             f"{len(budget.split)} parts")
     d, z = data.d, normals.stages
-    if z.shape[1] != 2 * d + parts - 2:
+    if z.shape[1] != 2 * d + statistic.budget_parts - 2:
         raise ValueError(f"unit normals of width {z.shape[1]} do not fit {statistic.value}, d={d}")
     if ctx.weights.shape != (data.n,):
         raise ValueError(f"context weights {ctx.weights.shape} do not match n={data.n}")
     if np.any(ctx.weights <= 0) or not np.all(np.isfinite(ctx.weights)):
         raise ValueError("context weights must be positive and finite")
     mean_w = 1.0 if statistic is Statistic.DISPERSION else ctx.weights.mean()
-    sigmas = [stage_sigmas(data, replace(cfg, budget=budget), memo) for budget in budgets]
     mean_sigmas, norms, stat_sums = _stage_terms(z, d, sigmas)
-    return mean_sigmas[:, None] ** 2 * norms * mean_w + stat_sums, sigmas
+    return mean_sigmas[:, None] ** 2 * norms * mean_w + stat_sums
 
 
 def noisy_statistic(
@@ -241,10 +240,11 @@ def noisy_statistic(
     """
     if statistic is Statistic.I_SQUARED and data.n < 2:
         raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
+    sigmas = stage_sigmas(statistic, data, cfg, [cfg.budget], {})
     normals = unit_normals(statistic, cfg, data.d, [cfg.seed])
-    noise, sigmas = release_noise(statistic, data, ctx, cfg, [cfg.budget], normals)
+    noise = release_noise(statistic, data, ctx, normals, sigmas)
     if statistic is not Statistic.I_SQUARED:
         return float(true_value(statistic, data, ctx) + noise[0, 0])
     q_noisy = true_value(Statistic.Q, data, ctx) + noise[0]
-    i2_noise = sigmas[0][2] * normals.stages[:, 2 * data.d]
+    i2_noise = sigmas[0, 2] * normals.stages[:, 2 * data.d]
     return float(i_squared_release(q_noisy, data.n, i2_noise)[0])

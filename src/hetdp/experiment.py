@@ -8,9 +8,10 @@ cell draws one block of unit normals and one centralized scalar per trial,
 and every profile and epsilon of the cell scales that same array by its own
 sigma (common random numbers). That makes epsilon sweeps smooth and
 paired-profile comparisons difference out the noise. Each profile sample is
-projected once onto the mean-stage normals of all cells, one n x d by
-d x (cells * trials) product; each cell reads its columns and scores all its
-epsilons in one `error_reports` call.
+projected once onto the mean-stage normals of all dispersion and Q cells,
+one n x d by d x (cells * trials) product. Each cell calibrates all its
+epsilons in one `stage_sigmas` call, reads its columns (I^2 reads none) and
+scores them in one `error_reports` call.
 
 CSV schema (stable, one header line, rows sorted by the key tuple):
 
@@ -45,7 +46,7 @@ from hetdp.datasets import (
     stratified_sample,
 )
 from hetdp.errors import derive_seed, error_reports, trial_normals
-from hetdp.estimators import EstimatorConfig, Setting, Statistic, project, true_value
+from hetdp.estimators import EstimatorConfig, Setting, Statistic, project, stage_sigmas, true_value
 from hetdp.gaussian import Mechanism, PrivacyBudget, check_classical_range
 from hetdp.measures import VARIANCE_FLOOR, build_context
 
@@ -93,7 +94,7 @@ class ExperimentPlan:
                 raise ValueError(f"duplicate {what}: {[getattr(v, 'value', v) for v in names]}")
         if not self.statistics or not self.mechanisms or not self.settings:
             raise ValueError("plan needs at least one statistic, mechanism and setting")
-        if not self.epsilons or any(e <= 0 for e in self.epsilons):
+        if not self.epsilons or any(not (math.isfinite(e) and e > 0) for e in self.epsilons):
             raise ValueError(f"epsilons must be nonempty and positive, got {self.epsilons}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
@@ -241,9 +242,9 @@ def _true_value_table(samples) -> dict[str, dict[str, float]]:
 def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
     """Evaluate every plan cell into one row each, sorted by key, so the
     evaluation order never shows. Each distinct noise scale is calibrated
-    once per run. Every cell's block is held for the whole run, its
-    mean-stage columns once more in `units`, plus one n x (cells * trials)
-    projection at a time."""
+    once per run. Every cell's block is held for the whole run, the
+    mean-stage columns of the dispersion and Q cells once more in `units`,
+    plus one n x (those cells * trials) projection at a time."""
     memo: dict = {}
     samples = _materialize_samples(plan)
     true_table = _true_value_table(samples)
@@ -253,24 +254,28 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
         summary[f"{s}_mean"] = sum(v[s] for v in true_table.values()) / len(true_table)
 
     d, trials = next(iter(samples.values()))[0].d, plan.trials
-    cells = []
+    cells, blocks = [], []
     for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings):
         cell = EstimatorConfig(
             mechanism=mech, setting=setting, budget=_budget(plan, stat, plan.epsilons[0]),
             seed=_cell_seed(plan, stat, mech, setting), zero_noise=plan.zero_noise,
         )
-        cells.append((stat, cell, trial_normals(stat, cell, d, trials)))
-    units = np.vstack([normals.stages[:, :d] for *_, normals in cells])
+        normals = trial_normals(stat, cell, d, trials)
+        column = None  # where the cell's columns of the projection start; I^2 has none
+        if stat is not Statistic.I_SQUARED:
+            column = len(blocks) * trials
+            blocks.append(normals.stages[:, :d])
+        cells.append((stat, cell, normals, column))
+    units = np.vstack(blocks) if blocks else None
     rows: list[ResultRow] = []
     for name, _profile in plan.profiles:
         sample, ctx = samples[name]
-        projected = project(sample, units)
-        for c, (stat, cell, normals) in enumerate(cells):
+        projected = None if units is None else project(sample, units)
+        for stat, cell, normals, column in cells:
             budgets = [_budget(plan, stat, epsilon) for epsilon in plan.epsilons]
-            columns = projected[:, c * trials : (c + 1) * trials]
-            reports = error_reports(
-                stat, sample, cell, budgets, trials, ctx, memo, normals, columns
-            )
+            sigmas = stage_sigmas(stat, sample, cell, budgets, memo)
+            columns = None if column is None else projected[:, column : column + trials]
+            reports = error_reports(stat, sample, ctx, normals, columns, sigmas)
             for epsilon, report in zip(plan.epsilons, reports):
                 rows.append(ResultRow(
                     dataset=plan.dataset.name, statistic=stat.value,

@@ -54,7 +54,6 @@ from hetdp.gaussian import (
     ConvergenceError,
     Mechanism,
     NoiseBranch,
-    PrivacyBudget,
     SensitivitySpec,
     _alpha_high_noise,
     _alpha_low_noise,
@@ -114,13 +113,12 @@ def noisy_mean(
 
 
 def scaled_draws(
-    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, normals: UnitNormals,
-    memo: dict | None = None,
+    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, normals: UnitNormals
 ) -> StageDraws:
     """Stage noise of T releases, one trial per row: each stage's calibrated
     sigma times its columns of `normals`."""
     d, z = data.d, normals.stages
-    sigmas = stage_sigmas(data, cfg, memo)
+    sigmas = stage_sigmas(statistic, data, cfg, [cfg.budget], {})[0]
     three = statistic.budget_parts == 3
     return StageDraws(
         mean_noise=sigmas[0] * z[:, :d],
@@ -132,26 +130,23 @@ def scaled_draws(
     )
 
 
-def draw_noise(statistic, data, cfg, seeds, memo=None) -> StageDraws:
+def draw_noise(statistic, data, cfg, seeds) -> StageDraws:
     """Stage noise of one release per seed, stacked one trial per row: the
     library's unit normals of those seeds, scaled."""
-    return scaled_draws(statistic, data, cfg, unit_normals(statistic, cfg, data.d, seeds), memo)
+    return scaled_draws(statistic, data, cfg, unit_normals(statistic, cfg, data.d, seeds))
 
 
 def release_from_draws(
     statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: StageDraws
 ) -> float:
     """One release on injected scaled draws: the library's noise takes the
-    draws as its unit normals at sigma 1 (a calibration memo that reads 1.0
-    for every stage), added to the true dispersion or Q, then the I^2 step."""
-    budget = PrivacyBudget.equal_split(1.0, 0.5, statistic.budget_parts)
-    cfg = EstimatorConfig(Mechanism.ANALYTIC, Setting.CENTRALIZED, budget, seed=0)
-    delta_l2 = SensitivitySpec.from_shape(data.n, data.d).delta_l2
-    memo = {(cfg.mechanism, delta_l2, *part): 1.0 for part in budget.split}
+    draws as its unit normals at sigma 1 (a sigma array of ones), added to
+    the true dispersion or Q, then the I^2 step."""
     i2 = [draws.i2_noise] if statistic is Statistic.I_SQUARED else []
     stages = np.concatenate([np.ravel(draws.mean_noise), np.ravel(draws.stat_noise), i2])
     normals = UnitNormals(stages[None, :], np.zeros(1))
-    noise, _ = release_noise(statistic, data, ctx, cfg, [budget], normals, memo)
+    sigmas = np.ones((1, statistic.budget_parts + 1))
+    noise = release_noise(statistic, data, ctx, normals, sigmas)
     base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
     value = true_value(base, data, ctx) + noise[0]
     if statistic is Statistic.I_SQUARED:
@@ -168,7 +163,6 @@ def draw_noise_per_trial(
     data: VectorDataset,
     cfg: EstimatorConfig,
     seeds,
-    memo: dict | None = None,
 ) -> StageDraws:
     """Stage noise of one release per seed, stacked one trial per row, each
     stage drawn at its own scale from the trial's own generator.
@@ -181,7 +175,7 @@ def draw_noise_per_trial(
         raise ValueError(f"{statistic.value} needs a {parts}-part budget split")
     sens = SensitivitySpec.from_shape(data.n, data.d)
     sigmas = [
-        0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, eps_i, delta_i, memo)
+        0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, eps_i, delta_i)
         for eps_i, delta_i in cfg.budget.split
     ]
     mean_noise, stat_noise = np.zeros((2, len(seeds), data.d))
@@ -208,7 +202,6 @@ def centralized_noisy(
     part: tuple[float, float],
     shape: SensitivitySpec,
     cfg: EstimatorConfig,
-    memo: dict | None = None,
 ) -> tuple[float, StageDraws]:
     """Perturb an already-aggregated scalar statistic with one draw from its
     own generator, default_rng(cfg.seed).
@@ -218,7 +211,7 @@ def centralized_noisy(
     distributed pipeline; its square is the centralized error contribution.
     """
     epsilon_i, delta_i = part
-    sigma = 0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, shape, epsilon_i, delta_i, memo)
+    sigma = 0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, shape, epsilon_i, delta_i)
     scalar_sigma = math.sqrt(shape.d) * sigma
     if scalar_sigma == 0.0:
         noise = 0.0

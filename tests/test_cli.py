@@ -27,6 +27,35 @@ class TestExitCodes:
             main(["measure", "--synthetic", "100,4,0.5", "--cifar10", "x.bin"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["experiment", "--epsilons", "0.5,nan"], "epsilons must be nonempty and positive"),
+        (["experiment", "--epsilons", "0.5,inf"], "epsilons must be nonempty and positive"),
+        (["measure", "--release", "--epsilon", "-1"], "epsilon must be positive and finite"),
+        (["measure", "--release", "--epsilon", "inf"], "epsilon must be positive and finite"),
+        (["measure", "--release", "--delta", "0"], "delta must lie in (0, 1), got 0.0"),
+        (["measure", "--release", "--delta", "nan"], "delta must lie in (0, 1), got nan"),
+        (["calibrate", "--epsilons", "-1"], "epsilon must be positive and finite, got -1.0"),
+        (["calibrate", "--delta", "0"], "delta must lie in (0, 1), got 0.0"),
+        (["calibrate", "--sensitivity", "0"], "L2 sensitivity must be positive and finite"),
+        (["calibrate", "--sensitivity", "inf"], "L2 sensitivity must be positive and finite"),
+    ])
+    def test_invalid_privacy_flag_is_two_before_data_is_read(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        def no_load(desc):
+            raise AssertionError("read the data")
+
+        for module in ("cli", "experiment"):
+            monkeypatch.setattr(f"hetdp.{module}.load_dataset", no_load)
+        if argv[0] == "experiment":
+            argv = [*argv, *SYNTH_ARGS, "--profiles", "uniform-2", "--out", str(tmp_path / "o.csv")]
+        elif argv[0] == "measure":
+            argv = [*argv, *SYNTH_ARGS]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_subcommand_is_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -260,8 +289,7 @@ class TestRunFailuresAreErrors:
         real = hetdp.estimators.release_noise
 
         def nonpositive_q(statistic, data, ctx, *args):
-            noise, sigmas = real(statistic, data, ctx, *args)
-            return -abs(noise) - 2.0 * ctx.q_value, sigmas
+            return -abs(real(statistic, data, ctx, *args)) - 2.0 * ctx.q_value
 
         monkeypatch.setattr(hetdp.errors, "release_noise", nonpositive_q)
         for command in ("experiment", "compare-heterogeneity"):
@@ -324,7 +352,7 @@ class TestMeasure:
         assert "dataset    synthetic-400x4-h0.5" in out
         assert "n x d      400 x 4" in out
         assert "dispersion " in out and "Q          " in out and "I^2        " in out
-        assert ">= 0.1, threshold not met" in out
+        assert ">= 0.1, statistical heterogeneity present" in out
 
     def test_consensus_threshold_met_on_constant_data(self, tmp_path, capsys):
         _write_constant_idx(tmp_path)
@@ -333,14 +361,14 @@ class TestMeasure:
              "--idx-labels", str(tmp_path / "lab.bin")]
         ) == 0
         out = capsys.readouterr().out
-        assert "< 0.1, statistical heterogeneity present" in out
+        assert "consensus threshold: Q = 0 < 0.1, consensus: no statistical heterogeneity" in out
 
     def test_json_payload(self, capsys):
         assert main(["measure", *SYNTH_ARGS, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 400 and payload["d"] == 4
         assert payload["profile"] is None
-        assert payload["heterogeneity_at_consensus_threshold"] is False
+        assert payload["heterogeneity_at_consensus_threshold"] is True
         assert payload["q"] > 0.1
         assert 0.0 <= payload["i_squared"] <= 1.0
 

@@ -274,8 +274,8 @@ class TestErrorReport:
         )
         report = error_report(Statistic.DISPERSION, fix, cfg, trials=5)
         first_cfg = replace(cfg, seed=derive_seed(cfg.seed, 0))
-        mean_noise_var = stage_sigmas(fix, first_cfg)[0] ** 2
-        expected = ci_half_width(Statistic.DISPERSION, fix.n, None, mean_noise_var)
+        sigmas = stage_sigmas(Statistic.DISPERSION, fix, first_cfg, [budget2], {})
+        expected = ci_half_width(Statistic.DISPERSION, fix.n, None, sigmas[0, 0] ** 2)
         assert report.ci_half_width == expected
 
     def test_trials_validated(self, fix, zero_cfg2):

@@ -25,7 +25,6 @@ from oracles import (
 )
 
 from hetdp.errors import (
-    centralized_errors,
     derive_seed,
     error_report,
     error_reports,
@@ -53,6 +52,11 @@ from hetdp.measures import VectorDataset, build_context, i_squared
 
 def _cfg(budget, setting=Setting.DISTRIBUTED, mech=Mechanism.ANALYTIC, seed=7, zero=False):
     return EstimatorConfig(mechanism=mech, setting=setting, budget=budget, seed=seed, zero_noise=zero)
+
+
+def _sigmas(statistic, data, cfg):
+    """The stage sigmas and full-budget sigma of cfg.budget, from a fresh memo."""
+    return stage_sigmas(statistic, data, cfg, [cfg.budget], {})[0]
 
 
 class TestBudgetParts:
@@ -191,7 +195,10 @@ class TestNoiseGeneration:
         dist = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, dist_cfg)
         cent = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cent_cfg)
         assert dist != cent
-        assert stage_sigmas(fix_diag, dist_cfg) == stage_sigmas(fix_diag, cent_cfg)
+        assert np.array_equal(
+            _sigmas(Statistic.DISPERSION, fix_diag, dist_cfg),
+            _sigmas(Statistic.DISPERSION, fix_diag, cent_cfg),
+        )
 
     def test_distributed_aggregate_variance(self, budget2):
         # n shares with standard deviation sqrt(n) sigma average to variance
@@ -205,14 +212,15 @@ class TestNoiseGeneration:
         sens = SensitivitySpec.from_shape(fix.n, fix.d)
         eps1, delta1 = budget2.split[0]
         sigma1 = release_sigma(Mechanism.ANALYTIC, sens, eps1, delta1)
-        assert stage_sigmas(fix, _cfg(budget2))[0] ** 2 == pytest.approx(sigma1**2, rel=1e-12)
+        sigma = _sigmas(Statistic.DISPERSION, fix, _cfg(budget2))[0]
+        assert sigma**2 == pytest.approx(sigma1**2, rel=1e-12)
 
     def test_classical_mechanism_runs_below_epsilon_one(self, fix):
         budget = PrivacyBudget.equal_split(0.5, 0.01, 2)
         cfg = _cfg(budget, mech=Mechanism.CLASSICAL)
         value = noisy_statistic(Statistic.DISPERSION, fix, build_context(fix), cfg)
         assert math.isfinite(value)
-        assert stage_sigmas(fix, cfg)[0] > 0
+        assert _sigmas(Statistic.DISPERSION, fix, cfg)[0] > 0
 
     def test_centralized_scalar_noise_scales_with_dimension(self, budget2):
         # The scalar release carries d times the per-coordinate variance.
@@ -269,12 +277,24 @@ def _released(statistic, data, ctx, noise):
     return true_value(base, data, ctx) + noise
 
 
-def _library_tmse(statistic, data, ctx, normals, sigmas):
-    """tmse_kernel on the projection of the mean-stage normals; None for I^2."""
+def _projection(statistic, data, normals):
+    """The projection of the mean-stage normals that error_reports reads; None for I^2."""
     if statistic is Statistic.I_SQUARED:
         return None
-    projected = project(data, normals.stages[:, : data.d])
-    return tmse_kernel(statistic, data, ctx, normals, projected, sigmas)
+    return project(data, normals.stages[:, : data.d])
+
+
+def _library_tmse(statistic, data, ctx, normals, sigmas):
+    """tmse_kernel on the projection of the mean-stage normals; None for I^2."""
+    projected = _projection(statistic, data, normals)
+    return None if projected is None else tmse_kernel(
+        statistic, data, ctx, normals, projected, sigmas
+    )
+
+
+def _library_reports(statistic, data, ctx, normals, sigmas):
+    projected = _projection(statistic, data, normals)
+    return error_reports(statistic, data, ctx, normals, projected, sigmas)
 
 
 def _library_kernel(statistic, data, ctx, cfg, seeds):
@@ -282,7 +302,8 @@ def _library_kernel(statistic, data, ctx, cfg, seeds):
     unit normals of `seeds` (no errors for I^2), with the scaled draws of the
     same normals."""
     normals = unit_normals(statistic, cfg, data.d, seeds)
-    noise, sigmas = release_noise(statistic, data, ctx, cfg, [cfg.budget], normals)
+    sigmas = stage_sigmas(statistic, data, cfg, [cfg.budget], {})
+    noise = release_noise(statistic, data, ctx, normals, sigmas)
     errors = _library_tmse(statistic, data, ctx, normals, sigmas)
     draws = scaled_draws(statistic, data, cfg, normals)
     return _released(statistic, data, ctx, noise[0]), None if errors is None else errors[0], draws
@@ -365,9 +386,9 @@ class TestBatchedKernelAgainstDirectForms:
         data = _random_data()
         memo: dict = {}
         for statistic in (Statistic.DISPERSION, Statistic.Q):
-            error_report(statistic, data, _cfg(budget2), 5, memo=memo)
+            stage_sigmas(statistic, data, _cfg(budget2), [budget2, budget2], memo)
         # both stages share one split part; the centralized error uses the total
-        assert len(calls) == len(set(calls)) == 2
+        assert len(calls) == len(set(calls)) == len(memo) == 2
 
 
 class TestSingleReleaseIsBatchedTrial:
@@ -385,10 +406,11 @@ class TestSingleReleaseIsBatchedTrial:
                 budget = PrivacyBudget.equal_split(0.5, 1e-3, statistic.budget_parts)
                 cfg = _cfg(budget, setting, mech, seed=29)
                 normals = trial_normals(statistic, cfg, data.d, self.TRIALS)
-                noise, sigmas = release_noise(statistic, data, ctx, cfg, [cfg.budget], normals)
+                sigmas = stage_sigmas(statistic, data, cfg, [cfg.budget], {})
+                noise = release_noise(statistic, data, ctx, normals, sigmas)
                 values = _released(statistic, data, ctx, noise[0])
                 if statistic is Statistic.I_SQUARED:
-                    i2_noise = sigmas[0][2] * normals.stages[:, 2 * data.d]
+                    i2_noise = sigmas[0, 2] * normals.stages[:, 2 * data.d]
                     values = i_squared_release(values, data.n, i2_noise)
                 for t in range(self.TRIALS):
                     trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, t))
@@ -431,7 +453,7 @@ class TestProjectedKernelAgainstDirectKernel:
                 else:
                     tmse = ((shifts + batch.stat_noise.sum(axis=1)) ** 2).mean(axis=0)
                 assert report.tmse == pytest.approx(tmse.mean(), rel=1e-12, abs=0.0), case
-                sigmas.add(stage_sigmas(data, cfg)[0])
+                sigmas.add(_sigmas(statistic, data, cfg)[0])
         # two- and three-part splits, two mechanisms, three epsilons; a kernel
         # scaling ||z||^2 by sigma rather than sigma^2 agrees only at sigma 1
         assert len(sigmas) == 12 and 1.0 not in sigmas
@@ -473,17 +495,18 @@ class TestBudgetBatchAgainstDirectKernel:
     def test_each_budget_agrees_with_direct_kernel_within_rtol_1e_12(self):
         for data, ctx, statistic, cell, budgets in self._cases():
             normals = trial_normals(statistic, cell, data.d, self.TRIALS)
-            noise, sigmas = release_noise(statistic, data, ctx, cell, budgets, normals)
+            sigmas = stage_sigmas(statistic, data, cell, budgets, {})
+            noise = release_noise(statistic, data, ctx, normals, sigmas)
             values = _released(statistic, data, ctx, noise)
             errors = _library_tmse(statistic, data, ctx, normals, sigmas)
             assert values.shape == (3, self.TRIALS)
             assert (errors is None) == (statistic is Statistic.I_SQUARED)
-            reports = error_reports(statistic, data, cell, budgets, self.TRIALS, ctx)
+            reports = _library_reports(statistic, data, ctx, normals, sigmas)
             seeds = [derive_seed(cell.seed, t) for t in range(self.TRIALS)]
             for b, budget in enumerate(budgets):
                 cfg = replace(cell, budget=budget)
                 case = (statistic, cfg.setting, cfg.mechanism, budget.epsilon, data.n)
-                assert sigmas[b] == stage_sigmas(data, cfg), case
+                assert np.array_equal(sigmas[b], _sigmas(statistic, data, cfg)), case
                 batch = draw_noise(statistic, data, cfg, seeds)
                 direct, shifts = release_kernel_direct(statistic, data, ctx, batch)
                 close = dict(rtol=1e-12, atol=0.0, err_msg=str(case))
@@ -499,17 +522,19 @@ class TestBudgetBatchAgainstDirectKernel:
     def test_one_budget_call_equals_its_slot_exactly(self):
         for data, ctx, statistic, cell, budgets in self._cases():
             normals = trial_normals(statistic, cell, data.d, self.TRIALS)
-            noise, sigmas = release_noise(statistic, data, ctx, cell, budgets, normals)
+            sigmas = stage_sigmas(statistic, data, cell, budgets, {})
+            noise = release_noise(statistic, data, ctx, normals, sigmas)
             errors = _library_tmse(statistic, data, ctx, normals, sigmas)
-            reports = error_reports(statistic, data, cell, budgets, self.TRIALS, normals=normals)
+            reports = _library_reports(statistic, data, ctx, normals, sigmas)
             for b, budget in enumerate(budgets):
-                one = release_noise(statistic, data, ctx, cell, [budget], normals)
+                one = stage_sigmas(statistic, data, cell, [budget], {})
                 case = (statistic, cell.setting, cell.mechanism, budget.epsilon, data.n)
-                assert np.array_equal(one[0][0], noise[b]), case
+                assert np.array_equal(one, sigmas[b : b + 1]), case
+                one_noise = release_noise(statistic, data, ctx, normals, one)
+                assert np.array_equal(one_noise[0], noise[b]), case
                 if errors is not None:
-                    one_errors = _library_tmse(statistic, data, ctx, normals, one[1])
+                    one_errors = _library_tmse(statistic, data, ctx, normals, one)
                     assert np.array_equal(one_errors[0], errors[b]), case
-                assert one[1] == [sigmas[b]], case
                 cfg = replace(cell, budget=budget)
                 assert error_report(statistic, data, cfg, self.TRIALS, ctx) == reports[b], case
 
@@ -517,14 +542,88 @@ class TestBudgetBatchAgainstDirectKernel:
         for data, ctx, statistic, cell, budgets in self._cases():
             cell = replace(cell, zero_noise=True)
             normals = trial_normals(statistic, cell, data.d, self.TRIALS)
-            noise, sigmas = release_noise(statistic, data, ctx, cell, budgets, normals)
+            sigmas = stage_sigmas(statistic, data, cell, budgets, {})
+            noise = release_noise(statistic, data, ctx, normals, sigmas)
             values = _released(statistic, data, ctx, noise)
             errors = _library_tmse(statistic, data, ctx, normals, sigmas)
             base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
             assert np.array_equal(values, np.full((3, self.TRIALS), true_value(base, data, ctx)))
             assert errors is None or np.array_equal(errors, np.zeros((3, self.TRIALS)))
-            for report in error_reports(statistic, data, cell, budgets, self.TRIALS, ctx):
+            for report in _library_reports(statistic, data, ctx, normals, sigmas):
                 assert report.emse == report.tmse == report.cmse == 0.0
+
+
+def _no_calibration(monkeypatch):
+    def calibrated(*args):
+        raise AssertionError("calibrated a noise scale")
+
+    for name in ("agm_sigma", "cgm_sigma"):
+        monkeypatch.setattr(f"hetdp.estimators.{name}", calibrated)
+
+
+class TestStageSigmas:
+    """stage_sigmas is the only code that turns budgets into noise scales; the
+    release, its TMSE and its reports are arithmetic on the array it returns."""
+
+    EPSILONS = (0.25, 0.5, 0.9)
+
+    def _budgets(self, statistic):
+        return [PrivacyBudget.equal_split(e, 1e-3, statistic.budget_parts) for e in self.EPSILONS]
+
+    def test_last_column_is_release_sigma_at_the_full_budget(self):
+        data = _random_data()
+        sens = SensitivitySpec.from_shape(data.n, data.d)
+        for statistic, mech in product(Statistic, Mechanism):
+            budgets = self._budgets(statistic)
+            sigmas = stage_sigmas(statistic, data, _cfg(budgets[0], mech=mech), budgets, {})
+            assert sigmas.shape == (3, statistic.budget_parts + 1)
+            for row, budget in zip(sigmas, budgets):
+                stages = [release_sigma(mech, sens, *part) for part in budget.split]
+                full = release_sigma(mech, sens, budget.epsilon, budget.delta)
+                assert list(row) == [*stages, full], (statistic, mech, budget.epsilon)
+
+    def test_zero_noise_is_all_zeros_and_calibrates_nothing(self, monkeypatch):
+        _no_calibration(monkeypatch)
+        data = _random_data()
+        for statistic in Statistic:
+            budgets, memo = self._budgets(statistic), {}
+            sigmas = stage_sigmas(statistic, data, _cfg(budgets[0], zero=True), budgets, memo)
+            assert np.array_equal(sigmas, np.zeros((3, statistic.budget_parts + 1)))
+            assert memo == {}
+        with pytest.raises(AssertionError, match="calibrated"):
+            stage_sigmas(statistic, data, _cfg(budgets[0]), budgets, {})
+
+    def test_wrong_part_count_raises(self, budget2, budget3):
+        data = _random_data()
+        with pytest.raises(ValueError, match="i_squared needs a 3-part budget split, got 2"):
+            stage_sigmas(Statistic.I_SQUARED, data, _cfg(budget3), [budget3, budget2], {})
+        with pytest.raises(ValueError, match="q needs a 2-part budget split, got 3"):
+            stage_sigmas(Statistic.Q, data, _cfg(budget2, zero=True), [budget3], {})
+
+    def test_release_and_errors_run_on_a_given_sigma_array(self, monkeypatch):
+        data = _random_data()
+        ctx = build_context(data)
+        for statistic in Statistic:
+            budgets = self._budgets(statistic)
+            cell = _cfg(budgets[0], seed=19)
+            sigmas = stage_sigmas(statistic, data, cell, budgets, {})
+            normals = trial_normals(statistic, cell, data.d, 5)
+            expected = (
+                release_noise(statistic, data, ctx, normals, sigmas),
+                _library_tmse(statistic, data, ctx, normals, sigmas),
+                _library_reports(statistic, data, ctx, normals, sigmas),
+            )
+            with monkeypatch.context() as patched:
+                _no_calibration(patched)
+                noise = release_noise(statistic, data, ctx, normals, sigmas)
+                errors = _library_tmse(statistic, data, ctx, normals, sigmas)
+                reports = _library_reports(statistic, data, ctx, normals, sigmas)
+            assert noise.shape == (3, 5) and np.array_equal(noise, expected[0])
+            if statistic is Statistic.I_SQUARED:
+                assert errors is None
+            else:
+                assert np.array_equal(errors, expected[1])
+            assert reports == expected[2] and all(r.cmse > 0 for r in reports)
 
 
 class TestSingleDrawDistribution:
@@ -552,10 +651,11 @@ def test_noise_rejects_mismatched_or_nonpositive_weights(fix, budget2):
     ctx = build_context(fix)
     cfg = _cfg(budget2)
     normals = unit_normals(Statistic.Q, cfg, fix.d, [1])
+    sigmas = stage_sigmas(Statistic.Q, fix, cfg, [budget2], {})
     for weights in (np.ones(3), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
         bad = replace(ctx, weights=weights)
         with pytest.raises(ValueError, match="context weights"):
-            release_noise(Statistic.Q, fix, bad, cfg, [budget2], normals)
+            release_noise(Statistic.Q, fix, bad, normals, sigmas)
 
 
 def test_release_reads_no_row_of_the_sample(budget2, budget3, monkeypatch):
@@ -620,25 +720,30 @@ class TestSharedNormalsAgainstPerTrialDraws:
                 oracle = np.array(
                     [centralized_noisy(0.0, full, shape, replace(cfg, seed=s))[0] for s in seeds]
                 ) ** 2
-                assert np.array_equal(centralized_errors(data, cfg, normals), oracle), case
+                report = error_report(statistic, data, cfg, self.TRIALS)
+                assert report.cmse == float(oracle.mean()), case
             assert len(variances) == 4
 
     def test_direct_report_draws_its_own_block(self, budget3):
         data = _random_data()
         cfg = _cfg(budget3, setting=Setting.CENTRALIZED, seed=17)
         normals = trial_normals(Statistic.I_SQUARED, cfg, data.d, self.TRIALS)
-        shared = error_report(Statistic.I_SQUARED, data, cfg, self.TRIALS, normals=normals)
-        assert error_report(Statistic.I_SQUARED, data, cfg, self.TRIALS) == shared
+        sigmas = stage_sigmas(Statistic.I_SQUARED, data, cfg, [budget3], {})
+        shared = _library_reports(Statistic.I_SQUARED, data, build_context(data), normals, sigmas)
+        assert [error_report(Statistic.I_SQUARED, data, cfg, self.TRIALS)] == shared
 
     def test_block_must_fit_statistic_and_trials(self, budget2, budget3):
         data = _random_data()
+        ctx = build_context(data)
         normals = trial_normals(Statistic.DISPERSION, _cfg(budget2), data.d, 4)
+        sigmas = stage_sigmas(Statistic.I_SQUARED, data, _cfg(budget3), [budget3], {})
         with pytest.raises(ValueError, match="do not fit i_squared"):
-            release_noise(
-                Statistic.I_SQUARED, data, build_context(data), _cfg(budget3), [budget3], normals
-            )
-        with pytest.raises(ValueError, match="hold 4 trials, not 5"):
-            error_report(Statistic.DISPERSION, data, _cfg(budget2), 5, normals=normals)
+            release_noise(Statistic.I_SQUARED, data, ctx, normals, sigmas)
+        five = trial_normals(Statistic.DISPERSION, _cfg(budget2), data.d, 5)
+        sigmas = stage_sigmas(Statistic.DISPERSION, data, _cfg(budget2), [budget2], {})
+        projected = _projection(Statistic.DISPERSION, data, five)
+        with pytest.raises(ValueError, match="does not fit n=40, 4 trials"):
+            error_reports(Statistic.DISPERSION, data, ctx, normals, projected, sigmas)
 
     def test_zero_noise_builds_no_generator(self, fix, zero_cfg2, zero_cfg3, monkeypatch):
         def no_generator(*args, **kwargs):

@@ -428,15 +428,28 @@ class TestSharedCellNormals:
         assert len(calls) == len(plan.profiles) == 3
         samples = _materialize_samples(plan)
         assert [n for n, _ in calls] == [samples[name][0].n for name, _ in plan.profiles]
-        # 12 cells of 4 trials each, stacked
-        assert {shape for _, shape in calls} == {(48, SYNTH.d)}
+        # the 8 dispersion and Q cells of 4 trials each, stacked; I^2 reads none
+        assert {shape for _, shape in calls} == {(32, SYNTH.d)}
+
+    def test_i_squared_plan_makes_no_projection(self, monkeypatch):
+        # Only the dispersion and Q cells read a projection; an I^2-only plan
+        # stacks no mean-stage columns and projects nothing.
+        full = [r for r in _cell_rows(_plan(**self.PLAN)) if r.statistic == "i_squared"]
+
+        def no_projection(data, units):
+            raise AssertionError("projected the sample")
+
+        for module in (hetdp.estimators, hetdp.errors, hetdp.experiment):
+            monkeypatch.setattr(module, "project", no_projection)
+        rows = _cell_rows(_plan(**dict(self.PLAN, statistics=(Statistic.I_SQUARED,))))
+        assert len(rows) == 3 * 4 * 3 and rows == full
 
     def test_one_release_call_per_profile_and_cell(self, monkeypatch):
         calls = []
         real = hetdp.estimators.release_noise
 
         def counting(*args):
-            calls.append((args[1].n, args[5].central.shape))
+            calls.append((args[1].n, args[3].central.shape))
             return real(*args)
 
         monkeypatch.setattr(hetdp.errors, "release_noise", counting)
