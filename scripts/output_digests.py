@@ -5,8 +5,9 @@ Runs the default sweep, a mixed plan (three profiles, both mechanisms and
 settings, epsilons 0.5,0.25,0.9), a plan with explicit budget fractions
 (dispersion and Q at 0.3,0.7, both mechanisms, epsilons 0.25,0.5,0.9), a
 comparison, `measure --release` with and without `--zero-noise`
-(zero noise must release the true values bit for bit), and a `calibrate`
-grid that spans both analytic branches and the classical range, through
+(zero noise must release the true values bit for bit) and with
+`--budget-split 0.3,0.7` (I^2 then reports the wrong part count), and a
+`calibrate` grid that spans both analytic branches and the classical range, through
 hetdp.cli.main in a temporary directory. It also writes an IDX pair
 (d=784) and a CIFAR-10 batch (d=3072) there with write_idx and write_cifar,
 sized so every profile sample spans at least three row blocks of
@@ -33,8 +34,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from hetdp import (
-    EstimatorConfig, Mechanism, PrivacyBudget, Setting, Statistic, build_context, error_report,
-    noisy_statistic, true_value,
+    EstimatorConfig, Mechanism, Setting, Statistic, build_context, error_report, noisy_statistic,
+    true_value,
 )
 from hetdp.cli import main as cli_main
 from hetdp.datasets import CifarVariant, synthetic_dataset, write_cifar, write_idx
@@ -65,6 +66,8 @@ def runs(seed: str) -> dict[str, list[str]]:
                     "--json"],
         "measure-zero": ["measure", *SYNTH, "--profile", "skewed-10", "--release",
                          "--zero-noise", "--seed", seed, "--json"],
+        "measure-split": ["measure", *SYNTH, "--profile", "skewed-10", "--release",
+                          "--budget-split", "0.3,0.7", "--seed", seed, "--json"],
         "calibrate": ["calibrate", "--epsilons", "0.01,0.25,0.5,0.99,2,5,50",
                       "--delta", "1e-12,1e-5,0.1,0.5", "--n", "2000", "--d", "8", "--json"],
         "idx": ["experiment", "--idx-images", "inputs/img.idx", "--idx-labels", "inputs/lab.idx",
@@ -87,16 +90,12 @@ def library_run() -> dict:
     """The README's library example: one release and a 200-trial report."""
     data = synthetic_dataset(n=5000, d=16, heterogeneity=0.4, seed=7)
     ctx = build_context(data)
-    cfg = EstimatorConfig(
-        mechanism=Mechanism.ANALYTIC,
-        setting=Setting.DISTRIBUTED,
-        budget=PrivacyBudget.equal_split(epsilon=1.0, delta=1e-5, parts=2),
-        seed=123,
-    )
+    cfg = EstimatorConfig(mechanism=Mechanism.ANALYTIC, setting=Setting.DISTRIBUTED, seed=123)
+    budget = Statistic.DISPERSION.budget(epsilon=1.0, delta=1e-5)
     return {
         "true_value": true_value(Statistic.DISPERSION, data, ctx),
-        "value": noisy_statistic(Statistic.DISPERSION, data, ctx, cfg),
-        "report": asdict(error_report(Statistic.DISPERSION, data, cfg, trials=200)),
+        "value": noisy_statistic(Statistic.DISPERSION, data, ctx, cfg, budget),
+        "report": asdict(error_report(Statistic.DISPERSION, data, ctx, cfg, budget, trials=200)),
     }
 
 

@@ -202,6 +202,8 @@ def _lookup(parser, kind: str, table: dict, names) -> tuple:
 
 
 def cmd_calibrate(parser, args) -> int:
+    if args.sensitivity:
+        _reject_unused(parser, args, "the default sensitivity, not --sensitivity", "--n", "--d")
     rows = []
     try:  # every value comes from a flag, so a range error is a usage error
         sens_values = args.sensitivity or (SensitivitySpec.from_shape(args.n, args.d).delta_l2,)
@@ -242,7 +244,7 @@ def cmd_measure(parser, args) -> int:
                        "--setting", "--budget-split", "--seed", "--zero-noise")
     else:
         try:
-            PrivacyBudget.equal_split(args.epsilon, args.delta, 1)
+            PrivacyBudget.from_fractions(args.epsilon, args.delta, args.budget_split or (1.0,))
             check_classical_range((_MECHANISMS[args.mechanism],), (args.epsilon,))
         except ValueError as err:
             parser.error(str(err))
@@ -272,25 +274,15 @@ def cmd_measure(parser, args) -> int:
             if stat is Statistic.I_SQUARED and data.n < 2:
                 released[stat.value] = {"error": f"i_squared needs n >= 2, got n={data.n}"}
                 continue
-            if args.budget_split is None:
-                budget = PrivacyBudget.equal_split(args.epsilon, args.delta, stat.budget_parts)
-            elif len(args.budget_split) == stat.budget_parts:
-                budget = PrivacyBudget.from_fractions(args.epsilon, args.delta, args.budget_split)
-            else:
-                released[stat.value] = {
-                    "error": f"--budget-split has {len(args.budget_split)} parts but "
-                    f"{stat.value} needs {stat.budget_parts}"
-                }
-                continue
-            cfg = EstimatorConfig(
-                mechanism=_MECHANISMS[args.mechanism],
-                setting=_SETTINGS[args.setting],
-                budget=budget,
-                seed=derive_seed(args.seed, index),
-                zero_noise=args.zero_noise,
-            )
             try:
-                value = noisy_statistic(stat, data, ctx, cfg)
+                budget = stat.budget(args.epsilon, args.delta, args.budget_split)
+            except ValueError as err:  # a split of the wrong part count
+                released[stat.value] = {"error": str(err)}
+                continue
+            cfg = EstimatorConfig(_MECHANISMS[args.mechanism], _SETTINGS[args.setting],
+                                  derive_seed(args.seed, index), args.zero_noise)
+            try:
+                value = noisy_statistic(stat, data, ctx, cfg, budget)
             except DegenerateStatisticError as err:
                 released[stat.value] = {"error": str(err)}
             else:
@@ -426,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--n", type=int, default=100, help="clients, for the default sensitivity")
     cal.add_argument("--d", type=int, default=64, help="dimension, for the default sensitivity")
     cal.add_argument("--json", action="store_true")
-    cal.set_defaults(func=cmd_calibrate)
+    cal.set_defaults(func=cmd_calibrate, default_of=cal.get_default)
 
     mea = sub.add_parser("measure", help="heterogeneity summary of a dataset sample")
     _add_dataset_flags(mea)

@@ -6,12 +6,12 @@ closed-form per-release error on the exact noise of the paired release, so
 the two are comparable trial by trial. `error_reports` scores one cell at
 every budget (epsilon) of a list: arithmetic on the cell's unit normals and
 the noise scales `stage_sigmas` calibrated for those budgets. `error_report`
-draws, calibrates and scores one cell at the one budget of its config. Only
-the dispersion and Q TMSE read the sample, through one projection onto the
-unit mean-stage normals. The centralized error (CMSE) is the squared single
-draw a centralized release would add after aggregation: each trial's shared
-unit scalar scaled by sqrt(d) times the full-budget sigma, whatever the
-statistic.
+draws, calibrates and scores one cell at the one budget passed beside its
+config. Only the dispersion and Q TMSE read the sample, through one
+projection onto the unit mean-stage normals. The centralized error (CMSE) is
+the squared single draw a centralized release would add after aggregation:
+each trial's shared unit scalar scaled by sqrt(d) times the full-budget
+sigma, whatever the statistic.
 
 The heterogeneity-fraction EMSE is normalized per client (divided by n): its
 closed-form counterpart carries a 1/n factor, and the ratio check between the
@@ -37,7 +37,8 @@ from hetdp.estimators import (
     true_value,
     unit_normals,
 )
-from hetdp.measures import MeasureContext, VectorDataset, build_context
+from hetdp.gaussian import PrivacyBudget
+from hetdp.measures import MeasureContext, VectorDataset
 
 #: 95% interval constant for the dispersion: 1.96 times the fourth-moment
 #: spread factor 4*sqrt(6) of a squared-Gaussian deviation.
@@ -156,18 +157,15 @@ def error_reports(
 
 
 def error_report(
-    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, trials: int,
-    ctx: MeasureContext | None = None,
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig,
+    budget: PrivacyBudget, trials: int,
 ) -> ErrorReport:
-    """Error summary of one cell at cfg.budget: trial t scales the unit
+    """Error summary of one cell at `budget`: trial t scales the unit
     normals of derive_seed(cfg.seed, t) by the budget's calibrated sigmas."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if ctx is None:
-        ctx = build_context(data)
-    sigmas = stage_sigmas(statistic, data, cfg, [cfg.budget], {})
+    sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
     normals = trial_normals(statistic, cfg, data.d, trials)
-    projected = None
-    if statistic is not Statistic.I_SQUARED:
-        projected = project(data, normals.stages[:, : data.d])
+    units = normals.stages[:, : data.d]
+    projected = None if statistic is Statistic.I_SQUARED else project(data, units)
     return error_reports(statistic, data, ctx, normals, projected, sigmas)[0]

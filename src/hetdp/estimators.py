@@ -1,9 +1,10 @@
 """(epsilon, delta)-private releases of the heterogeneity statistics.
 
-Each estimator splits its privacy budget over its stages (one part per noisy
-release) and calibrates a Gaussian scale per stage with the configured
-mechanism. A release is its unit normals and the stage sigmas, so the
-closed-form error analysis scores each trial on the exact noise it carries.
+`Statistic.budget` is the one rule that splits a privacy budget over a
+statistic's stages (one part per noisy release); a release takes that budget
+beside its `EstimatorConfig` and calibrates a Gaussian scale per stage. A
+release is its unit normals and the stage sigmas, so the closed-form error
+analysis scores each trial on the exact noise it carries.
 
 Noise enters in one of two settings. In the distributed setting every client
 adds a share of variance n * stage_variance before plain summation (simulated
@@ -58,6 +59,15 @@ class Statistic(enum.Enum):
     def budget_parts(self) -> int:
         return 3 if self is Statistic.I_SQUARED else 2
 
+    def budget(self, epsilon: float, delta: float, fractions: tuple | None = None) -> PrivacyBudget:
+        """The budget rule: (epsilon, delta) split equally over the stages, or by `fractions`."""
+        if fractions is None:
+            return PrivacyBudget.equal_split(epsilon, delta, self.budget_parts)
+        if len(fractions) != self.budget_parts:
+            raise ValueError(f"--budget-split has {len(fractions)} parts but {self.value} "
+                             f"needs {self.budget_parts}")
+        return PrivacyBudget.from_fractions(epsilon, delta, fractions)
+
 
 class DegenerateStatisticError(RuntimeError):
     """A noisy intermediate left the statistic's domain (e.g. noisy Q <= 0)."""
@@ -65,11 +75,10 @@ class DegenerateStatisticError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Mechanism, noise setting, budget and seed of one estimator run."""
+    """Mechanism, noise setting and seed of one estimator cell (budgets go beside it)."""
 
     mechanism: Mechanism
     setting: Setting
-    budget: PrivacyBudget
     seed: int
     zero_noise: bool = False
 
@@ -229,10 +238,11 @@ def release_noise(
 
 
 def noisy_statistic(
-    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig,
+    budget: PrivacyBudget,
 ) -> float:
     """One private release of `statistic`: trial 0 of the batched release on
-    the unit normals of cfg.seed at cfg.budget.
+    the unit normals of cfg.seed at `budget`.
 
     Dispersion and Q are two-release pipelines (mean, then statistic); I^2
     runs the Q pipeline on its first two budget parts and adds a scalar
@@ -240,7 +250,7 @@ def noisy_statistic(
     """
     if statistic is Statistic.I_SQUARED and data.n < 2:
         raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
-    sigmas = stage_sigmas(statistic, data, cfg, [cfg.budget], {})
+    sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
     normals = unit_normals(statistic, cfg, data.d, [cfg.seed])
     noise = release_noise(statistic, data, ctx, normals, sigmas)
     if statistic is not Statistic.I_SQUARED:

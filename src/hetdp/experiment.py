@@ -101,13 +101,12 @@ class ExperimentPlan:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         check_classical_range(self.mechanisms, self.epsilons)
-        if self.budget_fractions is not None:
-            parts = {s.budget_parts for s in self.statistics}
-            if parts != {len(self.budget_fractions)}:
-                raise ValueError(
-                    f"budget split has {len(self.budget_fractions)} parts but the "
-                    f"planned statistics need {sorted(parts)} parts"
-                )
+        for stat in self.statistics:
+            self.budgets(stat)  # raises on a split the budget rule rejects
+
+    def budgets(self, stat: Statistic) -> list[PrivacyBudget]:
+        """The budget rule's split of (epsilon, delta) for `stat`, per epsilon."""
+        return [stat.budget(e, self.delta, self.budget_fractions) for e in self.epsilons]
 
 
 @dataclass(frozen=True)
@@ -204,12 +203,6 @@ def _cell_seed(plan: ExperimentPlan, stat: Statistic, mech: Mechanism, setting: 
     )
 
 
-def _budget(plan: ExperimentPlan, stat: Statistic, epsilon: float) -> PrivacyBudget:
-    if plan.budget_fractions is not None:
-        return PrivacyBudget.from_fractions(epsilon, plan.delta, plan.budget_fractions)
-    return PrivacyBudget.equal_split(epsilon, plan.delta, stat.budget_parts)
-
-
 def _materialize_samples(plan: ExperimentPlan):
     """Load the dataset, draw one stratified sample per named profile (image
     samples keep their exact byte moments, not their bytes), and build the
@@ -254,12 +247,11 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
         summary[f"{s}_mean"] = sum(v[s] for v in true_table.values()) / len(true_table)
 
     d, trials = next(iter(samples.values()))[0].d, plan.trials
+    budgets = {stat: plan.budgets(stat) for stat in plan.statistics}
     cells, blocks = [], []
     for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings):
-        cell = EstimatorConfig(
-            mechanism=mech, setting=setting, budget=_budget(plan, stat, plan.epsilons[0]),
-            seed=_cell_seed(plan, stat, mech, setting), zero_noise=plan.zero_noise,
-        )
+        cell = EstimatorConfig(mechanism=mech, setting=setting, zero_noise=plan.zero_noise,
+                               seed=_cell_seed(plan, stat, mech, setting))
         normals = trial_normals(stat, cell, d, trials)
         column = None  # where the cell's columns of the projection start; I^2 has none
         if stat is not Statistic.I_SQUARED:
@@ -272,8 +264,7 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
         sample, ctx = samples[name]
         projected = None if units is None else project(sample, units)
         for stat, cell, normals, column in cells:
-            budgets = [_budget(plan, stat, epsilon) for epsilon in plan.epsilons]
-            sigmas = stage_sigmas(stat, sample, cell, budgets, memo)
+            sigmas = stage_sigmas(stat, sample, cell, budgets[stat], memo)
             columns = None if column is None else projected[:, column : column + trials]
             reports = error_reports(stat, sample, ctx, normals, columns, sigmas)
             for epsilon, report in zip(plan.epsilons, reports):

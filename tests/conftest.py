@@ -1,4 +1,4 @@
-"""Shared fixtures: tiny hand-checkable datasets and standard budgets."""
+"""Shared fixtures: tiny hand-checkable datasets, standard budgets, a zero-noise cell."""
 
 import numpy as np
 import pytest
@@ -34,14 +34,5 @@ def budget3():
 
 
 @pytest.fixture
-def zero_cfg2(budget2):
-    return EstimatorConfig(
-        Mechanism.ANALYTIC, Setting.DISTRIBUTED, budget2, seed=1, zero_noise=True
-    )
-
-
-@pytest.fixture
-def zero_cfg3(budget3):
-    return EstimatorConfig(
-        Mechanism.ANALYTIC, Setting.DISTRIBUTED, budget3, seed=1, zero_noise=True
-    )
+def zero_cfg():
+    return EstimatorConfig(Mechanism.ANALYTIC, Setting.DISTRIBUTED, seed=1, zero_noise=True)

@@ -54,6 +54,7 @@ from hetdp.gaussian import (
     ConvergenceError,
     Mechanism,
     NoiseBranch,
+    PrivacyBudget,
     SensitivitySpec,
     _alpha_high_noise,
     _alpha_low_noise,
@@ -91,16 +92,17 @@ def share_aggregate(dim: int, sigma: float, n: int, rng: np.random.Generator) ->
 
 
 def noisy_mean(
-    data: VectorDataset, cfg: EstimatorConfig, *, draws: StageDraws | None = None
+    data: VectorDataset, cfg: EstimatorConfig, budget: PrivacyBudget, *,
+    draws: StageDraws | None = None,
 ) -> tuple[np.ndarray, StageDraws]:
     """Private mean: true mean plus one calibrated aggregate noise vector,
     on the first budget part; distributed noise is simulated share by share."""
-    if not cfg.budget.split:
+    if not budget.split:
         raise ValueError("budget split is empty")
     if draws is None:
         sigma = 0.0
         if not cfg.zero_noise:
-            epsilon_i, delta_i = cfg.budget.split[0]
+            epsilon_i, delta_i = budget.split[0]
             sens = SensitivitySpec.from_shape(data.n, data.d)
             sigma = release_sigma(cfg.mechanism, sens, epsilon_i, delta_i)
         rng = np.random.default_rng(cfg.seed)
@@ -113,12 +115,13 @@ def noisy_mean(
 
 
 def scaled_draws(
-    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, normals: UnitNormals
+    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, budget: PrivacyBudget,
+    normals: UnitNormals,
 ) -> StageDraws:
     """Stage noise of T releases, one trial per row: each stage's calibrated
-    sigma times its columns of `normals`."""
+    sigma at `budget` times its columns of `normals`."""
     d, z = data.d, normals.stages
-    sigmas = stage_sigmas(statistic, data, cfg, [cfg.budget], {})[0]
+    sigmas = stage_sigmas(statistic, data, cfg, [budget], {})[0]
     three = statistic.budget_parts == 3
     return StageDraws(
         mean_noise=sigmas[0] * z[:, :d],
@@ -130,10 +133,10 @@ def scaled_draws(
     )
 
 
-def draw_noise(statistic, data, cfg, seeds) -> StageDraws:
+def draw_noise(statistic, data, cfg, budget, seeds) -> StageDraws:
     """Stage noise of one release per seed, stacked one trial per row: the
     library's unit normals of those seeds, scaled."""
-    return scaled_draws(statistic, data, cfg, unit_normals(statistic, cfg, data.d, seeds))
+    return scaled_draws(statistic, data, cfg, budget, unit_normals(statistic, cfg, data.d, seeds))
 
 
 def release_from_draws(
@@ -162,6 +165,7 @@ def draw_noise_per_trial(
     statistic: Statistic,
     data: VectorDataset,
     cfg: EstimatorConfig,
+    budget: PrivacyBudget,
     seeds,
 ) -> StageDraws:
     """Stage noise of one release per seed, stacked one trial per row, each
@@ -171,12 +175,12 @@ def draw_noise_per_trial(
     return exact zeros without calibrating or drawing.
     """
     parts = statistic.budget_parts
-    if len(cfg.budget.split) != parts:
+    if len(budget.split) != parts:
         raise ValueError(f"{statistic.value} needs a {parts}-part budget split")
     sens = SensitivitySpec.from_shape(data.n, data.d)
     sigmas = [
         0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, sens, eps_i, delta_i)
-        for eps_i, delta_i in cfg.budget.split
+        for eps_i, delta_i in budget.split
     ]
     mean_noise, stat_noise = np.zeros((2, len(seeds), data.d))
     i2_noise = np.zeros(len(seeds))
@@ -300,9 +304,9 @@ def tmse_q(data: VectorDataset, ctx: MeasureContext, draws: StageDraws) -> float
     return float((shifted**2).mean())
 
 
-def emse(statistic, data, cfg, trials, ctx=None) -> tuple[float, float]:
+def emse(statistic, data, ctx, cfg, budget, trials) -> tuple[float, float]:
     """Mean and standard deviation of the empirical squared error."""
-    report = error_report(statistic, data, cfg, trials, ctx)
+    report = error_report(statistic, data, ctx, cfg, budget, trials)
     return report.emse, report.sd_emse
 
 

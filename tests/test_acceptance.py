@@ -63,10 +63,10 @@ def _mc_report(stat, data, ctx, mech, epsilon, delta, seed, trials):
     cfg = EstimatorConfig(
         mechanism=mech,
         setting=Setting.DISTRIBUTED,
-        budget=PrivacyBudget.equal_split(epsilon, delta, parts),
         seed=seed,
     )
-    return error_report(stat, data, cfg, trials=trials, ctx=ctx)
+    budget = PrivacyBudget.equal_split(epsilon, delta, parts)
+    return error_report(stat, data, ctx, cfg, budget, trials=trials)
 
 
 def test_analytic_calibration_tightness():
@@ -223,11 +223,11 @@ def test_zero_noise_identity(tmp_path):
             cfg = EstimatorConfig(
                 mechanism=Mechanism.ANALYTIC,
                 setting=setting,
-                budget=PrivacyBudget.equal_split(1.0, 0.1, stat.budget_parts),
                 seed=1,
                 zero_noise=True,
             )
-            value = noisy_statistic(stat, data, ctx, cfg)
+            budget = PrivacyBudget.equal_split(1.0, 0.1, stat.budget_parts)
+            value = noisy_statistic(stat, data, ctx, cfg, budget)
             assert value == truth[stat], (setting, stat)
 
     plan = ExperimentPlan(

@@ -162,11 +162,10 @@ class TestReleaseInvariants:
         ctx = build_context(sample)
         for setting in Setting:
             for stat in Statistic:
-                cfg = EstimatorConfig(
-                    Mechanism.ANALYTIC, setting,
-                    PrivacyBudget.equal_split(1.0, 0.1, stat.budget_parts), seed=1, zero_noise=True,
-                )
-                assert noisy_statistic(stat, sample, ctx, cfg) == true_value(stat, sample, ctx)
+                cfg = EstimatorConfig(Mechanism.ANALYTIC, setting, seed=1, zero_noise=True)
+                budget = PrivacyBudget.equal_split(1.0, 0.1, stat.budget_parts)
+                value = noisy_statistic(stat, sample, ctx, cfg, budget)
+                assert value == true_value(stat, sample, ctx)
 
     def test_experiment_rows_rerun_and_recompute(self, stored, tmp_path):
         images, labels = stored["idx"].paths

@@ -56,6 +56,31 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["measure", "experiment", "compare-heterogeneity"])
+    @pytest.mark.parametrize("split, message", [
+        ("0.5,0.6", "error: fractions must sum to 1, got 1.1"),
+        ("1.5,-0.5", "error: fractions must all be positive, got (1.5, -0.5)"),
+    ])
+    def test_bad_budget_split_is_two_before_data_is_read(
+        self, tmp_path, monkeypatch, capsys, command, split, message
+    ):
+        def no_load(desc):
+            raise AssertionError("read the data")
+
+        for module in ("cli", "experiment"):
+            monkeypatch.setattr(f"hetdp.{module}.load_dataset", no_load)
+        argv = [command, *SYNTH_ARGS, "--budget-split", split]
+        if command == "measure":
+            argv.append("--release")
+        else:
+            argv += ["--profiles", "uniform-2,skewed-2", "--statistics", "dispersion",
+                     "--out", str(tmp_path / "o.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_subcommand_is_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -343,6 +368,19 @@ class TestCalibrate:
         rows = json.loads(capsys.readouterr().out)
         assert [r["sensitivity"] for r in rows] == [0.01, 0.02]
         assert rows[1]["sigma_analytic"] == pytest.approx(2 * rows[0]["sigma_analytic"], rel=1e-12)
+
+    @pytest.mark.parametrize("flag, value", [("--n", "5"), ("--d", "3")])
+    def test_shape_flag_with_explicit_sensitivities_is_two(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--sensitivity", "0.1,0.3", flag, value])
+        assert exc.value.code == 2
+        assert f"error: {flag} needs the default sensitivity" in capsys.readouterr().err
+
+    def test_shape_flags_at_their_defaults_count_as_absent(self, capsys):
+        assert main(["calibrate", "--sensitivity", "0.1,0.3", "--n", "100", "--d", "64"]) == 0
+        with_defaults = capsys.readouterr().out
+        assert main(["calibrate", "--sensitivity", "0.1,0.3"]) == 0
+        assert capsys.readouterr().out == with_defaults
 
 
 class TestMeasure:

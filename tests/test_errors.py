@@ -223,31 +223,30 @@ class TestVarianceOracles:
 
 
 class TestErrorReport:
-    def test_zero_noise_all_zero(self, fix, zero_cfg2, zero_cfg3):
-        for statistic, cfg in (
-            (Statistic.DISPERSION, zero_cfg2),
-            (Statistic.Q, zero_cfg2),
-            (Statistic.I_SQUARED, zero_cfg3),
+    def test_zero_noise_all_zero(self, fix, zero_cfg, budget2, budget3):
+        ctx = build_context(fix)
+        for statistic, budget in (
+            (Statistic.DISPERSION, budget2),
+            (Statistic.Q, budget2),
+            (Statistic.I_SQUARED, budget3),
         ):
-            report = error_report(statistic, fix, cfg, trials=3)
+            report = error_report(statistic, fix, ctx, zero_cfg, budget, trials=3)
             assert (report.emse, report.tmse, report.cmse) == (0.0, 0.0, 0.0)
             assert (report.sd_emse, report.sd_tmse) == (0.0, 0.0)
             assert report.ci_half_width == 0.0
             assert report.trials == 3
 
     def test_cmse_identical_across_statistics(self, fix, budget2, budget3):
-        def cfg(budget):
-            return EstimatorConfig(
-                mechanism=Mechanism.ANALYTIC,
-                setting=Setting.DISTRIBUTED,
-                budget=budget,
-                seed=9,
-            )
-
+        cfg = EstimatorConfig(
+            mechanism=Mechanism.ANALYTIC,
+            setting=Setting.DISTRIBUTED,
+            seed=9,
+        )
+        ctx = build_context(fix)
         reports = [
-            error_report(Statistic.DISPERSION, fix, cfg(budget2), trials=6),
-            error_report(Statistic.Q, fix, cfg(budget2), trials=6),
-            error_report(Statistic.I_SQUARED, fix, cfg(budget3), trials=6),
+            error_report(Statistic.DISPERSION, fix, ctx, cfg, budget2, trials=6),
+            error_report(Statistic.Q, fix, ctx, cfg, budget2, trials=6),
+            error_report(Statistic.I_SQUARED, fix, ctx, cfg, budget3, trials=6),
         ]
         assert reports[0].cmse == reports[1].cmse == reports[2].cmse
 
@@ -258,39 +257,39 @@ class TestErrorReport:
         cfg = EstimatorConfig(
             mechanism=Mechanism.ANALYTIC,
             setting=Setting.DISTRIBUTED,
-            budget=budget2,
             seed=21,
         )
         for statistic in (Statistic.DISPERSION, Statistic.Q):
-            report = error_report(statistic, fix, cfg, trials=40)
+            report = error_report(statistic, fix, build_context(fix), cfg, budget2, trials=40)
             assert report.tmse >= report.emse > 0
 
     def test_ci_comes_from_first_trial_draws(self, fix, budget2):
         cfg = EstimatorConfig(
             mechanism=Mechanism.ANALYTIC,
             setting=Setting.DISTRIBUTED,
-            budget=budget2,
             seed=33,
         )
-        report = error_report(Statistic.DISPERSION, fix, cfg, trials=5)
+        report = error_report(Statistic.DISPERSION, fix, build_context(fix), cfg, budget2, trials=5)
         first_cfg = replace(cfg, seed=derive_seed(cfg.seed, 0))
         sigmas = stage_sigmas(Statistic.DISPERSION, fix, first_cfg, [budget2], {})
         expected = ci_half_width(Statistic.DISPERSION, fix.n, None, sigmas[0, 0] ** 2)
         assert report.ci_half_width == expected
 
-    def test_trials_validated(self, fix, zero_cfg2):
+    def test_trials_validated(self, fix, zero_cfg, budget2):
         with pytest.raises(ValueError, match="trials"):
-            error_report(Statistic.DISPERSION, fix, zero_cfg2, trials=0)
+            error_report(Statistic.DISPERSION, fix, build_context(fix), zero_cfg, budget2, trials=0)
 
     def test_emse_wrapper_matches_report(self, fix, budget2):
         cfg = EstimatorConfig(
             mechanism=Mechanism.ANALYTIC,
             setting=Setting.DISTRIBUTED,
-            budget=budget2,
             seed=4,
         )
-        report = error_report(Statistic.DISPERSION, fix, cfg, trials=8)
-        assert emse(Statistic.DISPERSION, fix, cfg, trials=8) == (report.emse, report.sd_emse)
+        ctx = build_context(fix)
+        report = error_report(Statistic.DISPERSION, fix, ctx, cfg, budget2, trials=8)
+        assert emse(Statistic.DISPERSION, fix, ctx, cfg, budget2, trials=8) == (
+            report.emse, report.sd_emse
+        )
 
     def test_i_squared_emse_and_tmse_agree_when_unclamped(self, fix, budget3):
         # While the noisy fraction stays in range the empirical and closed
@@ -298,8 +297,8 @@ class TestErrorReport:
         cfg = EstimatorConfig(
             mechanism=Mechanism.ANALYTIC,
             setting=Setting.DISTRIBUTED,
-            budget=replace(budget3, epsilon=5.0, split=PrivacyBudget.equal_split(5.0, 0.1, 3).split),
             seed=2,
         )
-        report = error_report(Statistic.I_SQUARED, fix, cfg, trials=30)
+        budget = replace(budget3, epsilon=5.0, split=PrivacyBudget.equal_split(5.0, 0.1, 3).split)
+        report = error_report(Statistic.I_SQUARED, fix, build_context(fix), cfg, budget, trials=30)
         assert report.emse == pytest.approx(report.tmse, rel=1e-9)

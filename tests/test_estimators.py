@@ -50,13 +50,13 @@ from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec
 from hetdp.measures import VectorDataset, build_context, i_squared
 
 
-def _cfg(budget, setting=Setting.DISTRIBUTED, mech=Mechanism.ANALYTIC, seed=7, zero=False):
-    return EstimatorConfig(mechanism=mech, setting=setting, budget=budget, seed=seed, zero_noise=zero)
+def _cfg(setting=Setting.DISTRIBUTED, mech=Mechanism.ANALYTIC, seed=7, zero=False):
+    return EstimatorConfig(mechanism=mech, setting=setting, seed=seed, zero_noise=zero)
 
 
-def _sigmas(statistic, data, cfg):
-    """The stage sigmas and full-budget sigma of cfg.budget, from a fresh memo."""
-    return stage_sigmas(statistic, data, cfg, [cfg.budget], {})[0]
+def _sigmas(statistic, data, cfg, budget):
+    """The stage sigmas and full-budget sigma of `budget`, from a fresh memo."""
+    return stage_sigmas(statistic, data, cfg, [budget], {})[0]
 
 
 class TestBudgetParts:
@@ -65,33 +65,48 @@ class TestBudgetParts:
         assert Statistic.Q.budget_parts == 2
         assert Statistic.I_SQUARED.budget_parts == 3
 
+    def test_budget_rule_is_the_equal_split_or_the_fractions(self):
+        for statistic, epsilon in product(Statistic, (0.1, 0.25, 0.5, 1.0, 3.0, 7.3)):
+            parts = statistic.budget_parts
+            equal = PrivacyBudget.equal_split(epsilon, 1e-5, parts)
+            assert statistic.budget(epsilon, 1e-5) == equal, (statistic, epsilon)
+            fractions = (0.3, 0.7) if parts == 2 else (0.2, 0.3, 0.5)
+            given = PrivacyBudget.from_fractions(epsilon, 1e-5, fractions)
+            assert statistic.budget(epsilon, 1e-5, fractions) == given, (statistic, epsilon)
+
+    def test_budget_rule_rejects_a_wrong_part_count(self):
+        with pytest.raises(ValueError, match="^--budget-split has 3 parts but q needs 2$"):
+            Statistic.Q.budget(1.0, 0.1, (0.2, 0.3, 0.5))
+        with pytest.raises(ValueError, match="^--budget-split has 2 parts but i_squared needs 3$"):
+            Statistic.I_SQUARED.budget(1.0, 0.1, (0.5, 0.5))
+
     def test_wrong_part_count_rejected(self, fix, budget2, budget3):
         ctx = build_context(fix)
         with pytest.raises(ValueError, match="2-part"):
-            noisy_statistic(Statistic.DISPERSION, fix, ctx, _cfg(budget3))
+            noisy_statistic(Statistic.DISPERSION, fix, ctx, _cfg(), budget3)
         with pytest.raises(ValueError, match="2-part"):
-            noisy_statistic(Statistic.Q, fix, ctx, _cfg(budget3))
+            noisy_statistic(Statistic.Q, fix, ctx, _cfg(), budget3)
         with pytest.raises(ValueError, match="3-part"):
-            noisy_statistic(Statistic.I_SQUARED, fix, ctx, _cfg(budget2))
+            noisy_statistic(Statistic.I_SQUARED, fix, ctx, _cfg(), budget2)
 
 
 class TestZeroNoiseIdentity:
-    def test_all_statistics_bit_identical(self, fix, zero_cfg2, zero_cfg3):
+    def test_all_statistics_bit_identical(self, fix, zero_cfg, budget2, budget3):
         ctx = build_context(fix)
-        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2) == ctx.dispersion
-        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2) == ctx.q_value
-        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3) == i_squared(
+        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg, budget2) == ctx.dispersion
+        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg, budget2) == ctx.q_value
+        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg, budget3) == i_squared(
             ctx.q_value, fix.n
         )
-        assert np.array_equal(noisy_mean(fix, zero_cfg2)[0], ctx.mean)
+        assert np.array_equal(noisy_mean(fix, zero_cfg, budget2)[0], ctx.mean)
 
     def test_centralized_setting_too(self, fix_diag, budget2):
-        cfg = _cfg(budget2, setting=Setting.CENTRALIZED, zero=True)
+        cfg = _cfg(setting=Setting.CENTRALIZED, zero=True)
         ctx = build_context(fix_diag)
-        assert noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg) == ctx.dispersion
+        assert noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg, budget2) == ctx.dispersion
 
-    def test_centralized_scalar_release(self, budget2):
-        cfg = _cfg(budget2, zero=True)
+    def test_centralized_scalar_release(self):
+        cfg = _cfg(zero=True)
         shape = SensitivitySpec.from_shape(10, 4)
         value, draw = centralized_noisy(3.7, (0.5, 0.05), shape, cfg)
         assert value == 3.7
@@ -144,9 +159,9 @@ class TestInjectedDraws:
         with pytest.raises(DegenerateStatisticError, match="nonpositive"):
             release_from_draws(Statistic.I_SQUARED, fix, ctx, draws)
 
-    def test_missing_stage_draws_rejected(self, fix, zero_cfg2):
+    def test_missing_stage_draws_rejected(self, fix, zero_cfg, budget2):
         with pytest.raises(ValueError):
-            noisy_mean(fix, zero_cfg2, draws=StageDraws())
+            noisy_mean(fix, zero_cfg, budget2, draws=StageDraws())
 
 
 class TestQEvaluationForms:
@@ -177,27 +192,27 @@ class TestQEvaluationForms:
 
 class TestNoiseGeneration:
     def test_deterministic_given_seed(self, fix_diag, budget2):
-        cfg = _cfg(budget2, seed=17)
+        cfg = _cfg(seed=17)
         ctx = build_context(fix_diag)
-        first = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg)
-        assert first == noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg)
+        first = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg, budget2)
+        assert first == noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cfg, budget2)
 
     def test_seeds_change_draws(self, fix_diag, budget2):
         ctx = build_context(fix_diag)
-        a = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, _cfg(budget2, seed=1))
-        b = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, _cfg(budget2, seed=2))
+        a = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, _cfg(seed=1), budget2)
+        b = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, _cfg(seed=2), budget2)
         assert a != b
 
     def test_settings_draw_differently_with_same_variance(self, fix_diag, budget2):
         ctx = build_context(fix_diag)
-        dist_cfg = _cfg(budget2, setting=Setting.DISTRIBUTED)
-        cent_cfg = _cfg(budget2, setting=Setting.CENTRALIZED)
-        dist = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, dist_cfg)
-        cent = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cent_cfg)
+        dist_cfg = _cfg(setting=Setting.DISTRIBUTED)
+        cent_cfg = _cfg(setting=Setting.CENTRALIZED)
+        dist = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, dist_cfg, budget2)
+        cent = noisy_statistic(Statistic.DISPERSION, fix_diag, ctx, cent_cfg, budget2)
         assert dist != cent
         assert np.array_equal(
-            _sigmas(Statistic.DISPERSION, fix_diag, dist_cfg),
-            _sigmas(Statistic.DISPERSION, fix_diag, cent_cfg),
+            _sigmas(Statistic.DISPERSION, fix_diag, dist_cfg, budget2),
+            _sigmas(Statistic.DISPERSION, fix_diag, cent_cfg, budget2),
         )
 
     def test_distributed_aggregate_variance(self, budget2):
@@ -212,20 +227,20 @@ class TestNoiseGeneration:
         sens = SensitivitySpec.from_shape(fix.n, fix.d)
         eps1, delta1 = budget2.split[0]
         sigma1 = release_sigma(Mechanism.ANALYTIC, sens, eps1, delta1)
-        sigma = _sigmas(Statistic.DISPERSION, fix, _cfg(budget2))[0]
+        sigma = _sigmas(Statistic.DISPERSION, fix, _cfg(), budget2)[0]
         assert sigma**2 == pytest.approx(sigma1**2, rel=1e-12)
 
     def test_classical_mechanism_runs_below_epsilon_one(self, fix):
         budget = PrivacyBudget.equal_split(0.5, 0.01, 2)
-        cfg = _cfg(budget, mech=Mechanism.CLASSICAL)
-        value = noisy_statistic(Statistic.DISPERSION, fix, build_context(fix), cfg)
+        cfg = _cfg(mech=Mechanism.CLASSICAL)
+        value = noisy_statistic(Statistic.DISPERSION, fix, build_context(fix), cfg, budget)
         assert math.isfinite(value)
-        assert _sigmas(Statistic.DISPERSION, fix, cfg)[0] > 0
+        assert _sigmas(Statistic.DISPERSION, fix, cfg, budget)[0] > 0
 
-    def test_centralized_scalar_noise_scales_with_dimension(self, budget2):
+    def test_centralized_scalar_noise_scales_with_dimension(self):
         # The scalar release carries d times the per-coordinate variance.
         shape = SensitivitySpec.from_shape(50, 16)
-        cfg = _cfg(budget2, seed=3)
+        cfg = _cfg(seed=3)
         _, draw = centralized_noisy(1.0, (0.5, 0.05), shape, cfg)
         sigma = release_sigma(Mechanism.ANALYTIC, shape, 0.5, 0.05)
         assert draw.stat_noise_var == pytest.approx(16 * sigma**2, rel=1e-12)
@@ -238,11 +253,11 @@ class TestDispatch:
         assert true_value(Statistic.Q, fix, ctx) == ctx.q_value
         assert true_value(Statistic.I_SQUARED, fix, ctx) == i_squared(ctx.q_value, fix.n)
 
-    def test_noisy_statistic_routes_by_enum(self, fix, zero_cfg2, zero_cfg3):
+    def test_noisy_statistic_routes_by_enum(self, fix, zero_cfg, budget2, budget3):
         ctx = build_context(fix)
-        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg2) == ctx.dispersion
-        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg2) == ctx.q_value
-        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg3) == i_squared(
+        assert noisy_statistic(Statistic.DISPERSION, fix, ctx, zero_cfg, budget2) == ctx.dispersion
+        assert noisy_statistic(Statistic.Q, fix, ctx, zero_cfg, budget2) == ctx.q_value
+        assert noisy_statistic(Statistic.I_SQUARED, fix, ctx, zero_cfg, budget3) == i_squared(
             ctx.q_value, fix.n
         )
 
@@ -250,7 +265,7 @@ class TestDispatch:
         data = VectorDataset(np.array([[0.2, 0.4]]), np.array([0]))
         ctx = build_context(data)
         with pytest.raises(ValueError, match="n >= 2"):
-            noisy_statistic(Statistic.I_SQUARED, data, ctx, _cfg(budget3))
+            noisy_statistic(Statistic.I_SQUARED, data, ctx, _cfg(), budget3)
 
 
 def _constant_row_data(n=40, d=6, seed=8):
@@ -297,15 +312,15 @@ def _library_reports(statistic, data, ctx, normals, sigmas):
     return error_reports(statistic, data, ctx, normals, projected, sigmas)
 
 
-def _library_kernel(statistic, data, ctx, cfg, seeds):
-    """The library's release values and per-trial errors at cfg.budget on the
+def _library_kernel(statistic, data, ctx, cfg, budget, seeds):
+    """The library's release values and per-trial errors at `budget` on the
     unit normals of `seeds` (no errors for I^2), with the scaled draws of the
     same normals."""
     normals = unit_normals(statistic, cfg, data.d, seeds)
-    sigmas = stage_sigmas(statistic, data, cfg, [cfg.budget], {})
+    sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
     noise = release_noise(statistic, data, ctx, normals, sigmas)
     errors = _library_tmse(statistic, data, ctx, normals, sigmas)
-    draws = scaled_draws(statistic, data, cfg, normals)
+    draws = scaled_draws(statistic, data, cfg, budget, normals)
     return _released(statistic, data, ctx, noise[0]), None if errors is None else errors[0], draws
 
 
@@ -320,12 +335,12 @@ class TestBatchedKernelAgainstDirectForms:
             for setting in Setting:
                 for statistic in Statistic:
                     budget = PrivacyBudget.equal_split(0.5, 1e-3, statistic.budget_parts)
-                    yield data, ctx, statistic, _cfg(budget, setting=setting, seed=41)
+                    yield data, ctx, statistic, _cfg(setting=setting, seed=41), budget
 
     def test_values_agree_within_rtol_1e_12(self):
         seeds = [derive_seed(41, t) for t in range(self.TRIALS)]
-        for data, ctx, statistic, cfg in self._cases():
-            values, _, batch = _library_kernel(statistic, data, ctx, cfg, seeds)
+        for data, ctx, statistic, cfg, budget in self._cases():
+            values, _, batch = _library_kernel(statistic, data, ctx, cfg, budget, seeds)
             assert batch.mean_noise.shape == (self.TRIALS, data.d)
             if statistic is Statistic.I_SQUARED:
                 values = i_squared_release(values, data.n, batch.i2_noise)
@@ -345,10 +360,10 @@ class TestBatchedKernelAgainstDirectForms:
                 assert single == pytest.approx(values[t], rel=1e-12, abs=0.0)
 
     def test_tmse_agrees_within_rtol_1e_12(self):
-        for data, ctx, statistic, cfg in self._cases():
-            report = error_report(statistic, data, cfg, self.TRIALS, ctx)
+        for data, ctx, statistic, cfg, budget in self._cases():
+            report = error_report(statistic, data, ctx, cfg, budget, self.TRIALS)
             batch = draw_noise(
-                statistic, data, cfg, [derive_seed(cfg.seed, t) for t in range(self.TRIALS)]
+                statistic, data, cfg, budget, [derive_seed(cfg.seed, t) for t in range(self.TRIALS)]
             )
             direct = []
             for t in range(self.TRIALS):
@@ -367,9 +382,9 @@ class TestBatchedKernelAgainstDirectForms:
 
     def test_single_release_uses_trial_seed_stream(self, budget2):
         data = _random_data()
-        cfg = _cfg(budget2, setting=Setting.CENTRALIZED, seed=5)
-        draws = _trial_draws(draw_noise(Statistic.DISPERSION, data, cfg, [5]), 0)
-        value = noisy_statistic(Statistic.DISPERSION, data, build_context(data), cfg)
+        cfg = _cfg(setting=Setting.CENTRALIZED, seed=5)
+        draws = _trial_draws(draw_noise(Statistic.DISPERSION, data, cfg, budget2, [5]), 0)
+        value = noisy_statistic(Statistic.DISPERSION, data, build_context(data), cfg, budget2)
         assert value == pytest.approx(dispersion_from_draws(data, draws), rel=1e-12, abs=0.0)
 
     def test_calibration_memo_calibrates_each_key_once(self, budget2, monkeypatch):
@@ -386,7 +401,7 @@ class TestBatchedKernelAgainstDirectForms:
         data = _random_data()
         memo: dict = {}
         for statistic in (Statistic.DISPERSION, Statistic.Q):
-            stage_sigmas(statistic, data, _cfg(budget2), [budget2, budget2], memo)
+            stage_sigmas(statistic, data, _cfg(), [budget2, budget2], memo)
         # both stages share one split part; the centralized error uses the total
         assert len(calls) == len(set(calls)) == len(memo) == 2
 
@@ -404,9 +419,9 @@ class TestSingleReleaseIsBatchedTrial:
             ctx = build_context(data)
             for statistic, setting, mech in product(Statistic, Setting, Mechanism):
                 budget = PrivacyBudget.equal_split(0.5, 1e-3, statistic.budget_parts)
-                cfg = _cfg(budget, setting, mech, seed=29)
+                cfg = _cfg(setting, mech, seed=29)
                 normals = trial_normals(statistic, cfg, data.d, self.TRIALS)
-                sigmas = stage_sigmas(statistic, data, cfg, [cfg.budget], {})
+                sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
                 noise = release_noise(statistic, data, ctx, normals, sigmas)
                 values = _released(statistic, data, ctx, noise[0])
                 if statistic is Statistic.I_SQUARED:
@@ -414,10 +429,10 @@ class TestSingleReleaseIsBatchedTrial:
                     values = i_squared_release(values, data.n, i2_noise)
                 for t in range(self.TRIALS):
                     trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, t))
-                    single = noisy_statistic(statistic, data, ctx, trial_cfg)
+                    single = noisy_statistic(statistic, data, ctx, trial_cfg, budget)
                     case = (statistic, setting, mech, data.n, t)
                     assert single == values[t], case
-                zero = noisy_statistic(statistic, data, ctx, replace(cfg, zero_noise=True))
+                zero = noisy_statistic(statistic, data, ctx, replace(cfg, zero_noise=True), budget)
                 assert zero == true_value(statistic, data, ctx), case
 
 
@@ -439,21 +454,21 @@ class TestProjectedKernelAgainstDirectKernel:
                 Statistic, Setting, Mechanism, (0.25, 0.5, 0.9)
             ):
                 budget = PrivacyBudget.equal_split(epsilon, 1e-3, statistic.budget_parts)
-                cfg = _cfg(budget, setting, mech, seed=23)
+                cfg = _cfg(setting, mech, seed=23)
                 seeds = [derive_seed(cfg.seed, t) for t in range(self.TRIALS)]
                 case = (statistic, setting, mech, epsilon, data.n)
-                values, _, batch = _library_kernel(statistic, data, ctx, cfg, seeds)
+                values, _, batch = _library_kernel(statistic, data, ctx, cfg, budget, seeds)
                 direct, shifts = release_kernel_direct(statistic, data, ctx, batch)
                 np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0.0, err_msg=str(case))
 
-                report = error_report(statistic, data, cfg, self.TRIALS, ctx)
+                report = error_report(statistic, data, ctx, cfg, budget, self.TRIALS)
                 if statistic is Statistic.I_SQUARED:
                     q_true = true_value(Statistic.Q, data, ctx)
                     tmse = tmse_i_squared(data.n, q_true, direct, batch.i2_noise)
                 else:
                     tmse = ((shifts + batch.stat_noise.sum(axis=1)) ** 2).mean(axis=0)
                 assert report.tmse == pytest.approx(tmse.mean(), rel=1e-12, abs=0.0), case
-                sigmas.add(_sigmas(statistic, data, cfg)[0])
+                sigmas.add(_sigmas(statistic, data, cfg, budget)[0])
         # two- and three-part splits, two mechanisms, three epsilons; a kernel
         # scaling ||z||^2 by sigma rather than sigma^2 agrees only at sigma 1
         assert len(sigmas) == 12 and 1.0 not in sigmas
@@ -463,8 +478,8 @@ class TestProjectedKernelAgainstDirectKernel:
             ctx = build_context(data)
             for statistic, setting in product(Statistic, Setting):
                 budget = budget3 if statistic is Statistic.I_SQUARED else budget2
-                cfg = _cfg(budget, setting, zero=True)
-                values, errors, _ = _library_kernel(statistic, data, ctx, cfg, [1, 2, 3])
+                cfg = _cfg(setting, zero=True)
+                values, errors, _ = _library_kernel(statistic, data, ctx, cfg, budget, [1, 2, 3])
                 base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
                 assert np.array_equal(values, np.full(3, true_value(base, data, ctx)))
                 if statistic is Statistic.I_SQUARED:
@@ -489,7 +504,7 @@ class TestBudgetBatchAgainstDirectKernel:
                     PrivacyBudget.equal_split(epsilon, 1e-3, statistic.budget_parts)
                     for epsilon in self.EPSILONS
                 ]
-                cell = _cfg(budgets[0], setting, mech, seed=31)
+                cell = _cfg(setting, mech, seed=31)
                 yield data, ctx, statistic, cell, budgets
 
     def test_each_budget_agrees_with_direct_kernel_within_rtol_1e_12(self):
@@ -504,10 +519,9 @@ class TestBudgetBatchAgainstDirectKernel:
             reports = _library_reports(statistic, data, ctx, normals, sigmas)
             seeds = [derive_seed(cell.seed, t) for t in range(self.TRIALS)]
             for b, budget in enumerate(budgets):
-                cfg = replace(cell, budget=budget)
-                case = (statistic, cfg.setting, cfg.mechanism, budget.epsilon, data.n)
-                assert np.array_equal(sigmas[b], _sigmas(statistic, data, cfg)), case
-                batch = draw_noise(statistic, data, cfg, seeds)
+                case = (statistic, cell.setting, cell.mechanism, budget.epsilon, data.n)
+                assert np.array_equal(sigmas[b], _sigmas(statistic, data, cell, budget)), case
+                batch = draw_noise(statistic, data, cell, budget, seeds)
                 direct, shifts = release_kernel_direct(statistic, data, ctx, batch)
                 close = dict(rtol=1e-12, atol=0.0, err_msg=str(case))
                 np.testing.assert_allclose(values[b], direct, **close)
@@ -535,8 +549,8 @@ class TestBudgetBatchAgainstDirectKernel:
                 if errors is not None:
                     one_errors = _library_tmse(statistic, data, ctx, normals, one)
                     assert np.array_equal(one_errors[0], errors[b]), case
-                cfg = replace(cell, budget=budget)
-                assert error_report(statistic, data, cfg, self.TRIALS, ctx) == reports[b], case
+                report = error_report(statistic, data, ctx, cell, budget, self.TRIALS)
+                assert report == reports[b], case
 
     def test_zero_noise_is_the_true_value_bit_for_bit(self):
         for data, ctx, statistic, cell, budgets in self._cases():
@@ -575,7 +589,7 @@ class TestStageSigmas:
         sens = SensitivitySpec.from_shape(data.n, data.d)
         for statistic, mech in product(Statistic, Mechanism):
             budgets = self._budgets(statistic)
-            sigmas = stage_sigmas(statistic, data, _cfg(budgets[0], mech=mech), budgets, {})
+            sigmas = stage_sigmas(statistic, data, _cfg(mech=mech), budgets, {})
             assert sigmas.shape == (3, statistic.budget_parts + 1)
             for row, budget in zip(sigmas, budgets):
                 stages = [release_sigma(mech, sens, *part) for part in budget.split]
@@ -587,25 +601,25 @@ class TestStageSigmas:
         data = _random_data()
         for statistic in Statistic:
             budgets, memo = self._budgets(statistic), {}
-            sigmas = stage_sigmas(statistic, data, _cfg(budgets[0], zero=True), budgets, memo)
+            sigmas = stage_sigmas(statistic, data, _cfg(zero=True), budgets, memo)
             assert np.array_equal(sigmas, np.zeros((3, statistic.budget_parts + 1)))
             assert memo == {}
         with pytest.raises(AssertionError, match="calibrated"):
-            stage_sigmas(statistic, data, _cfg(budgets[0]), budgets, {})
+            stage_sigmas(statistic, data, _cfg(), budgets, {})
 
     def test_wrong_part_count_raises(self, budget2, budget3):
         data = _random_data()
         with pytest.raises(ValueError, match="i_squared needs a 3-part budget split, got 2"):
-            stage_sigmas(Statistic.I_SQUARED, data, _cfg(budget3), [budget3, budget2], {})
+            stage_sigmas(Statistic.I_SQUARED, data, _cfg(), [budget3, budget2], {})
         with pytest.raises(ValueError, match="q needs a 2-part budget split, got 3"):
-            stage_sigmas(Statistic.Q, data, _cfg(budget2, zero=True), [budget3], {})
+            stage_sigmas(Statistic.Q, data, _cfg(zero=True), [budget3], {})
 
     def test_release_and_errors_run_on_a_given_sigma_array(self, monkeypatch):
         data = _random_data()
         ctx = build_context(data)
         for statistic in Statistic:
             budgets = self._budgets(statistic)
-            cell = _cfg(budgets[0], seed=19)
+            cell = _cfg(seed=19)
             sigmas = stage_sigmas(statistic, data, cell, budgets, {})
             normals = trial_normals(statistic, cell, data.d, 5)
             expected = (
@@ -631,8 +645,8 @@ class TestSingleDrawDistribution:
         # The distributed aggregate is drawn as one N(0, sigma^2) vector; the
         # mean of n simulated shares of variance n sigma^2 has the same law.
         data = _random_data(n=5, d=4)
-        cfg = _cfg(budget2, setting=Setting.DISTRIBUTED, seed=12)
-        batch = draw_noise(Statistic.DISPERSION, data, cfg, list(range(5000)))
+        cfg = _cfg(setting=Setting.DISTRIBUTED, seed=12)
+        batch = draw_noise(Statistic.DISPERSION, data, cfg, budget2, list(range(5000)))
         sigma = math.sqrt(batch.mean_noise_var)
         single = batch.mean_noise.ravel()
         rng = np.random.default_rng(99)
@@ -649,7 +663,7 @@ class TestSingleDrawDistribution:
 
 def test_noise_rejects_mismatched_or_nonpositive_weights(fix, budget2):
     ctx = build_context(fix)
-    cfg = _cfg(budget2)
+    cfg = _cfg()
     normals = unit_normals(Statistic.Q, cfg, fix.d, [1])
     sigmas = stage_sigmas(Statistic.Q, fix, cfg, [budget2], {})
     for weights in (np.ones(3), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
@@ -673,14 +687,17 @@ def test_release_reads_no_row_of_the_sample(budget2, budget3, monkeypatch):
     ctx = build_context(data)
     blank = VectorDataset(np.zeros_like(data.vectors), data.labels)
     for statistic in Statistic:
-        cfg = _cfg(budget3 if statistic is Statistic.I_SQUARED else budget2, seed=13)
-        value = noisy_statistic(statistic, data, ctx, cfg)
-        assert math.isfinite(value) and value == noisy_statistic(statistic, blank, ctx, cfg)
-    cfg = _cfg(budget3, seed=13)
-    report = error_report(Statistic.I_SQUARED, data, cfg, 6, ctx)
-    assert report.tmse > 0 and report == error_report(Statistic.I_SQUARED, blank, cfg, 6, ctx)
+        budget = budget3 if statistic is Statistic.I_SQUARED else budget2
+        cfg = _cfg(seed=13)
+        value = noisy_statistic(statistic, data, ctx, cfg, budget)
+        assert math.isfinite(value) and value == noisy_statistic(statistic, blank, ctx, cfg, budget)
+    cfg = _cfg(seed=13)
+    report = error_report(Statistic.I_SQUARED, data, ctx, cfg, budget3, 6)
+    assert report.tmse > 0 and report == error_report(
+        Statistic.I_SQUARED, blank, ctx, cfg, budget3, 6
+    )
     with pytest.raises(AssertionError, match="projected the sample"):
-        error_report(Statistic.Q, data, _cfg(budget2), 6, ctx)
+        error_report(Statistic.Q, data, ctx, _cfg(), budget2, 6)
 
 
 class TestSharedNormalsAgainstPerTrialDraws:
@@ -695,14 +712,14 @@ class TestSharedNormalsAgainstPerTrialDraws:
         datasets = (_random_data(n=40, d=6, seed=9), _random_data(n=25, d=6, seed=3))
         for statistic, setting, mech in product(Statistic, Setting, Mechanism):
             parts = statistic.budget_parts
-            cell = _cfg(PrivacyBudget.equal_split(0.5, 1e-3, parts), setting, mech, seed=41)
+            cell = _cfg(setting, mech, seed=41)
             normals = trial_normals(statistic, cell, 6, self.TRIALS)
             seeds = [derive_seed(cell.seed, t) for t in range(self.TRIALS)]
             variances = set()
             for data, epsilon in product(datasets, (0.5, 0.9)):
-                cfg = replace(cell, budget=PrivacyBudget.equal_split(epsilon, 1e-3, parts))
-                shared = scaled_draws(statistic, data, cfg, normals)
-                direct = draw_noise_per_trial(statistic, data, cfg, seeds)
+                budget = PrivacyBudget.equal_split(epsilon, 1e-3, parts)
+                shared = scaled_draws(statistic, data, cell, budget, normals)
+                direct = draw_noise_per_trial(statistic, data, cell, budget, seeds)
                 case = (statistic, setting, mech, data.n, epsilon)
                 assert np.array_equal(shared.mean_noise, direct.mean_noise), case
                 assert np.array_equal(shared.stat_noise, direct.stat_noise), case
@@ -716,45 +733,49 @@ class TestSharedNormalsAgainstPerTrialDraws:
                 variances.add(shared.mean_noise_var)
 
                 shape = SensitivitySpec.from_shape(data.n, data.d)
-                full = (cfg.budget.epsilon, cfg.budget.delta)
+                full = (budget.epsilon, budget.delta)
                 oracle = np.array(
-                    [centralized_noisy(0.0, full, shape, replace(cfg, seed=s))[0] for s in seeds]
+                    [centralized_noisy(0.0, full, shape, replace(cell, seed=s))[0] for s in seeds]
                 ) ** 2
-                report = error_report(statistic, data, cfg, self.TRIALS)
+                report = error_report(statistic, data, build_context(data), cell, budget,
+                                      self.TRIALS)
                 assert report.cmse == float(oracle.mean()), case
             assert len(variances) == 4
 
     def test_direct_report_draws_its_own_block(self, budget3):
         data = _random_data()
-        cfg = _cfg(budget3, setting=Setting.CENTRALIZED, seed=17)
+        cfg = _cfg(setting=Setting.CENTRALIZED, seed=17)
         normals = trial_normals(Statistic.I_SQUARED, cfg, data.d, self.TRIALS)
         sigmas = stage_sigmas(Statistic.I_SQUARED, data, cfg, [budget3], {})
-        shared = _library_reports(Statistic.I_SQUARED, data, build_context(data), normals, sigmas)
-        assert [error_report(Statistic.I_SQUARED, data, cfg, self.TRIALS)] == shared
+        ctx = build_context(data)
+        shared = _library_reports(Statistic.I_SQUARED, data, ctx, normals, sigmas)
+        assert [error_report(Statistic.I_SQUARED, data, ctx, cfg, budget3, self.TRIALS)] == shared
 
     def test_block_must_fit_statistic_and_trials(self, budget2, budget3):
         data = _random_data()
         ctx = build_context(data)
-        normals = trial_normals(Statistic.DISPERSION, _cfg(budget2), data.d, 4)
-        sigmas = stage_sigmas(Statistic.I_SQUARED, data, _cfg(budget3), [budget3], {})
+        normals = trial_normals(Statistic.DISPERSION, _cfg(), data.d, 4)
+        sigmas = stage_sigmas(Statistic.I_SQUARED, data, _cfg(), [budget3], {})
         with pytest.raises(ValueError, match="do not fit i_squared"):
             release_noise(Statistic.I_SQUARED, data, ctx, normals, sigmas)
-        five = trial_normals(Statistic.DISPERSION, _cfg(budget2), data.d, 5)
-        sigmas = stage_sigmas(Statistic.DISPERSION, data, _cfg(budget2), [budget2], {})
+        five = trial_normals(Statistic.DISPERSION, _cfg(), data.d, 5)
+        sigmas = stage_sigmas(Statistic.DISPERSION, data, _cfg(), [budget2], {})
         projected = _projection(Statistic.DISPERSION, data, five)
         with pytest.raises(ValueError, match="does not fit n=40, 4 trials"):
             error_reports(Statistic.DISPERSION, data, ctx, normals, projected, sigmas)
 
-    def test_zero_noise_builds_no_generator(self, fix, zero_cfg2, zero_cfg3, monkeypatch):
+    def test_zero_noise_builds_no_generator(self, fix, zero_cfg, budget2, budget3, monkeypatch):
         def no_generator(*args, **kwargs):
             raise AssertionError("a zero-noise release built a generator")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
         ctx = build_context(fix)
-        for statistic, cfg in (
-            (Statistic.DISPERSION, zero_cfg2), (Statistic.Q, zero_cfg2),
-            (Statistic.I_SQUARED, zero_cfg3),
+        for statistic, budget in (
+            (Statistic.DISPERSION, budget2), (Statistic.Q, budget2),
+            (Statistic.I_SQUARED, budget3),
         ):
-            report = error_report(statistic, fix, cfg, 4, ctx)
+            report = error_report(statistic, fix, ctx, zero_cfg, budget, 4)
             assert report.emse == report.tmse == report.cmse == 0.0
-            assert noisy_statistic(statistic, fix, ctx, cfg) == true_value(statistic, fix, ctx)
+            assert noisy_statistic(statistic, fix, ctx, zero_cfg, budget) == true_value(
+                statistic, fix, ctx
+            )

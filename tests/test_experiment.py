@@ -1,8 +1,10 @@
 """Experiment runner: plans, CSV/plan-log/SVG emission, paired comparisons."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from hetdp.experiment import (
     DEFAULT_EPSILON_GRID,
     ComparisonRow,
     ExperimentPlan,
-    _budget,
     _cell_rows,
     _cell_seed,
     _materialize_samples,
@@ -120,6 +121,18 @@ class TestPlanValidation:
             _plan(budget_fractions=(0.5, 0.5))
         plan = _plan(statistics=(Statistic.I_SQUARED,), budget_fractions=(0.5, 0.25, 0.25))
         assert plan.budget_fractions == (0.5, 0.25, 0.25)
+
+    @pytest.mark.parametrize(
+        "statistics, fractions, message",
+        [
+            ((Statistic.DISPERSION,), (0.5, 0.6), "fractions must sum to 1, got 1.1"),
+            ((Statistic.Q,), (1.5, -0.5), "fractions must all be positive"),
+            (tuple(Statistic), (0.5, 0.5), "--budget-split has 2 parts but i_squared needs 3"),
+        ],
+    )
+    def test_bad_split_raises_at_construction(self, statistics, fractions, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _plan(statistics=statistics, budget_fractions=fractions)
 
 
 class TestSeedDerivations:
@@ -391,12 +404,26 @@ class TestSharedCellNormals:
             cfg = EstimatorConfig(
                 mechanism=mech,
                 setting=setting,
-                budget=_budget(plan, stat, row.epsilon),
                 seed=_cell_seed(plan, stat, mech, setting),
             )
+            budget = stat.budget(row.epsilon, plan.delta, plan.budget_fractions)
             sample, ctx = samples[row.profile]
-            report = asdict(error_report(stat, sample, cfg, plan.trials, ctx))
+            report = asdict(error_report(stat, sample, ctx, cfg, budget, plan.trials))
             assert report == {name: getattr(row, name) for name in report}, row.key()
+
+    def test_budget_rule_runs_once_per_statistic_and_epsilon(self, monkeypatch):
+        plan = _plan(**self.PLAN)
+        calls = []
+        real = Statistic.budget
+
+        def counting(stat, epsilon, delta, fractions=None):
+            calls.append((stat, epsilon))
+            return real(stat, epsilon, delta, fractions)
+
+        monkeypatch.setattr(Statistic, "budget", counting)
+        assert len(_cell_rows(plan)) == 108
+        # 3 statistics x 3 epsilons, not once more per profile or cell
+        assert len(calls) == 9 and set(calls) == set(product(plan.statistics, plan.epsilons))
 
     def test_one_block_per_cell(self, monkeypatch):
         blocks = []
