@@ -3,10 +3,11 @@
 Real datasets come from two binary formats: big-endian magic-tagged image and
 label files (28x28 grayscale images flattened to 784 coordinates) and fixed
 record-length RGB image files (3073- or 3074-byte records flattened to 3072
-coordinates). Pixels are normalized by 255 into [0, 1]. The files are
-validated whole but kept as stored bytes until a sample picks its rows; only
-those rows are normalized, and their exact byte moments are taken from the
-picked bytes before those are dropped (VectorDataset.from_bytes).
+coordinates). A pixel byte p stands for the coordinate p / 255 in [0, 1].
+The files are validated whole but kept as stored bytes; a sample keeps only
+the bytes of the rows it picks, with their exact byte moments
+(VectorDataset.from_bytes), and is never converted to an n x d float64
+array.
 
 Heterogeneity of a working subset is controlled by stratified sampling with
 explicit per-label ratios; a deterministic synthetic generator provides
@@ -136,9 +137,9 @@ class StoredImages:
 
     pixels is the n x d uint8 matrix as read (a view of the file buffer for
     one file) and labels the n nonnegative int64 labels. decode() turns only
-    the chosen rows into a VectorDataset, so a sample never pays for the rows
-    it leaves out. A stored byte divided by 255 is always finite and in
-    [0, 1], so no decoded row needs a range check.
+    the chosen rows into a VectorDataset that keeps their bytes, so a sample
+    never pays for the rows it leaves out. A stored byte divided by 255 is
+    always finite and in [0, 1], so no row needs a range check.
     """
 
     pixels: np.ndarray
@@ -157,8 +158,9 @@ class StoredImages:
         return self.pixels.shape[1]
 
     def decode(self, index: np.ndarray | None = None) -> VectorDataset:
-        """The rows at `index` (all rows when None), pixels divided by 255,
-        with the exact moments of their bytes."""
+        """The rows at `index` (all rows when None) as a byte-backed
+        VectorDataset (coordinates pixels / 255) with the exact moments of
+        their bytes."""
         pixels, labels = self.pixels, self.labels
         if index is not None:
             pixels, labels = pixels[index], labels[index]
@@ -358,8 +360,8 @@ def stratified_sample(
     The total is floor(sample_fraction * n); per-bucket counts follow the
     profile ratios via floor-plus-remainder allocation. Bucket i draws
     uniformly from the rows whose label equals the i-th smallest label
-    present. Deterministic given the seed. Stored images decode only the
-    picked rows.
+    present. Deterministic given the seed. Stored images keep only the
+    picked rows' bytes.
 
     Raises:
         SampleCapacityError: a bucket asks for more rows than its label has.

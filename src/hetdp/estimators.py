@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec, agm_sigma, cgm_sigma
-from hetdp.measures import MeasureContext, VectorDataset, i_squared
+from hetdp.measures import MeasureContext, VectorDataset, i_squared, row_blocks
 
 
 class Setting(enum.Enum):
@@ -140,8 +140,13 @@ def stage_sigmas(
 
 
 def project(data: VectorDataset, units: np.ndarray) -> np.ndarray:
-    """X @ units.T (n x T), the one pass over the sample the TMSE of a batch makes."""
-    return data.vectors @ units.T
+    """X @ units.T (n x T), the one pass over the sample the TMSE of a batch
+    makes: (rows @ units.T) / scale, one product per row block."""
+    projected = np.empty((data.n, len(units)))
+    for span, block in row_blocks(data, whole_floats=True):
+        np.matmul(block, units.T, out=projected[span])
+    projected /= data.scale
+    return projected
 
 
 def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -> float:

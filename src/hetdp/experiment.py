@@ -205,8 +205,8 @@ def _cell_seed(plan: ExperimentPlan, stat: Statistic, mech: Mechanism, setting: 
 
 def _materialize_samples(plan: ExperimentPlan):
     """Load the dataset, draw one stratified sample per named profile (image
-    samples keep their exact byte moments, not their bytes), and build the
-    samples' contexts once the full dataset is released."""
+    samples keep the bytes of their rows, with exact byte moments), and
+    build the samples' contexts once the full dataset is released."""
     data = load_dataset(plan.dataset)
     samples = {}
     for name, profile in plan.profiles:
@@ -237,7 +237,9 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
     evaluation order never shows. Each distinct noise scale is calibrated
     once per run. Every cell's block is held for the whole run, the
     mean-stage columns of the dispersion and Q cells once more in `units`,
-    plus one n x (those cells * trials) projection at a time."""
+    plus one n x (those cells * trials) projection at a time; an image
+    sample is held as its bytes, and the projection reads them in row
+    blocks."""
     memo: dict = {}
     samples = _materialize_samples(plan)
     true_table = _true_value_table(samples)

@@ -2,10 +2,13 @@
 
 All statistics are reported as scalars with a coordinate-sum convention:
 per-vector quantities sum their d coordinates, and dataset-level statistics
-average the per-vector scalars over the n vectors. Every per-row pass runs
-over blocks of about BLOCK_BYTES of consecutive rows into a length-n vector,
-so no pass allocates an n x d temporary. Rows decoded from stored bytes take
-a context's unweighted part (variances, mean, dispersion) from exact integer
+average the per-vector scalars over the n vectors. A dataset holds float64
+rows, or the uint8 bytes of stored images (coordinates bytes / 255), which
+are never converted to an n x d float64 array. Every float pass reads the
+rows through row_blocks, blocks of about BLOCK_BYTES of consecutive rows, so
+no pass allocates an n x d temporary: byte blocks are cast to exact counts
+in one reused buffer and each pass divides by 255 once. Byte rows take a
+context's unweighted part (variances, mean, dispersion) from exact integer
 sums of the bytes; float rows reduce each row by the same numpy call as the
 whole-matrix form, so they are bit-identical to it. The weighted mean and Q
 are float passes either way. build_context is the only code that computes
@@ -16,6 +19,7 @@ MeasureContext.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -37,18 +41,23 @@ class UnweightedPart(NamedTuple):
     dispersion: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VectorDataset:
-    """n vectors in [0,1]^d with one nonnegative integer label per vector;
-    rows made by from_bytes also carry their exact unweighted part."""
+    """n vectors in [0,1]^d with one nonnegative integer label per vector.
 
-    vectors: np.ndarray
+    `rows` holds the vectors times `scale`: float64 vectors as given (scale
+    1), or the n x d uint8 bytes of stored images (scale 255), which also
+    carry their exact unweighted part. Every float pass reads `rows` through
+    row_blocks; `vectors` decodes byte rows on demand.
+    """
+
+    rows: np.ndarray
     labels: np.ndarray
-    byte_moments: UnweightedPart | None = field(default=None, init=False, repr=False)
+    byte_moments: UnweightedPart | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+    def __init__(self, vectors: np.ndarray, labels: np.ndarray) -> None:
+        vectors = np.asarray(vectors, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be a 2-d array, got shape {vectors.shape}")
         if vectors.shape[0] < 1:
@@ -66,34 +75,52 @@ class VectorDataset:
             raise ValueError(f"coordinates must lie in [0, 1], got range [{low!r}, {high!r}]")
         if labels.min(initial=0) < 0:
             raise ValueError("labels must be nonnegative integers")
-        vectors.setflags(write=False)
+        self._freeze(vectors, labels, None)
+
+    def _freeze(self, rows: np.ndarray, labels: np.ndarray, part: UnweightedPart | None) -> None:
+        rows.setflags(write=False)
         labels.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "byte_moments", part)
 
     @classmethod
     def from_bytes(cls, pixels: np.ndarray, labels: np.ndarray) -> VectorDataset:
         """Rows pixels / 255 of an n x d uint8 matrix, one nonnegative int64
-        label each, with their byte moments; such rows are finite and in
-        [0, 1], so they skip the constructor's scan over the coordinates."""
+        label each, kept as the bytes with their byte moments: no n x d float
+        array is made. Such rows are finite and in [0, 1], so they skip the
+        constructor's scan over the coordinates."""
         if pixels.dtype != np.uint8 or pixels.ndim != 2 or not len(pixels) == len(labels) >= 1:
             raise ValueError(f"need one label per uint8 row, got {pixels.shape} {pixels.dtype}")
         if labels.dtype != np.int64 or labels.min() < 0:
             raise ValueError("labels must be nonnegative int64")
         data = object.__new__(cls)
-        object.__setattr__(data, "byte_moments", byte_moments(pixels))
-        for name, value in ("vectors", np.divide(pixels, 255.0)), ("labels", labels):
-            value.setflags(write=False)
-            object.__setattr__(data, name, value)
+        data._freeze(pixels, labels, byte_moments(pixels))
         return data
 
     @property
+    def scale(self) -> float:
+        """rows / scale are the vectors: 255.0 for byte rows, else 1.0."""
+        return 1.0 if self.byte_moments is None else 255.0
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The n x d float64 vectors, read-only: `rows` itself for float rows,
+        a new np.divide(bytes, 255.0) per call for byte rows (no float pass
+        calls it)."""
+        if self.byte_moments is None:
+            return self.rows
+        vectors = np.divide(self.rows, 255.0)
+        vectors.setflags(write=False)
+        return vectors
+
+    @property
     def n(self) -> int:
-        return self.vectors.shape[0]
+        return self.rows.shape[0]
 
     @property
     def d(self) -> int:
-        return self.vectors.shape[1]
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -133,23 +160,42 @@ def byte_moments(pixels: np.ndarray) -> UnweightedPart:
     return UnweightedPart(within, columns / (255.0 * n), spread / (255**2 * n * n))
 
 
-def _row_blocks(vectors: np.ndarray, row_scalars) -> np.ndarray:
-    """row_scalars of consecutive row blocks of about BLOCK_BYTES, as a length-n vector."""
-    rows = max(1, BLOCK_BYTES // (8 * vectors.shape[1]))
-    out = np.empty(vectors.shape[0])
-    for start in range(0, len(out), rows):
-        out[start : start + rows] = row_scalars(vectors[start : start + rows])
-    return out
+def row_blocks(
+    data: VectorDataset, whole_floats: bool = False
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(span, block) pairs that cover the sample in order: `block` is
+    data.rows[span] as float64, blocks of about BLOCK_BYTES of floats each.
+
+    Byte rows are cast by np.copyto into one reused buffer as exact counts
+    0..255, so a pass divides by data.scale once, and a block is only valid
+    until the next one. Float rows yield views; with `whole_floats` they
+    yield one view of every row, for passes that make no per-block
+    temporary, so the float path keeps its whole-matrix arithmetic.
+    """
+    n, d = data.rows.shape
+    if data.byte_moments is None and whole_floats:
+        yield slice(0, n), data.rows
+        return
+    step = max(1, BLOCK_BYTES // (8 * d))
+    buffer = None if data.byte_moments is None else np.empty((min(step, n), d))
+    for start in range(0, n, step):
+        span = slice(start, start + step)
+        block = data.rows[span]
+        if buffer is not None:
+            np.copyto(buffer[: len(block)], block)
+            block = buffer[: len(block)]
+        yield span, block
 
 
-def _mean_sq_deviation(vectors: np.ndarray, center: np.ndarray, weights=1.0) -> float:
-    """(1/n) sum_i w_i ||x_i - center||^2; unit weights by default."""
-
-    def row_sq(block: np.ndarray) -> np.ndarray:
+def _mean_sq_deviation(data: VectorDataset, center: np.ndarray, weights=1.0) -> float:
+    """(1/n) sum_i w_i ||x_i - center||^2; unit weights by default. Byte rows
+    p take ||p - 255 center||^2 / 255^2, with nothing expanded into moments."""
+    center = center * data.scale
+    squares = np.empty(data.n)
+    for span, block in row_blocks(data):
         deviations = block - center  # squared in place: one temporary per block
-        return np.square(deviations, out=deviations).sum(axis=1)
-
-    return float((weights * _row_blocks(vectors, row_sq)).mean())
+        squares[span] = np.square(deviations, out=deviations).sum(axis=1)
+    return float((weights * squares).mean()) / data.scale**2
 
 
 def build_context(data: VectorDataset) -> MeasureContext:
@@ -164,18 +210,23 @@ def build_context(data: VectorDataset) -> MeasureContext:
     """
     part = data.byte_moments
     if part is None:
-        mean = data.vectors.mean(axis=0)
-        within = _row_blocks(data.vectors, lambda block: block.var(axis=1))
-        part = UnweightedPart(within, mean, _mean_sq_deviation(data.vectors, mean))
+        mean = data.rows.mean(axis=0)
+        within = np.empty(data.n)
+        for span, block in row_blocks(data):
+            within[span] = block.var(axis=1)
+        part = UnweightedPart(within, mean, _mean_sq_deviation(data, mean))
     weights = 1.0 / np.maximum(part.within_variances, VARIANCE_FLOOR)
-    center = weights @ data.vectors / weights.sum()
+    center = np.zeros(data.d)
+    for span, block in row_blocks(data, whole_floats=True):
+        center += weights[span] @ block
+    center /= data.scale * weights.sum()
     return MeasureContext(
         mean=part.mean,
         weighted_mean=center,
         weights=weights,
         within_variances=part.within_variances,
         dispersion=part.dispersion,
-        q_value=_mean_sq_deviation(data.vectors, center, weights),
+        q_value=_mean_sq_deviation(data, center, weights),
     )
 
 

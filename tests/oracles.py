@@ -319,17 +319,18 @@ def _mean_sq_deviation_direct(vectors: np.ndarray, center: np.ndarray, weights=1
 def build_context_direct(data: VectorDataset) -> MeasureContext:
     """build_context over the whole matrix: the within-row variance and both
     squared-deviation passes each allocate one n x d temporary."""
-    within = data.vectors.var(axis=1)
+    vectors = data.vectors  # byte rows decode on each read: once here
+    within = vectors.var(axis=1)
     weights = 1.0 / np.maximum(within, VARIANCE_FLOOR)
-    mean = data.vectors.mean(axis=0)
-    center = weights @ data.vectors / weights.sum()
+    mean = vectors.mean(axis=0)
+    center = weights @ vectors / weights.sum()
     return MeasureContext(
         mean=mean,
         weighted_mean=center,
         weights=weights,
         within_variances=within,
-        dispersion=_mean_sq_deviation_direct(data.vectors, mean),
-        q_value=_mean_sq_deviation_direct(data.vectors, center, weights),
+        dispersion=_mean_sq_deviation_direct(vectors, mean),
+        q_value=_mean_sq_deviation_direct(vectors, center, weights),
     )
 
 

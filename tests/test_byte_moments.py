@@ -1,7 +1,9 @@
-"""Rows decoded from stored bytes: exact integer moments against the float
-oracle, the trusted decode, and the zero-noise and rerun invariants."""
+"""Rows kept as stored bytes: exact integer moments and the row-blocked float
+passes against the whole-matrix float oracles, the memory a byte sample
+holds, the trusted decode, and the zero-noise and rerun invariants."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +23,9 @@ from hetdp.datasets import (
     write_cifar,
     write_idx,
 )
-from hetdp.estimators import EstimatorConfig, Setting, Statistic, noisy_statistic, true_value
+from hetdp.estimators import (
+    EstimatorConfig, Setting, Statistic, noisy_statistic, project, true_value,
+)
 from hetdp.experiment import read_result_csv
 from hetdp.gaussian import Mechanism, PrivacyBudget
 from hetdp.measures import (
@@ -64,7 +68,7 @@ def stored(tmp_path):
 
 
 def _agrees_with_float_oracle(data: VectorDataset):
-    """build_context of byte-decoded rows against the whole-matrix float form."""
+    """build_context of byte rows against the whole-matrix float form."""
     assert data.byte_moments is not None
     ctx, direct = build_context(data), build_context_direct(data)
     for name in ("mean", "weights", "weighted_mean"):
@@ -121,6 +125,77 @@ class TestAgainstFloatOracle:
         assert part.dispersion == 0.0
         assert not part.within_variances.any()
         assert np.all(part.mean == 1.0)
+
+
+# Rows per row block at d = 64, and a width whose one row exceeds a block.
+_BLOCK_ROWS = BLOCK_BYTES // (8 * 64)
+_WIDE_D = BLOCK_BYTES // 8 + 3
+
+
+class TestByteRowBlocks:
+    @pytest.mark.parametrize(
+        "n, d, constant_row",
+        [
+            (_BLOCK_ROWS // 3, 64, None),  # below one block
+            (_BLOCK_ROWS, 64, None),  # exactly one block
+            (2 * _BLOCK_ROWS + 37, 64, None),  # two full blocks and a ragged one
+            (3, _WIDE_D, None),  # one row wider than a block
+            (2 * _BLOCK_ROWS + 37, 64, 2 * _BLOCK_ROWS + 5),  # weight 1e9 in the ragged block
+        ],
+    )
+    def test_against_whole_matrix_forms(self, n, d, constant_row):
+        pixels = np.random.default_rng(n + d).integers(0, 256, (n, d), dtype=np.uint8)
+        if constant_row is not None:
+            pixels[constant_row] = 128
+        data = StoredImages(pixels, np.zeros(n, dtype=np.int64)).decode()
+        assert data.rows.dtype == np.uint8
+        ctx = _agrees_with_float_oracle(data)
+        if constant_row is not None:
+            assert ctx.weights[constant_row] == 1.0 / VARIANCE_FLOOR
+        # nonnegative units: no product cancels, so rtol bounds every entry
+        units = np.random.default_rng(d).random((5, d))
+        np.testing.assert_allclose(project(data, units), data.vectors @ units.T, rtol=RTOL)
+        for stat in Statistic:
+            cfg = EstimatorConfig(Mechanism.ANALYTIC, Setting.DISTRIBUTED, seed=3, zero_noise=True)
+            value = noisy_statistic(stat, data, ctx, cfg, stat.budget(1.0, 1e-5))
+            assert value == true_value(stat, data, ctx)
+
+
+class TestByteResidentMemory:
+    N, D = 1000, 3072
+
+    def test_sample_holds_its_bytes(self):
+        stored = StoredImages(
+            np.random.default_rng(8).integers(0, 256, (2 * self.N, self.D), dtype=np.uint8),
+            np.arange(2 * self.N) % 10,
+        )
+        index = np.arange(0, 2 * self.N, 2)
+        tracemalloc.start()
+        try:
+            data = stored.decode(index)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beside the n x d bytes: labels and variances per row, the mean per column
+        assert held <= self.N * self.D + 8 * (2 * self.N + self.D) + 4096, f"held {held} bytes"
+        assert data.rows.nbytes == self.N * self.D
+
+    def test_passes_make_no_sample_sized_array(self):
+        stored = StoredImages(
+            np.random.default_rng(9).integers(0, 256, (self.N, self.D), dtype=np.uint8),
+            np.arange(self.N) % 10,
+        )
+        units = np.random.default_rng(10).standard_normal((16, self.D))
+        tracemalloc.start()
+        try:
+            data = stored.decode(np.arange(self.N))
+            build_context(data)
+            project(data, units)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the sample's n x d bytes, and passes below the size of its floats / 8
+        assert peak < self.N * self.D + self.N * self.D * 8 // 8, f"peak {peak} bytes"
 
 
 class TestTrustedDecode:
