@@ -11,7 +11,9 @@ comparison, `measure --release` with and without `--zero-noise`
 hetdp.cli.main in a temporary directory. It also writes an IDX pair
 (d=784) and a CIFAR-10 batch (d=3072) there with write_idx and write_cifar,
 sized so every profile sample spans at least three row blocks of
-hetdp.measures (300 and 100 rows), and runs an experiment on each. The
+hetdp.measures (300 and 100 rows), runs an experiment on each, and
+measures each whole file without --profile (the CIFAR batch also with
+--release), so the loaded bytes reach build_context unsampled. The
 `library` run is the README's library example (noisy_statistic and a
 200-trial error_report on synthetic_dataset(5000, 16, 0.4, 7)), written as
 library.json. It digests each input file, CSV, plan log, chart, --json
@@ -74,6 +76,10 @@ def runs(seed: str) -> dict[str, list[str]]:
                 *WIDE, "--seed", seed, "--out", "idx/idx.csv", "--svg-dir", "idx/charts"],
         "cifar": ["experiment", "--cifar10", "inputs/batch.bin", *WIDE, "--seed", seed,
                   "--out", "cifar/cifar.csv", "--svg-dir", "cifar/charts"],
+        "measure-idx": ["measure", "--idx-images", "inputs/img.idx", "--idx-labels",
+                        "inputs/lab.idx", "--json"],
+        "measure-cifar": ["measure", "--cifar10", "inputs/batch.bin", "--release", "--seed", seed,
+                          "--json"],
     }
 
 

@@ -27,7 +27,6 @@ from hetdp.datasets import (
     HeterogeneityProfile,
     LabelScheme,
     SampleCapacityError,
-    StoredImages,
     load_dataset,
     stratified_sample,
 )
@@ -249,14 +248,11 @@ def cmd_measure(parser, args) -> int:
         except ValueError as err:
             parser.error(str(err))
     desc = _dataset_from_args(parser, args)
-    loaded = load_dataset(desc)
+    data = load_dataset(desc)
     sampled_as = None
     if args.profile:
         sampled_as, profile = _profile_from_token(parser, args.profile, args.fraction)
-        data = stratified_sample(loaded, profile, seed=args.sample_seed)
-    else:
-        data = loaded.decode() if isinstance(loaded, StoredImages) else loaded
-    del loaded
+        data = stratified_sample(data, profile, seed=args.sample_seed)
     ctx = build_context(data)
     out = {
         "dataset": desc.name,

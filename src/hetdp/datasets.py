@@ -4,9 +4,9 @@ Real datasets come from two binary formats: big-endian magic-tagged image and
 label files (28x28 grayscale images flattened to 784 coordinates) and fixed
 record-length RGB image files (3073- or 3074-byte records flattened to 3072
 coordinates). A pixel byte p stands for the coordinate p / 255 in [0, 1].
-The files are validated whole but kept as stored bytes; a sample keeps only
-the bytes of the rows it picks, with their exact byte moments
-(VectorDataset.from_bytes), and is never converted to an n x d float64
+The files are validated whole and load as a byte-backed VectorDataset
+(VectorDataset.from_bytes) over the stored bytes; a sample keeps only the
+bytes of the rows it picks, and is never converted to an n x d float64
 array.
 
 Heterogeneity of a working subset is controlled by stratified sampling with
@@ -131,46 +131,11 @@ class DatasetDescriptor:
             raise ValueError(f"{self.format.value} descriptor needs at least one path")
 
 
-@dataclass(frozen=True)
-class StoredImages:
-    """Image records kept as stored until rows are chosen.
-
-    pixels is the n x d uint8 matrix as read (a view of the file buffer for
-    one file) and labels the n nonnegative int64 labels. decode() turns only
-    the chosen rows into a VectorDataset that keeps their bytes, so a sample
-    never pays for the rows it leaves out. A stored byte divided by 255 is
-    always finite and in [0, 1], so no row needs a range check.
-    """
-
-    pixels: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.pixels.shape[0] < 1:
-            raise ValueError("dataset must contain at least one vector")
-
-    @property
-    def n(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.pixels.shape[1]
-
-    def decode(self, index: np.ndarray | None = None) -> VectorDataset:
-        """The rows at `index` (all rows when None) as a byte-backed
-        VectorDataset (coordinates pixels / 255) with the exact moments of
-        their bytes."""
-        pixels, labels = self.pixels, self.labels
-        if index is not None:
-            pixels, labels = pixels[index], labels[index]
-        return VectorDataset.from_bytes(pixels, labels)
-
-
-def load_dataset(desc: DatasetDescriptor) -> VectorDataset | StoredImages:
-    """Materialize a descriptor: synthetic data as a VectorDataset, the
-    binary formats as StoredImages, validated over every record but left
-    undecoded so that stratified_sample decodes only the rows it picks.
+def load_dataset(desc: DatasetDescriptor) -> VectorDataset:
+    """Materialize a descriptor as a VectorDataset: synthetic data as float
+    rows, the binary formats validated over every record and kept as their
+    stored bytes (a view of the file buffer for one file), so a sample
+    copies only the bytes of the rows it picks.
 
     Raises:
         DatasetFormatError: malformed files, or loaded width differing from
@@ -217,7 +182,7 @@ def _check_magic(buf: bytes, expected: int, path: str | Path, what: str) -> None
         )
 
 
-def _read_idx(images_path: str | Path, labels_path: str | Path) -> StoredImages:
+def _read_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset:
     image_buf = Path(images_path).read_bytes()
     _check_magic(image_buf, IDX_IMAGE_MAGIC, images_path, "image")
     count = _read_be_u32(image_buf, 4, images_path, "image count")
@@ -249,7 +214,9 @@ def _read_idx(images_path: str | Path, labels_path: str | Path) -> StoredImages:
             offset=len(label_buf),
         )
     labels = np.frombuffer(label_buf, dtype=np.uint8, count=label_count, offset=8)
-    return StoredImages(pixels=pixels.reshape(count, rows * cols), labels=labels.astype(np.int64))
+    if count == 0:
+        raise ValueError("dataset must contain at least one vector")
+    return VectorDataset.from_bytes(pixels.reshape(count, rows * cols), labels.astype(np.int64))
 
 
 def write_idx(data: VectorDataset, images_path: str | Path, labels_path: str | Path) -> None:
@@ -288,7 +255,7 @@ def _label_bytes(records: np.ndarray, column: int, top: int, what: str, path) ->
     return labels
 
 
-def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> StoredImages:
+def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> VectorDataset:
     record = CIFAR10_RECORD if variant is CifarVariant.TEN else CIFAR100_RECORD
     all_pixels: list[np.ndarray] = []
     all_labels: list[np.ndarray] = []
@@ -314,7 +281,7 @@ def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> StoredImage
         all_labels.append(labels)
     # one file stays a view of its buffer; several concatenate as bytes
     pixels = all_pixels[0] if len(all_pixels) == 1 else np.concatenate(all_pixels)
-    return StoredImages(pixels=pixels, labels=np.concatenate(all_labels))
+    return VectorDataset.from_bytes(pixels, np.concatenate(all_labels))
 
 
 def write_cifar(data: VectorDataset, path: str | Path, variant: CifarVariant) -> None:
@@ -353,15 +320,15 @@ def _allocate(total: int, shares: np.ndarray) -> np.ndarray:
 
 
 def stratified_sample(
-    data: VectorDataset | StoredImages, profile: HeterogeneityProfile, seed: int
+    data: VectorDataset, profile: HeterogeneityProfile, seed: int
 ) -> VectorDataset:
     """Draw a label-ratio-controlled subset without replacement.
 
     The total is floor(sample_fraction * n); per-bucket counts follow the
     profile ratios via floor-plus-remainder allocation. Bucket i draws
     uniformly from the rows whose label equals the i-th smallest label
-    present. Deterministic given the seed. Stored images keep only the
-    picked rows' bytes.
+    present. Deterministic given the seed. The sample gathers the picked
+    rows as stored, so byte rows stay bytes.
 
     Raises:
         SampleCapacityError: a bucket asks for more rows than its label has.
@@ -389,10 +356,7 @@ def stratified_sample(
                 f"but only {pool.size} are available"
             )
         picked.append(rng.choice(pool, size=int(want), replace=False))
-    index = np.concatenate(picked)
-    if isinstance(data, StoredImages):
-        return data.decode(index)
-    return VectorDataset(vectors=data.vectors[index], labels=data.labels[index])
+    return data._take(np.concatenate(picked))
 
 
 # Synthetic generator geometry: ten label clusters sit at distinct base

@@ -205,8 +205,8 @@ def _cell_seed(plan: ExperimentPlan, stat: Statistic, mech: Mechanism, setting: 
 
 def _materialize_samples(plan: ExperimentPlan):
     """Load the dataset, draw one stratified sample per named profile (image
-    samples keep the bytes of their rows, with exact byte moments), and
-    build the samples' contexts once the full dataset is released."""
+    samples keep the bytes of their rows), and build the samples' contexts
+    once the full dataset is released."""
     data = load_dataset(plan.dataset)
     samples = {}
     for name, profile in plan.profiles:

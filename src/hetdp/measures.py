@@ -7,20 +7,20 @@ rows, or the uint8 bytes of stored images (coordinates bytes / 255), which
 are never converted to an n x d float64 array. Every float pass reads the
 rows through row_blocks, blocks of about BLOCK_BYTES of consecutive rows, so
 no pass allocates an n x d temporary: byte blocks are cast to exact counts
-in one reused buffer and each pass divides by 255 once. Byte rows take a
-context's unweighted part (variances, mean, dispersion) from exact integer
-sums of the bytes; float rows reduce each row by the same numpy call as the
-whole-matrix form, so they are bit-identical to it. The weighted mean and Q
-are float passes either way. build_context is the only code that computes
-the true statistics; releases, error reports and the CLI read them from its
-MeasureContext.
+in one reused buffer and each pass divides by 255 once. build_context takes
+a byte sample's unweighted part (variances, mean, dispersion) from exact
+integer sums of its bytes (byte_moments); float rows reduce each row by the
+same numpy call as the whole-matrix form, so they are bit-identical to it.
+The weighted mean and Q are float passes either way. build_context is the
+only code that computes the true statistics; releases, error reports and
+the CLI read them from its MeasureContext.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,14 +46,14 @@ class VectorDataset:
     """n vectors in [0,1]^d with one nonnegative integer label per vector.
 
     `rows` holds the vectors times `scale`: float64 vectors as given (scale
-    1), or the n x d uint8 bytes of stored images (scale 255), which also
-    carry their exact unweighted part. Every float pass reads `rows` through
-    row_blocks; `vectors` decodes byte rows on demand.
+    1), or, from from_bytes, the n x d uint8 bytes of stored images (scale
+    255). The row dtype is the only mark of the two kinds. Every float pass
+    reads `rows` through row_blocks; `vectors` divides byte rows by 255 on
+    demand.
     """
 
     rows: np.ndarray
     labels: np.ndarray
-    byte_moments: UnweightedPart | None = field(default=None, repr=False)
 
     def __init__(self, vectors: np.ndarray, labels: np.ndarray) -> None:
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -75,40 +75,44 @@ class VectorDataset:
             raise ValueError(f"coordinates must lie in [0, 1], got range [{low!r}, {high!r}]")
         if labels.min(initial=0) < 0:
             raise ValueError("labels must be nonnegative integers")
-        self._freeze(vectors, labels, None)
+        self._freeze(vectors, labels)
 
-    def _freeze(self, rows: np.ndarray, labels: np.ndarray, part: UnweightedPart | None) -> None:
+    def _freeze(self, rows: np.ndarray, labels: np.ndarray) -> VectorDataset:
         rows.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "byte_moments", part)
+        return self
 
     @classmethod
     def from_bytes(cls, pixels: np.ndarray, labels: np.ndarray) -> VectorDataset:
         """Rows pixels / 255 of an n x d uint8 matrix, one nonnegative int64
-        label each, kept as the bytes with their byte moments: no n x d float
-        array is made. Such rows are finite and in [0, 1], so they skip the
-        constructor's scan over the coordinates."""
+        label each, kept as the bytes: no n x d float array is made and no
+        pass runs over the bytes. Such rows are finite and in [0, 1], so
+        they skip the constructor's scan over the coordinates."""
         if pixels.dtype != np.uint8 or pixels.ndim != 2 or not len(pixels) == len(labels) >= 1:
             raise ValueError(f"need one label per uint8 row, got {pixels.shape} {pixels.dtype}")
         if labels.dtype != np.int64 or labels.min() < 0:
             raise ValueError("labels must be nonnegative int64")
-        data = object.__new__(cls)
-        data._freeze(pixels, labels, byte_moments(pixels))
-        return data
+        return object.__new__(cls)._freeze(pixels, labels)
+
+    def _take(self, index: np.ndarray) -> VectorDataset:
+        """The rows and labels at `index`, of the same kind (bytes stay
+        bytes). They were checked when this dataset was made, so no scan
+        runs over them again."""
+        return object.__new__(type(self))._freeze(self.rows[index], self.labels[index])
 
     @property
     def scale(self) -> float:
-        """rows / scale are the vectors: 255.0 for byte rows, else 1.0."""
-        return 1.0 if self.byte_moments is None else 255.0
+        """rows / scale are the vectors: 255.0 for uint8 rows, else 1.0."""
+        return 255.0 if self.rows.dtype == np.uint8 else 1.0
 
     @property
     def vectors(self) -> np.ndarray:
         """The n x d float64 vectors, read-only: `rows` itself for float rows,
         a new np.divide(bytes, 255.0) per call for byte rows (no float pass
         calls it)."""
-        if self.byte_moments is None:
+        if self.rows.dtype != np.uint8:
             return self.rows
         vectors = np.divide(self.rows, 255.0)
         vectors.setflags(write=False)
@@ -173,11 +177,12 @@ def row_blocks(
     temporary, so the float path keeps its whole-matrix arithmetic.
     """
     n, d = data.rows.shape
-    if data.byte_moments is None and whole_floats:
+    floats = data.rows.dtype != np.uint8
+    if floats and whole_floats:
         yield slice(0, n), data.rows
         return
     step = max(1, BLOCK_BYTES // (8 * d))
-    buffer = None if data.byte_moments is None else np.empty((min(step, n), d))
+    buffer = None if floats else np.empty((min(step, n), d))
     for start in range(0, n, step):
         span = slice(start, start + step)
         block = data.rows[span]
@@ -200,16 +205,17 @@ def _mean_sq_deviation(data: VectorDataset, center: np.ndarray, weights=1.0) -> 
 
 def build_context(data: VectorDataset) -> MeasureContext:
     """Compute mean, within-vector variances, weights, weighted mean, and the
-    true dispersion and Q once. The unweighted part is the rows' byte moments
-    when they have them; float rows take row-blocked passes, bit-identical to
-    the whole-matrix forms.
+    true dispersion and Q once. Byte rows take the unweighted part from the
+    exact integer sums of byte_moments; float rows take row-blocked passes,
+    bit-identical to the whole-matrix forms.
 
     Dispersion = (1/n) sum_i ||x_i - mean||^2 and
     Q = (1/n) sum_i w_i ||x_i - weighted_mean||^2, so unit weights reduce Q
     to dispersion.
     """
-    part = data.byte_moments
-    if part is None:
+    if data.rows.dtype == np.uint8:
+        part = byte_moments(data.rows)
+    else:
         mean = data.rows.mean(axis=0)
         within = np.empty(data.n)
         for span, block in row_blocks(data):

@@ -375,11 +375,11 @@ def test_binary_loader_correctness(tmp_path):
 
     def read_idx(images, labels):
         paths = (str(images), str(labels))
-        return load_dataset(DatasetDescriptor(DataFormat.IDX_IMAGES, "idx", paths)).decode()
+        return load_dataset(DatasetDescriptor(DataFormat.IDX_IMAGES, "idx", paths))
 
     def read_cifar(path):
         desc = DatasetDescriptor(DataFormat.CIFAR10_BIN, "cifar", (str(path),))
-        return load_dataset(desc).decode()
+        return load_dataset(desc)
 
     start = time.perf_counter()
     vectors = np.array([[0.0, 1.0, 128.0 / 255.0], [4.0 / 255.0, 0.0, 1.0]])

@@ -1,6 +1,7 @@
 """Rows kept as stored bytes: exact integer moments and the row-blocked float
 passes against the whole-matrix float oracles, the memory a byte sample
-holds, the trusted decode, and the zero-noise and rerun invariants."""
+holds, the trusted decode of byte rows, resampling a byte sample, and the
+zero-noise and rerun invariants."""
 
 import json
 import tracemalloc
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import build_context_direct
+from oracles import build_context_direct, load_decoded, sample_decoded
 
 from hetdp.cli import main
 from hetdp.datasets import (
@@ -17,7 +18,6 @@ from hetdp.datasets import (
     DatasetDescriptor,
     HeterogeneityProfile,
     LabelScheme,
-    StoredImages,
     load_dataset,
     stratified_sample,
     write_cifar,
@@ -69,7 +69,7 @@ def stored(tmp_path):
 
 def _agrees_with_float_oracle(data: VectorDataset):
     """build_context of byte rows against the whole-matrix float form."""
-    assert data.byte_moments is not None
+    assert data.rows.dtype == np.uint8
     ctx, direct = build_context(data), build_context_direct(data)
     for name in ("mean", "weights", "weighted_mean"):
         np.testing.assert_allclose(getattr(ctx, name), getattr(direct, name), rtol=RTOL, err_msg=name)
@@ -97,7 +97,8 @@ class TestAgainstFloatOracle:
         pixels = np.random.default_rng(n).integers(0, 256, (n, d), dtype=np.uint8)
         pixels[0] = 255  # the largest row sums
         pixels[n - 2] = 77  # a constant row in the last row block
-        ctx = _agrees_with_float_oracle(StoredImages(pixels, np.zeros(n, dtype=np.int64)).decode())
+        data = VectorDataset.from_bytes(pixels, np.zeros(n, dtype=np.int64))
+        ctx = _agrees_with_float_oracle(data)
         assert ctx.within_variances[n - 2] == 0.0
         assert ctx.weights[n - 2] == 1.0 / VARIANCE_FLOOR
 
@@ -147,7 +148,7 @@ class TestByteRowBlocks:
         pixels = np.random.default_rng(n + d).integers(0, 256, (n, d), dtype=np.uint8)
         if constant_row is not None:
             pixels[constant_row] = 128
-        data = StoredImages(pixels, np.zeros(n, dtype=np.int64)).decode()
+        data = VectorDataset.from_bytes(pixels, np.zeros(n, dtype=np.int64))
         assert data.rows.dtype == np.uint8
         ctx = _agrees_with_float_oracle(data)
         if constant_row is not None:
@@ -165,30 +166,30 @@ class TestByteResidentMemory:
     N, D = 1000, 3072
 
     def test_sample_holds_its_bytes(self):
-        stored = StoredImages(
+        stored = VectorDataset.from_bytes(
             np.random.default_rng(8).integers(0, 256, (2 * self.N, self.D), dtype=np.uint8),
             np.arange(2 * self.N) % 10,
         )
-        index = np.arange(0, 2 * self.N, 2)
         tracemalloc.start()
         try:
-            data = stored.decode(index)
+            data = stratified_sample(stored, PROFILE, seed=8)  # half the rows
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # beside the n x d bytes: labels and variances per row, the mean per column
+        # beside the n x d bytes, at most a label and a variance per row and a mean per column
         assert held <= self.N * self.D + 8 * (2 * self.N + self.D) + 4096, f"held {held} bytes"
         assert data.rows.nbytes == self.N * self.D
 
     def test_passes_make_no_sample_sized_array(self):
-        stored = StoredImages(
+        stored = VectorDataset.from_bytes(
             np.random.default_rng(9).integers(0, 256, (self.N, self.D), dtype=np.uint8),
             np.arange(self.N) % 10,
         )
         units = np.random.default_rng(10).standard_normal((16, self.D))
+        every_row = HeterogeneityProfile((1,) * 10, sample_fraction=1.0)
         tracemalloc.start()
         try:
-            data = stored.decode(np.arange(self.N))
+            data = stratified_sample(stored, every_row, seed=9)
             build_context(data)
             project(data, units)
             _, peak = tracemalloc.get_traced_memory()
@@ -201,15 +202,15 @@ class TestByteResidentMemory:
 class TestTrustedDecode:
     def test_every_byte_value(self):
         pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        stored = StoredImages(pixels, np.arange(16, dtype=np.int64))
-        for index, rows in ((None, np.arange(16)), (np.array([15, 0, 7]), np.array([15, 0, 7]))):
-            data = stored.decode(index)
+        for rows in (np.arange(16), np.array([15, 0, 7])):
+            data = VectorDataset.from_bytes(pixels[rows], rows)
             assert data.vectors.shape == (len(rows), 16)
             assert data.vectors.dtype == np.float64 and data.labels.dtype == np.int64
             assert not data.vectors.flags.writeable and not data.labels.flags.writeable
             assert np.array_equal(data.vectors, pixels[rows] / 255.0)
             assert np.array_equal(data.labels, rows)
-        assert (data.vectors.min(), stored.decode().vectors.max()) == (0.0, 1.0)
+        every_row = VectorDataset.from_bytes(pixels, np.arange(16))
+        assert (data.vectors.min(), every_row.vectors.max()) == (0.0, 1.0)
 
     @pytest.mark.parametrize(
         "row", [[0.5, np.nan], [0.5, np.inf], [1.5, 0.5], [-0.1, 0.5]],
@@ -218,7 +219,7 @@ class TestTrustedDecode:
     def test_public_constructor_keeps_its_checks(self, row):
         with pytest.raises(ValueError):
             VectorDataset(np.array([row]), np.array([0]))
-        assert VectorDataset(np.array([[0.5, 1.0]]), np.array([0])).byte_moments is None
+        assert VectorDataset(np.array([[0.5, 1.0]]), np.array([0])).rows.dtype == np.float64
 
     def test_from_bytes_checks_bytes_and_labels(self):
         with pytest.raises(ValueError, match="uint8"):
@@ -229,6 +230,23 @@ class TestTrustedDecode:
             VectorDataset.from_bytes(np.zeros((0, 3), np.uint8), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="nonnegative"):
             VectorDataset.from_bytes(np.zeros((2, 3), np.uint8), np.array([0, -1]))
+
+
+class TestResampledBytes:
+    def test_a_sample_of_a_byte_sample_stays_bytes(self, stored):
+        first = stratified_sample(load_dataset(stored["idx"]), PROFILE, seed=2)
+        second = stratified_sample(first, PROFILE, seed=3)
+        assert first.rows.dtype == second.rows.dtype == np.uint8
+        assert second.rows.nbytes == second.n * second.d
+        # the same rows picked from fully decoded floats, turned back to bytes
+        picked = sample_decoded(sample_decoded(load_decoded(stored["idx"]), PROFILE, 2), PROFILE, 3)
+        expected = VectorDataset.from_bytes(
+            np.rint(picked.vectors * 255.0).astype(np.uint8), picked.labels.copy()
+        )
+        assert np.array_equal(second.rows, expected.rows)
+        ctx, expected_ctx = build_context(second), build_context(expected)
+        assert ctx.q_value == expected_ctx.q_value
+        assert ctx.dispersion == expected_ctx.dispersion
 
 
 class TestReleaseInvariants:

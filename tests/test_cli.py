@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -298,6 +299,14 @@ class TestUnsampledRecordsAreValidated:
     def test_intact_files_run(self, tmp_path, capsys):
         _, source = self._idx(tmp_path)
         assert self._run(tmp_path, source) == 0
+
+    def test_zero_image_idx_pair_is_one(self, tmp_path, capsys):
+        images, labels = tmp_path / "img.bin", tmp_path / "lab.bin"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 0, 28, 28))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 0))
+        code = main(["measure", "--idx-images", str(images), "--idx-labels", str(labels)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: dataset must contain at least one vector\n"
 
 
 class TestRunFailuresAreErrors:

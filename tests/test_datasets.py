@@ -12,7 +12,6 @@ from hetdp.datasets import (
     HeterogeneityProfile,
     LabelScheme,
     SampleCapacityError,
-    StoredImages,
     _allocate,
     load_dataset,
     stratified_sample,
@@ -35,12 +34,12 @@ def _grid_dataset(n, d, seed=0, labels=None):
 
 
 def _load_files(fmt, *paths):
-    """Every row of the files, read through load_dataset and decoded."""
+    """Every row of the files, read through load_dataset."""
     scheme = LabelScheme.COARSE_BUCKETED if fmt is DataFormat.CIFAR100_BIN else LabelScheme.FINE
     desc = DatasetDescriptor(
         format=fmt, name="files", paths=tuple(str(p) for p in paths), label_scheme=scheme
     )
-    return load_dataset(desc).decode()
+    return load_dataset(desc)
 
 
 class TestHeterogeneityProfile:
@@ -374,13 +373,13 @@ class TestSampleBeforeDecoding:
 
     @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100"])
     def test_full_decode_matches_oracle(self, stored_descriptors, kind):
-        decoded = load_dataset(stored_descriptors[kind]).decode()
+        decoded = load_dataset(stored_descriptors[kind])
         expected = load_decoded(stored_descriptors[kind])
         assert np.array_equal(decoded.vectors, expected.vectors)
         assert np.array_equal(decoded.labels, expected.labels)
         # every byte value decodes to the bits of a float64 division by 255
         pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        every_byte = StoredImages(pixels, np.zeros(16, dtype=np.int64)).decode().vectors
+        every_byte = VectorDataset.from_bytes(pixels, np.zeros(16, dtype=np.int64)).vectors
         oracle = pixels.astype(np.float64) / 255.0
         assert every_byte.dtype == np.float64
         assert np.array_equal(every_byte.view(np.uint64), oracle.view(np.uint64))
