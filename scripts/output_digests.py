@@ -9,11 +9,14 @@ comparison, `measure --release` with and without `--zero-noise`
 `--budget-split 0.3,0.7` (I^2 then reports the wrong part count), and a
 `calibrate` grid that spans both analytic branches and the classical range, through
 hetdp.cli.main in a temporary directory. It also writes an IDX pair
-(d=784) and a CIFAR-10 batch (d=3072) there with write_idx and write_cifar,
+(d=784), a CIFAR-10 batch, the same format split over two batch files and
+a 3074-byte CIFAR-100 batch (d=3072) there with write_idx and write_cifar,
 sized so every profile sample spans at least three row blocks of
-hetdp.measures (300 and 100 rows), runs an experiment on each, and
-measures each whole file without --profile (the CIFAR batch also with
---release), so the loaded bytes reach build_context unsampled. The
+hetdp.measures (300 and 100 rows), and runs an experiment on each, so both
+the concatenation of several files and the second label column are
+digested. It measures the IDX pair and the one CIFAR-10 batch whole
+without --profile (the batch also with --release), so the loaded bytes
+reach build_context unsampled. The
 `library` run is the README's library example (noisy_statistic and a
 200-trial error_report on synthetic_dataset(5000, 16, 0.4, 7)), written as
 library.json. It digests each input file, CSV, plan log, chart, --json
@@ -41,6 +44,7 @@ from hetdp import (
 )
 from hetdp.cli import main as cli_main
 from hetdp.datasets import CifarVariant, synthetic_dataset, write_cifar, write_idx
+from hetdp.measures import VectorDataset
 
 SYNTH = ["--synthetic", "20000,8,0.5", "--synth-seed", "0", "--fraction", "0.1"]
 BOTH = ["--mechanisms", "analytic,classical", "--settings", "distributed,centralized",
@@ -76,6 +80,11 @@ def runs(seed: str) -> dict[str, list[str]]:
                 *WIDE, "--seed", seed, "--out", "idx/idx.csv", "--svg-dir", "idx/charts"],
         "cifar": ["experiment", "--cifar10", "inputs/batch.bin", *WIDE, "--seed", seed,
                   "--out", "cifar/cifar.csv", "--svg-dir", "cifar/charts"],
+        "cifar-two": ["experiment", "--cifar10", "inputs/batch-a.bin,inputs/batch-b.bin", *WIDE,
+                      "--seed", seed, "--out", "cifar-two/cifar-two.csv",
+                      "--svg-dir", "cifar-two/charts"],
+        "cifar100": ["experiment", "--cifar100", "inputs/c100.bin", *WIDE, "--seed", seed,
+                     "--out", "cifar100/cifar100.csv", "--svg-dir", "cifar100/charts"],
         "measure-idx": ["measure", "--idx-images", "inputs/img.idx", "--idx-labels",
                         "inputs/lab.idx", "--json"],
         "measure-cifar": ["measure", "--cifar10", "inputs/batch.bin", "--release", "--seed", seed,
@@ -90,6 +99,12 @@ def write_inputs() -> None:
               Path("inputs/lab.idx"))
     write_cifar(synthetic_dataset(2000, 3072, 0.5, 1), Path("inputs/batch.bin"),
                 CifarVariant.TEN)
+    split = synthetic_dataset(2000, 3072, 0.5, 2)
+    for name, rows in (("batch-a", slice(0, 1200)), ("batch-b", slice(1200, None))):
+        write_cifar(VectorDataset(split.vectors[rows], split.labels[rows]),
+                    Path(f"inputs/{name}.bin"), CifarVariant.TEN)
+    write_cifar(synthetic_dataset(2000, 3072, 0.5, 3), Path("inputs/c100.bin"),
+                CifarVariant.HUNDRED)
 
 
 def library_run() -> dict:

@@ -4,10 +4,12 @@ Real datasets come from two binary formats: big-endian magic-tagged image and
 label files (28x28 grayscale images flattened to 784 coordinates) and fixed
 record-length RGB image files (3073- or 3074-byte records flattened to 3072
 coordinates). A pixel byte p stands for the coordinate p / 255 in [0, 1].
-The files are validated whole and load as a byte-backed VectorDataset
-(VectorDataset.from_bytes) over the stored bytes; a sample keeps only the
-bytes of the rows it picks, and is never converted to an n x d float64
-array.
+An image file is mapped read-only, not read onto the heap. It is validated
+whole and loads as a byte-backed VectorDataset (VectorDataset.from_bytes)
+whose rows are a view of the mapping; the label scan reads the mapping one
+window at a time and drops each window's pages once read. A sample reads
+only the rows it picks from the file, one positioned read per row, and is
+never converted to an n x d float64 array.
 
 Heterogeneity of a working subset is controlled by stratified sampling with
 explicit per-label ratios; a deterministic synthetic generator provides
@@ -17,9 +19,12 @@ label-clustered data for dataset-free runs.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import mmap
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +36,10 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR10_RECORD = 3073  # 1 label byte + 32*32*3 pixels
 CIFAR100_RECORD = 3074  # coarse + fine label bytes + 32*32*3 pixels
+
+#: The record label scan reads this many bytes of a mapped file at a time and
+#: drops their pages once read, so it holds about one window of the file.
+WINDOW_BYTES = 1 << 20
 
 
 class DatasetFormatError(ValueError):
@@ -134,8 +143,11 @@ class DatasetDescriptor:
 def load_dataset(desc: DatasetDescriptor) -> VectorDataset:
     """Materialize a descriptor as a VectorDataset: synthetic data as float
     rows, the binary formats validated over every record and kept as their
-    stored bytes (a view of the file buffer for one file), so a sample
-    copies only the bytes of the rows it picks.
+    stored bytes. For one image file the rows are a view of its read-only
+    mapping, and a sample reads only the rows it picks from the file;
+    several record files concatenate their bytes on the heap. Do not
+    truncate a file while an unsampled dataset loaded from it is alive: a
+    pass over the mapped rows past the new end raises SIGBUS.
 
     Raises:
         DatasetFormatError: malformed files, or loaded width differing from
@@ -168,6 +180,53 @@ CANONICAL_PROFILES: dict[str, HeterogeneityProfile] = {
 }
 
 
+class _MappedFile:
+    """One stored file mapped read-only (`view`; b"" for an empty file) and
+    held open for positioned reads; the descriptor closes with this object."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        file = open(path, "rb", buffering=0)
+        weakref.finalize(self, file.close)
+        self.fd = file.fileno()
+        size = os.fstat(self.fd).st_size
+        self.view = mmap.mmap(self.fd, size, access=mmap.ACCESS_READ) if size else b""
+        self.dropped = 0
+
+    def drop_below(self, stop: int) -> None:
+        """Release this process's pages of the mapping that lie wholly below
+        byte `stop`; the next read of them faults them in again."""
+        stop -= stop % mmap.PAGESIZE
+        if stop > self.dropped:
+            self.view.madvise(mmap.MADV_DONTNEED, self.dropped, stop - self.dropped)
+            self.dropped = stop
+
+    def dataset(self, labels: np.ndarray, offset: int, width: int, stride: int) -> VectorDataset:
+        """The byte dataset, one row per label, whose row r is the mapping's
+        `width` bytes from offset + r * stride. A sample of it reads its
+        rows from the file (read_rows), not through the mapping."""
+        pixels = np.ndarray((len(labels), width), np.uint8, self.view, offset, (stride, 1))
+        read = functools.partial(self.read_rows, offset=offset, width=width, stride=stride)
+        return VectorDataset.from_bytes(pixels, labels, read_rows=read)
+
+    def read_rows(self, index: np.ndarray, offset: int, width: int, stride: int) -> np.ndarray:
+        """The rows at `index` in a new array, one positioned read of the
+        file per row.
+
+        Raises:
+            DatasetFormatError: a read came up short (the file was cut since
+                it was loaded), at the offset where it stopped.
+        """
+        out = np.empty((len(index), width), np.uint8)
+        for row, start in zip(out, (offset + index * stride).tolist()):
+            got = os.preadv(self.fd, (row,), start)
+            if got != width:
+                raise DatasetFormatError(
+                    f"short read: {got} of a {width}-byte row", path=self.path, offset=start + got
+                )
+        return out
+
+
 def _read_be_u32(buf: bytes, offset: int, path: str | Path, what: str) -> int:
     if len(buf) < offset + 4:
         raise DatasetFormatError(f"truncated while reading {what}", path=path, offset=len(buf))
@@ -183,11 +242,16 @@ def _check_magic(buf: bytes, expected: int, path: str | Path, what: str) -> None
 
 
 def _read_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset:
-    image_buf = Path(images_path).read_bytes()
+    images = _MappedFile(images_path)
+    image_buf = images.view
     _check_magic(image_buf, IDX_IMAGE_MAGIC, images_path, "image")
     count = _read_be_u32(image_buf, 4, images_path, "image count")
     rows = _read_be_u32(image_buf, 8, images_path, "row count")
     cols = _read_be_u32(image_buf, 12, images_path, "column count")
+    if rows * cols == 0:
+        raise DatasetFormatError(
+            f"image size {rows}x{cols} holds no pixels", path=images_path, offset=8
+        )
     pixel_bytes = count * rows * cols
     if len(image_buf) < 16 + pixel_bytes:
         raise DatasetFormatError(
@@ -196,7 +260,6 @@ def _read_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset
             path=images_path,
             offset=len(image_buf),
         )
-    pixels = np.frombuffer(image_buf, dtype=np.uint8, count=pixel_bytes, offset=16)
 
     label_buf = Path(labels_path).read_bytes()
     _check_magic(label_buf, IDX_LABEL_MAGIC, labels_path, "label")
@@ -216,7 +279,7 @@ def _read_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset
     labels = np.frombuffer(label_buf, dtype=np.uint8, count=label_count, offset=8)
     if count == 0:
         raise ValueError("dataset must contain at least one vector")
-    return VectorDataset.from_bytes(pixels.reshape(count, rows * cols), labels.astype(np.int64))
+    return images.dataset(labels.astype(np.int64), 16, rows * cols, rows * cols)
 
 
 def write_idx(data: VectorDataset, images_path: str | Path, labels_path: str | Path) -> None:
@@ -242,46 +305,56 @@ class CifarVariant(enum.Enum):
     HUNDRED = "hundred"
 
 
-def _label_bytes(records: np.ndarray, column: int, top: int, what: str, path) -> np.ndarray:
-    """One label column of fixed-length records as int64, checked to be <= top."""
-    labels = records[:, column].astype(np.int64)
-    bad = np.nonzero(labels > top)[0]
-    if bad.size:
-        raise DatasetFormatError(
-            f"{what} byte {labels[bad[0]]} out of range 0..{top}",
-            path=path,
-            offset=int(bad[0]) * records.shape[1] + column,
-        )
-    return labels
+def _scan_labels(mapped: _MappedFile, records: np.ndarray, tops, path) -> np.ndarray:
+    """The first label column of records mapped from a file, as int64, after
+    checking that every label column is at most its top, (top, what) per
+    column in `tops`; a fault is reported as one whole-column check after
+    another would find it. The scan reads the mapping one window of records
+    at a time and drops each window's pages once read, so it holds about
+    one window of the file."""
+    labels = np.empty((len(tops), len(records)), np.int64)
+    step = max(1, WINDOW_BYTES // records.shape[1])
+    for start in range(0, len(records), step):
+        labels[:, start : start + step] = records[start : start + step, : len(tops)].T
+        mapped.drop_below((start + step) * records.shape[1])
+    for column, (top, what) in enumerate(tops):
+        bad = np.flatnonzero(labels[column] > top)
+        if bad.size:
+            raise DatasetFormatError(
+                f"{what} byte {labels[column, bad[0]]} out of range 0..{top}",
+                path=path,
+                offset=int(bad[0]) * records.shape[1] + column,
+            )
+    return labels[0]
 
 
 def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> VectorDataset:
-    record = CIFAR10_RECORD if variant is CifarVariant.TEN else CIFAR100_RECORD
+    if variant is CifarVariant.TEN:
+        record, tops = CIFAR10_RECORD, ((9, "label"),)
+    else:
+        record, tops = CIFAR100_RECORD, ((19, "coarse label"), (99, "fine label"))
     all_pixels: list[np.ndarray] = []
     all_labels: list[np.ndarray] = []
     for path in paths:
-        buf = Path(path).read_bytes()
-        if len(buf) == 0 or len(buf) % record != 0:
+        mapped = _MappedFile(path)
+        size = len(mapped.view)
+        if size == 0 or size % record != 0:
             raise DatasetFormatError(
-                f"file length {len(buf)} is not a positive multiple of the "
+                f"file length {size} is not a positive multiple of the "
                 f"{record}-byte record size",
                 path=path,
-                offset=len(buf) - (len(buf) % record),
+                offset=size - (size % record),
             )
-        records = np.frombuffer(buf, dtype=np.uint8).reshape(-1, record)
-        if variant is CifarVariant.TEN:
-            labels = _label_bytes(records, 0, 9, "label", path)
-            pixels = records[:, 1:]
-        else:
-            coarse = _label_bytes(records, 0, 19, "coarse label", path)
-            _label_bytes(records, 1, 99, "fine label", path)
-            labels = coarse // 2  # pairwise buckets: (0,1)->0, (2,3)->1, ...
-            pixels = records[:, 2:]
-        all_pixels.append(pixels)
+        records = np.frombuffer(mapped.view, dtype=np.uint8).reshape(-1, record)
+        labels = _scan_labels(mapped, records, tops, path)
+        if variant is CifarVariant.HUNDRED:
+            labels //= 2  # pairwise buckets of coarse labels: (0,1)->0, (2,3)->1, ...
+        if len(paths) == 1:
+            return mapped.dataset(labels, len(tops), 3072, record)
+        all_pixels.append(records[:, len(tops) :])
         all_labels.append(labels)
-    # one file stays a view of its buffer; several concatenate as bytes
-    pixels = all_pixels[0] if len(all_pixels) == 1 else np.concatenate(all_pixels)
-    return VectorDataset.from_bytes(pixels, np.concatenate(all_labels))
+    # several files concatenate their bytes on the heap
+    return VectorDataset.from_bytes(np.concatenate(all_pixels), np.concatenate(all_labels))
 
 
 def write_cifar(data: VectorDataset, path: str | Path, variant: CifarVariant) -> None:

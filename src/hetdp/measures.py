@@ -47,9 +47,9 @@ class VectorDataset:
 
     `rows` holds the vectors times `scale`: float64 vectors as given (scale
     1), or, from from_bytes, the n x d uint8 bytes of stored images (scale
-    255). The row dtype is the only mark of the two kinds. Every float pass
-    reads `rows` through row_blocks; `vectors` divides byte rows by 255 on
-    demand.
+    255), which may be a view of a read-only file mapping. The row dtype is
+    the only mark of the two kinds. Every float pass reads `rows` through
+    row_blocks; `vectors` divides byte rows by 255 on demand.
     """
 
     rows: np.ndarray
@@ -77,30 +77,38 @@ class VectorDataset:
             raise ValueError("labels must be nonnegative integers")
         self._freeze(vectors, labels)
 
-    def _freeze(self, rows: np.ndarray, labels: np.ndarray) -> VectorDataset:
+    def _freeze(self, rows: np.ndarray, labels: np.ndarray, read_rows=None) -> VectorDataset:
         rows.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_read_rows", read_rows)
         return self
 
     @classmethod
-    def from_bytes(cls, pixels: np.ndarray, labels: np.ndarray) -> VectorDataset:
+    def from_bytes(cls, pixels: np.ndarray, labels: np.ndarray, *, read_rows=None) -> VectorDataset:
         """Rows pixels / 255 of an n x d uint8 matrix, one nonnegative int64
         label each, kept as the bytes: no n x d float array is made and no
         pass runs over the bytes. Such rows are finite and in [0, 1], so
-        they skip the constructor's scan over the coordinates."""
+        they skip the constructor's scan over the coordinates.
+
+        The file loader passes `read_rows` when `pixels` is a view of a file
+        mapping: read_rows(index) returns the rows at `index` as a new
+        array read from the file, so a sample never faults the mapping in.
+        """
         if pixels.dtype != np.uint8 or pixels.ndim != 2 or not len(pixels) == len(labels) >= 1:
             raise ValueError(f"need one label per uint8 row, got {pixels.shape} {pixels.dtype}")
         if labels.dtype != np.int64 or labels.min() < 0:
             raise ValueError("labels must be nonnegative int64")
-        return object.__new__(cls)._freeze(pixels, labels)
+        return object.__new__(cls)._freeze(pixels, labels, read_rows)
 
     def _take(self, index: np.ndarray) -> VectorDataset:
-        """The rows and labels at `index`, of the same kind (bytes stay
-        bytes). They were checked when this dataset was made, so no scan
+        """The rows and labels at `index` in new arrays, of the same kind
+        (bytes stay bytes): read from the file for mapped rows, else
+        indexed. They were checked when this dataset was made, so no scan
         runs over them again."""
-        return object.__new__(type(self))._freeze(self.rows[index], self.labels[index])
+        rows = self.rows[index] if self._read_rows is None else self._read_rows(index)
+        return object.__new__(type(self))._freeze(rows, self.labels[index])
 
     @property
     def scale(self) -> float:
@@ -196,9 +204,12 @@ def _mean_sq_deviation(data: VectorDataset, center: np.ndarray, weights=1.0) -> 
     """(1/n) sum_i w_i ||x_i - center||^2; unit weights by default. Byte rows
     p take ||p - 255 center||^2 / 255^2, with nothing expanded into moments."""
     center = center * data.scale
+    # a byte block is row_blocks' own cast buffer, so it takes the deviations
+    # in place; a float block is a read-only view and needs one temporary
+    in_place = data.rows.dtype == np.uint8
     squares = np.empty(data.n)
     for span, block in row_blocks(data):
-        deviations = block - center  # squared in place: one temporary per block
+        deviations = np.subtract(block, center, out=block if in_place else None)
         squares[span] = np.square(deviations, out=deviations).sum(axis=1)
     return float((weights * squares).mean()) / data.scale**2
 

@@ -1,18 +1,27 @@
 """Rows kept as stored bytes: exact integer moments and the row-blocked float
 passes against the whole-matrix float oracles, the memory a byte sample
-holds, the trusted decode of byte rows, resampling a byte sample, and the
-zero-noise and rerun invariants."""
+holds and that loading a mapped file costs, the trusted decode of byte rows,
+resampling a byte sample, and the zero-noise and rerun invariants."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import build_context_direct, load_decoded, sample_decoded
 
+import hetdp
 from hetdp.cli import main
 from hetdp.datasets import (
+    CIFAR10_RECORD,
+    WINDOW_BYTES,
     CifarVariant,
     DataFormat,
     DatasetDescriptor,
@@ -32,6 +41,7 @@ from hetdp.measures import (
     BLOCK_BYTES,
     VARIANCE_FLOOR,
     VectorDataset,
+    _mean_sq_deviation,
     build_context,
     byte_moments,
 )
@@ -197,6 +207,95 @@ class TestByteResidentMemory:
             tracemalloc.stop()
         # the sample's n x d bytes, and passes below the size of its floats / 8
         assert peak < self.N * self.D + self.N * self.D * 8 // 8, f"peak {peak} bytes"
+
+    def test_deviation_pass_takes_no_block_sized_temporary(self):
+        n = 200
+        data = VectorDataset.from_bytes(
+            np.random.default_rng(11).integers(0, 256, (n, self.D), dtype=np.uint8),
+            np.arange(n) % 10,
+        )
+        ctx = build_context(data)
+        cast_buffer = min(BLOCK_BYTES // (8 * self.D), n) * self.D * 8  # row_blocks' one buffer
+        tracemalloc.start()
+        try:
+            q_value = _mean_sq_deviation(data, ctx.weighted_mean, ctx.weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert q_value == ctx.q_value
+        # beside the cast buffer, a row's squares and a column's center, nothing block-sized
+        assert peak < cast_buffer + BLOCK_BYTES // 4, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("kind", ["idx", "cifar10"])
+    def test_load_and_sample_hold_the_sample_and_one_window(self, tmp_path, kind):
+        rng = np.random.default_rng(12)
+        if kind == "idx":
+            n, d = 4000, 784  # 3.1 MB of pixels
+            images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+            images.write_bytes(
+                struct.pack(">IIII", 0x00000803, n, 28, 28)
+                + rng.integers(0, 256, n * d, dtype=np.uint8).tobytes()
+            )
+            labels.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(i % 10 for i in range(n)))
+            desc = DatasetDescriptor(DataFormat.IDX_IMAGES, kind, (str(images), str(labels)))
+        else:
+            n, d = 1200, 3072  # 3.7 MB of records
+            records = rng.integers(0, 256, (n, CIFAR10_RECORD), dtype=np.uint8)
+            records[:, 0] = np.arange(n) % 10
+            (tmp_path / "batch.bin").write_bytes(records.tobytes())
+            desc = DatasetDescriptor(DataFormat.CIFAR10_BIN, kind, (str(tmp_path / "batch.bin"),))
+        profile = HeterogeneityProfile((1,) * 10, sample_fraction=0.1)
+        tracemalloc.start()
+        try:
+            sample = stratified_sample(load_dataset(desc), profile, seed=12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sample.rows.nbytes == n * d // 10
+        assert peak < sample.rows.nbytes + WINDOW_BYTES < n * d, f"peak {peak} bytes"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_rss_grows_by_the_sample_not_the_file(self, tmp_path):
+        n, d = 32_000, 784  # 25 MB of pixels
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        rng = np.random.default_rng(13)
+        with open(images, "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, n, 28, 28))
+            for _ in range(8):
+                fh.write(rng.integers(0, 256, n * d // 8, dtype=np.uint8).tobytes())
+        labels.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(i % 10 for i in range(n)))
+        # The child reads its peak RSS as VmHWM: ru_maxrss would start from
+        # this process's peak, which execve carries over. A first sample of
+        # heap rows runs numpy's one-time set-up before the count starts.
+        child = textwrap.dedent(f"""
+            import numpy as np
+            from hetdp.datasets import (
+                DataFormat, DatasetDescriptor, HeterogeneityProfile, load_dataset,
+                stratified_sample,
+            )
+            from hetdp.measures import VectorDataset
+
+            def peak_rss():
+                with open("/proc/self/status") as status:
+                    line = next(line for line in status if line.startswith("VmHWM:"))
+                return int(line.split()[1]) * 1024
+
+            desc = DatasetDescriptor(DataFormat.IDX_IMAGES, "rss", ({str(images)!r}, {str(labels)!r}))
+            profile = HeterogeneityProfile((1,) * 10, sample_fraction=0.1)
+            heap = VectorDataset.from_bytes(np.zeros((100, 4), np.uint8), np.arange(100) % 10)
+            stratified_sample(heap, profile, seed=13)
+            before = peak_rss()
+            sample = stratified_sample(load_dataset(desc), profile, seed=13)
+            print(sample.n, peak_rss() - before)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(hetdp.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        rows, growth = map(int, result.stdout.split())
+        assert rows == n // 10
+        assert growth < os.path.getsize(images) // 2, f"peak RSS grew by {growth} bytes"
 
 
 class TestTrustedDecode:

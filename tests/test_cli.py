@@ -308,6 +308,18 @@ class TestUnsampledRecordsAreValidated:
         assert code == 1
         assert capsys.readouterr().err == "error: dataset must contain at least one vector\n"
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (28, 0)])
+    def test_image_size_without_pixels_is_one(self, tmp_path, capsys, rows, cols):
+        images, labels = tmp_path / "img.bin", tmp_path / "lab.bin"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 5, rows, cols))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 5) + bytes(5))
+        code = main(["measure", "--idx-images", str(images), "--idx-labels", str(labels),
+                     "--json"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: image size {rows}x{cols} holds no pixels in {images} at offset 8\n"
+        )
+
 
 class TestRunFailuresAreErrors:
     ARGS = [

@@ -1,10 +1,17 @@
 """Binary loaders, stratified sampling, synthetic data, descriptors."""
 
+import mmap
+import os
+import struct
+
 import numpy as np
 import pytest
 
 from hetdp.datasets import (
     CANONICAL_PROFILES,
+    CIFAR10_RECORD,
+    CIFAR100_RECORD,
+    WINDOW_BYTES,
     CifarVariant,
     DataFormat,
     DatasetDescriptor,
@@ -383,6 +390,149 @@ class TestSampleBeforeDecoding:
         oracle = pixels.astype(np.float64) / 255.0
         assert every_byte.dtype == np.float64
         assert np.array_equal(every_byte.view(np.uint64), oracle.view(np.uint64))
+
+
+def _records(path, n, record, seed, labels=None):
+    """n random records of `record` bytes whose label bytes are `labels`
+    (default 0..9 in turn; the fine label of 3074-byte records is 0..99)."""
+    rng = np.random.default_rng(seed)
+    records = rng.integers(0, 256, size=(n, record), dtype=np.uint8)
+    records[:, 0] = np.arange(n) % 10 if labels is None else labels
+    if record == CIFAR100_RECORD:
+        records[:, 1] = np.arange(n) % 100
+    path.write_bytes(records.tobytes())
+    return path
+
+
+def _idx_pair(tmp_path, n, d, seed):
+    images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    pixels = np.random.default_rng(seed).integers(0, 256, size=(n, d), dtype=np.uint8)
+    images.write_bytes(struct.pack(">IIII", 0x00000803, n, 1, d) + pixels.tobytes())
+    labels.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(i % 10 for i in range(n)))
+    return images, labels
+
+
+def _mapping(array):
+    """The mmap an array views, or None for heap memory."""
+    while array is not None and not isinstance(array, mmap.mmap):
+        array = getattr(array, "base", None)
+    return array
+
+
+#: Records per window of the label scan.
+_STEP10 = WINDOW_BYTES // CIFAR10_RECORD
+_STEP100 = WINDOW_BYTES // CIFAR100_RECORD
+
+
+def _tens(n):
+    """n rounded up to a multiple of 10, so labels 0..9 in turn are balanced."""
+    return -(-n // 10) * 10
+
+
+@pytest.fixture
+def mapped_descriptors(tmp_path):
+    """One descriptor per file layout, each spanning more than two windows of
+    the label scan (the two CIFAR-10 batches together): an IDX pair, one
+    CIFAR-10 batch, one CIFAR-100 batch and two CIFAR-10 batches. Every
+    label has the same number of rows."""
+    images, labels = _idx_pair(tmp_path, 900, 784, seed=20)
+    one = _records(tmp_path / "one.bin", _tens(2 * _STEP10 + 50), CIFAR10_RECORD, seed=21)
+    hundred = _records(tmp_path / "h.bin", _tens(2 * _STEP100 + 30), CIFAR100_RECORD, seed=22)
+    two = (
+        _records(tmp_path / "a.bin", _tens(_STEP10 + 5), CIFAR10_RECORD, seed=23),
+        _records(tmp_path / "b.bin", 90, CIFAR10_RECORD, seed=24),
+    )
+    return {
+        "idx": DatasetDescriptor(DataFormat.IDX_IMAGES, "idx", (str(images), str(labels))),
+        "cifar10": DatasetDescriptor(DataFormat.CIFAR10_BIN, "c10", (str(one),)),
+        "cifar100": DatasetDescriptor(
+            DataFormat.CIFAR100_BIN, "c100", (str(hundred),),
+            label_scheme=LabelScheme.COARSE_BUCKETED,
+        ),
+        "cifar10x2": DatasetDescriptor(DataFormat.CIFAR10_BIN, "c10x2", tuple(map(str, two))),
+    }
+
+
+class TestMappedFiles:
+    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100"])
+    def test_one_file_loads_as_a_view_of_its_mapping(self, mapped_descriptors, kind):
+        data = load_dataset(mapped_descriptors[kind])
+        assert data.rows.dtype == np.uint8 and not data.rows.flags.writeable
+        assert _mapping(data.rows) is not None
+        expected = load_decoded(mapped_descriptors[kind])
+        assert np.array_equal(data.vectors, expected.vectors)
+        assert np.array_equal(data.labels, expected.labels)
+
+    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100", "cifar10x2"])
+    @pytest.mark.parametrize("fraction", [0.1, 1.0])
+    def test_sample_matches_the_decoded_oracle(self, mapped_descriptors, kind, fraction):
+        desc = mapped_descriptors[kind]
+        if fraction < 1.0:
+            profile = HeterogeneityProfile((3, 1, 1, 1, 1), sample_fraction=fraction)
+        else:  # every row: one bucket per label (per coarse pair of CIFAR-100)
+            buckets = 5 if kind == "cifar100" else 10
+            profile = HeterogeneityProfile((1,) * buckets, sample_fraction=fraction)
+        sample = stratified_sample(load_dataset(desc), profile, seed=7)
+        every_row = load_decoded(desc)
+        expected = sample_decoded(every_row, profile, seed=7)
+        assert sample.n == int(fraction * every_row.n)
+        assert sample.rows.dtype == np.uint8 and _mapping(sample.rows) is None
+        assert np.array_equal(sample.vectors, expected.vectors)
+        assert np.array_equal(sample.labels, expected.labels)
+
+    @pytest.mark.parametrize("kind, step", [("cifar10", _STEP10), ("cifar100", _STEP100)])
+    def test_picks_across_a_window_edge(self, mapped_descriptors, kind, step):
+        data = load_dataset(mapped_descriptors[kind])
+        index = np.array([step, data.n - 1, step - 1, 0, 2 * step, 2 * step - 1])
+        picked = data._take(index)
+        assert _mapping(picked.rows) is None and picked.rows.flags.c_contiguous
+        assert np.array_equal(picked.rows, data.rows[index])
+        assert np.array_equal(picked.labels, data.labels[index])
+        expected = load_decoded(mapped_descriptors[kind])
+        assert np.array_equal(picked.vectors, expected.vectors[index])
+
+    def test_label_out_of_range_in_a_late_window(self, tmp_path):
+        n = 3 * _STEP10 + 10
+        labels = np.arange(n) % 10
+        labels[n - 4] = 12
+        path = _records(tmp_path / "late.bin", n, CIFAR10_RECORD, seed=25, labels=labels)
+        with pytest.raises(DatasetFormatError, match="label byte 12 out of range 0..9") as err:
+            _load_files(DataFormat.CIFAR10_BIN, path)
+        assert err.value.offset == (n - 4) * CIFAR10_RECORD
+
+    def test_a_coarse_fault_in_a_later_window_outranks_a_fine_one(self, tmp_path):
+        # a whole-column check of the coarse labels runs before the fine one
+        n = 2 * _STEP100 + 10
+        path = _records(tmp_path / "h.bin", n, CIFAR100_RECORD, seed=26)
+        raw = bytearray(path.read_bytes())
+        raw[3 * CIFAR100_RECORD + 1] = 130  # fine label, first window
+        raw[(n - 2) * CIFAR100_RECORD] = 40  # coarse label, last window
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match="coarse label byte 40 out of range") as err:
+            _load_files(DataFormat.CIFAR100_BIN, path)
+        assert err.value.offset == (n - 2) * CIFAR100_RECORD
+        raw[(n - 2) * CIFAR100_RECORD] = 4
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match="fine label byte 130 out of range") as err:
+            _load_files(DataFormat.CIFAR100_BIN, path)
+        assert err.value.offset == 3 * CIFAR100_RECORD + 1
+
+    def test_file_cut_after_loading_fails_on_the_short_read(self, tmp_path):
+        d = 784
+        images, labels = _idx_pair(tmp_path, 40, d, seed=27)
+        desc = DatasetDescriptor(DataFormat.IDX_IMAGES, "idx", (str(images), str(labels)))
+        data = load_dataset(desc)
+        stored = np.frombuffer(images.read_bytes(), np.uint8, 40 * d, 16).reshape(40, d)
+        os.truncate(images, 16 + 30 * d + 100)  # row 30 keeps 100 bytes
+        assert np.array_equal(data._take(np.arange(30)).rows, stored[:30])
+        with pytest.raises(DatasetFormatError, match=f"short read: 100 of a {d}-byte row") as err:
+            data._take(np.array([2, 30, 31]))
+        assert err.value.path == str(images)
+        assert err.value.offset == 16 + 30 * d + 100
+        with pytest.raises(DatasetFormatError, match="short read") as err:
+            stratified_sample(data, HeterogeneityProfile((1,) * 10, sample_fraction=1.0), seed=0)
+        assert err.value.path == str(images)
+        assert err.value.offset >= 16 + 30 * d + 100
 
 
 class TestStratifiedSample:
