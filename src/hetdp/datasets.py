@@ -282,6 +282,27 @@ def _read_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset
     return images.dataset(labels.astype(np.int64), 16, rows * cols, rows * cols)
 
 
+def _write_records(path: str | Path, header: bytes, data: VectorDataset, heads: np.ndarray) -> None:
+    """Write `header`, then row i as the bytes heads[i] (none for a zero-width
+    `heads`) and its d pixel bytes rint(vector * 255), one write per block of
+    rows. Each block of about WINDOW_BYTES of floats is quantised in one
+    reused buffer. Rows that view a file mapping are copied before the file
+    at `path` is truncated, since it may be the file they map."""
+    rows = np.array(data.rows) if isinstance(data.rows.base, mmap.mmap) else data.rows
+    step = max(1, WINDOW_BYTES // (8 * data.d))
+    floats = np.empty((min(step, data.n), data.d))
+    records = np.empty((len(floats), heads.shape[1] + data.d), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for start in range(0, data.n, step):
+            pixels = rows[start : start + step]
+            block, out = floats[: len(pixels)], records[: len(pixels)]
+            np.multiply(pixels, 255.0 / data.scale, out=block)
+            out[:, heads.shape[1] :] = np.rint(block, out=block)
+            out[:, : heads.shape[1]] = heads[start : start + step]
+            fh.write(out)
+
+
 def write_idx(data: VectorDataset, images_path: str | Path, labels_path: str | Path) -> None:
     """Write a dataset as image/label files that load_dataset reads under the
     magic-tagged image format.
@@ -291,10 +312,8 @@ def write_idx(data: VectorDataset, images_path: str | Path, labels_path: str | P
     """
     if data.labels.max(initial=0) > 255:
         raise ValueError("labels above 255 cannot be stored in one byte")
-    pixels = np.rint(data.vectors * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, data.n, 1, data.d))
-        fh.write(pixels.tobytes())
+    header = struct.pack(">IIII", IDX_IMAGE_MAGIC, data.n, 1, data.d)
+    _write_records(images_path, header, data, np.empty((data.n, 0), np.uint8))
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABEL_MAGIC, data.n))
         fh.write(data.labels.astype(np.uint8).tobytes())
@@ -362,18 +381,15 @@ def write_cifar(data: VectorDataset, path: str | Path, variant: CifarVariant) ->
     reads under the 3073- or 3074-byte record format.
 
     For the hundred-class variant the stored coarse label is 2*label (the
-    bucketing's canonical representative) and the fine label is 0.
+    bucketing's canonical representative) and the fine label is 0. Labels
+    must lie in 0..9 for either variant, as the loader requires.
     """
     if data.d != 3072:
         raise ValueError(f"record format stores 3072 pixel bytes, got d={data.d}")
-    pixels = np.rint(data.vectors * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        for i in range(data.n):
-            if variant is CifarVariant.TEN:
-                fh.write(bytes([int(data.labels[i])]))
-            else:
-                fh.write(bytes([2 * int(data.labels[i]), 0]))
-            fh.write(pixels[i].tobytes())
+    if data.labels.max() > 9:
+        raise ValueError(f"labels above 9 cannot be stored in the {variant.value}-class records")
+    heads = np.outer(data.labels, [1] if variant is CifarVariant.TEN else [2, 0]).astype(np.uint8)
+    _write_records(path, b"", data, heads)
 
 
 def _allocate(total: int, shares: np.ndarray) -> np.ndarray:
@@ -475,17 +491,13 @@ def synthetic_dataset(n: int, d: int, heterogeneity: float, seed: int) -> Vector
     counts = _allocate(n, shares)
 
     patterns = rng.standard_normal((k, d))
-    blocks: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    for cluster, count in enumerate(counts):
-        if count == 0:
-            continue
-        noise = rng.standard_normal((count, d))
-        rows = levels[cluster] + scale * (
-            amplitudes[cluster] * patterns[cluster] + jitter * noise
-        )
-        blocks.append(rows)
-        labels.append(np.full(count, cluster, dtype=np.int64))
-    vectors = np.clip(np.vstack(blocks), 0.0, 1.0)
+    grouped = np.empty((n, d))
+    for cluster, rows in enumerate(np.split(grouped, np.cumsum(counts)[:-1])):
+        rng.standard_normal(out=rows)  # an empty cluster draws nothing
+        rows *= jitter
+        rows += amplitudes[cluster] * patterns[cluster]
+        rows *= scale
+        rows += levels[cluster]  # levels + scale * (amplitude * pattern + jitter * noise)
+    np.clip(grouped, 0.0, 1.0, out=grouped)
     order = rng.permutation(n)
-    return VectorDataset(vectors=vectors[order], labels=np.concatenate(labels)[order])
+    return VectorDataset(vectors=grouped[order], labels=np.repeat(np.arange(k), counts)[order])

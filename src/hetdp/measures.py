@@ -236,6 +236,7 @@ def build_context(data: VectorDataset) -> MeasureContext:
     center = np.zeros(data.d)
     for span, block in row_blocks(data, whole_floats=True):
         center += weights[span] @ block
+    del block  # a byte block is the cast buffer: free it before the Q pass makes its own
     center /= data.scale * weights.sum()
     return MeasureContext(
         mean=part.mean,

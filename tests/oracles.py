@@ -9,9 +9,11 @@ instead, with the single release on injected vectors at sigma 1, the
 per-trial generators and per-stage normal draws the shared unit-normal block
 of a plan cell replaces, and the decode-everything-then-index loading that
 sampling stored image bytes replaces, and the whole-matrix context passes
-(one n x d temporary each) that the row-blocked passes replace, and the
-analytic calibration with one root finder per branch, which the
-branch-parameterized finder replaces. The suite keeps them as reference
+(one n x d temporary each) that the row-blocked passes replace, the
+synthetic generator and image writers built from whole-matrix expressions
+and per-record writes, which in-place generation and row-blocked
+quantisation replace, and the analytic calibration with one root finder per
+branch, which the branch-parameterized finder replaces. The suite keeps them as reference
 oracles and asserts that the fast forms agree with them. The closing
 helpers (within-vector variance, the branch-parameterized privacy slack,
 the variance oracles) serve only the suite's identity checks.
@@ -20,14 +22,19 @@ the variance oracles) serve only the suite's identity checks.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from hetdp import datasets
 from hetdp.datasets import (
     CIFAR100_RECORD,
     CIFAR10_RECORD,
+    IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
+    CifarVariant,
     DataFormat,
     DatasetDescriptor,
     HeterogeneityProfile,
@@ -369,6 +376,57 @@ def sample_decoded(data: VectorDataset, profile: HeterogeneityProfile, seed: int
         ]
     )
     return VectorDataset(data.vectors[index], data.labels[index])
+
+
+def synthetic_direct(n: int, d: int, heterogeneity: float, seed: int) -> VectorDataset:
+    """synthetic_dataset as whole-matrix expressions: each cluster's rows are
+    a new array, stacked, clipped and gathered into the drawn order."""
+    rng = np.random.default_rng(seed)
+    k = datasets._CLUSTERS
+    shuffle = (7 * np.arange(k)) % k
+    low, high = datasets._LEVEL_LOW, datasets._LEVEL_HIGH
+    levels = low + (high - low) * (shuffle + 0.5) / k
+    amplitudes = 10.0 ** np.linspace(datasets._AMP_LOW_EXP, datasets._AMP_HIGH_EXP, k)
+    scale = datasets._BASE_SCALE * 10.0 ** (-datasets._SCALE_DECADES * heterogeneity)
+    jitter = datasets._FLAT_JITTER * (1.0 - datasets._JITTER_SHRINK * heterogeneity)
+    geometric = datasets._IMBALANCE_RATIO ** np.arange(k)
+    shares = (1.0 - heterogeneity) / k + heterogeneity * geometric / geometric.sum()
+    counts = _allocate(n, shares)
+    patterns = rng.standard_normal((k, d))
+    blocks, labels = [], []
+    for cluster, count in enumerate(counts):
+        if count == 0:
+            continue
+        noise = rng.standard_normal((count, d))
+        rows = levels[cluster] + scale * (amplitudes[cluster] * patterns[cluster] + jitter * noise)
+        blocks.append(rows)
+        labels.append(np.full(count, cluster, dtype=np.int64))
+    vectors = np.clip(np.vstack(blocks), 0.0, 1.0)
+    order = rng.permutation(n)
+    return VectorDataset(vectors=vectors[order], labels=np.concatenate(labels)[order])
+
+
+def write_idx_direct(data: VectorDataset, images_path: Path, labels_path: Path) -> None:
+    """write_idx quantising every coordinate in one n x d expression."""
+    pixels = np.rint(data.vectors * 255.0).astype(np.uint8)
+    with open(images_path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, data.n, 1, data.d))
+        fh.write(pixels.tobytes())
+    with open(labels_path, "wb") as fh:
+        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, data.n))
+        fh.write(data.labels.astype(np.uint8).tobytes())
+
+
+def write_cifar_direct(data: VectorDataset, path: Path, variant: CifarVariant) -> None:
+    """write_cifar as one write of label bytes and one of pixels per record."""
+    pixels = np.rint(data.vectors * 255.0).astype(np.uint8)
+    with open(path, "wb") as fh:
+        for i in range(data.n):
+            if variant is CifarVariant.TEN:
+                fh.write(bytes([int(data.labels[i])]))
+            else:
+                fh.write(bytes([2 * int(data.labels[i]), 0]))
+            fh.write(pixels[i].tobytes())
 
 
 def within_vector_variance(vector: np.ndarray) -> float:

@@ -226,6 +226,25 @@ class TestByteResidentMemory:
         # beside the cast buffer, a row's squares and a column's center, nothing block-sized
         assert peak < cast_buffer + BLOCK_BYTES // 4, f"peak {peak} bytes"
 
+    def test_context_frees_the_weighted_mean_buffer_before_the_q_pass(self):
+        n = 200
+        data = VectorDataset.from_bytes(
+            np.random.default_rng(14).integers(0, 256, (n, self.D), dtype=np.uint8),
+            np.arange(n) % 10,
+        )
+        ctx = build_context(data)
+        tracemalloc.start()
+        try:
+            _mean_sq_deviation(data, ctx.weighted_mean, ctx.weights)
+            _, q_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            build_context(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one cast buffer at a time: the Q pass's own, not the weighted mean's beside it
+        assert peak < q_peak + BLOCK_BYTES // 4, f"peak {peak} bytes against {q_peak}"
+
     @pytest.mark.parametrize("kind", ["idx", "cifar10"])
     def test_load_and_sample_hold_the_sample_and_one_window(self, tmp_path, kind):
         rng = np.random.default_rng(12)

@@ -1,12 +1,19 @@
 """Binary loaders, stratified sampling, synthetic data, descriptors."""
 
+import itertools
 import mmap
 import os
 import struct
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hetdp
 from hetdp.datasets import (
     CANONICAL_PROFILES,
     CIFAR10_RECORD,
@@ -28,7 +35,9 @@ from hetdp.datasets import (
 )
 from hetdp.measures import VectorDataset, build_context, i_squared
 
-from oracles import load_decoded, sample_decoded
+from oracles import (
+    load_decoded, sample_decoded, synthetic_direct, write_cifar_direct, write_idx_direct,
+)
 
 
 def _grid_dataset(n, d, seed=0, labels=None):
@@ -269,6 +278,15 @@ class TestCifarFiles:
     def test_write_requires_full_width(self, tmp_path):
         with pytest.raises(ValueError, match="3072"):
             write_cifar(_grid_dataset(2, 10), tmp_path / "x.bin", CifarVariant.TEN)
+
+    @pytest.mark.parametrize("variant", list(CifarVariant))
+    def test_labels_the_loader_rejects_are_rejected_on_write(self, tmp_path, variant):
+        # the loader takes labels 0..9, and coarse bytes 2 * label up to 19
+        data = VectorDataset(np.zeros((2, 3072)), np.array([9, 10]))
+        path = tmp_path / "batch.bin"
+        with pytest.raises(ValueError, match="above 9"):
+            write_cifar(data, path, variant)
+        assert not path.exists()
 
 
 class TestDescriptors:
@@ -517,6 +535,34 @@ class TestMappedFiles:
             _load_files(DataFormat.CIFAR100_BIN, path)
         assert err.value.offset == 3 * CIFAR100_RECORD + 1
 
+    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100"])
+    def test_writing_over_the_mapped_file(self, mapped_descriptors, tmp_path, kind):
+        # the writer must read the mapped rows before it truncates their file:
+        # a pass over them afterwards raises SIGBUS, so the write runs in a child
+        desc = mapped_descriptors[kind]
+        expected = load_decoded(desc)
+        if kind == "idx":
+            write = "write_idx(data, *paths)"
+            write_idx(expected, tmp_path / "img", tmp_path / "lab")
+            want = [tmp_path / "img", tmp_path / "lab"]
+        else:
+            variant = "TEN" if kind == "cifar10" else "HUNDRED"
+            write = f"write_cifar(data, paths[0], CifarVariant.{variant})"
+            write_cifar(expected, tmp_path / "batch", CifarVariant[variant])
+            want = [tmp_path / "batch"]
+        child = textwrap.dedent(f"""
+            from hetdp.datasets import *
+            paths = {list(desc.paths)!r}
+            desc = DatasetDescriptor(DataFormat.{desc.format.name}, "w", tuple(paths),
+                                     label_scheme=LabelScheme.{desc.label_scheme.name})
+            data = load_dataset(desc)
+            {write}
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(hetdp.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", child], env=env, timeout=60, check=True)
+        for path, written in zip(desc.paths, want):
+            assert Path(path).read_bytes() == written.read_bytes()
+
     def test_file_cut_after_loading_fails_on_the_short_read(self, tmp_path):
         d = 784
         images, labels = _idx_pair(tmp_path, 40, d, seed=27)
@@ -599,6 +645,65 @@ class TestStratifiedSample:
         profile = HeterogeneityProfile((1, 1), sample_fraction=0.01)
         with pytest.raises(ValueError, match="is empty"):
             stratified_sample(data, profile, seed=0)
+
+
+class TestAgainstDirectForms:
+    def test_synthetic_rows_are_bit_identical(self):
+        empty = 0
+        grid = itertools.product((2, 3, 57, 1000), (1, 5, 784), (0.0, 0.5, 1.0), (0, 1))
+        for n, d, heterogeneity, seed in grid:
+            fast = synthetic_dataset(n, d, heterogeneity, seed)
+            direct = synthetic_direct(n, d, heterogeneity, seed)
+            assert fast.vectors.tobytes() == direct.vectors.tobytes(), (n, d, heterogeneity, seed)
+            assert fast.labels.tobytes() == direct.labels.tobytes(), (n, d, heterogeneity, seed)
+            empty += np.bincount(fast.labels, minlength=10).min() == 0
+        assert empty > 0  # some clusters draw no rows
+
+    # a write block holds 42 rows of 3072 floats
+    @pytest.mark.parametrize("n", [1, 42, 43, 400])
+    def test_written_files_are_byte_identical(self, tmp_path, n):
+        floats = synthetic_dataset(max(n, 2), 3072, 0.5, seed=n)
+        floats = VectorDataset(floats.vectors[:n], floats.labels[:n])
+        stored = VectorDataset.from_bytes(
+            np.random.default_rng(n).integers(0, 256, (n, 3072), dtype=np.uint8), np.arange(n) % 10
+        )
+        fast, direct = tmp_path / "fast", tmp_path / "direct"
+        for data in (floats, stored):
+            for variant in CifarVariant:
+                write_cifar(data, fast, variant)
+                write_cifar_direct(data, direct, variant)
+                assert fast.read_bytes() == direct.read_bytes(), variant
+            write_idx(data, fast, tmp_path / "fast-labels")
+            write_idx_direct(data, direct, tmp_path / "direct-labels")
+            assert fast.read_bytes() == direct.read_bytes()
+            assert (tmp_path / "fast-labels").read_bytes() == (tmp_path / "direct-labels").read_bytes()
+
+
+class TestGenerationMemory:
+    @staticmethod
+    def _peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_synthetic_rows_make_no_temporary(self):
+        n, d = 4000, 784
+        peak = self._peak(lambda: synthetic_dataset(n, d, 0.5, seed=3))
+        # the grouped rows and their gathered copy
+        assert peak < 2.2 * n * d * 8, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("kind", ["idx", "cifar10"])
+    def test_writers_quantise_in_row_blocks(self, tmp_path, kind):
+        n, d = 1000, 3072
+        data = synthetic_dataset(n, d, 0.5, seed=4)
+        if kind == "idx":
+            peak = self._peak(lambda: write_idx(data, tmp_path / "img", tmp_path / "lab"))
+        else:
+            peak = self._peak(lambda: write_cifar(data, tmp_path / "batch", CifarVariant.TEN))
+        assert peak < 0.1 * n * d * 8, f"peak {peak} bytes"
 
 
 class TestSyntheticData:
