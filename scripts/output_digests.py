@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Print `sha256  path` for every output of a fixed set of CLI runs.
 
-Runs the default sweep, a mixed plan (three profiles, both mechanisms and
-settings, epsilons 0.5,0.25,0.9), a plan with explicit budget fractions
+Runs the default sweep and the same plan with --zero-noise, a mixed plan
+(three profiles, both mechanisms and settings, epsilons 0.5,0.25,0.9), a plan with explicit budget fractions
 (dispersion and Q at 0.3,0.7, both mechanisms, epsilons 0.25,0.5,0.9), a
 comparison, `measure --release` with and without `--zero-noise`
 (zero noise must release the true values bit for bit) and with
@@ -14,9 +14,10 @@ a 3074-byte CIFAR-100 batch (d=3072) there with write_idx and write_cifar,
 sized so every profile sample spans at least three row blocks of
 hetdp.measures (300 and 100 rows), and runs an experiment on each, so both
 the concatenation of several files and the second label column are
-digested. It measures the IDX pair and the one CIFAR-10 batch whole
-without --profile (the batch also with --release), so the loaded bytes
-reach build_context unsampled. The
+digested; the CIFAR-10 plan also runs with --zero-noise, so a zero-noise
+CSV of image samples is digested too. It measures the IDX pair and the one
+CIFAR-10 batch whole without --profile (the batch also with --release), so
+the loaded bytes reach build_context unsampled. The
 `library` run is the README's library example (noisy_statistic and a
 200-trial error_report on synthetic_dataset(5000, 16, 0.4, 7)), written as
 library.json. It digests each input file, CSV, plan log, chart, --json
@@ -58,6 +59,8 @@ def runs(seed: str) -> dict[str, list[str]]:
     return {
         "sweep": ["experiment", *SYNTH, "--profiles", "uniform-10,skewed-10", "--seed", seed,
                   "--out", "sweep/sweep.csv", "--svg-dir", "sweep/charts"],
+        "sweep-zero": ["experiment", *SYNTH, "--profiles", "uniform-10,skewed-10",
+                       "--zero-noise", "--seed", seed, "--out", "sweep-zero/sweep-zero.csv"],
         "mixed": ["experiment", *SYNTH, "--profiles", "uniform-2,skewed-2,uniform-5", *BOTH,
                   "--seed", seed, "--out", "mixed/mixed.csv", "--svg-dir", "mixed/charts"],
         "fractions": ["experiment", *SYNTH, "--profiles", "uniform-10,skewed-10",
@@ -80,6 +83,8 @@ def runs(seed: str) -> dict[str, list[str]]:
                 *WIDE, "--seed", seed, "--out", "idx/idx.csv", "--svg-dir", "idx/charts"],
         "cifar": ["experiment", "--cifar10", "inputs/batch.bin", *WIDE, "--seed", seed,
                   "--out", "cifar/cifar.csv", "--svg-dir", "cifar/charts"],
+        "cifar-zero": ["experiment", "--cifar10", "inputs/batch.bin", *WIDE, "--zero-noise",
+                       "--seed", seed, "--out", "cifar-zero/cifar-zero.csv"],
         "cifar-two": ["experiment", "--cifar10", "inputs/batch-a.bin,inputs/batch-b.bin", *WIDE,
                       "--seed", seed, "--out", "cifar-two/cifar-two.csv",
                       "--svg-dir", "cifar-two/charts"],

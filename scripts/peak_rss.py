@@ -7,13 +7,16 @@ peak), then runs the workload's plan K times in this process through
 hetdp.cli.main, one study after another, and prints one JSON object with
 `ru_maxrss` (as MiB) and the median study wall time. perfbench's own
 peak_rss_mib comes from however many studies fit its time window; a fixed K
-makes two trees comparable:
+makes two trees comparable. --trials T runs the workload's plan at T trials
+per cell instead of its own count:
 
     PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 50
+    PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 20 --trials 500
 """
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -36,10 +39,16 @@ def main() -> int:
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--studies", type=int, required=True, help="K, the number of studies")
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    parser.add_argument("--trials", type=int, default=None,
+                        help="trials per cell (default: the workload's own)")
     args = parser.parse_args()
     if args.studies < 1:
         parser.error("--studies must be at least 1")
+    if args.trials is not None and args.trials < 1:
+        parser.error("--trials must be at least 1")
     workload = workloads.get(args.workload)
+    if args.trials is not None:
+        workload = dataclasses.replace(workload, trials=args.trials)
     from hetdp.cli import main as cli_main
 
     walls = []
@@ -62,6 +71,7 @@ def main() -> int:
         "workload": workload.name,
         "seed": args.seed,
         "studies": args.studies,
+        "trials": workload.trials,
         "nproc": len(os.sched_getaffinity(0)),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "wall_s_median": round(statistics.median(walls), 4),

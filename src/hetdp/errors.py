@@ -1,17 +1,19 @@
 """Empirical, theoretical and centralized mean squared errors, plus intervals.
 
 The empirical error (EMSE) averages squared deviations of fresh private
-releases from the true statistic. The theoretical error (TMSE) evaluates the
-closed-form per-release error on the exact noise of the paired release, so
-the two are comparable trial by trial. `error_reports` scores one cell at
-every budget (epsilon) of a list: arithmetic on the cell's unit normals and
-the noise scales `stage_sigmas` calibrated for those budgets. `error_report`
-draws, calibrates and scores one cell at the one budget passed beside its
-config. Only the dispersion and Q TMSE read the sample, through one
-projection onto the unit mean-stage normals. The centralized error (CMSE) is
-the squared single draw a centralized release would add after aggregation:
-each trial's shared unit scalar scaled by sqrt(d) times the full-budget
-sigma, whatever the statistic.
+releases from the true statistic. `error_reports` scores one cell at every
+budget (epsilon) of a list: arithmetic on the cell's trial draws (the error
+law of `trial_draws`) and the noise scales `stage_sigmas` calibrated for
+those budgets. `error_report` draws, calibrates and scores one cell at the
+one budget passed beside its config. The theoretical error (TMSE) of a
+dispersion or Q trial is `conditional_tmse`, the expectation of the
+closed-form per-release error given the trial's draws, so `tmse`/`sd_tmse`
+are the mean and spread of that conditional TMSE; it reads the context's
+weights and moments, never a row. The I^2 TMSE is the closed form on the
+trial's own draws. The
+centralized error (CMSE) is the squared single draw a centralized release
+would add after aggregation: each trial's unit scalar scaled by sqrt(d)
+times the full-budget sigma, whatever the statistic.
 
 The heterogeneity-fraction EMSE is normalized per client (divided by n): its
 closed-form counterpart carries a 1/n factor, and the ratio check between the
@@ -28,14 +30,12 @@ import numpy as np
 from hetdp.estimators import (
     EstimatorConfig,
     Statistic,
-    UnitNormals,
+    TrialDraws,
     i_squared_release,
-    project,
     release_noise,
     stage_sigmas,
-    tmse_kernel,
+    trial_draws,
     true_value,
-    unit_normals,
 )
 from hetdp.gaussian import PrivacyBudget
 from hetdp.measures import MeasureContext, VectorDataset
@@ -114,34 +114,52 @@ def ci_half_width(statistic: Statistic, n: int, weights, mean_noise_var: float) 
     )
 
 
-def trial_normals(statistic: Statistic, cfg: EstimatorConfig, d: int, trials: int) -> UnitNormals:
-    """Unit normals of `trials` releases, trial t seeded by derive_seed(cfg.seed, t)."""
-    return unit_normals(statistic, cfg, d, [derive_seed(cfg.seed, t) for t in range(trials)])
+def conditional_tmse(
+    statistic: Statistic, ctx: MeasureContext, draws: TrialDraws, sigmas: np.ndarray,
+    noise: np.ndarray,
+) -> np.ndarray:
+    """Closed-form errors (B x T) of the dispersion or Q releases whose
+    release_noise is `noise`: each trial's expected TMSE given its draws.
+
+    On noise vectors e = sigma_1 z and s = sigma_2 z', the TMSE is the mean
+    square of the row shifts w_i (||e||^2 - 2 e.(x_i - c)) + sum(s) (unit
+    weights around the mean for dispersion). Given ||z||^2 = X, z is uniform
+    on its sphere, so e.(x_i - c) has mean 0 and second moment
+    sigma_1^2 (X/d) ||x_i - c||^2. The expectation is the squared noise plus
+    var(w) sigma_1^4 X^2 + 4 sigma_1^2 (X/d) mean(w^2 ||x_i - c||^2); both
+    added terms are nonnegative, so it is never below the squared noise.
+    """
+    if statistic is Statistic.DISPERSION:
+        spread, moment = 0.0, ctx.dispersion
+    else:
+        spread, moment = float(ctx.weights.var()), ctx.q_sq_weights
+    variances = sigmas[:, 0, None] ** 2
+    added = spread * variances**2 * draws.chi2**2 + 4.0 * moment / draws.d * variances * draws.chi2
+    return noise**2 + added
 
 
 def error_reports(
-    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, normals: UnitNormals,
-    projected: np.ndarray | None, sigmas: np.ndarray,
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: TrialDraws,
+    sigmas: np.ndarray,
 ) -> list[ErrorReport]:
     """Monte Carlo error summary of one cell at each budget, all trials at once.
 
-    Trial t's noise is row t of `normals` scaled by each budget's row of
-    stage_sigmas' `sigmas`. `projected` is project(data, mean-stage columns
-    of `normals`), None for I^2, which reads none. A release's EMSE is its
-    squared noise; its TMSE is scored on its own draws; its CMSE is
-    (sqrt(d) sigma_full z_t)^2, sigma_full the last column of `sigmas`.
+    Trial t's error is its draws scaled by each budget's row of
+    stage_sigmas' `sigmas`. A release's EMSE is its squared noise; its TMSE
+    is conditional_tmse (I^2: tmse_i_squared on its own draws); its CMSE is
+    (sqrt(d) sigma_full central_t)^2, sigma_full the last column of `sigmas`.
     """
-    noise = release_noise(statistic, data, ctx, normals, sigmas)
+    noise = release_noise(statistic, data, ctx, draws, sigmas)
     if statistic is Statistic.I_SQUARED:
         q_true = true_value(Statistic.Q, data, ctx)
         q_noisy = q_true + noise
-        i2_noise = sigmas[:, 2, None] * normals.stages[:, 2 * data.d]
+        i2_noise = sigmas[:, 2, None] * draws.third
         released = i_squared_release(q_noisy, data.n, i2_noise)
         emse = (released - true_value(statistic, data, ctx)) ** 2 / data.n
         tmse = tmse_i_squared(data.n, q_true, q_noisy, i2_noise)
     else:
-        emse, tmse = noise**2, tmse_kernel(statistic, data, ctx, normals, projected, sigmas)
-    cmse = (math.sqrt(data.d) * sigmas[:, -1, None] * normals.central) ** 2
+        emse, tmse = noise**2, conditional_tmse(statistic, ctx, draws, sigmas, noise)
+    cmse = (math.sqrt(data.d) * sigmas[:, -1, None] * draws.central) ** 2
     return [
         ErrorReport(
             emse=float(emse[b].mean()),
@@ -149,7 +167,7 @@ def error_reports(
             cmse=float(cmse[b].mean()),
             sd_emse=float(emse[b].std()),
             sd_tmse=float(tmse[b].std()),
-            trials=len(normals.central),
+            trials=len(draws.central),
             ci_half_width=ci_half_width(statistic, data.n, ctx.weights, float(sigma) ** 2),
         )
         for b, sigma in enumerate(sigmas[:, 0])
@@ -160,12 +178,10 @@ def error_report(
     statistic: Statistic, data: VectorDataset, ctx: MeasureContext, cfg: EstimatorConfig,
     budget: PrivacyBudget, trials: int,
 ) -> ErrorReport:
-    """Error summary of one cell at `budget`: trial t scales the unit
-    normals of derive_seed(cfg.seed, t) by the budget's calibrated sigmas."""
+    """Error summary of one cell at `budget`: the first `trials` draws of
+    cfg.seed scaled by the budget's calibrated sigmas."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
-    normals = trial_normals(statistic, cfg, data.d, trials)
-    units = normals.stages[:, : data.d]
-    projected = None if statistic is Statistic.I_SQUARED else project(data, units)
-    return error_reports(statistic, data, ctx, normals, projected, sigmas)[0]
+    draws = trial_draws(statistic, cfg, data.d, trials)
+    return error_reports(statistic, data, ctx, draws, sigmas)[0]

@@ -4,14 +4,13 @@ A plan is a cross product of cells (statistic x mechanism x setting x profile
 x epsilon) evaluated on stratified samples of one dataset. Runs are
 deterministic given the plan seed: per-profile sample seeds and per-cell
 estimator seeds are derived from it. Each (statistic, mechanism, setting)
-cell draws one block of unit normals and one centralized scalar per trial,
-and every profile and epsilon of the cell scales that same array by its own
-sigma (common random numbers). That makes epsilon sweeps smooth and
-paired-profile comparisons difference out the noise. Each profile sample is
-projected once onto the mean-stage normals of all dispersion and Q cells,
-one n x d by d x (cells * trials) product. Each cell calibrates all its
-epsilons in one `stage_sigmas` call, reads its columns (I^2 reads none) and
-scores them in one `error_reports` call.
+cell draws its trials' error law once (`trial_draws`: a few length-T
+scalar vectors, whatever d is), and every profile and epsilon of the cell
+scales those same draws by its own sigmas (common random numbers). That
+makes epsilon sweeps smooth and paired-profile comparisons difference out
+the noise. Each cell calibrates all its epsilons in one `stage_sigmas` call
+and scores them in one `error_reports` call, which reads no row of the
+sample.
 
 CSV schema (stable, one header line, rows sorted by the key tuple):
 
@@ -45,8 +44,10 @@ from hetdp.datasets import (
     load_dataset,
     stratified_sample,
 )
-from hetdp.errors import derive_seed, error_reports, trial_normals
-from hetdp.estimators import EstimatorConfig, Setting, Statistic, project, stage_sigmas, true_value
+from hetdp.errors import derive_seed, error_reports
+from hetdp.estimators import (
+    EstimatorConfig, Setting, Statistic, stage_sigmas, trial_draws, true_value,
+)
 from hetdp.gaussian import Mechanism, PrivacyBudget, check_classical_range
 from hetdp.measures import VARIANCE_FLOOR, build_context
 
@@ -235,11 +236,7 @@ def _true_value_table(samples) -> dict[str, dict[str, float]]:
 def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
     """Evaluate every plan cell into one row each, sorted by key, so the
     evaluation order never shows. Each distinct noise scale is calibrated
-    once per run. Every cell's block is held for the whole run, the
-    mean-stage columns of the dispersion and Q cells once more in `units`,
-    plus one n x (those cells * trials) projection at a time; an image
-    sample is held as its bytes, and the projection reads them in row
-    blocks."""
+    once per run, and each cell's draws are held for the whole run."""
     memo: dict = {}
     samples = _materialize_samples(plan)
     true_table = _true_value_table(samples)
@@ -248,27 +245,19 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
         summary[f"{s}_min"] = min(v[s] for v in true_table.values())
         summary[f"{s}_mean"] = sum(v[s] for v in true_table.values()) / len(true_table)
 
-    d, trials = next(iter(samples.values()))[0].d, plan.trials
+    d = next(iter(samples.values()))[0].d
     budgets = {stat: plan.budgets(stat) for stat in plan.statistics}
-    cells, blocks = [], []
+    cells = []
     for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings):
         cell = EstimatorConfig(mechanism=mech, setting=setting, zero_noise=plan.zero_noise,
                                seed=_cell_seed(plan, stat, mech, setting))
-        normals = trial_normals(stat, cell, d, trials)
-        column = None  # where the cell's columns of the projection start; I^2 has none
-        if stat is not Statistic.I_SQUARED:
-            column = len(blocks) * trials
-            blocks.append(normals.stages[:, :d])
-        cells.append((stat, cell, normals, column))
-    units = np.vstack(blocks) if blocks else None
+        cells.append((stat, cell, trial_draws(stat, cell, d, plan.trials)))
     rows: list[ResultRow] = []
     for name, _profile in plan.profiles:
         sample, ctx = samples[name]
-        projected = None if units is None else project(sample, units)
-        for stat, cell, normals, column in cells:
+        for stat, cell, draws in cells:
             sigmas = stage_sigmas(stat, sample, cell, budgets[stat], memo)
-            columns = None if column is None else projected[:, column : column + trials]
-            reports = error_reports(stat, sample, ctx, normals, columns, sigmas)
+            reports = error_reports(stat, sample, ctx, draws, sigmas)
             for epsilon, report in zip(plan.epsilons, reports):
                 rows.append(ResultRow(
                     dataset=plan.dataset.name, statistic=stat.value,
@@ -353,6 +342,7 @@ def write_plan_log(plan: ExperimentPlan, csv_path: str | Path) -> Path:
         "epsilons": list(plan.epsilons),
         "delta": plan.delta,
         "trials": plan.trials,
+        "trial_draws": "error-law scalars",
         "seed": plan.seed,
         "zero_noise": plan.zero_noise,
         "budget_fractions": list(plan.budget_fractions) if plan.budget_fractions else None,

@@ -32,6 +32,9 @@ VARIANCE_FLOOR = 1e-9
 #: Size of one row block's float64 temporaries: small enough to stay in cache.
 BLOCK_BYTES = 512 * 1024
 
+#: Both constructors reject n x 0 rows: every float pass divides by d.
+NO_COORDINATES = "vectors must have at least one coordinate"
+
 
 class UnweightedPart(NamedTuple):
     """The context quantities that need no weights (dispersion at p = 2)."""
@@ -62,6 +65,8 @@ class VectorDataset:
             raise ValueError(f"vectors must be a 2-d array, got shape {vectors.shape}")
         if vectors.shape[0] < 1:
             raise ValueError("dataset must contain at least one vector")
+        if vectors.shape[1] < 1:
+            raise ValueError(NO_COORDINATES)
         if labels.ndim != 1 or labels.shape[0] != vectors.shape[0]:
             raise ValueError(
                 f"labels must be one per vector: {labels.shape} labels for "
@@ -98,6 +103,8 @@ class VectorDataset:
         """
         if pixels.dtype != np.uint8 or pixels.ndim != 2 or not len(pixels) == len(labels) >= 1:
             raise ValueError(f"need one label per uint8 row, got {pixels.shape} {pixels.dtype}")
+        if pixels.shape[1] < 1:
+            raise ValueError(NO_COORDINATES)
         if labels.dtype != np.int64 or labels.min() < 0:
             raise ValueError("labels must be nonnegative int64")
         return object.__new__(cls)._freeze(pixels, labels, read_rows)
@@ -141,7 +148,9 @@ class MeasureContext:
     dispersion (p = 2) and Q; build_context is the one place they are made.
 
     weights[i] is 1 / max(within_variances[i], VARIANCE_FLOOR); the weighted
-    mean is the weights-normalized average of the rows.
+    mean is the weights-normalized average of the rows. q_sq_weights is Q
+    with squared weights, (1/n) sum_i w_i^2 ||x_i - weighted_mean||^2, the
+    sample moment of the Q error's conditional TMSE.
     """
 
     mean: np.ndarray
@@ -150,6 +159,7 @@ class MeasureContext:
     within_variances: np.ndarray
     dispersion: float
     q_value: float
+    q_sq_weights: float
 
 
 def byte_moments(pixels: np.ndarray) -> UnweightedPart:
@@ -200,9 +210,9 @@ def row_blocks(
         yield span, block
 
 
-def _mean_sq_deviation(data: VectorDataset, center: np.ndarray, weights=1.0) -> float:
-    """(1/n) sum_i w_i ||x_i - center||^2; unit weights by default. Byte rows
-    p take ||p - 255 center||^2 / 255^2, with nothing expanded into moments."""
+def _sq_deviations(data: VectorDataset, center: np.ndarray) -> np.ndarray:
+    """||x_i - center||^2 per row, times data.scale^2: byte rows p take
+    ||p - 255 center||^2, with nothing expanded into moments."""
     center = center * data.scale
     # a byte block is row_blocks' own cast buffer, so it takes the deviations
     # in place; a float block is a read-only view and needs one temporary
@@ -211,14 +221,14 @@ def _mean_sq_deviation(data: VectorDataset, center: np.ndarray, weights=1.0) -> 
     for span, block in row_blocks(data):
         deviations = np.subtract(block, center, out=block if in_place else None)
         squares[span] = np.square(deviations, out=deviations).sum(axis=1)
-    return float((weights * squares).mean()) / data.scale**2
+    return squares
 
 
 def build_context(data: VectorDataset) -> MeasureContext:
-    """Compute mean, within-vector variances, weights, weighted mean, and the
-    true dispersion and Q once. Byte rows take the unweighted part from the
-    exact integer sums of byte_moments; float rows take row-blocked passes,
-    bit-identical to the whole-matrix forms.
+    """Compute mean, within-vector variances, weights, weighted mean, the
+    true dispersion and Q, and Q with squared weights once. Byte rows take
+    the unweighted part from the exact integer sums of byte_moments; float
+    rows take row-blocked passes, bit-identical to the whole-matrix forms.
 
     Dispersion = (1/n) sum_i ||x_i - mean||^2 and
     Q = (1/n) sum_i w_i ||x_i - weighted_mean||^2, so unit weights reduce Q
@@ -231,20 +241,22 @@ def build_context(data: VectorDataset) -> MeasureContext:
         within = np.empty(data.n)
         for span, block in row_blocks(data):
             within[span] = block.var(axis=1)
-        part = UnweightedPart(within, mean, _mean_sq_deviation(data, mean))
+        part = UnweightedPart(within, mean, float(_sq_deviations(data, mean).mean()))
     weights = 1.0 / np.maximum(part.within_variances, VARIANCE_FLOOR)
     center = np.zeros(data.d)
     for span, block in row_blocks(data, whole_floats=True):
         center += weights[span] @ block
     del block  # a byte block is the cast buffer: free it before the Q pass makes its own
     center /= data.scale * weights.sum()
+    weighted = weights * _sq_deviations(data, center)
     return MeasureContext(
         mean=part.mean,
         weighted_mean=center,
         weights=weights,
         within_variances=part.within_variances,
         dispersion=part.dispersion,
-        q_value=_mean_sq_deviation(data, center, weights),
+        q_value=float(weighted.mean()) / data.scale**2,
+        q_sq_weights=float((weights * weighted).mean()) / data.scale**2,
     )
 
 

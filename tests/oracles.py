@@ -1,22 +1,23 @@
 """Direct forms of the private releases, their errors, and dataset sampling.
 
 These are the straightforward O(n*d)-per-trial evaluations the data-free
-release noise and the batched TMSE kernel replace, the batched kernel's
-direct form on scaled noise (one X @ E.T product per call, which the
-projection of unit normals shared by every budget replaces), the per-trial
-stage noise vectors whose sigmas the library applies to its unit normals
-instead, with the single release on injected vectors at sigma 1, the
-per-trial generators and per-stage normal draws the shared unit-normal block
-of a plan cell replaces, and the decode-everything-then-index loading that
-sampling stored image bytes replaces, and the whole-matrix context passes
-(one n x d temporary each) that the row-blocked passes replace, the
-synthetic generator and image writers built from whole-matrix expressions
-and per-record writes, which in-place generation and row-blocked
-quantisation replace, and the analytic calibration with one root finder per
-branch, which the branch-parameterized finder replaces. The suite keeps them as reference
-oracles and asserts that the fast forms agree with them. The closing
-helpers (within-vector variance, the branch-parameterized privacy slack,
-the variance oracles) serve only the suite's identity checks.
+release noise and the closed-form TMSE replace; the d-wide trial path the
+scalar error-law draws replace: per-trial generators of 2d unit normals
+(`unit_normals`, addressed by derive_seed(seed, t) in `trial_normals`),
+their projection onto the sample (`project`) and the per-trial TMSE kernel
+on it (`tmse_kernel`), with the stage noise vectors those normals scale to;
+the 2d-point sphere design that averages the direct TMSE over the direction
+of the mean-stage noise (`axis_draws`); the decode-everything-then-index
+loading that sampling stored image bytes replaces, and the whole-matrix
+context passes (one n x d temporary each) that the row-blocked passes
+replace, the synthetic generator and image writers built from whole-matrix
+expressions and per-record writes, which in-place generation and
+row-blocked quantisation replace, and the analytic calibration with one
+root finder per branch, which the branch-parameterized finder replaces. The
+suite keeps them as reference oracles and asserts that the fast forms agree
+with them, exactly or in law. The closing helpers (within-vector variance,
+the branch-parameterized privacy slack, the variance oracles) serve only the
+suite's identity checks.
 """
 
 from __future__ import annotations
@@ -41,18 +42,17 @@ from hetdp.datasets import (
     _allocate,
     synthetic_dataset,
 )
-from hetdp.errors import error_report
+from hetdp.errors import derive_seed, error_report
 from hetdp.estimators import (
     EstimatorConfig,
     Setting,
     Statistic,
-    UnitNormals,
+    TrialDraws,
     i_squared_release,
     release_noise,
     release_sigma,
     stage_sigmas,
     true_value,
-    unit_normals,
 )
 from hetdp import gaussian
 from hetdp.gaussian import (
@@ -67,7 +67,7 @@ from hetdp.gaussian import (
     _alpha_low_noise,
     std_normal_cdf,
 )
-from hetdp.measures import VARIANCE_FLOOR, MeasureContext, VectorDataset
+from hetdp.measures import VARIANCE_FLOOR, MeasureContext, VectorDataset, row_blocks
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,108 @@ def noisy_mean(
     return data.vectors.mean(axis=0) + draws.mean_noise, draws
 
 
+#: The setting tags of each release's stream, (seed, tag).
+STREAM_TAG = {Setting.DISTRIBUTED: 1, Setting.CENTRALIZED: 2}
+
+
+@dataclass(frozen=True)
+class UnitNormals:
+    """Standard normals of T trials: row t of `stages` holds trial t's mean,
+    statistic and (I^2 only) third-stage draws in that order, `central[t]`
+    its centralized-error scalar. No noise scale is applied yet."""
+
+    stages: np.ndarray
+    central: np.ndarray
+
+
+def unit_normals(statistic: Statistic, cfg: EstimatorConfig, d: int, seeds) -> UnitNormals:
+    """Unit normals of one release per seed, from per-trial generators:
+    default_rng((seed, setting)) for the stages, default_rng(seed) for the
+    centralized scalar. Zero-noise configs get zeros and build none."""
+    width = 2 * d + statistic.budget_parts - 2
+    stages, central = np.zeros((len(seeds), width)), np.zeros(len(seeds))
+    if not cfg.zero_noise:
+        tag = STREAM_TAG[cfg.setting]
+        for t, seed in enumerate(seeds):
+            stages[t] = np.random.default_rng((seed, tag)).standard_normal(width)
+            central[t] = np.random.default_rng(seed).standard_normal()
+    return UnitNormals(stages, central)
+
+
+def trial_normals(statistic: Statistic, cfg: EstimatorConfig, d: int, trials: int) -> UnitNormals:
+    """Unit normals of `trials` releases, trial t seeded by derive_seed(cfg.seed, t)."""
+    return unit_normals(statistic, cfg, d, [derive_seed(cfg.seed, t) for t in range(trials)])
+
+
+def law_draws(statistic: Statistic, normals: UnitNormals, d: int) -> TrialDraws:
+    """The library's draws that d-wide unit normals stand for: X = ||z||^2 of
+    the mean-stage columns, S = sum(z') of the statistic-stage ones, and the
+    third-stage and centralized normals as they are."""
+    z = normals.stages
+    third = z[:, 2 * d] if statistic is Statistic.I_SQUARED else None
+    return TrialDraws(d, (z[:, :d] ** 2).sum(axis=1), z[:, d : 2 * d].sum(axis=1), third,
+                      normals.central)
+
+
+def project(data: VectorDataset, units: np.ndarray) -> np.ndarray:
+    """X @ units.T (n x T), one product per row block of the sample:
+    (rows @ units.T) / scale."""
+    projected = np.empty((data.n, len(units)))
+    for span, block in row_blocks(data, whole_floats=True):
+        np.matmul(block, units.T, out=projected[span])
+    projected /= data.scale
+    return projected
+
+
+def tmse_kernel(
+    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, normals: UnitNormals,
+    projected: np.ndarray, sigmas: np.ndarray,
+) -> np.ndarray:
+    """Per-trial TMSE (B x T) of the dispersion or Q releases on d-wide
+    `normals` at each budget of stage_sigmas' `sigmas`; `projected` is
+    project(data, mean-stage columns of `normals`).
+
+    With P = projected - center @ units.T, row i moves trial t's statistic by
+    shift[i, t] = w_i (sigma^2 ||z_t||^2 - 2 sigma P[i, t]) + stat_sums[b, t]
+    (unit weights around the mean for dispersion). An error is the mean
+    square of the shifts, formed per budget in one reused n x T buffer.
+    """
+    d, z = data.d, normals.stages
+    unweighted = statistic is Statistic.DISPERSION
+    center = ctx.mean if unweighted else ctx.weighted_mean
+    deviations = projected - center @ z[:, :d].T
+    norms = (z[:, :d] ** 2).sum(axis=1)
+    stat_sums = sigmas[:, 1, None] * z[:, d : 2 * d].sum(axis=1)
+    errors, shifts = np.empty(stat_sums.shape), np.empty_like(deviations)
+    for b, sigma in enumerate(sigmas[:, 0]):
+        np.multiply(deviations, -2.0 * sigma, out=shifts)
+        shifts += sigma**2 * norms
+        if not unweighted:
+            shifts *= ctx.weights[:, None]
+        shifts += stat_sums[b]
+        errors[b] = np.einsum("it,it->t", shifts, shifts) / data.n
+    return errors
+
+
+def axis_draws(draws: TrialDraws, t: int, sigmas: np.ndarray) -> StageDraws:
+    """The 2d scaled draws, one per row, that trial t of `draws` stands for
+    at one budget's row of stage_sigmas: mean-stage vectors
+    +-sigma_1 sqrt(X_t) e_k, statistic noise sigma_2 S_t / d per coordinate,
+    I^2 noise sigma_3 third_t. These are the vertices of a cross-polytope, a
+    spherical 3-design, and the per-trial TMSE is a polynomial of degree 2
+    in the direction of the mean-stage noise, so averaging the direct TMSE
+    over them gives its expectation given (X_t, S_t) exactly."""
+    d = draws.d
+    radius = sigmas[0] * math.sqrt(draws.chi2[t])
+    mean_noise = np.vstack([radius * np.eye(d), -radius * np.eye(d)])
+    i2 = None if draws.third is None else np.full(2 * d, sigmas[2] * draws.third[t])
+    return StageDraws(
+        mean_noise=mean_noise,
+        stat_noise=np.full((2 * d, d), sigmas[1] * draws.sums[t] / d),
+        i2_noise=i2,
+    )
+
+
 def scaled_draws(
     statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, budget: PrivacyBudget,
     normals: UnitNormals,
@@ -149,23 +251,19 @@ def draw_noise(statistic, data, cfg, budget, seeds) -> StageDraws:
 def release_from_draws(
     statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: StageDraws
 ) -> float:
-    """One release on injected scaled draws: the library's noise takes the
-    draws as its unit normals at sigma 1 (a sigma array of ones), added to
-    the true dispersion or Q, then the I^2 step."""
-    i2 = [draws.i2_noise] if statistic is Statistic.I_SQUARED else []
-    stages = np.concatenate([np.ravel(draws.mean_noise), np.ravel(draws.stat_noise), i2])
-    normals = UnitNormals(stages[None, :], np.zeros(1))
+    """One release on injected scaled draws: the library's noise takes their
+    law, X = ||mean_noise||^2 and S = sum(stat_noise), at sigma 1 (a sigma
+    array of ones), added to the true dispersion or Q, then the I^2 step."""
+    third = np.array([draws.i2_noise]) if statistic is Statistic.I_SQUARED else None
+    law = TrialDraws(data.d, np.array([float(np.sum(np.square(draws.mean_noise)))]),
+                     np.array([float(np.sum(draws.stat_noise))]), third, np.zeros(1))
     sigmas = np.ones((1, statistic.budget_parts + 1))
-    noise = release_noise(statistic, data, ctx, normals, sigmas)
+    noise = release_noise(statistic, data, ctx, law, sigmas)
     base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
     value = true_value(base, data, ctx) + noise[0]
     if statistic is Statistic.I_SQUARED:
         value = i_squared_release(value, data.n, draws.i2_noise)
     return float(value[0])
-
-
-#: The setting tags of each release's stream, (seed, tag).
-STREAM_TAG = {Setting.DISTRIBUTED: 1, Setting.CENTRALIZED: 2}
 
 
 def draw_noise_per_trial(
@@ -338,6 +436,7 @@ def build_context_direct(data: VectorDataset) -> MeasureContext:
         within_variances=within,
         dispersion=_mean_sq_deviation_direct(vectors, mean),
         q_value=_mean_sq_deviation_direct(vectors, center, weights),
+        q_sq_weights=_mean_sq_deviation_direct(vectors, center, weights * weights),
     )
 
 

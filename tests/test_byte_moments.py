@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import build_context_direct, load_decoded, sample_decoded
+from oracles import build_context_direct, load_decoded, project, sample_decoded
 
 import hetdp
 from hetdp.cli import main
@@ -32,16 +32,15 @@ from hetdp.datasets import (
     write_cifar,
     write_idx,
 )
-from hetdp.estimators import (
-    EstimatorConfig, Setting, Statistic, noisy_statistic, project, true_value,
-)
+from hetdp.errors import error_report
+from hetdp.estimators import EstimatorConfig, Setting, Statistic, noisy_statistic, true_value
 from hetdp.experiment import read_result_csv
 from hetdp.gaussian import Mechanism, PrivacyBudget
 from hetdp.measures import (
     BLOCK_BYTES,
     VARIANCE_FLOOR,
     VectorDataset,
-    _mean_sq_deviation,
+    _sq_deviations,
     build_context,
     byte_moments,
 )
@@ -88,6 +87,9 @@ def _agrees_with_float_oracle(data: VectorDataset):
     )
     assert ctx.dispersion == pytest.approx(direct.dispersion, rel=RTOL, abs=0)
     assert ctx.q_value == pytest.approx(direct.q_value, rel=RTOL, abs=0)
+    # a constant row's squared weight (1e18) scales its deviation from a
+    # weighted mean it dominates, a difference that keeps fewer digits
+    assert ctx.q_sq_weights == pytest.approx(direct.q_sq_weights, rel=1e-9, abs=0)
     return ctx
 
 
@@ -163,6 +165,7 @@ class TestByteRowBlocks:
         ctx = _agrees_with_float_oracle(data)
         if constant_row is not None:
             assert ctx.weights[constant_row] == 1.0 / VARIANCE_FLOOR
+        # the oracle's projection reads the byte rows in row blocks too;
         # nonnegative units: no product cancels, so rtol bounds every entry
         units = np.random.default_rng(d).random((5, d))
         np.testing.assert_allclose(project(data, units), data.vectors @ units.T, rtol=RTOL)
@@ -195,13 +198,14 @@ class TestByteResidentMemory:
             np.random.default_rng(9).integers(0, 256, (self.N, self.D), dtype=np.uint8),
             np.arange(self.N) % 10,
         )
-        units = np.random.default_rng(10).standard_normal((16, self.D))
         every_row = HeterogeneityProfile((1,) * 10, sample_fraction=1.0)
+        cfg = EstimatorConfig(Mechanism.ANALYTIC, Setting.CENTRALIZED, seed=10)
         tracemalloc.start()
         try:
             data = stratified_sample(stored, every_row, seed=9)
-            build_context(data)
-            project(data, units)
+            ctx = build_context(data)
+            for stat in Statistic:
+                error_report(stat, data, ctx, cfg, stat.budget(0.5, 1e-5), trials=16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -218,11 +222,11 @@ class TestByteResidentMemory:
         cast_buffer = min(BLOCK_BYTES // (8 * self.D), n) * self.D * 8  # row_blocks' one buffer
         tracemalloc.start()
         try:
-            q_value = _mean_sq_deviation(data, ctx.weighted_mean, ctx.weights)
+            squares = _sq_deviations(data, ctx.weighted_mean)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert q_value == ctx.q_value
+        assert float((ctx.weights * squares).mean()) / 255.0**2 == ctx.q_value
         # beside the cast buffer, a row's squares and a column's center, nothing block-sized
         assert peak < cast_buffer + BLOCK_BYTES // 4, f"peak {peak} bytes"
 
@@ -235,7 +239,7 @@ class TestByteResidentMemory:
         ctx = build_context(data)
         tracemalloc.start()
         try:
-            _mean_sq_deviation(data, ctx.weighted_mean, ctx.weights)
+            _sq_deviations(data, ctx.weighted_mean)
             _, q_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             build_context(data)

@@ -1,4 +1,5 @@
-"""Private estimators: zero-noise identity, injected draws, noise settings."""
+"""Private estimators: zero-noise identity, injected draws, noise settings,
+and the scalar error-law draws against the d-wide oracle path."""
 
 import math
 from dataclasses import replace
@@ -6,30 +7,35 @@ from itertools import product
 
 import numpy as np
 import pytest
-
 from oracles import (
     StageDraws,
+    axis_draws,
     centralized_noisy,
     dispersion_from_draws,
     draw_noise,
     draw_noise_per_trial,
     evaluate_q_from_draws,
+    law_draws,
     noisy_mean,
     noisy_q_deviation_form,
+    project,
     release_from_draws,
     release_kernel_direct,
     scaled_draws,
     share_aggregate,
     tmse_dispersion,
+    tmse_kernel,
     tmse_q,
+    trial_normals,
+    unit_normals,
 )
 
 from hetdp.errors import (
+    conditional_tmse,
     derive_seed,
     error_report,
     error_reports,
     tmse_i_squared,
-    trial_normals,
 )
 from hetdp.estimators import (
     DegenerateStatisticError,
@@ -38,15 +44,13 @@ from hetdp.estimators import (
     Statistic,
     i_squared_release,
     noisy_statistic,
-    project,
     release_noise,
     release_sigma,
     stage_sigmas,
-    tmse_kernel,
+    trial_draws,
     true_value,
-    unit_normals,
 )
-from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec
+from hetdp.gaussian import Mechanism, PrivacyBudget, SensitivitySpec, std_normal_cdf
 from hetdp.measures import VectorDataset, build_context, i_squared
 
 
@@ -292,40 +296,38 @@ def _released(statistic, data, ctx, noise):
     return true_value(base, data, ctx) + noise
 
 
-def _projection(statistic, data, normals):
-    """The projection of the mean-stage normals that error_reports reads; None for I^2."""
+def _library_tmse(statistic, data, ctx, draws, sigmas):
+    """conditional_tmse of the releases on `draws`; None for I^2."""
     if statistic is Statistic.I_SQUARED:
         return None
-    return project(data, normals.stages[:, : data.d])
+    noise = release_noise(statistic, data, ctx, draws, sigmas)
+    return conditional_tmse(statistic, ctx, draws, sigmas, noise)
 
 
-def _library_tmse(statistic, data, ctx, normals, sigmas):
-    """tmse_kernel on the projection of the mean-stage normals; None for I^2."""
-    projected = _projection(statistic, data, normals)
-    return None if projected is None else tmse_kernel(
-        statistic, data, ctx, normals, projected, sigmas
-    )
-
-
-def _library_reports(statistic, data, ctx, normals, sigmas):
-    projected = _projection(statistic, data, normals)
-    return error_reports(statistic, data, ctx, normals, projected, sigmas)
-
-
-def _library_kernel(statistic, data, ctx, cfg, budget, seeds):
-    """The library's release values and per-trial errors at `budget` on the
-    unit normals of `seeds` (no errors for I^2), with the scaled draws of the
-    same normals."""
+def _oracle_kernel(statistic, data, ctx, cfg, budget, seeds):
+    """The library's release values at `budget` on the law of the oracle's
+    d-wide unit normals of `seeds`, with the scaled draws of the same normals."""
     normals = unit_normals(statistic, cfg, data.d, seeds)
     sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
-    noise = release_noise(statistic, data, ctx, normals, sigmas)
-    errors = _library_tmse(statistic, data, ctx, normals, sigmas)
+    noise = release_noise(statistic, data, ctx, law_draws(statistic, normals, data.d), sigmas)
     draws = scaled_draws(statistic, data, cfg, budget, normals)
-    return _released(statistic, data, ctx, noise[0]), None if errors is None else errors[0], draws
+    return _released(statistic, data, ctx, noise[0]), draws
+
+
+def _direct_on_axes(statistic, data, ctx, points):
+    """Direct release values of the 2d axis draws of one trial, and their
+    direct TMSE averaged over the axes (I^2: tmse_i_squared at one axis)."""
+    values, shifts = release_kernel_direct(statistic, data, ctx, points)
+    if statistic is Statistic.I_SQUARED:
+        q_true = true_value(Statistic.Q, data, ctx)
+        return values, tmse_i_squared(data.n, q_true, values[0], points.i2_noise[0])
+    return values, float(((shifts + points.stat_noise.sum(axis=1)) ** 2).mean())
 
 
 class TestBatchedKernelAgainstDirectForms:
-    """The batched kernel against the direct per-trial oracles, on identical draws."""
+    """The library's releases and errors against the direct per-trial
+    oracles: the releases on the law of the oracle's vectors, the TMSE on
+    the axis draws that each trial of the library stands for."""
 
     TRIALS = 12
 
@@ -340,7 +342,7 @@ class TestBatchedKernelAgainstDirectForms:
     def test_values_agree_within_rtol_1e_12(self):
         seeds = [derive_seed(41, t) for t in range(self.TRIALS)]
         for data, ctx, statistic, cfg, budget in self._cases():
-            values, _, batch = _library_kernel(statistic, data, ctx, cfg, budget, seeds)
+            values, batch = _oracle_kernel(statistic, data, ctx, cfg, budget, seeds)
             assert batch.mean_noise.shape == (self.TRIALS, data.d)
             if statistic is Statistic.I_SQUARED:
                 values = i_squared_release(values, data.n, batch.i2_noise)
@@ -360,22 +362,27 @@ class TestBatchedKernelAgainstDirectForms:
                 assert single == pytest.approx(values[t], rel=1e-12, abs=0.0)
 
     def test_tmse_agrees_within_rtol_1e_12(self):
+        # The report's TMSE is the mean over trials of the direct TMSE
+        # averaged over each trial's axis draws (the oracle's sphere design).
         for data, ctx, statistic, cfg, budget in self._cases():
             report = error_report(statistic, data, ctx, cfg, budget, self.TRIALS)
-            batch = draw_noise(
-                statistic, data, cfg, budget, [derive_seed(cfg.seed, t) for t in range(self.TRIALS)]
-            )
+            draws = trial_draws(statistic, cfg, data.d, self.TRIALS)
+            sigmas = _sigmas(statistic, data, cfg, budget)
             direct = []
             for t in range(self.TRIALS):
-                draws = _trial_draws(batch, t)
+                points = axis_draws(draws, t, sigmas)
                 if statistic is Statistic.DISPERSION:
-                    direct.append(tmse_dispersion(data, draws))
+                    per_axis = [tmse_dispersion(data, _trial_draws(points, k))
+                                for k in range(2 * data.d)]
                 elif statistic is Statistic.Q:
-                    direct.append(tmse_q(data, ctx, draws))
+                    per_axis = [tmse_q(data, ctx, _trial_draws(points, k))
+                                for k in range(2 * data.d)]
                 else:
-                    q_noisy = evaluate_q_from_draws(data, ctx, draws)
+                    axis = _trial_draws(points, 0)
+                    q_noisy = evaluate_q_from_draws(data, ctx, axis)
                     q_true = true_value(Statistic.Q, data, ctx)
-                    direct.append(tmse_i_squared(data.n, q_true, q_noisy, draws.i2_noise))
+                    per_axis = [tmse_i_squared(data.n, q_true, q_noisy, axis.i2_noise)]
+                direct.append(float(np.mean(per_axis)))
             assert report.tmse == pytest.approx(float(np.mean(direct)), rel=1e-12, abs=0.0), (
                 statistic, cfg.setting
             )
@@ -383,9 +390,10 @@ class TestBatchedKernelAgainstDirectForms:
     def test_single_release_uses_trial_seed_stream(self, budget2):
         data = _random_data()
         cfg = _cfg(setting=Setting.CENTRALIZED, seed=5)
-        draws = _trial_draws(draw_noise(Statistic.DISPERSION, data, cfg, budget2, [5]), 0)
+        draws = trial_draws(Statistic.DISPERSION, cfg, data.d, 1)
+        axis = _trial_draws(axis_draws(draws, 0, _sigmas(Statistic.DISPERSION, data, cfg, budget2)), 3)
         value = noisy_statistic(Statistic.DISPERSION, data, build_context(data), cfg, budget2)
-        assert value == pytest.approx(dispersion_from_draws(data, draws), rel=1e-12, abs=0.0)
+        assert value == pytest.approx(dispersion_from_draws(data, axis), rel=1e-12, abs=0.0)
 
     def test_calibration_memo_calibrates_each_key_once(self, budget2, monkeypatch):
         import hetdp.estimators as estimators
@@ -407,10 +415,10 @@ class TestBatchedKernelAgainstDirectForms:
 
 
 class TestSingleReleaseIsBatchedTrial:
-    """noisy_statistic at seed derive_seed(s, t) is trial t of error_report's
-    release on trial_normals(..., s, T) bit for bit: the noise reads no row of
-    the sample, so no product rounds differently at one column; zero noise
-    gives the true value bit for bit."""
+    """noisy_statistic at seed s is trial 0 of error_report's release on
+    trial_draws(..., s, T) bit for bit, and trial t of a T-trial batch is
+    trial t of every longer one: each draw vector is filled in order by its
+    own generator. Zero noise gives the true value bit for bit."""
 
     TRIALS = 12
 
@@ -420,29 +428,33 @@ class TestSingleReleaseIsBatchedTrial:
             for statistic, setting, mech in product(Statistic, Setting, Mechanism):
                 budget = PrivacyBudget.equal_split(0.5, 1e-3, statistic.budget_parts)
                 cfg = _cfg(setting, mech, seed=29)
-                normals = trial_normals(statistic, cfg, data.d, self.TRIALS)
                 sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
-                noise = release_noise(statistic, data, ctx, normals, sigmas)
-                values = _released(statistic, data, ctx, noise[0])
-                if statistic is Statistic.I_SQUARED:
-                    i2_noise = sigmas[0, 2] * normals.stages[:, 2 * data.d]
-                    values = i_squared_release(values, data.n, i2_noise)
+
+                def values(trials):
+                    draws = trial_draws(statistic, cfg, data.d, trials)
+                    released = _released(
+                        statistic, data, ctx, release_noise(statistic, data, ctx, draws, sigmas)[0]
+                    )
+                    if statistic is Statistic.I_SQUARED:
+                        released = i_squared_release(released, data.n, sigmas[0, 2] * draws.third)
+                    return released
+
+                batch = values(self.TRIALS)
+                case = (statistic, setting, mech, data.n)
                 for t in range(self.TRIALS):
-                    trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, t))
-                    single = noisy_statistic(statistic, data, ctx, trial_cfg, budget)
-                    case = (statistic, setting, mech, data.n, t)
-                    assert single == values[t], case
+                    assert values(t + 1)[t] == batch[t], (*case, t)
+                assert noisy_statistic(statistic, data, ctx, cfg, budget) == batch[0], case
                 zero = noisy_statistic(statistic, data, ctx, replace(cfg, zero_noise=True), budget)
                 assert zero == true_value(statistic, data, ctx), case
 
 
 class TestProjectedKernelAgainstDirectKernel:
-    """The releases (truth plus data-free noise) and the TMSE kernel on unit
-    normals and their projection X @ Z.T against the direct X @ E.T - c @ E.T
-    kernel on the same scaled draws E = sigma Z. The direct cross term is
-    zero only up to rounding, and sigma * (X @ Z.T) rounds differently from
-    X @ (sigma Z).T, so the two agree within a relative tolerance of 1e-12,
-    not bit for bit."""
+    """The d-wide oracle path (unit normals, their projection X @ Z.T and
+    tmse_kernel) against the direct X @ E.T - c @ E.T kernel on the same
+    scaled draws E = sigma Z, and the library's releases on that path's law
+    against the direct values. The direct cross term is zero only up to
+    rounding, and sigma * (X @ Z.T) rounds differently from X @ (sigma Z).T,
+    so they agree within a relative tolerance of 1e-12, not bit for bit."""
 
     TRIALS = 9
 
@@ -457,17 +469,17 @@ class TestProjectedKernelAgainstDirectKernel:
                 cfg = _cfg(setting, mech, seed=23)
                 seeds = [derive_seed(cfg.seed, t) for t in range(self.TRIALS)]
                 case = (statistic, setting, mech, epsilon, data.n)
-                values, _, batch = _library_kernel(statistic, data, ctx, cfg, budget, seeds)
+                values, batch = _oracle_kernel(statistic, data, ctx, cfg, budget, seeds)
                 direct, shifts = release_kernel_direct(statistic, data, ctx, batch)
                 np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0.0, err_msg=str(case))
-
-                report = error_report(statistic, data, ctx, cfg, budget, self.TRIALS)
-                if statistic is Statistic.I_SQUARED:
-                    q_true = true_value(Statistic.Q, data, ctx)
-                    tmse = tmse_i_squared(data.n, q_true, direct, batch.i2_noise)
-                else:
+                if statistic is not Statistic.I_SQUARED:
+                    normals = unit_normals(statistic, cfg, data.d, seeds)
+                    projected = project(data, normals.stages[:, : data.d])
+                    row = stage_sigmas(statistic, data, cfg, [budget], {})
+                    kernel = tmse_kernel(statistic, data, ctx, normals, projected, row)[0]
                     tmse = ((shifts + batch.stat_noise.sum(axis=1)) ** 2).mean(axis=0)
-                assert report.tmse == pytest.approx(tmse.mean(), rel=1e-12, abs=0.0), case
+                    np.testing.assert_allclose(kernel, tmse, rtol=1e-12, atol=0.0,
+                                               err_msg=str(case))
                 sigmas.add(_sigmas(statistic, data, cfg, budget)[0])
         # two- and three-part splits, two mechanisms, three epsilons; a kernel
         # scaling ||z||^2 by sigma rather than sigma^2 agrees only at sigma 1
@@ -479,19 +491,23 @@ class TestProjectedKernelAgainstDirectKernel:
             for statistic, setting in product(Statistic, Setting):
                 budget = budget3 if statistic is Statistic.I_SQUARED else budget2
                 cfg = _cfg(setting, zero=True)
-                values, errors, _ = _library_kernel(statistic, data, ctx, cfg, budget, [1, 2, 3])
+                draws = trial_draws(statistic, cfg, data.d, 3)
+                sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
+                noise = release_noise(statistic, data, ctx, draws, sigmas)
+                values = _released(statistic, data, ctx, noise[0])
+                errors = _library_tmse(statistic, data, ctx, draws, sigmas)
                 base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
                 assert np.array_equal(values, np.full(3, true_value(base, data, ctx)))
                 if statistic is Statistic.I_SQUARED:
                     assert errors is None
                 else:
-                    assert np.array_equal(errors, np.zeros(3))
+                    assert np.array_equal(errors, np.zeros((1, 3)))
 
 
 class TestBudgetBatchAgainstDirectKernel:
     """One release call scores every budget of a cell: each budget's values
-    and per-trial errors against the direct kernel on that budget's scaled
-    draws of the same normals, and a one-budget call against its slot."""
+    and per-trial errors against the direct kernel on that budget's axis
+    draws of the same trial, and a one-budget call against its slot."""
 
     TRIALS = 9
     EPSILONS = (0.25, 0.5, 0.9)
@@ -509,45 +525,48 @@ class TestBudgetBatchAgainstDirectKernel:
 
     def test_each_budget_agrees_with_direct_kernel_within_rtol_1e_12(self):
         for data, ctx, statistic, cell, budgets in self._cases():
-            normals = trial_normals(statistic, cell, data.d, self.TRIALS)
+            draws = trial_draws(statistic, cell, data.d, self.TRIALS)
             sigmas = stage_sigmas(statistic, data, cell, budgets, {})
-            noise = release_noise(statistic, data, ctx, normals, sigmas)
+            noise = release_noise(statistic, data, ctx, draws, sigmas)
             values = _released(statistic, data, ctx, noise)
-            errors = _library_tmse(statistic, data, ctx, normals, sigmas)
+            errors = _library_tmse(statistic, data, ctx, draws, sigmas)
             assert values.shape == (3, self.TRIALS)
             assert (errors is None) == (statistic is Statistic.I_SQUARED)
-            reports = _library_reports(statistic, data, ctx, normals, sigmas)
-            seeds = [derive_seed(cell.seed, t) for t in range(self.TRIALS)]
+            reports = error_reports(statistic, data, ctx, draws, sigmas)
             for b, budget in enumerate(budgets):
                 case = (statistic, cell.setting, cell.mechanism, budget.epsilon, data.n)
                 assert np.array_equal(sigmas[b], _sigmas(statistic, data, cell, budget)), case
-                batch = draw_noise(statistic, data, cell, budget, seeds)
-                direct, shifts = release_kernel_direct(statistic, data, ctx, batch)
-                close = dict(rtol=1e-12, atol=0.0, err_msg=str(case))
-                np.testing.assert_allclose(values[b], direct, **close)
+                tmse = []
+                for t in range(self.TRIALS):
+                    direct, trial_tmse = _direct_on_axes(
+                        statistic, data, ctx, axis_draws(draws, t, sigmas[b])
+                    )
+                    np.testing.assert_allclose(values[b, t], direct, rtol=1e-12, atol=0.0,
+                                               err_msg=str(case))
+                    tmse.append(trial_tmse)
                 if statistic is Statistic.I_SQUARED:
                     q_true = true_value(Statistic.Q, data, ctx)
-                    tmse = tmse_i_squared(data.n, q_true, direct, batch.i2_noise)
+                    tmse = tmse_i_squared(data.n, q_true, values[b], sigmas[b, 2] * draws.third)
                 else:
-                    tmse = ((shifts + batch.stat_noise.sum(axis=1)) ** 2).mean(axis=0)
-                    np.testing.assert_allclose(errors[b], tmse, **close)
-                assert reports[b].tmse == pytest.approx(tmse.mean(), rel=1e-12, abs=0.0), case
+                    np.testing.assert_allclose(errors[b], tmse, rtol=1e-12, atol=0.0,
+                                               err_msg=str(case))
+                assert reports[b].tmse == pytest.approx(np.mean(tmse), rel=1e-12, abs=0.0), case
 
     def test_one_budget_call_equals_its_slot_exactly(self):
         for data, ctx, statistic, cell, budgets in self._cases():
-            normals = trial_normals(statistic, cell, data.d, self.TRIALS)
+            draws = trial_draws(statistic, cell, data.d, self.TRIALS)
             sigmas = stage_sigmas(statistic, data, cell, budgets, {})
-            noise = release_noise(statistic, data, ctx, normals, sigmas)
-            errors = _library_tmse(statistic, data, ctx, normals, sigmas)
-            reports = _library_reports(statistic, data, ctx, normals, sigmas)
+            noise = release_noise(statistic, data, ctx, draws, sigmas)
+            errors = _library_tmse(statistic, data, ctx, draws, sigmas)
+            reports = error_reports(statistic, data, ctx, draws, sigmas)
             for b, budget in enumerate(budgets):
                 one = stage_sigmas(statistic, data, cell, [budget], {})
                 case = (statistic, cell.setting, cell.mechanism, budget.epsilon, data.n)
                 assert np.array_equal(one, sigmas[b : b + 1]), case
-                one_noise = release_noise(statistic, data, ctx, normals, one)
+                one_noise = release_noise(statistic, data, ctx, draws, one)
                 assert np.array_equal(one_noise[0], noise[b]), case
                 if errors is not None:
-                    one_errors = _library_tmse(statistic, data, ctx, normals, one)
+                    one_errors = _library_tmse(statistic, data, ctx, draws, one)
                     assert np.array_equal(one_errors[0], errors[b]), case
                 report = error_report(statistic, data, ctx, cell, budget, self.TRIALS)
                 assert report == reports[b], case
@@ -555,15 +574,15 @@ class TestBudgetBatchAgainstDirectKernel:
     def test_zero_noise_is_the_true_value_bit_for_bit(self):
         for data, ctx, statistic, cell, budgets in self._cases():
             cell = replace(cell, zero_noise=True)
-            normals = trial_normals(statistic, cell, data.d, self.TRIALS)
+            draws = trial_draws(statistic, cell, data.d, self.TRIALS)
             sigmas = stage_sigmas(statistic, data, cell, budgets, {})
-            noise = release_noise(statistic, data, ctx, normals, sigmas)
+            noise = release_noise(statistic, data, ctx, draws, sigmas)
             values = _released(statistic, data, ctx, noise)
-            errors = _library_tmse(statistic, data, ctx, normals, sigmas)
+            errors = _library_tmse(statistic, data, ctx, draws, sigmas)
             base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
             assert np.array_equal(values, np.full((3, self.TRIALS), true_value(base, data, ctx)))
             assert errors is None or np.array_equal(errors, np.zeros((3, self.TRIALS)))
-            for report in _library_reports(statistic, data, ctx, normals, sigmas):
+            for report in error_reports(statistic, data, ctx, draws, sigmas):
                 assert report.emse == report.tmse == report.cmse == 0.0
 
 
@@ -621,17 +640,17 @@ class TestStageSigmas:
             budgets = self._budgets(statistic)
             cell = _cfg(seed=19)
             sigmas = stage_sigmas(statistic, data, cell, budgets, {})
-            normals = trial_normals(statistic, cell, data.d, 5)
+            draws = trial_draws(statistic, cell, data.d, 5)
             expected = (
-                release_noise(statistic, data, ctx, normals, sigmas),
-                _library_tmse(statistic, data, ctx, normals, sigmas),
-                _library_reports(statistic, data, ctx, normals, sigmas),
+                release_noise(statistic, data, ctx, draws, sigmas),
+                _library_tmse(statistic, data, ctx, draws, sigmas),
+                error_reports(statistic, data, ctx, draws, sigmas),
             )
             with monkeypatch.context() as patched:
                 _no_calibration(patched)
-                noise = release_noise(statistic, data, ctx, normals, sigmas)
-                errors = _library_tmse(statistic, data, ctx, normals, sigmas)
-                reports = _library_reports(statistic, data, ctx, normals, sigmas)
+                noise = release_noise(statistic, data, ctx, draws, sigmas)
+                errors = _library_tmse(statistic, data, ctx, draws, sigmas)
+                reports = error_reports(statistic, data, ctx, draws, sigmas)
             assert noise.shape == (3, 5) and np.array_equal(noise, expected[0])
             if statistic is Statistic.I_SQUARED:
                 assert errors is None
@@ -664,46 +683,33 @@ class TestSingleDrawDistribution:
 def test_noise_rejects_mismatched_or_nonpositive_weights(fix, budget2):
     ctx = build_context(fix)
     cfg = _cfg()
-    normals = unit_normals(Statistic.Q, cfg, fix.d, [1])
+    draws = trial_draws(Statistic.Q, cfg, fix.d, 1)
     sigmas = stage_sigmas(Statistic.Q, fix, cfg, [budget2], {})
     for weights in (np.ones(3), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
         bad = replace(ctx, weights=weights)
         with pytest.raises(ValueError, match="context weights"):
-            release_noise(Statistic.Q, fix, bad, normals, sigmas)
+            release_noise(Statistic.Q, fix, bad, draws, sigmas)
 
 
-def test_release_reads_no_row_of_the_sample(budget2, budget3, monkeypatch):
-    # Only the dispersion and Q TMSE project the sample: a release and the
-    # I^2 scores are the same on an all-zero sample with the real context.
-    import hetdp.errors as errors
-    import hetdp.estimators as estimators
-
-    def no_projection(data, units):
-        raise AssertionError("projected the sample")
-
-    for module in (estimators, errors):
-        monkeypatch.setattr(module, "project", no_projection)
+def test_release_reads_no_row_of_the_sample(budget2, budget3):
+    # A release and every error score read the context, never a row: they
+    # are the same on an all-zero sample with the real context.
     data = _random_data()
     ctx = build_context(data)
     blank = VectorDataset(np.zeros_like(data.vectors), data.labels)
+    cfg = _cfg(seed=13)
     for statistic in Statistic:
         budget = budget3 if statistic is Statistic.I_SQUARED else budget2
-        cfg = _cfg(seed=13)
         value = noisy_statistic(statistic, data, ctx, cfg, budget)
         assert math.isfinite(value) and value == noisy_statistic(statistic, blank, ctx, cfg, budget)
-    cfg = _cfg(seed=13)
-    report = error_report(Statistic.I_SQUARED, data, ctx, cfg, budget3, 6)
-    assert report.tmse > 0 and report == error_report(
-        Statistic.I_SQUARED, blank, ctx, cfg, budget3, 6
-    )
-    with pytest.raises(AssertionError, match="projected the sample"):
-        error_report(Statistic.Q, data, ctx, _cfg(), budget2, 6)
+        report = error_report(statistic, data, ctx, cfg, budget, 6)
+        assert report.tmse > 0 and report == error_report(statistic, blank, ctx, cfg, budget, 6)
 
 
 class TestSharedNormalsAgainstPerTrialDraws:
-    """One block of unit normals per (statistic, mechanism, setting) cell,
-    scaled for each dataset and epsilon, against per-trial generators that
-    draw every stage at its own scale."""
+    """The oracle's block of d-wide unit normals, scaled for each dataset and
+    epsilon, against per-trial generators that draw every stage at its own
+    scale; the library's draws against one release's own generators."""
 
     TRIALS = 7
 
@@ -732,43 +738,40 @@ class TestSharedNormalsAgainstPerTrialDraws:
                 )
                 variances.add(shared.mean_noise_var)
 
+                # trial 0's centralized error is the one draw of the cell seed's generator
                 shape = SensitivitySpec.from_shape(data.n, data.d)
-                full = (budget.epsilon, budget.delta)
-                oracle = np.array(
-                    [centralized_noisy(0.0, full, shape, replace(cell, seed=s))[0] for s in seeds]
-                ) ** 2
-                report = error_report(statistic, data, build_context(data), cell, budget,
-                                      self.TRIALS)
-                assert report.cmse == float(oracle.mean()), case
+                oracle = centralized_noisy(0.0, (budget.epsilon, budget.delta), shape, cell)[0]
+                report = error_report(statistic, data, build_context(data), cell, budget, 1)
+                assert report.cmse == oracle**2, case
             assert len(variances) == 4
 
     def test_direct_report_draws_its_own_block(self, budget3):
         data = _random_data()
         cfg = _cfg(setting=Setting.CENTRALIZED, seed=17)
-        normals = trial_normals(Statistic.I_SQUARED, cfg, data.d, self.TRIALS)
+        draws = trial_draws(Statistic.I_SQUARED, cfg, data.d, self.TRIALS)
         sigmas = stage_sigmas(Statistic.I_SQUARED, data, cfg, [budget3], {})
         ctx = build_context(data)
-        shared = _library_reports(Statistic.I_SQUARED, data, ctx, normals, sigmas)
+        shared = error_reports(Statistic.I_SQUARED, data, ctx, draws, sigmas)
         assert [error_report(Statistic.I_SQUARED, data, ctx, cfg, budget3, self.TRIALS)] == shared
 
-    def test_block_must_fit_statistic_and_trials(self, budget2, budget3):
+    def test_draws_must_fit_statistic_and_d(self, budget2, budget3):
         data = _random_data()
         ctx = build_context(data)
-        normals = trial_normals(Statistic.DISPERSION, _cfg(), data.d, 4)
+        draws = trial_draws(Statistic.DISPERSION, _cfg(), data.d, 4)
         sigmas = stage_sigmas(Statistic.I_SQUARED, data, _cfg(), [budget3], {})
         with pytest.raises(ValueError, match="do not fit i_squared"):
-            release_noise(Statistic.I_SQUARED, data, ctx, normals, sigmas)
-        five = trial_normals(Statistic.DISPERSION, _cfg(), data.d, 5)
+            release_noise(Statistic.I_SQUARED, data, ctx, draws, sigmas)
+        narrow = trial_draws(Statistic.DISPERSION, _cfg(), data.d - 1, 4)
         sigmas = stage_sigmas(Statistic.DISPERSION, data, _cfg(), [budget2], {})
-        projected = _projection(Statistic.DISPERSION, data, five)
-        with pytest.raises(ValueError, match="does not fit n=40, 4 trials"):
-            error_reports(Statistic.DISPERSION, data, ctx, normals, projected, sigmas)
+        with pytest.raises(ValueError, match="draws of d=5 do not fit dispersion, d=6"):
+            error_reports(Statistic.DISPERSION, data, ctx, narrow, sigmas)
 
     def test_zero_noise_builds_no_generator(self, fix, zero_cfg, budget2, budget3, monkeypatch):
         def no_generator(*args, **kwargs):
             raise AssertionError("a zero-noise release built a generator")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
+        monkeypatch.setattr(np.random, "SeedSequence", no_generator)
         ctx = build_context(fix)
         for statistic, budget in (
             (Statistic.DISPERSION, budget2), (Statistic.Q, budget2),
@@ -779,3 +782,116 @@ class TestSharedNormalsAgainstPerTrialDraws:
             assert noisy_statistic(statistic, fix, ctx, zero_cfg, budget) == true_value(
                 statistic, fix, ctx
             )
+
+
+def _ks_statistic(sample, cdf) -> float:
+    """Kolmogorov-Smirnov distance of `sample` from the CDF values `cdf` of its sorted points."""
+    n = len(sample)
+    return float(max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max()))
+
+
+def _ks_two_sample(a, b) -> float:
+    points = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(np.sort(a), points, side="right") / len(a)
+                        - np.searchsorted(np.sort(b), points, side="right") / len(b)).max())
+
+
+#: Kolmogorov's c(alpha) at alpha = 0.001: a KS distance above
+#: KS_C * sqrt(1/n) (one sample) or KS_C * sqrt(1/n + 1/m) (two samples) has
+#: probability below 0.1% under the null, and the seeds are fixed.
+KS_C = 1.95
+
+
+class TestErrorLawAgainstVectorOracle:
+    """The scalar draws of trial_draws against the d-wide trial path the
+    oracle keeps, in law, on fixed seeds."""
+
+    TRIALS = 2000
+
+    def test_chi2_and_sum_draws_follow_their_laws(self):
+        mpmath = pytest.importorskip("mpmath")
+        for d in (1, 6, 784):
+            draws = trial_draws(Statistic.I_SQUARED, _cfg(seed=100 + d), d, self.TRIALS)
+            chi2 = np.sort(draws.chi2)
+            cdf = np.array([float(mpmath.gammainc(d / 2, 0, x / 2, regularized=True))
+                            for x in chi2])
+            bound = KS_C / math.sqrt(self.TRIALS)
+            assert _ks_statistic(chi2, cdf) < bound, d
+            for normals in (draws.sums / math.sqrt(d), draws.third, draws.central):
+                ordered = np.sort(normals)
+                normal_cdf = np.array([std_normal_cdf(x) for x in ordered])
+                assert _ks_statistic(ordered, normal_cdf) < bound, d
+
+    def test_release_errors_match_the_oracle_in_law(self):
+        bound = KS_C * math.sqrt(2 / self.TRIALS)
+        seeds = [derive_seed(3, t) for t in range(self.TRIALS)]
+        for data, statistic in product((_random_data(), _constant_row_data()), Statistic):
+            ctx = build_context(data)
+            cfg = _cfg(seed=3)
+            budget = PrivacyBudget.equal_split(1.0, 1e-3, statistic.budget_parts)
+            sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
+            draws = trial_draws(statistic, cfg, data.d, self.TRIALS)
+            library = _released(statistic, data, ctx,
+                                release_noise(statistic, data, ctx, draws, sigmas)[0])
+            batch = draw_noise_per_trial(statistic, data, cfg, budget, seeds)
+            direct = release_kernel_direct(statistic, data, ctx, batch)[0]
+            if statistic is Statistic.I_SQUARED:
+                library = i_squared_release(library, data.n, sigmas[0, 2] * draws.third)
+                direct = i_squared_release(direct, data.n, batch.i2_noise)
+            assert _ks_two_sample(library, direct) < bound, (statistic, data.n)
+
+    def test_mean_tmse_matches_the_oracle_monte_carlo_mean(self):
+        # The conditional TMSE has the per-trial TMSE's mean,
+        # sigma_1^4 (d^2 + 2d) mean(w^2) + 4 sigma_1^2 mean(w^2 ||x_i - c||^2)
+        # + d sigma_2^2: both Monte Carlo means lie within 4 standard errors
+        # of it and of each other.
+        for data, statistic, epsilon in product(
+            (_random_data(), _constant_row_data()), (Statistic.DISPERSION, Statistic.Q),
+            (0.25, 1.0, 5.0),
+        ):
+            ctx = build_context(data)
+            cfg = _cfg(seed=int(4 * epsilon))
+            budget = PrivacyBudget.equal_split(epsilon, 1e-3, 2)
+            sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
+            library = _library_tmse(statistic, data, ctx,
+                                    trial_draws(statistic, cfg, data.d, self.TRIALS), sigmas)[0]
+            normals = trial_normals(statistic, cfg, data.d, self.TRIALS)
+            projected = project(data, normals.stages[:, : data.d])
+            oracle = tmse_kernel(statistic, data, ctx, normals, projected, sigmas)[0]
+            weights = 1.0 if statistic is Statistic.DISPERSION else ctx.weights
+            moment = ctx.dispersion if statistic is Statistic.DISPERSION else ctx.q_sq_weights
+            d, (s1, s2) = data.d, sigmas[0, :2]
+            expected = (s1**4 * (d * d + 2 * d) * float(np.mean(weights * weights * np.ones(data.n)))
+                        + 4 * s1**2 * moment + d * s2**2)
+            se = [sample.std() / math.sqrt(self.TRIALS) for sample in (library, oracle)]
+            case = (statistic, epsilon, data.n)
+            assert abs(library.mean() - oracle.mean()) < 4 * math.hypot(*se), case
+            assert abs(library.mean() - expected) < 4 * se[0], case
+            assert abs(oracle.mean() - expected) < 4 * se[1], case
+
+    def test_tmse_is_never_below_the_squared_error(self):
+        for data, statistic, epsilon in product(
+            (_random_data(), _constant_row_data()), (Statistic.DISPERSION, Statistic.Q),
+            (0.25, 1.0, 5.0),
+        ):
+            ctx = build_context(data)
+            cfg = _cfg(seed=8)
+            budget = PrivacyBudget.equal_split(epsilon, 1e-3, 2)
+            sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
+            draws = trial_draws(statistic, cfg, data.d, self.TRIALS)
+            noise = release_noise(statistic, data, ctx, draws, sigmas)
+            tmse = conditional_tmse(statistic, ctx, draws, sigmas, noise)
+            assert np.all(tmse >= noise**2), (statistic, epsilon, data.n)
+
+    def test_draws_are_prefix_stable_across_trial_counts(self):
+        for statistic, setting in product(Statistic, Setting):
+            cfg = _cfg(setting, seed=61)
+            long = trial_draws(statistic, cfg, 6, 50)
+            for trials in (1, 5, 49):
+                short = trial_draws(statistic, cfg, 6, trials)
+                for name in ("chi2", "sums", "third", "central"):
+                    full = getattr(long, name)
+                    if full is None:
+                        assert getattr(short, name) is None
+                    else:
+                        assert np.array_equal(getattr(short, name), full[:trials]), (name, trials)

@@ -37,6 +37,7 @@ from hetdp.experiment import (
     write_plan_log,
 )
 from hetdp.gaussian import Mechanism
+from hetdp.measures import VectorDataset
 
 SYNTH = DatasetDescriptor(
     format=DataFormat.SYNTHETIC, name="syn", d=4, synth_n=400, heterogeneity=0.5, synth_seed=0
@@ -381,8 +382,8 @@ class TestHeterogeneityComparison:
 
 
 class TestSharedCellNormals:
-    """Each (statistic, mechanism, setting) cell draws one block of unit
-    normals and shares it across its profiles and epsilons, and only there."""
+    """Each (statistic, mechanism, setting) cell draws one block of trial
+    draws and shares it across its profiles and epsilons, and only there."""
 
     PLAN = dict(
         profiles=(("uniform-2", UNIFORM2), ("skewed-2", SKEWED2), ("uniform-5", UNIFORM5)),
@@ -427,47 +428,36 @@ class TestSharedCellNormals:
 
     def test_one_block_per_cell(self, monkeypatch):
         blocks = []
-        real = hetdp.errors.unit_normals
+        real = hetdp.estimators.trial_draws
 
-        def counting(statistic, cfg, d, seeds):
-            blocks.append((statistic, cfg.mechanism, cfg.setting, len(seeds)))
-            return real(statistic, cfg, d, seeds)
+        def counting(statistic, cfg, d, trials):
+            blocks.append((statistic, cfg.mechanism, cfg.setting, trials))
+            return real(statistic, cfg, d, trials)
 
-        monkeypatch.setattr(hetdp.errors, "unit_normals", counting)
+        monkeypatch.setattr(hetdp.experiment, "trial_draws", counting)
         rows = _cell_rows(_plan(**self.PLAN))
         assert len(rows) == 108
         assert len(blocks) == len(set(blocks)) == 12
         assert {trials for *_, trials in blocks} == {4}
 
-    def test_one_projection_per_profile(self, monkeypatch):
-        calls = []
-        real = hetdp.estimators.project
-
-        def counting(data, units):
-            calls.append((data.n, units.shape))
-            return real(data, units)
-
-        for module in (hetdp.estimators, hetdp.experiment):
-            monkeypatch.setattr(module, "project", counting)
+    def test_scores_read_no_row_of_a_sample(self, monkeypatch):
+        # Once its context is built, no score reads a sample's rows: every
+        # row is the same when the samples' rows are zeroed after build_context.
         plan = _plan(**self.PLAN)
-        rows = _cell_rows(plan)
-        assert len(rows) == 108
-        assert len(calls) == len(plan.profiles) == 3
-        samples = _materialize_samples(plan)
-        assert [n for n, _ in calls] == [samples[name][0].n for name, _ in plan.profiles]
-        # the 8 dispersion and Q cells of 4 trials each, stacked; I^2 reads none
-        assert {shape for _, shape in calls} == {(32, SYNTH.d)}
+        full = _cell_rows(plan)
+        real = hetdp.experiment._materialize_samples
 
-    def test_i_squared_plan_makes_no_projection(self, monkeypatch):
-        # Only the dispersion and Q cells read a projection; an I^2-only plan
-        # stacks no mean-stage columns and projects nothing.
+        def blanked(plan):
+            return {name: (VectorDataset(np.zeros((sample.n, sample.d)), sample.labels), ctx)
+                    for name, (sample, ctx) in real(plan).items()}
+
+        monkeypatch.setattr(hetdp.experiment, "_materialize_samples", blanked)
+        assert _cell_rows(plan) == full
+
+    def test_i_squared_plan_rows_equal_the_full_plan_rows(self):
+        # A cell's rows depend on its own draws only: an I^2-only plan
+        # reports the I^2 rows of the full plan.
         full = [r for r in _cell_rows(_plan(**self.PLAN)) if r.statistic == "i_squared"]
-
-        def no_projection(data, units):
-            raise AssertionError("projected the sample")
-
-        for module in (hetdp.estimators, hetdp.errors, hetdp.experiment):
-            monkeypatch.setattr(module, "project", no_projection)
         rows = _cell_rows(_plan(**dict(self.PLAN, statistics=(Statistic.I_SQUARED,))))
         assert len(rows) == 3 * 4 * 3 and rows == full
 

@@ -49,6 +49,14 @@ class TestVectorDataset:
         with pytest.raises(ValueError):
             VectorDataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
+    def test_zero_width_rejected_by_the_constructor(self):
+        with pytest.raises(ValueError, match="^vectors must have at least one coordinate$"):
+            VectorDataset(np.zeros((2, 0)), np.zeros(2, dtype=np.int64))
+
+    def test_zero_width_rejected_by_from_bytes(self):
+        with pytest.raises(ValueError, match="^vectors must have at least one coordinate$"):
+            VectorDataset.from_bytes(np.zeros((2, 0), np.uint8), np.zeros(2, dtype=np.int64))
+
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             VectorDataset(np.zeros((2, 2)), np.array([0, -1]))
