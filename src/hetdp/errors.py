@@ -10,7 +10,8 @@ dispersion or Q trial is `conditional_tmse`, the expectation of the
 closed-form per-release error given the trial's draws, so `tmse`/`sd_tmse`
 are the mean and spread of that conditional TMSE; it reads the context's
 weights and moments, never a row. The I^2 TMSE is the closed form on the
-trial's own draws. The
+trial's own draws. Every error has the law it has on d-wide noise vectors;
+only the realizations differ. The
 centralized error (CMSE) is the squared single draw a centralized release
 would add after aggregation: each trial's unit scalar scaled by sqrt(d)
 times the full-budget sigma, whatever the statistic.

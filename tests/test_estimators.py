@@ -858,11 +858,12 @@ class TestErrorLawAgainstVectorOracle:
             normals = trial_normals(statistic, cfg, data.d, self.TRIALS)
             projected = project(data, normals.stages[:, : data.d])
             oracle = tmse_kernel(statistic, data, ctx, normals, projected, sigmas)[0]
-            weights = 1.0 if statistic is Statistic.DISPERSION else ctx.weights
-            moment = ctx.dispersion if statistic is Statistic.DISPERSION else ctx.q_sq_weights
+            if statistic is Statistic.DISPERSION:
+                mean_sq_weight, moment = 1.0, ctx.dispersion
+            else:
+                mean_sq_weight, moment = float(np.mean(ctx.weights**2)), ctx.q_sq_weights
             d, (s1, s2) = data.d, sigmas[0, :2]
-            expected = (s1**4 * (d * d + 2 * d) * float(np.mean(weights * weights * np.ones(data.n)))
-                        + 4 * s1**2 * moment + d * s2**2)
+            expected = s1**4 * (d * d + 2 * d) * mean_sq_weight + 4 * s1**2 * moment + d * s2**2
             se = [sample.std() / math.sqrt(self.TRIALS) for sample in (library, oracle)]
             case = (statistic, epsilon, data.n)
             assert abs(library.mean() - oracle.mean()) < 4 * math.hypot(*se), case
