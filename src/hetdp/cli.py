@@ -62,8 +62,8 @@ from hetdp.measures import build_context, i_squared
 
 DATA_DIR_ENV = "HETDP_DATA_DIR"
 
-_MECHANISMS = {"analytic": Mechanism.ANALYTIC, "classical": Mechanism.CLASSICAL}
-_SETTINGS = {"distributed": Setting.DISTRIBUTED, "centralized": Setting.CENTRALIZED}
+_MECHANISMS = {m.value: m for m in Mechanism}
+_SETTINGS = {s.value: s for s in Setting}
 _STATISTICS = {s.value: s for s in Statistic}
 
 
@@ -207,7 +207,7 @@ def cmd_calibrate(parser, args) -> int:
     try:  # every value comes from a flag, so a range error is a usage error
         sens_values = args.sensitivity or (SensitivitySpec.from_shape(args.n, args.d).delta_l2,)
         for sens_value, delta, epsilon in product(sens_values, args.delta, args.epsilons):
-            spec = SensitivitySpec(delta_l2=sens_value, n=args.n, d=args.d)
+            spec = SensitivitySpec(sens_value)
             analytic = agm_sigma(spec, epsilon, delta).sigma
             classical = cgm_sigma(spec, epsilon, delta).sigma if epsilon < 1.0 else None
             rows.append({
@@ -267,22 +267,13 @@ def cmd_measure(parser, args) -> int:
     if args.release:
         released = {}
         for index, stat in enumerate(Statistic):
-            if stat is Statistic.I_SQUARED and data.n < 2:
-                released[stat.value] = {"error": f"i_squared needs n >= 2, got n={data.n}"}
-                continue
-            try:
-                budget = stat.budget(args.epsilon, args.delta, args.budget_split)
-            except ValueError as err:  # a split of the wrong part count
-                released[stat.value] = {"error": str(err)}
-                continue
             cfg = EstimatorConfig(_MECHANISMS[args.mechanism], _SETTINGS[args.setting],
                                   derive_seed(args.seed, index), args.zero_noise)
-            try:
-                value = noisy_statistic(stat, data, ctx, cfg, budget)
-            except DegenerateStatisticError as err:
+            try:  # a split of the wrong part count, n < 2 for I^2 or a noisy Q <= 0
+                budget = stat.budget(args.epsilon, args.delta, args.budget_split)
+                released[stat.value] = {"value": noisy_statistic(stat, data, ctx, cfg, budget)}
+            except (ValueError, DegenerateStatisticError) as err:
                 released[stat.value] = {"error": str(err)}
-            else:
-                released[stat.value] = {"value": value}
         out["release"] = {
             "epsilon": args.epsilon,
             "delta": args.delta,

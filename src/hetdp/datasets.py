@@ -133,6 +133,8 @@ class DatasetDescriptor:
         if self.format is DataFormat.SYNTHETIC:
             if self.synth_n < 2 or not self.d or self.d < 1:
                 raise ValueError("synthetic descriptor needs synth_n >= 2 and d >= 1")
+            if not 0.0 <= self.heterogeneity <= 1.0:
+                raise ValueError(f"heterogeneity must lie in [0, 1], got {self.heterogeneity!r}")
         elif self.format is DataFormat.IDX_IMAGES:
             if len(self.paths) != 2:
                 raise ValueError("image format needs an images path and a labels path")

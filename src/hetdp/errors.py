@@ -84,7 +84,8 @@ def tmse_i_squared(n: int, q_true: float, q_noisy, i2_noise):
     q values are positive. q_noisy and i2_noise may be arrays of trials.
     """
     if not q_true > 0 or not np.all(np.asarray(q_noisy) > 0):
-        raise ValueError(f"q values must be positive, got true={q_true!r}, noisy={q_noisy!r}")
+        raise ValueError(f"q values must be positive, got true={q_true!r}, "
+                         f"smallest noisy={float(np.min(q_noisy))!r}")
     gap = i2_noise - (n - 1) / q_noisy + (n - 1) / q_true
     return gap**2 / n
 

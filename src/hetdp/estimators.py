@@ -23,7 +23,8 @@ third-stage unit normal and the centralized-error scalar: `trial_draws`
 draws T of each once per cell, and every budget scales the same vectors
 (common random numbers). `stage_sigmas` is the only code that turns budgets
 into noise scales: one row per budget, its stage sigmas and then its
-full-budget sigma. A release is its true value plus `release_noise`,
+full-budget sigma. It alone decides zero noise: a zero-noise cell draws as
+usual and gets all-zero sigma rows. A release is its true value plus `release_noise`,
 arithmetic on the draws and that array that reads no row of the sample. A
 single release is trial 0 of its cell.
 """
@@ -115,11 +116,8 @@ def trial_draws(statistic: Statistic, cfg: EstimatorConfig, d: int, trials: int)
     normal each come from one child of SeedSequence((seed, setting tag)),
     the centralized scalar from default_rng(seed). Each generator fills its
     vector in order, so trial t is the same at any trial count above t.
-    Zero-noise configs get zeros and build no generator."""
+    Zero-noise configs draw the same; stage_sigmas gives them zero scales."""
     third = statistic is Statistic.I_SQUARED
-    if cfg.zero_noise:
-        zeros = np.zeros(trials)
-        return TrialDraws(d, zeros, zeros, zeros if third else None, zeros)
     children = np.random.SeedSequence((cfg.seed, _STREAM_TAG[cfg.setting])).spawn(3)
     chi2_rng, sums_rng, third_rng = (np.random.default_rng(child) for child in children)
     return TrialDraws(
@@ -135,8 +133,10 @@ def stage_sigmas(
     statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, budgets, memo: dict
 ) -> np.ndarray:
     """Noise scales (B x (parts + 1)) of each budget's stages, then of the
-    whole budget (the centralized error's); all 0.0 under zero noise. `memo`
-    holds each (mechanism, sensitivity, epsilon, delta) calibrated once."""
+    whole budget (the centralized error's); all 0.0 under zero noise, the
+    one place zero noise is decided: every error scaled by them is exactly
+    +0.0. `memo` holds each (mechanism, sensitivity, epsilon, delta)
+    calibrated once."""
     parts = statistic.budget_parts
     for budget in budgets:
         if len(budget.split) != parts:

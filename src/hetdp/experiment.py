@@ -31,7 +31,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
 
@@ -97,8 +97,6 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one statistic, mechanism and setting")
         if not self.epsilons or any(not (math.isfinite(e) and e > 0) for e in self.epsilons):
             raise ValueError(f"epsilons must be nonempty and positive, got {self.epsilons}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         check_classical_range(self.mechanisms, self.epsilons)
@@ -312,57 +310,37 @@ def read_result_csv(path: str | Path) -> list[ResultRow]:
 
 
 def write_plan_log(plan: ExperimentPlan, csv_path: str | Path) -> Path:
-    """Write the resolved plan (all derived seeds, splits, floors) as JSON."""
+    """Write the resolved plan (all derived seeds, splits, floors) as JSON;
+    enums are written as their values."""
     log_path = Path(csv_path).with_suffix(".plan.json")
-    desc = plan.dataset
     resolved = {
-        "dataset": {
-            "format": desc.format.value,
-            "name": desc.name,
-            "paths": list(desc.paths),
-            "d": desc.d,
-            "label_scheme": desc.label_scheme.value,
-            "synth_n": desc.synth_n,
-            "heterogeneity": desc.heterogeneity,
-            "synth_seed": desc.synth_seed,
-        },
+        "dataset": asdict(plan.dataset),
         "profiles": [
-            {
-                "name": name,
-                "ratios": list(profile.ratios),
-                "label_count": profile.label_count,
-                "sample_fraction": profile.sample_fraction,
-                "sample_seed": _sample_seed(plan, profile),
-            }
+            {"name": name, **asdict(profile), "sample_seed": _sample_seed(plan, profile)}
             for name, profile in plan.profiles
         ],
-        "statistics": [s.value for s in plan.statistics],
-        "mechanisms": [m.value for m in plan.mechanisms],
-        "settings": [s.value for s in plan.settings],
-        "epsilons": list(plan.epsilons),
+        "statistics": plan.statistics,
+        "mechanisms": plan.mechanisms,
+        "settings": plan.settings,
+        "epsilons": plan.epsilons,
         "delta": plan.delta,
         "trials": plan.trials,
         "trial_draws": "error-law scalars",
         "seed": plan.seed,
         "zero_noise": plan.zero_noise,
-        "budget_fractions": list(plan.budget_fractions) if plan.budget_fractions else None,
+        "budget_fractions": plan.budget_fractions,
         "budget_rule": "equal split with exact-remainder last part"
         if plan.budget_fractions is None
         else "explicit fractions",
         "variance_floor": VARIANCE_FLOOR,
         "cell_seeds": [
-            {
-                "statistic": stat.value,
-                "mechanism": mech.value,
-                "setting": setting.value,
-                "seed": _cell_seed(plan, stat, mech, setting),
-            }
-            for stat in plan.statistics
-            for mech in plan.mechanisms
-            for setting in plan.settings
+            {"statistic": stat, "mechanism": mech, "setting": setting,
+             "seed": _cell_seed(plan, stat, mech, setting)}
+            for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings)
         ],
     }
-    log_path.write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(resolved, indent=2, sort_keys=True, default=lambda member: member.value)
+    log_path.write_text(text + "\n")
     return log_path
 
 

@@ -9,7 +9,9 @@ the exact privacy condition of the Gaussian mechanism,
                             - e^epsilon * Phi(-delta_l2/(2 sigma) - epsilon sigma/delta_l2),
 
 is valid for every ``epsilon > 0``, and always needs less noise than the
-classical form on the latter's validity range.
+classical form on the latter's validity range. Both read one number of the
+release, its L2 sensitivity (`SensitivitySpec`); `SensitivitySpec.from_shape`
+derives the default sqrt(d)/n of a mean of n vectors in [0,1]^d.
 """
 
 from __future__ import annotations
@@ -53,23 +55,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SensitivitySpec:
-    """L2 sensitivity of an n-client, d-dimensional bounded-vector release.
+    """L2 sensitivity of a release: the one number a calibration reads.
 
     Attributes:
         delta_l2: L2 sensitivity of the released function.
-        n: number of contributing vectors.
-        d: vector dimension.
     """
 
     delta_l2: float
-    n: int
-    d: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"client count must be >= 1, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
         if not (math.isfinite(self.delta_l2) and self.delta_l2 > 0):
             raise ValueError(f"L2 sensitivity must be positive and finite, got {self.delta_l2!r}")
 
@@ -78,7 +72,7 @@ class SensitivitySpec:
         """Default sensitivity sqrt(d)/n of the mean of n vectors in [0,1]^d."""
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-        return cls(delta_l2=math.sqrt(d) / n, n=n, d=d)
+        return cls(delta_l2=math.sqrt(d) / n)
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,7 @@ def centralized_noisy(
     statistic: float,
     part: tuple[float, float],
     shape: SensitivitySpec,
+    d: int,
     cfg: EstimatorConfig,
 ) -> tuple[float, StageDraws]:
     """Perturb an already-aggregated scalar statistic with one draw from its
@@ -321,7 +322,7 @@ def centralized_noisy(
     """
     epsilon_i, delta_i = part
     sigma = 0.0 if cfg.zero_noise else release_sigma(cfg.mechanism, shape, epsilon_i, delta_i)
-    scalar_sigma = math.sqrt(shape.d) * sigma
+    scalar_sigma = math.sqrt(d) * sigma
     if scalar_sigma == 0.0:
         noise = 0.0
     else:

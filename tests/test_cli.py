@@ -39,6 +39,7 @@ class TestExitCodes:
         (["calibrate", "--delta", "0"], "delta must lie in (0, 1), got 0.0"),
         (["calibrate", "--sensitivity", "0"], "L2 sensitivity must be positive and finite"),
         (["calibrate", "--sensitivity", "inf"], "L2 sensitivity must be positive and finite"),
+        (["experiment", "--synthetic", "20000,8,1.5"], "heterogeneity must lie in [0, 1], got 1.5"),
     ])
     def test_invalid_privacy_flag_is_two_before_data_is_read(
         self, tmp_path, monkeypatch, capsys, argv, message
@@ -48,10 +49,12 @@ class TestExitCodes:
 
         for module in ("cli", "experiment"):
             monkeypatch.setattr(f"hetdp.{module}.load_dataset", no_load)
+        # SYNTH_ARGS go first, so a case's own --synthetic overrides them
         if argv[0] == "experiment":
-            argv = [*argv, *SYNTH_ARGS, "--profiles", "uniform-2", "--out", str(tmp_path / "o.csv")]
+            argv = [argv[0], *SYNTH_ARGS, *argv[1:], "--profiles", "uniform-2",
+                    "--out", str(tmp_path / "o.csv")]
         elif argv[0] == "measure":
-            argv = [*argv, *SYNTH_ARGS]
+            argv = [argv[0], *SYNTH_ARGS, *argv[1:]]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -348,6 +351,20 @@ class TestRunFailuresAreErrors:
             assert err.startswith("error: noisy q is ")
             assert "Traceback" not in err
 
+    def test_zero_true_q_is_a_one_line_error(self, tmp_path, capsys):
+        # Constant rows have a true Q of 0, so the I^2 TMSE is undefined;
+        # the abort names the smallest noisy Q, not the whole trial array.
+        vectors = np.full((200, 16), 128.0 / 255.0)
+        data = VectorDataset(vectors, np.arange(200, dtype=np.int64) % 2)
+        write_idx(data, tmp_path / "img.bin", tmp_path / "lab.bin")
+        code = main(["experiment", "--idx-images", str(tmp_path / "img.bin"),
+                     "--idx-labels", str(tmp_path / "lab.bin"), "--profiles", "uniform-2",
+                     "--fraction", "0.1", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: q values must be positive, got true=0.0")
+        assert err.count("\n") == 1 and "array(" not in err
+
     def test_solver_failure_is_one(self, tmp_path, monkeypatch, capsys):
         import hetdp.estimators
         from hetdp.gaussian import ConvergenceError
@@ -470,6 +487,22 @@ class TestMeasure:
         assert values["i_squared"] == {
             "error": "--budget-split has 2 parts but i_squared needs 3"
         }
+
+    def test_release_with_nonpositive_noisy_q(self, monkeypatch, capsys):
+        # Only I^2 is undefined on a noisy Q <= 0; the other entries and the
+        # exit code stand.
+        import hetdp.estimators
+
+        real = hetdp.estimators.release_noise
+
+        def nonpositive_q(statistic, data, ctx, *args):
+            return -abs(real(statistic, data, ctx, *args)) - 2.0 * ctx.q_value
+
+        monkeypatch.setattr(hetdp.estimators, "release_noise", nonpositive_q)
+        assert main(["measure", *SYNTH_ARGS, "--release", "--json"]) == 0
+        values = json.loads(capsys.readouterr().out)["release"]["values"]
+        assert "value" in values["dispersion"] and "value" in values["q"]
+        assert values["i_squared"]["error"].startswith("noisy q is -")
 
     def test_release_of_one_row_sample(self, capsys):
         # Dispersion and Q are defined at n = 1; only I^2 is unavailable.

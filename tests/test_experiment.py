@@ -13,6 +13,7 @@ from hetdp.datasets import (
     DataFormat,
     DatasetDescriptor,
     HeterogeneityProfile,
+    LabelScheme,
     SampleCapacityError,
 )
 import hetdp.errors
@@ -200,6 +201,31 @@ class TestRunExperiment:
         by_name = {p["name"]: p for p in log["profiles"]}
         assert by_name["uniform-2"]["sample_seed"] == _sample_seed(plan, UNIFORM2)
         assert by_name["skewed-2"]["ratios"] == [99, 1]
+
+    @pytest.mark.parametrize("dataset", [
+        SYNTH,
+        DatasetDescriptor(format=DataFormat.CIFAR100_BIN, name="c100", paths=("a.bin", "b.bin"),
+                          d=3072, label_scheme=LabelScheme.COARSE_BUCKETED),
+    ])
+    def test_plan_log_rebuilds_dataset_and_profiles(self, tmp_path, dataset):
+        # The log is read back the way perfbench/checks.py reads it.
+        plan = _plan(dataset=dataset, profiles=(("uniform-5", UNIFORM5), ("skewed-2", SKEWED2)))
+        write_plan_log(plan, tmp_path / "x.csv")
+        log = json.loads((tmp_path / "x.plan.json").read_text())
+        ds = log["dataset"]
+        assert DatasetDescriptor(
+            format=DataFormat(ds["format"]), name=ds["name"], paths=tuple(ds["paths"]),
+            d=ds["d"], label_scheme=LabelScheme(ds["label_scheme"]), synth_n=ds["synth_n"],
+            heterogeneity=ds["heterogeneity"], synth_seed=ds["synth_seed"],
+        ) == plan.dataset
+        rebuilt = [
+            (entry["name"], HeterogeneityProfile(
+                tuple(entry["ratios"]), entry["label_count"], entry["sample_fraction"]
+            ), entry["sample_seed"])
+            for entry in log["profiles"]
+        ]
+        assert rebuilt == [(name, profile, _sample_seed(plan, profile))
+                           for name, profile in plan.profiles]
 
     def test_explicit_fractions_logged(self, tmp_path):
         plan = _plan(statistics=(Statistic.DISPERSION,), budget_fractions=(0.75, 0.25))

@@ -26,7 +26,7 @@ from hetdp.gaussian import (
     std_normal_cdf,
 )
 
-SENS = SensitivitySpec(delta_l2=0.08, n=100, d=64)
+SENS = SensitivitySpec(delta_l2=0.08)
 
 # Frozen against a 40-digit quadrature of the normal density.
 PHI_ORACLE = {
@@ -114,8 +114,8 @@ class TestClassicalCalibration:
             cgm_sigma(SENS, 0.5, 1.0)
 
     def test_scales_linearly_in_sensitivity(self):
-        lo = cgm_sigma(SensitivitySpec(0.04, 100, 64), 0.5, 1e-5).sigma
-        hi = cgm_sigma(SensitivitySpec(0.08, 100, 64), 0.5, 1e-5).sigma
+        lo = cgm_sigma(SensitivitySpec(0.04), 0.5, 1e-5).sigma
+        hi = cgm_sigma(SensitivitySpec(0.08), 0.5, 1e-5).sigma
         assert hi == pytest.approx(2.0 * lo, rel=1e-15)
 
 
@@ -169,8 +169,8 @@ class TestAnalyticCalibration:
         assert all(a > b for a, b in zip(sigmas_delta, sigmas_delta[1:]))
 
     def test_sensitivity_doubling_doubles_sigma(self):
-        base = agm_sigma(SensitivitySpec(0.04, 100, 64), 0.5, 1e-5).sigma
-        doubled = agm_sigma(SensitivitySpec(0.08, 100, 64), 0.5, 1e-5).sigma
+        base = agm_sigma(SensitivitySpec(0.04), 0.5, 1e-5).sigma
+        doubled = agm_sigma(SensitivitySpec(0.08), 0.5, 1e-5).sigma
         assert doubled == pytest.approx(2.0 * base, rel=1e-9)
 
     def test_branch_selection(self):
@@ -228,7 +228,7 @@ class TestOneRootFinder:
         monkeypatch.setattr(gaussian, "achieved_delta", counted)
         branches = set()
         for dl2, eps, delta in self.GRID:
-            sens = SensitivitySpec(dl2, 1, 1)
+            sens = SensitivitySpec(dl2)
             calls[0] = 0
             merged = agm_sigma(sens, eps, delta)
             merged_calls, calls[0] = calls[0], 0
@@ -269,11 +269,11 @@ class TestSensitivitySpec:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SensitivitySpec(delta_l2=0.0, n=10, d=4)
+            SensitivitySpec(delta_l2=0.0)
         with pytest.raises(ValueError):
-            SensitivitySpec(delta_l2=0.1, n=0, d=4)
+            SensitivitySpec.from_shape(0, 4)
         with pytest.raises(ValueError):
-            SensitivitySpec(delta_l2=0.1, n=10, d=0)
+            SensitivitySpec.from_shape(10, 0)
 
 
 class TestPrivacyBudget:
