@@ -2,7 +2,10 @@
 """Print `sha256  path` for every output of a fixed set of CLI runs.
 
 Runs the default sweep and the same plan with --zero-noise, a mixed plan
-(three profiles, both mechanisms and settings, epsilons 0.5,0.25,0.9), a plan with explicit budget fractions
+(three profiles, both mechanisms and settings, epsilons 0.5,0.25,0.9) and
+the same plan with its statistics, mechanisms and settings listed in reverse
+(its CSV, charts and --json stdout must equal the mixed plan's byte for
+byte, or the script exits 1), a plan with explicit budget fractions
 (dispersion and Q at 0.3,0.7, both mechanisms, epsilons 0.25,0.5,0.9), a
 comparison, `measure --release` with and without `--zero-noise`
 (zero noise must release the true values bit for bit) and with
@@ -63,6 +66,11 @@ def runs(seed: str) -> dict[str, list[str]]:
                        "--zero-noise", "--seed", seed, "--out", "sweep-zero/sweep-zero.csv"],
         "mixed": ["experiment", *SYNTH, "--profiles", "uniform-2,skewed-2,uniform-5", *BOTH,
                   "--seed", seed, "--out", "mixed/mixed.csv", "--svg-dir", "mixed/charts"],
+        "mixed-reversed": ["experiment", *SYNTH, "--profiles", "uniform-2,skewed-2,uniform-5",
+                           *BOTH, "--statistics", "i_squared,q,dispersion", "--mechanisms",
+                           "classical,analytic", "--settings", "centralized,distributed",
+                           "--seed", seed, "--out", "mixed-reversed/mixed.csv",
+                           "--svg-dir", "mixed-reversed/charts"],
         "fractions": ["experiment", *SYNTH, "--profiles", "uniform-10,skewed-10",
                       "--statistics", "dispersion,q", "--budget-split", "0.3,0.7",
                       "--mechanisms", "analytic,classical", "--epsilons", "0.25,0.5,0.9",
@@ -112,6 +120,17 @@ def write_inputs() -> None:
                 CifarVariant.HUNDRED)
 
 
+def check_listing_order() -> None:
+    """Exit 1 unless the reversed mixed plan wrote the mixed plan's CSV,
+    charts and stdout (its plan log lists the plan as given, so it differs)."""
+    pairs = [(Path("mixed.stdout.json"), Path("mixed-reversed.stdout.json"))]
+    pairs += [(path, Path("mixed-reversed", *path.parts[1:])) for path in Path("mixed").rglob("*")
+              if path.is_file() and not path.name.endswith(".plan.json")]
+    for mixed, reversed_ in pairs:
+        if mixed.read_bytes() != reversed_.read_bytes():
+            sys.exit(f"{reversed_} differs from {mixed}")
+
+
 def library_run() -> dict:
     """The README's library example: one release and a 200-trial report."""
     data = synthetic_dataset(n=5000, d=16, heterogeneity=0.4, seed=7)
@@ -140,6 +159,7 @@ def main() -> int:
                     sys.exit(f"{name} failed")
             if "--json" in argv:
                 Path(f"{name}.stdout.json").write_text(stdout.getvalue())
+        check_listing_order()
         Path("library.json").write_text(json.dumps(library_run(), indent=2) + "\n")
         for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")

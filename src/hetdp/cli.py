@@ -37,6 +37,7 @@ from hetdp.estimators import (
     Setting,
     Statistic,
     noisy_statistic,
+    true_value,
 )
 from hetdp.experiment import (
     DEFAULT_EPSILON_GRID,
@@ -58,7 +59,7 @@ from hetdp.gaussian import (
     cgm_sigma,
     check_classical_range,
 )
-from hetdp.measures import build_context, i_squared
+from hetdp.measures import build_context
 
 DATA_DIR_ENV = "HETDP_DATA_DIR"
 
@@ -259,9 +260,7 @@ def cmd_measure(parser, args) -> int:
         "profile": sampled_as,
         "n": data.n,
         "d": data.d,
-        "dispersion": ctx.dispersion,
-        "q": ctx.q_value,
-        "i_squared": i_squared(ctx.q_value, data.n) if data.n >= 2 else 0.0,
+        **{stat.value: true_value(stat, data, ctx) for stat in Statistic},
         "heterogeneity_at_consensus_threshold": ctx.q_value >= 0.1,
     }
     if args.release:

@@ -26,7 +26,8 @@ into noise scales: one row per budget, its stage sigmas and then its
 full-budget sigma. It alone decides zero noise: a zero-noise cell draws as
 usual and gets all-zero sigma rows. A release is its true value plus `release_noise`,
 arithmetic on the draws and that array that reads no row of the sample. A
-single release is trial 0 of its cell.
+single release is trial 0 of its cell. I^2 of fewer than two rows has a true
+value (0.0, `true_value`) but no release: `release_noise` rejects it.
 """
 
 from __future__ import annotations
@@ -157,13 +158,14 @@ def stage_sigmas(
 
 def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -> float:
     """Noise-free counterpart of one of the three statistics, read from the
-    values build_context stored on `ctx`."""
+    values build_context stored on `ctx`. I^2 of fewer than two rows reads
+    0.0 (no private release of it exists: release_noise rejects it)."""
     if statistic is Statistic.DISPERSION:
         return ctx.dispersion
     if statistic is Statistic.Q:
         return ctx.q_value
     if statistic is Statistic.I_SQUARED:
-        return i_squared(ctx.q_value, data.n)
+        return i_squared(ctx.q_value, data.n) if data.n >= 2 else 0.0
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
@@ -189,7 +191,8 @@ def release_noise(
 ) -> np.ndarray:
     """Noise (B x T) of the T releases in `draws` at each budget of
     stage_sigmas' `sigmas`: m sigma_1^2 X + sigma_2 S. I^2 gets the noise of
-    its Q stage.
+    its Q stage, and needs n >= 2: the one check of both the single release
+    and the error analysis.
 
     With mean-stage noise e = sigma_1 z and statistic noise s = sigma_2 z', a
     release minus its true dispersion or Q is exactly mean(w)||e||^2 + sum(s)
@@ -198,6 +201,8 @@ def release_noise(
     """
     if draws.d != data.d or (draws.third is not None) != (statistic is Statistic.I_SQUARED):
         raise ValueError(f"draws of d={draws.d} do not fit {statistic.value}, d={data.d}")
+    if statistic is Statistic.I_SQUARED and data.n < 2:
+        raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
     if ctx.weights.shape != (data.n,):
         raise ValueError(f"context weights {ctx.weights.shape} do not match n={data.n}")
     if np.any(ctx.weights <= 0) or not np.all(np.isfinite(ctx.weights)):
@@ -217,8 +222,6 @@ def noisy_statistic(
     runs the Q pipeline on its first two budget parts and adds a scalar
     third-stage draw.
     """
-    if statistic is Statistic.I_SQUARED and data.n < 2:
-        raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
     sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
     draws = trial_draws(statistic, cfg, data.d, 1)
     noise = release_noise(statistic, data, ctx, draws, sigmas)

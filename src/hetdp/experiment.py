@@ -2,8 +2,9 @@
 
 A plan is a cross product of cells (statistic x mechanism x setting x profile
 x epsilon) evaluated on stratified samples of one dataset. Runs are
-deterministic given the plan seed: per-profile sample seeds and per-cell
-estimator seeds are derived from it. Each (statistic, mechanism, setting)
+deterministic given the plan seed: per-profile sample seeds and the seeds of
+`ExperimentPlan.cells()`, the one list of a plan's (statistic, mechanism,
+setting) cells and their estimator configs, derive from it. Each such
 cell draws its trials' error law once (`trial_draws`: a few length-T
 scalar vectors, whatever d is), and every profile and epsilon of the cell
 scales those same draws by its own sigmas (common random numbers). That
@@ -21,7 +22,8 @@ CSV schema (stable, one header line, rows sorted by the key tuple):
 Key fields are strings/numbers; floats are written as their shortest
 round-tripping decimal form, so parsing the file reconstructs every row
 exactly. The companion plan log (<csv stem>.plan.json) records the resolved
-plan: every derived seed, budget split, and floor needed to recompute any row.
+plan: its fields, every derived seed, the budget rule and the floor needed to
+recompute any row.
 """
 
 from __future__ import annotations
@@ -63,11 +65,6 @@ DEFAULT_TRIALS = 100
 _SAMPLE_TAG = 1
 _CELL_TAG = 2
 
-#: Fixed enum orders so derived seeds do not depend on plan ordering.
-_STAT_ORDER = tuple(Statistic)
-_MECH_ORDER = tuple(Mechanism)
-_SETTING_ORDER = tuple(Setting)
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -106,6 +103,17 @@ class ExperimentPlan:
     def budgets(self, stat: Statistic) -> list[PrivacyBudget]:
         """The budget rule's split of (epsilon, delta) for `stat`, per epsilon."""
         return [stat.budget(e, self.delta, self.budget_fractions) for e in self.epsilons]
+
+    def cells(self) -> list[tuple[Statistic, EstimatorConfig]]:
+        """Each (statistic, estimator config) cell, in product(statistics,
+        mechanisms, settings) order. A cell's seed derives from the enum
+        positions of its keys, so no listing order, profile or epsilon moves it."""
+        cells = []
+        for stat, mech, setting in product(self.statistics, self.mechanisms, self.settings):
+            positions = (list(type(key)).index(key) for key in (stat, mech, setting))
+            seed = derive_seed(self.seed, _CELL_TAG, *positions)
+            cells.append((stat, EstimatorConfig(mech, setting, seed, self.zero_noise)))
+        return cells
 
 
 @dataclass(frozen=True)
@@ -192,16 +200,6 @@ def _sample_seed(plan: ExperimentPlan, profile: HeterogeneityProfile) -> int:
     return derive_seed(plan.seed, _SAMPLE_TAG, profile.label_count, frac_bits, *profile.ratios)
 
 
-def _cell_seed(plan: ExperimentPlan, stat: Statistic, mech: Mechanism, setting: Setting) -> int:
-    return derive_seed(
-        plan.seed,
-        _CELL_TAG,
-        _STAT_ORDER.index(stat),
-        _MECH_ORDER.index(mech),
-        _SETTING_ORDER.index(setting),
-    )
-
-
 def _materialize_samples(plan: ExperimentPlan):
     """Load the dataset, draw one stratified sample per named profile (image
     samples keep the bytes of their rows), and build the samples' contexts
@@ -217,27 +215,14 @@ def _materialize_samples(plan: ExperimentPlan):
     return {name: (sample, build_context(sample)) for name, sample in samples.items()}
 
 
-def _true_value_table(samples) -> dict[str, dict[str, float]]:
-    """True statistics per profile, read from the stored contexts (I^2 is 0.0
-    below two rows)."""
-    return {
-        name: {
-            stat.value: 0.0
-            if stat is Statistic.I_SQUARED and sample.n < 2
-            else true_value(stat, sample, ctx)
-            for stat in Statistic
-        }
-        for name, (sample, ctx) in samples.items()
-    }
-
-
 def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
     """Evaluate every plan cell into one row each, sorted by key, so the
     evaluation order never shows. Each distinct noise scale is calibrated
     once per run, and each cell's draws are held for the whole run."""
     memo: dict = {}
     samples = _materialize_samples(plan)
-    true_table = _true_value_table(samples)
+    true_table = {name: {stat.value: true_value(stat, sample, ctx) for stat in Statistic}
+                  for name, (sample, ctx) in samples.items()}
     summary = {}
     for s in ("dispersion", "q", "i_squared"):
         summary[f"{s}_min"] = min(v[s] for v in true_table.values())
@@ -245,11 +230,7 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
 
     d = next(iter(samples.values()))[0].d
     budgets = {stat: plan.budgets(stat) for stat in plan.statistics}
-    cells = []
-    for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings):
-        cell = EstimatorConfig(mechanism=mech, setting=setting, zero_noise=plan.zero_noise,
-                               seed=_cell_seed(plan, stat, mech, setting))
-        cells.append((stat, cell, trial_draws(stat, cell, d, plan.trials)))
+    cells = [(stat, cell, trial_draws(stat, cell, d, plan.trials)) for stat, cell in plan.cells()]
     rows: list[ResultRow] = []
     for name, _profile in plan.profiles:
         sample, ctx = samples[name]
@@ -310,34 +291,24 @@ def read_result_csv(path: str | Path) -> list[ResultRow]:
 
 
 def write_plan_log(plan: ExperimentPlan, csv_path: str | Path) -> Path:
-    """Write the resolved plan (all derived seeds, splits, floors) as JSON;
-    enums are written as their values."""
+    """Write the plan's fields, each profile's sample seed, every cell seed,
+    the budget rule and the floor as JSON; enums are written as their values."""
     log_path = Path(csv_path).with_suffix(".plan.json")
     resolved = {
+        **vars(plan),
         "dataset": asdict(plan.dataset),
         "profiles": [
             {"name": name, **asdict(profile), "sample_seed": _sample_seed(plan, profile)}
             for name, profile in plan.profiles
         ],
-        "statistics": plan.statistics,
-        "mechanisms": plan.mechanisms,
-        "settings": plan.settings,
-        "epsilons": plan.epsilons,
-        "delta": plan.delta,
-        "trials": plan.trials,
         "trial_draws": "error-law scalars",
-        "seed": plan.seed,
-        "zero_noise": plan.zero_noise,
-        "budget_fractions": plan.budget_fractions,
         "budget_rule": "equal split with exact-remainder last part"
         if plan.budget_fractions is None
         else "explicit fractions",
         "variance_floor": VARIANCE_FLOOR,
-        "cell_seeds": [
-            {"statistic": stat, "mechanism": mech, "setting": setting,
-             "seed": _cell_seed(plan, stat, mech, setting)}
-            for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings)
-        ],
+        "cell_seeds": [{"statistic": stat, "mechanism": cell.mechanism,
+                        "setting": cell.setting, "seed": cell.seed}
+                       for stat, cell in plan.cells()],
     }
     text = json.dumps(resolved, indent=2, sort_keys=True, default=lambda member: member.value)
     log_path.write_text(text + "\n")
@@ -389,8 +360,8 @@ def run_heterogeneity_comparison(
         for r in _cell_rows(plan)
     }
     rows: list[ComparisonRow] = []
-    for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings):
-        cell = (stat.value, mech.value, setting.value)
+    for stat, config in plan.cells():
+        cell = (stat.value, config.mechanism.value, config.setting.value)
 
         def curve(profile: str) -> list[float]:
             return [emse[(*cell, profile, eps)] for eps in plan.epsilons]

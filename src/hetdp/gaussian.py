@@ -11,15 +11,20 @@ the exact privacy condition of the Gaussian mechanism,
 is valid for every ``epsilon > 0``, and always needs less noise than the
 classical form on the latter's validity range. Both read one number of the
 release, its L2 sensitivity (`SensitivitySpec`); `SensitivitySpec.from_shape`
-derives the default sqrt(d)/n of a mean of n vectors in [0,1]^d.
+derives the default sqrt(d)/n of a mean of n vectors in [0,1]^d. Every
+epsilon lies in (0, MAX_EPSILON], where e^epsilon is a finite float. One
+rule builds a budget's split: its last part is what the leading parts leave.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
+#: Largest epsilon whose e^epsilon is a finite float (about 709.78).
+MAX_EPSILON = math.log(sys.float_info.max)
 _SQRT2 = math.sqrt(2.0)
 _MAX_SOLVER_STEPS = 200
 #: Largest slack delta - achieved_delta(sigma) the analytic calibration leaves.
@@ -43,6 +48,14 @@ class NoiseBranch(enum.Enum):
 
     LOW_NOISE = "low_noise"
     HIGH_NOISE = "high_noise"
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if epsilon > MAX_EPSILON:
+        raise ValueError(f"epsilon must be at most {MAX_EPSILON!r}, where e^epsilon "
+                         f"overflows, got {epsilon!r}")
 
 
 class ConvergenceError(RuntimeError):
@@ -88,8 +101,7 @@ class PrivacyBudget:
     split: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        _check_epsilon(self.epsilon)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not self.split:
@@ -108,18 +120,10 @@ class PrivacyBudget:
 
     @classmethod
     def equal_split(cls, epsilon: float, delta: float, parts: int) -> "PrivacyBudget":
-        """Divide (epsilon, delta) into `parts` equal shares.
-
-        The last share is written as the remainder so the shares sum back to
-        the total exactly in floating point.
-        """
+        """Divide (epsilon, delta) into `parts` equal shares, the last one the remainder."""
         if parts < 1:
             raise ValueError(f"parts must be >= 1, got {parts}")
-        eps_part = epsilon / parts
-        delta_part = delta / parts
-        split = [(eps_part, delta_part)] * (parts - 1)
-        split.append((epsilon - (parts - 1) * eps_part, delta - (parts - 1) * delta_part))
-        return cls(epsilon=epsilon, delta=delta, split=tuple(split))
+        return cls._with_remainder(epsilon, delta, [(epsilon / parts, delta / parts)] * (parts - 1))
 
     @classmethod
     def from_fractions(
@@ -132,11 +136,16 @@ class PrivacyBudget:
             raise ValueError(f"fractions must all be positive, got {fractions!r}")
         if abs(math.fsum(fractions) - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got {math.fsum(fractions)!r}")
-        split = [(epsilon * f, delta * f) for f in fractions[:-1]]
-        eps_rest = epsilon - math.fsum(e for e, _ in split)
-        delta_rest = delta - math.fsum(d for _, d in split)
-        split.append((eps_rest, delta_rest))
-        return cls(epsilon=epsilon, delta=delta, split=tuple(split))
+        leading = [(epsilon * f, delta * f) for f in fractions[:-1]]
+        return cls._with_remainder(epsilon, delta, leading)
+
+    @classmethod
+    def _with_remainder(cls, epsilon: float, delta: float, leading: list) -> "PrivacyBudget":
+        """The split into the `leading` parts, then what they leave of
+        (epsilon, delta), so the parts sum back to the total exactly."""
+        rest = (epsilon - math.fsum(e for e, _ in leading),
+                delta - math.fsum(d for _, d in leading))
+        return cls(epsilon=epsilon, delta=delta, split=(*leading, rest))
 
 
 @dataclass(frozen=True)
@@ -209,11 +218,10 @@ def cgm_sigma(sens: SensitivitySpec, epsilon: float, delta: float) -> Calibratio
 
     Raises:
         ValueError: if epsilon >= 1 (outside the classical validity range;
-            the analytic calibration covers arbitrary positive epsilon), or
-            if epsilon <= 0 or delta is outside (0, 1).
+            the analytic calibration covers larger epsilon), or
+            if epsilon is not in (0, MAX_EPSILON] or delta is outside (0, 1).
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_epsilon(epsilon)
     if epsilon >= 1:
         raise ValueError(
             f"classical calibration is only valid for epsilon < 1, got {epsilon!r}; "
@@ -245,7 +253,7 @@ def agm_sigma(sens: SensitivitySpec, epsilon: float, delta: float) -> Calibratio
 
     Args:
         sens: sensitivity of the release.
-        epsilon: privacy parameter, any positive value.
+        epsilon: privacy parameter, any value in (0, MAX_EPSILON].
         delta: additive privacy parameter in (0, 1).
 
     Returns:
@@ -253,11 +261,10 @@ def agm_sigma(sens: SensitivitySpec, epsilon: float, delta: float) -> Calibratio
         (alpha, delta0, root, branch) populated.
 
     Raises:
-        ValueError: on nonpositive epsilon or delta outside (0, 1).
+        ValueError: on epsilon outside (0, MAX_EPSILON] or delta outside (0, 1).
         ConvergenceError: if the root search exceeds its iteration cap.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_epsilon(epsilon)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 

@@ -40,6 +40,9 @@ class TestExitCodes:
         (["calibrate", "--sensitivity", "0"], "L2 sensitivity must be positive and finite"),
         (["calibrate", "--sensitivity", "inf"], "L2 sensitivity must be positive and finite"),
         (["experiment", "--synthetic", "20000,8,1.5"], "heterogeneity must lie in [0, 1], got 1.5"),
+        (["calibrate", "--epsilons", "1000"], "where e^epsilon overflows, got 1000.0"),
+        (["experiment", "--epsilons", "1000"], "where e^epsilon overflows, got 1000.0"),
+        (["measure", "--release", "--epsilon", "1000"], "where e^epsilon overflows, got 1000.0"),
     ])
     def test_invalid_privacy_flag_is_two_before_data_is_read(
         self, tmp_path, monkeypatch, capsys, argv, message
@@ -365,6 +368,17 @@ class TestRunFailuresAreErrors:
         assert err.startswith("error: q values must be positive, got true=0.0")
         assert err.count("\n") == 1 and "array(" not in err
 
+    def test_one_row_profile(self, tmp_path, capsys):
+        # 400 x 0.0025 is a one-row sample: its I^2 has a truth (0.0) but no
+        # release, so a plan with I^2 aborts and one without it runs.
+        args = [*self.ARGS, "--fraction", "0.0025", "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: i_squared needs n >= 2, got n=1\n"
+        assert main([*args, "--statistics", "dispersion,q"]) == 0
+        rows = read_result_csv(tmp_path / "o.csv")
+        assert {r.statistic for r in rows} == {"dispersion", "q"}
+        assert all(r.i_squared_min == r.i_squared_mean == 0.0 for r in rows)
+
     def test_solver_failure_is_one(self, tmp_path, monkeypatch, capsys):
         import hetdp.estimators
         from hetdp.gaussian import ConvergenceError
@@ -398,6 +412,12 @@ class TestCalibrate:
         high = next(r for r in rows if r["epsilon"] == 2.0)
         assert high["sigma_classical"] is None
         assert high["ratio"] is None
+
+    def test_largest_epsilons_below_the_exp_bound_run(self, capsys):
+        assert main(["calibrate", "--epsilons", "709,709.78", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["epsilon"] for r in rows] == [709.0, 709.78]
+        assert all(r["sigma_analytic"] > 0 for r in rows)
 
     def test_explicit_sensitivities(self, capsys):
         assert main(

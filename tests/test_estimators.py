@@ -271,6 +271,16 @@ class TestDispatch:
         with pytest.raises(ValueError, match="n >= 2"):
             noisy_statistic(Statistic.I_SQUARED, data, ctx, _cfg(), budget3)
 
+    def test_i_squared_error_report_needs_two_rows(self, budget3):
+        data = VectorDataset(np.array([[0.2, 0.4]]), np.array([0]))
+        ctx = build_context(data)
+        with pytest.raises(ValueError, match=r"i_squared needs n >= 2, got n=1"):
+            error_report(Statistic.I_SQUARED, data, ctx, _cfg(), budget3, 5)
+
+    def test_i_squared_truth_of_one_row_is_zero(self):
+        data = VectorDataset(np.array([[0.2, 0.4]]), np.array([0]))
+        assert true_value(Statistic.I_SQUARED, data, build_context(data)) == 0.0
+
 
 def _constant_row_data(n=40, d=6, seed=8):
     # Row 0 is constant: zero within-row variance, so its weight is the

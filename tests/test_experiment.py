@@ -20,7 +20,7 @@ import hetdp.errors
 import hetdp.estimators
 import hetdp.experiment
 from hetdp.errors import error_report
-from hetdp.estimators import EstimatorConfig, Setting, Statistic
+from hetdp.estimators import Setting, Statistic
 from hetdp.experiment import (
     COMPARISON_COLUMNS,
     CSV_COLUMNS,
@@ -28,7 +28,6 @@ from hetdp.experiment import (
     ComparisonRow,
     ExperimentPlan,
     _cell_rows,
-    _cell_seed,
     _materialize_samples,
     _sample_seed,
     emse_chart_svg,
@@ -149,13 +148,36 @@ class TestSeedDerivations:
     def test_cell_seed_ignores_profile_and_epsilon(self):
         # The cell seed is a function of (statistic, mechanism, setting) only,
         # so noise is shared across profiles and the epsilon grid.
-        a = _plan()
+        a = _plan()  # dispersion and I^2
         b = _plan(profiles=(("only", UNIFORM2),), epsilons=(2.0,))
-        args = (Statistic.DISPERSION, Mechanism.ANALYTIC, Setting.DISTRIBUTED)
-        assert _cell_seed(a, *args) == _cell_seed(b, *args)
-        assert _cell_seed(a, *args) != _cell_seed(
-            a, Statistic.Q, Mechanism.ANALYTIC, Setting.DISTRIBUTED
-        )
+        assert a.cells() == b.cells()
+        (dispersion, first), (i_squared, second) = a.cells()
+        assert (dispersion, i_squared) == (Statistic.DISPERSION, Statistic.I_SQUARED)
+        assert first.seed != second.seed
+
+    def test_cell_seed_ignores_listing_order(self):
+        forward = dict(statistics=tuple(Statistic), mechanisms=tuple(Mechanism),
+                       settings=tuple(Setting), epsilons=(0.5,))
+        reverse = {key: tuple(reversed(values)) for key, values in forward.items()}
+
+        def seeds(plan):
+            return {(stat, cfg.mechanism, cfg.setting): cfg.seed for stat, cfg in plan.cells()}
+
+        cells = seeds(_plan(**forward))
+        assert list(cells) == list(product(Statistic, Mechanism, Setting))
+        assert seeds(_plan(**reverse)) == cells
+        assert len(set(cells.values())) == 12
+
+    def test_cell_seeds_are_the_plan_logs(self, tmp_path):
+        plan = _plan(statistics=tuple(Statistic), settings=tuple(Setting), zero_noise=True)
+        write_plan_log(plan, tmp_path / "x.csv")
+        logged = json.loads((tmp_path / "x.plan.json").read_text())["cell_seeds"]
+        assert logged == [
+            {"statistic": stat.value, "mechanism": cfg.mechanism.value,
+             "setting": cfg.setting.value, "seed": cfg.seed}
+            for stat, cfg in plan.cells()
+        ]
+        assert all(cfg.zero_noise for _, cfg in plan.cells())
 
 
 class TestRunExperiment:
@@ -425,14 +447,11 @@ class TestSharedCellNormals:
         rows = _cell_rows(plan)
         assert len(rows) == 3 * 2 * 2 * 3 * 3
         samples = _materialize_samples(plan)
+        configs = {(stat.value, cfg.mechanism.value, cfg.setting.value): cfg
+                   for stat, cfg in plan.cells()}
         for row in rows:
-            stat, mech = Statistic(row.statistic), Mechanism(row.mechanism)
-            setting = Setting(row.setting)
-            cfg = EstimatorConfig(
-                mechanism=mech,
-                setting=setting,
-                seed=_cell_seed(plan, stat, mech, setting),
-            )
+            stat = Statistic(row.statistic)
+            cfg = configs[row.statistic, row.mechanism, row.setting]
             budget = stat.budget(row.epsilon, plan.delta, plan.budget_fractions)
             sample, ctx = samples[row.profile]
             report = asdict(error_report(stat, sample, ctx, cfg, budget, plan.trials))

@@ -284,6 +284,24 @@ class TestPrivacyBudget:
             assert math.fsum(d for _, d in budget.split) == pytest.approx(0.1, abs=0)
             assert len(budget.split) == parts
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-6, 700.0), st.floats(1e-12, 0.999), st.integers(1, 12))
+    def test_equal_split_is_the_equal_shares_and_their_remainder(self, epsilon, delta, parts):
+        eps_part, delta_part = epsilon / parts, delta / parts
+        expected = [(eps_part, delta_part)] * (parts - 1)
+        expected.append((epsilon - (parts - 1) * eps_part, delta - (parts - 1) * delta_part))
+        assert PrivacyBudget.equal_split(epsilon, delta, parts).split == tuple(expected)
+
+    def test_epsilon_where_exp_overflows_is_rejected(self):
+        assert math.exp(gaussian.MAX_EPSILON) < math.inf
+        PrivacyBudget.equal_split(gaussian.MAX_EPSILON, 0.1, 3)
+        agm_sigma(SENS, gaussian.MAX_EPSILON, 1e-5)
+        above = math.nextafter(gaussian.MAX_EPSILON, math.inf)
+        for build in (lambda: PrivacyBudget.equal_split(above, 0.1, 2),
+                      lambda: agm_sigma(SENS, above, 1e-5), lambda: agm_sigma(SENS, 1000.0, 1e-5)):
+            with pytest.raises(ValueError, match="where e\\^epsilon overflows"):
+                build()
+
     def test_from_fractions(self):
         budget = PrivacyBudget.from_fractions(1.0, 0.1, (0.5, 0.25, 0.25))
         assert budget.split[0] == (0.5, 0.05)
