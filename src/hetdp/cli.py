@@ -264,11 +264,13 @@ def cmd_measure(parser, args) -> int:
         "heterogeneity_at_consensus_threshold": ctx.q_value >= 0.1,
     }
     if args.release:
+        if args.delta >= 1.0 / data.n:  # Dwork & Roth 2014, 2.3: such a delta can publish records
+            print(f"warning: --delta {args.delta:g} is at least 1/n = 1/{data.n}", file=sys.stderr)
         released = {}
         for index, stat in enumerate(Statistic):
             cfg = EstimatorConfig(_MECHANISMS[args.mechanism], _SETTINGS[args.setting],
                                   derive_seed(args.seed, index), args.zero_noise)
-            try:  # a split of the wrong part count, n < 2 for I^2 or a noisy Q <= 0
+            try:  # a split of the wrong part count, n < 2 for Q and I^2 or a noisy Q <= 0
                 budget = stat.budget(args.epsilon, args.delta, args.budget_split)
                 released[stat.value] = {"value": noisy_statistic(stat, data, ctx, cfg, budget)}
             except (ValueError, DegenerateStatisticError) as err:

@@ -26,8 +26,8 @@ into noise scales: one row per budget, its stage sigmas and then its
 full-budget sigma. It alone decides zero noise: a zero-noise cell draws as
 usual and gets all-zero sigma rows. A release is its true value plus `release_noise`,
 arithmetic on the draws and that array that reads no row of the sample. A
-single release is trial 0 of its cell. I^2 of fewer than two rows has a true
-value (0.0, `true_value`) but no release: `release_noise` rejects it.
+single release is trial 0 of its cell. Q and I^2 of fewer than two rows have
+a true value (0.0, `true_value`) but no release: `release_noise` rejects them.
 """
 
 from __future__ import annotations
@@ -190,9 +190,8 @@ def release_noise(
     sigmas: np.ndarray,
 ) -> np.ndarray:
     """Noise (B x T) of the T releases in `draws` at each budget of
-    stage_sigmas' `sigmas`: m sigma_1^2 X + sigma_2 S. I^2 gets the noise of
-    its Q stage, and needs n >= 2: the one check of both the single release
-    and the error analysis.
+    stage_sigmas' `sigmas`: m sigma_1^2 X + sigma_2 S, for I^2 that of its Q
+    stage. Q and I^2 need n >= 2: the one check of releases and error reports.
 
     With mean-stage noise e = sigma_1 z and statistic noise s = sigma_2 z', a
     release minus its true dispersion or Q is exactly mean(w)||e||^2 + sum(s)
@@ -201,8 +200,8 @@ def release_noise(
     """
     if draws.d != data.d or (draws.third is not None) != (statistic is Statistic.I_SQUARED):
         raise ValueError(f"draws of d={draws.d} do not fit {statistic.value}, d={data.d}")
-    if statistic is Statistic.I_SQUARED and data.n < 2:
-        raise ValueError(f"i_squared needs n >= 2, got n={data.n}")
+    if statistic is not Statistic.DISPERSION and data.n < 2:
+        raise ValueError(f"{statistic.value} needs n >= 2, got n={data.n}")
     if ctx.weights.shape != (data.n,):
         raise ValueError(f"context weights {ctx.weights.shape} do not match n={data.n}")
     if np.any(ctx.weights <= 0) or not np.all(np.isfinite(ctx.weights)):

@@ -8,12 +8,12 @@ are never converted to an n x d float64 array. Every float pass reads the
 rows through row_blocks, blocks of about BLOCK_BYTES of consecutive rows, so
 no pass allocates an n x d temporary: byte blocks are cast to exact counts
 in one reused buffer and each pass divides by 255 once. build_context takes
-a byte sample's unweighted part (variances, mean, dispersion) from exact
-integer sums of its bytes (byte_moments); float rows reduce each row by the
-same numpy call as the whole-matrix form, so they are bit-identical to it.
-The weighted mean and Q are float passes either way. build_context is the
-only code that computes the true statistics; releases, error reports and
-the CLI read them from its MeasureContext.
+a byte sample's unweighted part (variances, mean, dispersion) and Q's row
+squares from exact integer sums of its bytes (byte_moments), and Q from them
+plus two GEMVs per block; float rows reduce each row by the same numpy call
+as the whole-matrix form, so they are bit-identical to it. The weighted mean
+is a float pass either way. Only build_context computes the true statistics;
+releases, error reports and the CLI read them from its MeasureContext.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ NO_COORDINATES = "vectors must have at least one coordinate"
 
 
 class UnweightedPart(NamedTuple):
-    """The context quantities that need no weights (dispersion at p = 2)."""
+    """The context quantities that need no weights, and byte rows' exact row squares."""
 
     within_variances: np.ndarray
     mean: np.ndarray
     dispersion: float
+    row_squares: np.ndarray | None = None
 
 
 @dataclass(frozen=True, init=False)
@@ -179,7 +180,7 @@ def byte_moments(pixels: np.ndarray) -> UnweightedPart:
     columns = pixels.sum(axis=0, dtype=acc)
     spread = n * int(squares.sum()) - sum(c * c for c in columns.tolist())
     within = (d * squares - sums * sums) / (255.0**2 * d * d)
-    return UnweightedPart(within, columns / (255.0 * n), spread / (255**2 * n * n))
+    return UnweightedPart(within, columns / (255.0 * n), spread / (255**2 * n * n), squares)
 
 
 def row_blocks(
@@ -211,24 +212,36 @@ def row_blocks(
 
 
 def _sq_deviations(data: VectorDataset, center: np.ndarray) -> np.ndarray:
-    """||x_i - center||^2 per row, times data.scale^2: byte rows p take
-    ||p - 255 center||^2, with nothing expanded into moments."""
-    center = center * data.scale
-    # a byte block is row_blocks' own cast buffer, so it takes the deviations
-    # in place; a float block is a read-only view and needs one temporary
-    in_place = data.rows.dtype == np.uint8
+    """||x_i - center||^2 per float row, with nothing expanded into moments."""
     squares = np.empty(data.n)
     for span, block in row_blocks(data):
-        deviations = np.subtract(block, center, out=block if in_place else None)
+        deviations = block - center
         squares[span] = np.square(deviations, out=deviations).sum(axis=1)
+    return squares
+
+
+def _byte_sq_deviations(data: VectorDataset, center: np.ndarray, row_squares) -> np.ndarray:
+    """||p_i - c||^2 = (S2_i - 2 p_i.r + r.r) - 2 (p_i.f - r.f) + f.f per byte row, from
+    two GEMVs per cast block (c = 255 center, S2_i the exact row squares, r = c rounded
+    to 2^-k, f = c - r exactly). 2k <= 53 - log2(2 * 255^2 * d) (k = 12 at d = 3072) keeps
+    each term and partial sum of the bracket a multiple of 2^-2k below 2^53: exact in any
+    order, its large terms cancel nothing that rounded. Only the correction rounds, by
+    about eps * d * 255 * 2^-k absolutely (|f_j| <= 2^-(k+1))."""
+    c, k = center * 255.0, int(53 - math.log2(2 * 255**2 * data.d)) // 2
+    r = np.ldexp(np.rint(np.ldexp(c, k)), -k)
+    f = c - r
+    squares, rf, ff = row_squares + r @ r, r @ f, f @ f
+    for span, block in row_blocks(data):
+        squares[span] -= 2.0 * (block @ r)
+        squares[span] += ff - 2.0 * (block @ f - rf)
     return squares
 
 
 def build_context(data: VectorDataset) -> MeasureContext:
     """Compute mean, within-vector variances, weights, weighted mean, the
     true dispersion and Q, and Q with squared weights once. Byte rows take
-    the unweighted part from the exact integer sums of byte_moments; float
-    rows take row-blocked passes, bit-identical to the whole-matrix forms.
+    the unweighted part and Q's row squares from byte_moments; float rows
+    take row-blocked passes, bit-identical to the whole-matrix forms.
 
     Dispersion = (1/n) sum_i ||x_i - mean||^2 and
     Q = (1/n) sum_i w_i ||x_i - weighted_mean||^2, so unit weights reduce Q
@@ -248,7 +261,8 @@ def build_context(data: VectorDataset) -> MeasureContext:
         center += weights[span] @ block
     del block  # a byte block is the cast buffer: free it before the Q pass makes its own
     center /= data.scale * weights.sum()
-    weighted = weights * _sq_deviations(data, center)
+    weighted = weights * (_sq_deviations(data, center) if part.row_squares is None
+                          else _byte_sq_deviations(data, center, part.row_squares))
     return MeasureContext(
         mean=part.mean,
         weighted_mean=center,

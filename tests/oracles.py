@@ -10,9 +10,10 @@ the 2d-point sphere design that averages the direct TMSE over the direction
 of the mean-stage noise (`axis_draws`); the decode-everything-then-index
 loading that sampling stored image bytes replaces, and the whole-matrix
 context passes (one n x d temporary each) that the row-blocked passes
-replace, the synthetic generator and image writers built from whole-matrix
-expressions and per-record writes, which in-place generation and
-row-blocked quantisation replace, and the analytic calibration with one
+replace, the subtract/square/sum squared deviations of byte rows that the
+exact-split byte Q pass replaces, the synthetic generator and image writers
+built from whole-matrix expressions and per-record writes, which in-place
+generation and row-blocked quantisation replace, and the analytic calibration with one
 root finder per branch, which the branch-parameterized finder replaces. The
 suite keeps them as reference oracles and asserts that the fast forms agree
 with them, exactly or in law. The closing helpers (within-vector variance,
@@ -420,6 +421,17 @@ def _mean_sq_deviation_direct(vectors: np.ndarray, center: np.ndarray, weights=1
     deviations = vectors - center
     squared = np.square(deviations, out=deviations).sum(axis=1)
     return float((weights * squared).mean())
+
+
+def byte_sq_deviations_direct(data: VectorDataset, center: np.ndarray) -> np.ndarray:
+    """||p_i - 255 center||^2 per byte row p_i: each cast block subtracts the
+    center in place, squares and sums, with nothing expanded into moments."""
+    center = center * 255.0
+    squares = np.empty(data.n)
+    for span, block in row_blocks(data):
+        deviations = np.subtract(block, center, out=block)
+        squares[span] = np.square(deviations, out=deviations).sum(axis=1)
+    return squares
 
 
 def build_context_direct(data: VectorDataset) -> MeasureContext:

@@ -1,9 +1,11 @@
 """Rows kept as stored bytes: exact integer moments and the row-blocked float
-passes against the whole-matrix float oracles, the memory a byte sample
+passes against the whole-matrix float oracles, the exact-split Q pass
+against its subtract/square/sum oracle, the memory a byte sample
 holds and that loading a mapped file costs, the trusted decode of byte rows,
 resampling a byte sample, and the zero-noise and rerun invariants."""
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -15,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import build_context_direct, load_decoded, project, sample_decoded
+from oracles import (
+    build_context_direct,
+    byte_sq_deviations_direct,
+    load_decoded,
+    project,
+    sample_decoded,
+)
 
 import hetdp
 from hetdp.cli import main
@@ -40,7 +48,7 @@ from hetdp.measures import (
     BLOCK_BYTES,
     VARIANCE_FLOOR,
     VectorDataset,
-    _sq_deviations,
+    _byte_sq_deviations,
     build_context,
     byte_moments,
 )
@@ -175,6 +183,108 @@ class TestByteRowBlocks:
             assert value == true_value(stat, data, ctx)
 
 
+def _grid_exponent(d: int) -> int:
+    """The byte Q pass's grid 2^-k: the largest k with 2k <= 53 - log2(2 * 255^2 * d)."""
+    return int(53 - math.log2(2 * 255**2 * d)) // 2
+
+
+def _split_pass(pixels: np.ndarray, center=None):
+    """The byte Q pass and its oracle on `pixels`, at the sample's weighted mean
+    or at `center`, after checking they agree within the pass's stated bound:
+    eps * d * 255 * 2^-k absolute for the rounded correction, plus the
+    oracle's own rounding of d subtractions, squares and a pairwise sum and
+    the pass's final addition, (3 + log2 d) eps relative."""
+    data = VectorDataset.from_bytes(pixels, np.zeros(len(pixels), dtype=np.int64))
+    if center is None:
+        center = build_context(data).weighted_mean
+    d, eps = data.d, np.finfo(np.float64).eps
+    squares = _byte_sq_deviations(data, center, byte_moments(pixels).row_squares)
+    direct = byte_sq_deviations_direct(data, center)
+    atol = eps * d * 255 * 2.0 ** -_grid_exponent(d)
+    np.testing.assert_allclose(squares, direct, rtol=(3 + math.log2(d)) * eps, atol=atol)
+    return squares, direct
+
+
+class TestExactSplitQPass:
+    def test_grid_exponent(self):
+        assert [_grid_exponent(d) for d in (784, 3072, 33_100)] == [13, 12, 10]
+
+    def test_all_255_rows(self):
+        # the largest row squares and center: every bracket term at its bound
+        pixels = np.full((6, 3072), 255, dtype=np.uint8)
+        squares, direct = _split_pass(pixels)
+        assert not squares.any() and not direct.any()
+        pixels = pixels.copy()  # the pass froze the first
+        pixels[5] = np.random.default_rng(20).integers(0, 256, 3072)
+        _split_pass(pixels)
+
+    @pytest.mark.parametrize("row", [np.full(784, 128), np.tile([0, 255], 392)])
+    def test_identical_rows_have_q_exactly_zero(self, row):
+        pixels = np.tile(row.astype(np.uint8), (40, 1))
+        data = VectorDataset.from_bytes(pixels, np.zeros(40, dtype=np.int64))
+        ctx = build_context(data)
+        assert np.array_equal(ctx.weighted_mean * 255.0, row)  # the center is the row
+        assert ctx.q_value == 0.0 and ctx.q_sq_weights == 0.0
+        squares, _ = _split_pass(pixels)
+        assert not squares.any()
+
+    def test_identical_rows_off_the_byte_grid(self):
+        # a center one rounding away from the row: both forms read ||f||^2
+        row = np.random.default_rng(21).integers(0, 256, 784, dtype=np.uint8)
+        squares, _ = _split_pass(np.tile(row, (40, 1)))
+        assert np.all(squares < 784 * 255 * 2.0**-_grid_exponent(784))
+
+    def test_a_dominating_constant_row(self):
+        # weight 1e9 against about 12 for the rest: the center sits within
+        # a few 1e-6 of the constant row's integers
+        pixels = np.random.default_rng(22).integers(0, 256, (300, 3072), dtype=np.uint8)
+        pixels[100] = 77
+        data = VectorDataset.from_bytes(pixels, np.zeros(300, dtype=np.int64))
+        ctx = build_context(data)
+        assert ctx.weights[100] == 1.0 / VARIANCE_FLOOR
+        assert np.all(np.abs(ctx.weighted_mean * 255.0 - 77) < 1e-3)
+        _split_pass(pixels)
+
+    def test_near_integer_center(self):
+        d = 784
+        k = _grid_exponent(d)
+        rng = np.random.default_rng(23)
+        pixels = rng.integers(0, 256, (50, d), dtype=np.uint8)
+        offsets = np.array([0.0, 1e-13, -1e-13, 2.0 ** -(k + 1), -(2.0 ** -(k + 1)), 2.0**-k])
+        center = (rng.integers(1, 255, d) + offsets[np.arange(d) % len(offsets)]) / 255.0
+        _split_pass(pixels, center)
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            (1, 3072),  # one row
+            (3, 33_100),  # k = 10 and int64 row squares
+            (2 * (BLOCK_BYTES // (8 * 784)) + 37, 784),  # a ragged last block
+        ],
+    )
+    def test_shapes(self, n, d):
+        pixels = np.random.default_rng(n).integers(0, 256, (n, d), dtype=np.uint8)
+        squares, _ = _split_pass(pixels)
+        if n == 1:
+            assert squares[0] < d * 255 * 2.0**-_grid_exponent(d)  # its own center
+
+    def test_bracket_is_exact_against_python_ints(self):
+        # a center on the grid 2^-k has f = 0: the pass returns the bracket
+        # sum_j (p_j - m_j 2^-k)^2 alone, which Python ints give exactly
+        n, d = 4, 50
+        k = _grid_exponent(d)
+        rng = np.random.default_rng(24)
+        pixels = rng.integers(0, 256, (n, d), dtype=np.uint8)
+        grid = rng.integers(0, 255 << k, d)
+        on_grid = np.ldexp(grid, -k) / 255.0 * 255.0 == np.ldexp(grid, -k)
+        grid = np.where(on_grid, grid, 0)  # 0 / 255 * 255 is 0: every coordinate on the grid
+        assert on_grid.mean() > 0.5
+        squares, _ = _split_pass(pixels, np.ldexp(grid, -k) / 255.0)
+        for row, value in zip(pixels.tolist(), squares.tolist()):
+            exact = sum(((p << k) - m) ** 2 for p, m in zip(row, grid.tolist()))
+            assert value == math.ldexp(exact, -2 * k)
+
+
 class TestByteResidentMemory:
     N, D = 1000, 3072
 
@@ -218,11 +328,11 @@ class TestByteResidentMemory:
             np.random.default_rng(11).integers(0, 256, (n, self.D), dtype=np.uint8),
             np.arange(n) % 10,
         )
-        ctx = build_context(data)
+        ctx, row_squares = build_context(data), byte_moments(data.rows).row_squares
         cast_buffer = min(BLOCK_BYTES // (8 * self.D), n) * self.D * 8  # row_blocks' one buffer
         tracemalloc.start()
         try:
-            squares = _sq_deviations(data, ctx.weighted_mean)
+            squares = _byte_sq_deviations(data, ctx.weighted_mean, row_squares)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -236,10 +346,10 @@ class TestByteResidentMemory:
             np.random.default_rng(14).integers(0, 256, (n, self.D), dtype=np.uint8),
             np.arange(n) % 10,
         )
-        ctx = build_context(data)
+        ctx, row_squares = build_context(data), byte_moments(data.rows).row_squares
         tracemalloc.start()
         try:
-            _sq_deviations(data, ctx.weighted_mean)
+            _byte_sq_deviations(data, ctx.weighted_mean, row_squares)
             _, q_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             build_context(data)

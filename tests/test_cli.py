@@ -369,14 +369,16 @@ class TestRunFailuresAreErrors:
         assert err.count("\n") == 1 and "array(" not in err
 
     def test_one_row_profile(self, tmp_path, capsys):
-        # 400 x 0.0025 is a one-row sample: its I^2 has a truth (0.0) but no
-        # release, so a plan with I^2 aborts and one without it runs.
+        # 400 x 0.0025 is a one-row sample: its Q and I^2 have a truth (0.0)
+        # but no release, so a plan with either aborts and one without runs.
         args = [*self.ARGS, "--fraction", "0.0025", "--out", str(tmp_path / "o.csv")]
         assert main(args) == 1
         assert capsys.readouterr().err == "error: i_squared needs n >= 2, got n=1\n"
-        assert main([*args, "--statistics", "dispersion,q"]) == 0
+        assert main([*args, "--statistics", "dispersion,q"]) == 1
+        assert capsys.readouterr().err == "error: q needs n >= 2, got n=1\n"
+        assert main([*args, "--statistics", "dispersion"]) == 0
         rows = read_result_csv(tmp_path / "o.csv")
-        assert {r.statistic for r in rows} == {"dispersion", "q"}
+        assert {r.statistic for r in rows} == {"dispersion"}
         assert all(r.i_squared_min == r.i_squared_mean == 0.0 for r in rows)
 
     def test_solver_failure_is_one(self, tmp_path, monkeypatch, capsys):
@@ -525,16 +527,40 @@ class TestMeasure:
         assert values["i_squared"]["error"].startswith("noisy q is -")
 
     def test_release_of_one_row_sample(self, capsys):
-        # Dispersion and Q are defined at n = 1; only I^2 is unavailable.
+        # Only dispersion releases at n = 1: a one-row Q is 0 whatever the
+        # row, while its noise scales with that row's weight.
         assert main(
             ["measure", "--synthetic", "20,8,0.5", "--profile", "uniform-10",
              "--fraction", "0.05", "--release", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["n"] == 1
+        assert payload["n"] == 1 and payload["q"] == 0.0
         values = payload["release"]["values"]
-        assert "value" in values["dispersion"] and "value" in values["q"]
+        assert "value" in values["dispersion"]
+        assert values["q"] == {"error": "q needs n >= 2, got n=1"}
         assert values["i_squared"] == {"error": "i_squared needs n >= 2, got n=1"}
+
+    def test_one_row_q_release_is_unavailable(self, capsys):
+        # the one-row weight is the floor's inverse: a released Q of that
+        # row was about 3.5e8 while its true Q is 0
+        assert main(
+            ["measure", *SYNTH_ARGS, "--profile", "uniform-2", "--fraction", "0.0025", "--release"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "n x d      1 x 4\n" in out and "Q          0\n" in out
+        assert "  q          unavailable: q needs n >= 2, got n=1\n" in out
+        assert "  dispersion " in out
+
+    @pytest.mark.parametrize("flags, warning", [
+        ((), "warning: --delta 0.1 is at least 1/n = 1/400\n"),  # the default, 40 / n
+        (("--delta", "0.0025"), "warning: --delta 0.0025 is at least 1/n = 1/400\n"),
+        (("--delta", "1e-5"), ""),
+    ])
+    def test_warns_when_delta_reaches_one_over_n(self, capsys, flags, warning):
+        assert main(["measure", *SYNTH_ARGS, "--release", "--json", *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == warning
+        assert json.loads(captured.out)["release"]["delta"] == float(flags[1] if flags else 0.1)
 
 
 class TestDataDirResolution:

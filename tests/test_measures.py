@@ -1,5 +1,6 @@
 """Noise-free statistics: hand values, brute-force oracles, invariances."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import build_context_direct, within_vector_variance
 
+from hetdp.datasets import CANONICAL_PROFILES, stratified_sample, synthetic_dataset
 from hetdp.measures import BLOCK_BYTES, VARIANCE_FLOOR, VectorDataset, build_context, i_squared
 
 unit_matrices = hnp.arrays(
@@ -168,6 +170,22 @@ class TestISquared:
         value = i_squared(q, n)
         assert 0.0 <= value <= 1.0
         assert i_squared(q + 1.0, n) >= value
+
+    def test_falls_as_the_sample_grows(self):
+        # Q is a mean over rows, so its scale stays put while n - 1 grows:
+        # one population reads I^2 0.863 at n = 200 and 0 at n = 2000. On the
+        # sum scale (n Q against n - 1) both samples read about 0.9993.
+        population = synthetic_dataset(20000, 8, 0.25, 0)
+        readings = []
+        for fraction in (0.01, 0.1):
+            profile = dataclasses.replace(CANONICAL_PROFILES["uniform-10"], sample_fraction=fraction)
+            sample = stratified_sample(population, profile, seed=0)
+            q_value = build_context(sample).q_value
+            assert 1.3e3 < q_value < 1.5e3
+            assert 1.0 - (sample.n - 1) / (sample.n * q_value) == pytest.approx(0.9993, abs=1e-4)
+            readings.append((sample.n, i_squared(q_value, sample.n)))
+        assert readings[0][0] == 200 and readings[0][1] == pytest.approx(0.863, abs=1e-3)
+        assert readings[1] == (2000, 0.0)
 
 
 # Rows per block at d = 64, and a width whose one row exceeds a block.
