@@ -7,11 +7,17 @@ peak), then runs the workload's plan K times in this process through
 hetdp.cli.main, one study after another, and prints one JSON object with
 `ru_maxrss` (as MiB) and the median study wall time. perfbench's own
 peak_rss_mib comes from however many studies fit its time window; a fixed K
-makes two trees comparable. --trials T runs the workload's plan at T trials
-per cell instead of its own count:
+makes two trees comparable. `minor_faults_per_study` is the rise of
+`ru_minflt` over the K studies, divided by K. --trials T runs the workload's
+plan at T trials per cell instead of its own count. --layers also times the
+functions named in LAYERS, each where hetdp.experiment binds it, and adds
+`layer_ms_per_study`, their mean in-process time per study; the wrappers'
+own cost then falls inside `wall_s_median`. The hetdp on PYTHONPATH is the
+one measured, so one copy of this script times two trees:
 
     PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 50
     PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 20 --trials 500
+    PYTHONPATH=src python3 scripts/peak_rss.py --workload sweep-d8 --studies 200 --layers
 """
 
 import argparse
@@ -33,6 +39,32 @@ sys.path.insert(0, str(BENCH_DIR))
 
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
 
+#: The study's layers that --layers times: sampling, the data pass,
+#: calibration, scoring and the three writers.
+LAYERS = ("stratified_sample", "build_context", "stage_sigmas", "error_reports",
+          "write_result_csv", "write_plan_log", "write_emse_charts")
+
+
+def time_layers() -> dict[str, float]:
+    """Replace each LAYERS function in hetdp.experiment by a wrapper that
+    adds its wall time to the returned totals (seconds, by name)."""
+    import hetdp.experiment as experiment
+
+    totals = dict.fromkeys(LAYERS, 0.0)
+
+    def timed(name, inner):
+        def call(*args, **kwargs):
+            start = perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                totals[name] += perf_counter() - start
+        return call
+
+    for name in LAYERS:
+        setattr(experiment, name, timed(name, getattr(experiment, name)))
+    return totals
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -41,6 +73,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     parser.add_argument("--trials", type=int, default=None,
                         help="trials per cell (default: the workload's own)")
+    parser.add_argument("--layers", action="store_true",
+                        help="also report each LAYERS function's time per study")
     args = parser.parse_args()
     if args.studies < 1:
         parser.error("--studies must be at least 1")
@@ -60,6 +94,8 @@ def main() -> int:
             check=True, stdout=subprocess.DEVNULL,
         )
         argv = workload.argv(inputs, args.seed, out / "study.csv", out / "charts")
+        totals = time_layers() if args.layers else None
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(args.studies):
             start = perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):
@@ -67,7 +103,8 @@ def main() -> int:
             walls.append(perf_counter() - start)
             if code != 0:
                 sys.exit(f"study failed with exit code {code}")
-    print(json.dumps({
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
+    report = {
         "workload": workload.name,
         "seed": args.seed,
         "studies": args.studies,
@@ -75,7 +112,13 @@ def main() -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "wall_s_median": round(statistics.median(walls), 4),
-    }))
+        "minor_faults_per_study": round(faults / args.studies, 1),
+    }
+    if totals is not None:
+        report["layer_ms_per_study"] = {
+            name: round(1e3 * total / args.studies, 3) for name, total in totals.items()
+        }
+    print(json.dumps(report))
     return 0
 
 

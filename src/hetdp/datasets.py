@@ -430,17 +430,15 @@ def stratified_sample(
             f"sample of {profile.sample_fraction} * {data.n} rows is empty"
         )
     counts = _allocate(total, np.asarray(profile.ratios, dtype=np.float64))
-    present = np.unique(data.labels)
-    if present.size < profile.label_count:
+    pools = data._label_pools
+    if len(pools) < profile.label_count:
         raise SampleCapacityError(
             f"profile needs {profile.label_count} label buckets but the data "
-            f"has only {present.size} distinct labels"
+            f"has only {len(pools)} distinct labels"
         )
     rng = np.random.default_rng(seed)
     picked: list[np.ndarray] = []
-    for bucket, want in enumerate(counts):
-        label = int(present[bucket])
-        pool = np.nonzero(data.labels == label)[0]
+    for bucket, (want, (label, pool)) in enumerate(zip(counts, pools.items())):
         if pool.size < want:
             raise SampleCapacityError(
                 f"bucket {bucket} (label {label}) needs {int(want)} records "

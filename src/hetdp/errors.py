@@ -2,19 +2,20 @@
 
 The empirical error (EMSE) averages squared deviations of fresh private
 releases from the true statistic. `error_reports` scores one cell at every
-budget (epsilon) of a list: arithmetic on the cell's trial draws (the error
-law of `trial_draws`) and the noise scales `stage_sigmas` calibrated for
-those budgets. `error_report` draws, calibrates and scores one cell at the
-one budget passed beside its config. The theoretical error (TMSE) of a
-dispersion or Q trial is `conditional_tmse`, the expectation of the
-closed-form per-release error given the trial's draws, so `tmse`/`sd_tmse`
-are the mean and spread of that conditional TMSE; it reads the context's
-weights and moments, never a row. The I^2 TMSE is the closed form on the
-trial's own draws. Every error has the law it has on d-wide noise vectors;
-only the realizations differ. The
-centralized error (CMSE) is the squared single draw a centralized release
-would add after aggregation: each trial's unit scalar scaled by sqrt(d)
-times the full-budget sigma, whatever the statistic.
+budget (epsilon) of a list: arithmetic on the cell's trial draws (the error law
+of `trial_draws`) and the noise scales `stage_sigmas` calibrated for those
+budgets. It reduces the B x T (budget x trial) error arrays row-wise, with one
+`ci_half_width` call for all B widths, so each budget's report is the
+one-budget report bit for bit. `error_report` draws, calibrates and scores one
+cell at the one budget passed beside its config. The theoretical error (TMSE)
+of a dispersion or Q trial is `conditional_tmse`, the expectation of the
+closed-form per-release error given the trial's draws, so `tmse`/`sd_tmse` are
+the mean and spread of that conditional TMSE; it reads the context's weights
+and moments, never a row. The I^2 TMSE is the closed form on the trial's own
+draws. Every error has the law it has on d-wide noise vectors; only the
+realizations differ. The centralized error (CMSE) is the squared single draw a
+centralized release would add after aggregation: each trial's unit scalar
+scaled by sqrt(d) times the full-budget sigma, whatever the statistic.
 
 The heterogeneity-fraction EMSE is normalized per client (divided by n): its
 closed-form counterpart carries a 1/n factor, and the ratio check between the
@@ -90,7 +91,7 @@ def tmse_i_squared(n: int, q_true: float, q_noisy, i2_noise):
     return gap**2 / n
 
 
-def ci_half_width(statistic: Statistic, n: int, weights, mean_noise_var: float) -> float:
+def ci_half_width(statistic: Statistic, n: int, weights, mean_noise_var) -> float | np.ndarray:
     """Half-width of the 95% interval around a private release.
 
     Dispersion: 7.84 * sqrt(6) * mean_noise_var^2 / sqrt(n). Q: that term
@@ -98,22 +99,26 @@ def ci_half_width(statistic: Statistic, n: int, weights, mean_noise_var: float) 
     half-width is n times the dispersion's. I^2:
     sum_i 0.625 (n-1) / (w_i sqrt(n) mean_noise_var^2); zero noise
     degenerates to a zero width. Can exceed 1 at small n; reported unclamped.
-    The dispersion ignores `weights`.
+    The dispersion ignores `weights`. `mean_noise_var` is one variance (the
+    width is a float) or an array of them (an array of widths, same shape).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if mean_noise_var < 0:
+    variances = np.asarray(mean_noise_var, dtype=np.float64)
+    if (variances < 0).any():
         raise ValueError(f"variance must be nonnegative, got {mean_noise_var!r}")
+    # Python's float power: numpy's ** 2 is x * x, which can round differently
+    squares = np.array([v**2 for v in variances.ravel().tolist()]).reshape(variances.shape + (1,))
     if statistic is Statistic.DISPERSION:
-        return DISPERSION_CI_CONSTANT * mean_noise_var**2 / math.sqrt(n)
-    weights = np.asarray(weights, dtype=np.float64)
-    if statistic is Statistic.Q:
-        return float((DISPERSION_CI_CONSTANT * weights * mean_noise_var**2 / math.sqrt(n)).sum())
-    if mean_noise_var == 0.0:
-        return 0.0
-    return float(
-        (I_SQUARED_CI_CONSTANT * (n - 1) / (weights * math.sqrt(n) * mean_noise_var**2)).sum()
-    )
+        widths = DISPERSION_CI_CONSTANT * squares[..., 0] / math.sqrt(n)
+    elif statistic is Statistic.Q:
+        widths = (DISPERSION_CI_CONSTANT * np.asarray(weights, dtype=np.float64) * squares
+                  / math.sqrt(n)).sum(axis=-1)
+    else:  # zero noise divides by an infinite square: a zero width
+        squares[variances == 0.0] = np.inf
+        widths = (I_SQUARED_CI_CONSTANT * (n - 1)
+                  / (np.asarray(weights, dtype=np.float64) * math.sqrt(n) * squares)).sum(axis=-1)
+    return float(widths) if widths.ndim == 0 else widths
 
 
 def conditional_tmse(
@@ -162,17 +167,13 @@ def error_reports(
     else:
         emse, tmse = noise**2, conditional_tmse(statistic, ctx, draws, sigmas, noise)
     cmse = (math.sqrt(data.d) * sigmas[:, -1, None] * draws.central) ** 2
+    variances = [s**2 for s in sigmas[:, 0].tolist()]  # Python's float power, as in ci_half_width
+    widths = ci_half_width(statistic, data.n, ctx.weights, variances)
+    errors = np.stack([emse, tmse, cmse])  # error x budget x trial
+    columns = (*errors.mean(axis=2), *errors[:2].std(axis=2), widths)
     return [
-        ErrorReport(
-            emse=float(emse[b].mean()),
-            tmse=float(tmse[b].mean()),
-            cmse=float(cmse[b].mean()),
-            sd_emse=float(emse[b].std()),
-            sd_tmse=float(tmse[b].std()),
-            trials=len(draws.central),
-            ci_half_width=ci_half_width(statistic, data.n, ctx.weights, float(sigma) ** 2),
-        )
-        for b, sigma in enumerate(sigmas[:, 0])
+        ErrorReport(*row, trials=len(draws.central), ci_half_width=width)
+        for *row, width in zip(*(column.tolist() for column in columns))
     ]
 
 

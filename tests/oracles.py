@@ -474,16 +474,24 @@ def load_decoded(desc: DatasetDescriptor) -> VectorDataset:
     return VectorDataset(np.vstack(blocks), np.concatenate(labels))
 
 
+def label_pools_direct(labels: np.ndarray) -> dict[int, np.ndarray]:
+    """Each present label's row indices, keyed in ascending label order, as
+    stratified_sample once found them on every call: np.unique for the
+    present labels, then one np.nonzero scan of all labels per present label."""
+    return {int(label): np.nonzero(labels == label)[0] for label in np.unique(labels)}
+
+
 def sample_decoded(data: VectorDataset, profile: HeterogeneityProfile, seed: int) -> VectorDataset:
     """Stratified sample of a fully decoded dataset: pick rows per label
-    bucket as stratified_sample does, then index the float64 vectors."""
+    bucket as stratified_sample does, from label_pools_direct's pools, then
+    index the float64 vectors."""
     total = math.floor(profile.sample_fraction * data.n)
     counts = _allocate(total, np.asarray(profile.ratios, dtype=np.float64))
-    present = np.unique(data.labels)
+    pools = list(label_pools_direct(data.labels).values())
     rng = np.random.default_rng(seed)
     index = np.concatenate(
         [
-            rng.choice(np.nonzero(data.labels == present[bucket])[0], size=int(want), replace=False)
+            rng.choice(pools[bucket], size=int(want), replace=False)
             for bucket, want in enumerate(counts)
         ]
     )

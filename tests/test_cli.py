@@ -461,6 +461,22 @@ class TestMeasure:
         out = capsys.readouterr().out
         assert "consensus threshold: Q = 0 < 0.1, consensus: no statistical heterogeneity" in out
 
+    @pytest.mark.parametrize("value", [0, 35, 70, 128, 140, 255])
+    @pytest.mark.parametrize("d", [784, 3072])
+    def test_constant_byte_rows_reach_consensus(self, tmp_path, capsys, value, d):
+        # Q of identical rows is 0 in exact arithmetic; for most byte values
+        # the float weighted mean leaves a residue (6.1e-22 at byte 35, d=784).
+        data = VectorDataset.from_bytes(np.full((6, d), value, np.uint8), np.zeros(6, np.int64))
+        write_idx(data, tmp_path / "img.bin", tmp_path / "lab.bin")
+        argv = ["measure", "--idx-images", str(tmp_path / "img.bin"),
+                "--idx-labels", str(tmp_path / "lab.bin")]
+        assert main(argv) == 0
+        assert "< 0.1, consensus: no statistical heterogeneity" in capsys.readouterr().out
+        assert main([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 0.0 <= payload["q"] < 1e-15
+        assert payload["heterogeneity_at_consensus_threshold"] is False
+
     def test_json_payload(self, capsys):
         assert main(["measure", *SYNTH_ARGS, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

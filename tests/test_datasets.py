@@ -36,7 +36,8 @@ from hetdp.datasets import (
 from hetdp.measures import VectorDataset, build_context, i_squared
 
 from oracles import (
-    load_decoded, sample_decoded, synthetic_direct, write_cifar_direct, write_idx_direct,
+    label_pools_direct, load_decoded, sample_decoded, synthetic_direct, write_cifar_direct,
+    write_idx_direct,
 )
 
 
@@ -645,6 +646,62 @@ class TestStratifiedSample:
         profile = HeterogeneityProfile((1, 1), sample_fraction=0.01)
         with pytest.raises(ValueError, match="is empty"):
             stratified_sample(data, profile, seed=0)
+
+
+class TestLabelPools:
+    """stratified_sample reads each label's rows from one pass per dataset,
+    VectorDataset._label_pools, which every profile on that dataset shares."""
+
+    PROFILES = (
+        HeterogeneityProfile((1,) * 10, sample_fraction=0.1),
+        HeterogeneityProfile((3, 1), sample_fraction=0.1),
+        HeterogeneityProfile((1, 2, 3, 4, 5), sample_fraction=0.05),
+        HeterogeneityProfile((9, 1), sample_fraction=0.02),
+    )
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0], [4] * 7, [3, 7, 9] * 20, [9, 8, 7, 6, 5, 4, 3, 2, 1, 0] * 3,
+         np.random.default_rng(3).choice([0, 2, 5, 11, 250], 500).tolist(),
+         np.random.default_rng(4).choice([7, 256, 65535], 300).tolist(),
+         np.random.default_rng(4).choice([7, 65535, 65536], 300).tolist(),
+         np.random.default_rng(4).choice([7, 2**16 + 7, 2**40], 300).tolist()],
+        ids=["one-row", "one-label", "gapped", "descending", "random", "16-bit", "17-bit",
+             "41-bit"],
+    )
+    def test_pools_equal_the_per_label_scan(self, labels):
+        data = VectorDataset(np.zeros((len(labels), 1)), np.asarray(labels))
+        pools, direct = data._label_pools, label_pools_direct(data.labels)
+        assert list(pools) == list(direct)
+        for label, pool in direct.items():
+            assert pools[label].dtype == pool.dtype
+            assert np.array_equal(pools[label], pool)
+            assert not pools[label].flags.writeable
+
+    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100", "synthetic"])
+    def test_profiles_on_one_dataset_share_one_pass(self, stored_descriptors, kind):
+        desc = stored_descriptors[kind]
+        data, decoded = load_dataset(desc), load_decoded(desc)
+        assert "_label_pools" not in vars(data)
+        pools = None
+        for profile, seed in itertools.product(self.PROFILES, (0, 9)):
+            sample = stratified_sample(data, profile, seed)
+            expected = sample_decoded(decoded, profile, seed)
+            assert np.array_equal(sample.vectors, expected.vectors), (profile, seed)
+            assert np.array_equal(sample.labels, expected.labels), (profile, seed)
+            pools = pools or vars(data)["_label_pools"]
+            assert vars(data)["_label_pools"] is pools  # made by the first profile only
+            assert "_label_pools" not in vars(sample)
+
+    def test_capacity_error_from_shared_pools(self):
+        labels = np.array([0] * 3 + [1] * 57)
+        data = VectorDataset(np.random.default_rng(6).random((60, 2)), labels)
+        stratified_sample(data, HeterogeneityProfile((1, 1), sample_fraction=0.1), seed=0)
+        with pytest.raises(
+            SampleCapacityError,
+            match=r"^bucket 0 \(label 0\) needs 27 records but only 3 are available$",
+        ):
+            stratified_sample(data, HeterogeneityProfile((9, 1), sample_fraction=0.5), seed=0)
 
 
 class TestAgainstDirectForms:

@@ -1,6 +1,7 @@
 """Error analysis: closed-form MSEs, intervals, oracles, Monte Carlo reports."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,38 @@ class TestConfidenceIntervals:
         half = ci_half_width(Statistic.I_SQUARED, 2, ctx.weights, 0.05)
         assert 0.75 + half > 1.0
         assert 0.75 - half < 0.0
+
+    @staticmethod
+    def _variances():
+        """Zero noise, then the uniform draws whose square differs between
+        Python's float power (libm pow) and x * x (about one in a thousand
+        under glibc), then plain draws over twelve decades."""
+        rng = np.random.default_rng(27)
+        draws = rng.random(100_000).tolist()
+        pow_differs = [v for v in draws if v**2 != v * v]
+        return np.array([0.0, *pow_differs, *draws[:500], *10.0 ** rng.uniform(-8, 4, 200)])
+
+    @pytest.mark.parametrize("statistic", list(Statistic))
+    def test_array_of_variances_equals_the_float_form_bit_for_bit(self, statistic):
+        # Warnings are errors, so zero-noise I^2 must not divide by zero.
+        weights = 1.0 / np.random.default_rng(28).uniform(0.01, 1.0, 50)
+        variances = self._variances()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            widths = ci_half_width(statistic, 50, weights, variances)
+            grid = ci_half_width(statistic, 50, weights, variances[:6].reshape(2, 3))
+            singles = [ci_half_width(statistic, 50, weights, v) for v in variances.tolist()]
+        assert all(type(width) is float for width in singles)
+        assert widths.shape == variances.shape and grid.shape == (2, 3)
+        assert np.array_equal(widths.view(np.int64), np.array(singles).view(np.int64))
+        assert np.array_equal(grid.view(np.int64), widths[:6].reshape(2, 3).view(np.int64))
+        assert widths[0] == singles[0] == 0.0
+
+    def test_float_form_squares_by_python_float_power(self):
+        # The reported intervals keep the float power's rounding.
+        for v in self._variances().tolist():
+            expected = DISPERSION_CI_CONSTANT * v**2 / math.sqrt(7)
+            assert ci_half_width(Statistic.DISPERSION, 7, None, v) == expected
 
     @pytest.mark.parametrize("statistic", list(Statistic))
     def test_validation(self, fix, statistic):

@@ -521,14 +521,16 @@ class TestBudgetBatchAgainstDirectKernel:
 
     TRIALS = 9
     EPSILONS = (0.25, 0.5, 0.9)
+    #: Budget lists of B = 1 to 9 epsilons take their first B, in this order.
+    MORE_EPSILONS = (0.25, 0.5, 0.9, 0.1, 0.75, 0.3, 0.6, 0.2, 0.95)
 
-    def _cases(self):
+    def _cases(self, epsilons=EPSILONS):
         for data in (_random_data(), _constant_row_data()):
             ctx = build_context(data)
             for statistic, setting, mech in product(Statistic, Setting, Mechanism):
                 budgets = [
                     PrivacyBudget.equal_split(epsilon, 1e-3, statistic.budget_parts)
-                    for epsilon in self.EPSILONS
+                    for epsilon in epsilons
                 ]
                 cell = _cfg(setting, mech, seed=31)
                 yield data, ctx, statistic, cell, budgets
@@ -562,9 +564,13 @@ class TestBudgetBatchAgainstDirectKernel:
                                                err_msg=str(case))
                 assert reports[b].tmse == pytest.approx(np.mean(tmse), rel=1e-12, abs=0.0), case
 
-    def test_one_budget_call_equals_its_slot_exactly(self):
-        for data, ctx, statistic, cell, budgets in self._cases():
-            draws = trial_draws(statistic, cell, data.d, self.TRIALS)
+    @pytest.mark.parametrize("budget_count", [1, 2, 7, 9])
+    @pytest.mark.parametrize("trials", [4, 20, 129])
+    def test_one_budget_call_equals_its_slot_exactly(self, budget_count, trials):
+        # error_reports reduces B x T arrays row-wise; each row must be the
+        # one-row reduction of a single budget, bit for bit.
+        for data, ctx, statistic, cell, budgets in self._cases(self.MORE_EPSILONS[:budget_count]):
+            draws = trial_draws(statistic, cell, data.d, trials)
             sigmas = stage_sigmas(statistic, data, cell, budgets, {})
             noise = release_noise(statistic, data, ctx, draws, sigmas)
             errors = _library_tmse(statistic, data, ctx, draws, sigmas)
@@ -578,7 +584,7 @@ class TestBudgetBatchAgainstDirectKernel:
                 if errors is not None:
                     one_errors = _library_tmse(statistic, data, ctx, draws, one)
                     assert np.array_equal(one_errors[0], errors[b]), case
-                report = error_report(statistic, data, ctx, cell, budget, self.TRIALS)
+                report = error_report(statistic, data, ctx, cell, budget, trials)
                 assert report == reports[b], case
 
     def test_zero_noise_is_the_true_value_bit_for_bit(self):
