@@ -10,10 +10,12 @@ peak_rss_mib comes from however many studies fit its time window; a fixed K
 makes two trees comparable. `minor_faults_per_study` is the rise of
 `ru_minflt` over the K studies, divided by K. --trials T runs the workload's
 plan at T trials per cell instead of its own count. --layers also times the
-functions named in LAYERS, each where hetdp.experiment binds it, and adds
-`layer_ms_per_study`, their mean in-process time per study; the wrappers'
-own cost then falls inside `wall_s_median`. The hetdp on PYTHONPATH is the
-one measured, so one copy of this script times two trees:
+functions named in LAYERS, each where its module binds it, and adds
+`layer_ms_per_study`, their mean in-process time per study, and
+`other_ms_per_study`, the mean study wall time they leave over (none of
+them calls another, so their times add up); the wrappers' own cost falls
+inside `other_ms_per_study` and `wall_s_median`. The hetdp on PYTHONPATH is
+the one measured, so one copy of this script times two trees:
 
     PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 50
     PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 20 --trials 500
@@ -23,6 +25,7 @@ one measured, so one copy of this script times two trees:
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -39,18 +42,21 @@ sys.path.insert(0, str(BENCH_DIR))
 
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
 
-#: The study's layers that --layers times: sampling, the data pass,
-#: calibration, scoring and the three writers.
-LAYERS = ("stratified_sample", "build_context", "stage_sigmas", "error_reports",
-          "write_result_csv", "write_plan_log", "write_emse_charts")
+#: The study's layers that --layers times, by the module that binds them:
+#: argument parsing, loading, sampling, the data pass, the true values, the
+#: trial draws, calibration, scoring and the three writers.
+LAYERS = {
+    "hetdp.cli": ("build_parser",),
+    "hetdp.experiment": ("load_dataset", "stratified_sample", "build_context", "true_value",
+                         "trial_draws", "stage_sigmas", "error_reports",
+                         "write_result_csv", "write_plan_log", "write_emse_charts"),
+}
 
 
 def time_layers() -> dict[str, float]:
-    """Replace each LAYERS function in hetdp.experiment by a wrapper that
-    adds its wall time to the returned totals (seconds, by name)."""
-    import hetdp.experiment as experiment
-
-    totals = dict.fromkeys(LAYERS, 0.0)
+    """Replace each LAYERS function in its module by a wrapper that adds its
+    wall time to the returned totals (seconds, by name)."""
+    totals = {name: 0.0 for names in LAYERS.values() for name in names}
 
     def timed(name, inner):
         def call(*args, **kwargs):
@@ -61,8 +67,10 @@ def time_layers() -> dict[str, float]:
                 totals[name] += perf_counter() - start
         return call
 
-    for name in LAYERS:
-        setattr(experiment, name, timed(name, getattr(experiment, name)))
+    for module_name, names in LAYERS.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            setattr(module, name, timed(name, getattr(module, name)))
     return totals
 
 
@@ -118,6 +126,8 @@ def main() -> int:
         report["layer_ms_per_study"] = {
             name: round(1e3 * total / args.studies, 3) for name, total in totals.items()
         }
+        report["other_ms_per_study"] = round(
+            1e3 * (sum(walls) - sum(totals.values())) / args.studies, 3)
     print(json.dumps(report))
     return 0
 

@@ -7,6 +7,8 @@ analysis (empirical vs theoretical vs centralized mean squared error,
 confidence intervals) that accompanies the estimators.
 """
 
+import types
+
 from hetdp.datasets import (
     CANONICAL_PROFILES,
     DataFormat,
@@ -60,51 +62,8 @@ from hetdp.gaussian import (
 )
 from hetdp.measures import MeasureContext, VectorDataset, build_context, i_squared
 
-__all__ = [
-    "CANONICAL_PROFILES",
-    "DEFAULT_EPSILON_GRID",
-    "CalibrationResult",
-    "ComparisonRow",
-    "ConvergenceError",
-    "DataFormat",
-    "DatasetDescriptor",
-    "DatasetFormatError",
-    "DegenerateStatisticError",
-    "ErrorReport",
-    "EstimatorConfig",
-    "ExperimentPlan",
-    "HeterogeneityProfile",
-    "LabelScheme",
-    "MeasureContext",
-    "Mechanism",
-    "NoiseBranch",
-    "PrivacyBudget",
-    "ResultRow",
-    "SampleCapacityError",
-    "SensitivitySpec",
-    "Setting",
-    "Statistic",
-    "VectorDataset",
-    "achieved_delta",
-    "agm_sigma",
-    "build_context",
-    "cgm_sigma",
-    "ci_half_width",
-    "derive_seed",
-    "error_report",
-    "i_squared",
-    "load_dataset",
-    "noisy_statistic",
-    "read_result_csv",
-    "release_sigma",
-    "run_experiment",
-    "run_heterogeneity_comparison",
-    "stratified_sample",
-    "synthetic_dataset",
-    "tmse_i_squared",
-    "true_value",
-    "write_cifar",
-    "write_idx",
-]
+#: Every name imported above: the package's public API, listed once.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
 
 __version__ = "0.1.0"

@@ -239,6 +239,8 @@ def cmd_calibrate(parser, args) -> int:
 def cmd_measure(parser, args) -> int:
     if not args.profile:
         _reject_unused(parser, args, "--profile", "--fraction", "--sample-seed")
+    elif args.sample_seed < 0:
+        parser.error(f"--sample-seed must be nonnegative, got {args.sample_seed}")
     if not args.release:
         _reject_unused(parser, args, "--release", "--epsilon", "--delta", "--mechanism",
                        "--setting", "--budget-split", "--seed", "--zero-noise")

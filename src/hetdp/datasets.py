@@ -125,6 +125,8 @@ class DatasetDescriptor:
     def __post_init__(self) -> None:
         if "/" in self.name or os.sep in self.name:
             raise ValueError(f"dataset name {self.name!r} may not contain a path separator")
+        if self.synth_seed < 0:
+            raise ValueError(f"synth_seed (--synth-seed) must be nonnegative, got {self.synth_seed}")
         if self.format is DataFormat.CIFAR100_BIN:
             if self.label_scheme is not LabelScheme.COARSE_BUCKETED:
                 raise ValueError("the 3074-byte record format always buckets coarse labels")

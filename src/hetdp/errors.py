@@ -3,10 +3,11 @@
 The empirical error (EMSE) averages squared deviations of fresh private
 releases from the true statistic. `error_reports` scores one cell at every
 budget (epsilon) of a list: arithmetic on the cell's trial draws (the error law
-of `trial_draws`) and the noise scales `stage_sigmas` calibrated for those
-budgets. It reduces the B x T (budget x trial) error arrays row-wise, with one
-`ci_half_width` call for all B widths, so each budget's report is the
-one-budget report bit for bit. `error_report` draws, calibrates and scores one
+of `trial_draws`), the noise scales `stage_sigmas` calibrated for those budgets
+and the sample's context, whose n and d it reads. It reduces the B x T (budget
+x trial) error arrays row-wise, with one `ci_half_width` call for all B widths,
+so each budget's report is the one-budget report bit for bit. `error_report`
+checks a sample against its context, then draws, calibrates and scores one
 cell at the one budget passed beside its config. The theoretical error (TMSE)
 of a dispersion or Q trial is `conditional_tmse`, the expectation of the
 closed-form per-release error given the trial's draws, so `tmse`/`sd_tmse` are
@@ -33,11 +34,12 @@ from hetdp.estimators import (
     EstimatorConfig,
     Statistic,
     TrialDraws,
+    check_context,
     i_squared_release,
     release_noise,
     stage_sigmas,
     trial_draws,
-    true_value,
+    true_value_of,
 )
 from hetdp.gaussian import PrivacyBudget
 from hetdp.measures import MeasureContext, VectorDataset
@@ -146,8 +148,7 @@ def conditional_tmse(
 
 
 def error_reports(
-    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: TrialDraws,
-    sigmas: np.ndarray,
+    statistic: Statistic, ctx: MeasureContext, draws: TrialDraws, sigmas: np.ndarray
 ) -> list[ErrorReport]:
     """Monte Carlo error summary of one cell at each budget, all trials at once.
 
@@ -156,19 +157,18 @@ def error_reports(
     is conditional_tmse (I^2: tmse_i_squared on its own draws); its CMSE is
     (sqrt(d) sigma_full central_t)^2, sigma_full the last column of `sigmas`.
     """
-    noise = release_noise(statistic, data, ctx, draws, sigmas)
+    noise = release_noise(statistic, ctx, draws, sigmas)
     if statistic is Statistic.I_SQUARED:
-        q_true = true_value(Statistic.Q, data, ctx)
-        q_noisy = q_true + noise
+        q_noisy = ctx.q_value + noise
         i2_noise = sigmas[:, 2, None] * draws.third
-        released = i_squared_release(q_noisy, data.n, i2_noise)
-        emse = (released - true_value(statistic, data, ctx)) ** 2 / data.n
-        tmse = tmse_i_squared(data.n, q_true, q_noisy, i2_noise)
+        released = i_squared_release(q_noisy, ctx.n, i2_noise)
+        emse = (released - true_value_of(statistic, ctx)) ** 2 / ctx.n
+        tmse = tmse_i_squared(ctx.n, ctx.q_value, q_noisy, i2_noise)
     else:
         emse, tmse = noise**2, conditional_tmse(statistic, ctx, draws, sigmas, noise)
-    cmse = (math.sqrt(data.d) * sigmas[:, -1, None] * draws.central) ** 2
+    cmse = (math.sqrt(ctx.d) * sigmas[:, -1, None] * draws.central) ** 2
     variances = [s**2 for s in sigmas[:, 0].tolist()]  # Python's float power, as in ci_half_width
-    widths = ci_half_width(statistic, data.n, ctx.weights, variances)
+    widths = ci_half_width(statistic, ctx.n, ctx.weights, variances)
     errors = np.stack([emse, tmse, cmse])  # error x budget x trial
     columns = (*errors.mean(axis=2), *errors[:2].std(axis=2), widths)
     return [
@@ -185,6 +185,7 @@ def error_report(
     cfg.seed scaled by the budget's calibrated sigmas."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
-    draws = trial_draws(statistic, cfg, data.d, trials)
-    return error_reports(statistic, data, ctx, draws, sigmas)[0]
+    check_context(data, ctx)
+    sigmas = stage_sigmas(statistic, ctx, cfg, [budget], {})
+    draws = trial_draws(statistic, cfg, ctx.d, trials)
+    return error_reports(statistic, ctx, draws, sigmas)[0]

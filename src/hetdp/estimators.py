@@ -25,9 +25,10 @@ draws T of each once per cell, and every budget scales the same vectors
 into noise scales: one row per budget, its stage sigmas and then its
 full-budget sigma. It alone decides zero noise: a zero-noise cell draws as
 usual and gets all-zero sigma rows. A release is its true value plus `release_noise`,
-arithmetic on the draws and that array that reads no row of the sample. A
-single release is trial 0 of its cell. Q and I^2 of fewer than two rows have
-a true value (0.0, `true_value`) but no release: `release_noise` rejects them.
+arithmetic on the draws, that array and the sample's context, never a row. A
+call given a sample beside its context checks the pair once (`check_context`).
+A single release is trial 0 of its cell. Q and I^2 of fewer than two rows have
+a true value (0.0, `true_value_of`) but no release: `release_noise` rejects them.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def trial_draws(statistic: Statistic, cfg: EstimatorConfig, d: int, trials: int)
 
 
 def stage_sigmas(
-    statistic: Statistic, data: VectorDataset, cfg: EstimatorConfig, budgets, memo: dict
+    statistic: Statistic, ctx: MeasureContext, cfg: EstimatorConfig, budgets, memo: dict
 ) -> np.ndarray:
     """Noise scales (B x (parts + 1)) of each budget's stages, then of the
     whole budget (the centralized error's); all 0.0 under zero noise, the
@@ -143,7 +144,7 @@ def stage_sigmas(
         if len(budget.split) != parts:
             raise ValueError(f"{statistic.value} needs a {parts}-part budget split, got "
                              f"{len(budget.split)} parts")
-    sens = SensitivitySpec.from_shape(data.n, data.d)
+    sens = SensitivitySpec.from_shape(ctx.n, ctx.d)
     sigmas = np.zeros((len(budgets), parts + 1))
     if cfg.zero_noise:
         return sigmas
@@ -156,7 +157,20 @@ def stage_sigmas(
     return sigmas
 
 
+def check_context(data: VectorDataset, ctx: MeasureContext) -> None:
+    """The one check of a call given a sample beside its context: the pair's n and d agree."""
+    if ctx.weights.shape != (data.n,) or ctx.mean.shape != (data.d,):
+        raise ValueError(f"context weights {ctx.weights.shape} and mean {ctx.mean.shape} "
+                         f"do not match n={data.n}, d={data.d}")
+
+
 def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -> float:
+    """true_value_of(statistic, ctx), once `ctx` is checked to be the context of `data`."""
+    check_context(data, ctx)
+    return true_value_of(statistic, ctx)
+
+
+def true_value_of(statistic: Statistic, ctx: MeasureContext) -> float:
     """Noise-free counterpart of one of the three statistics, read from the
     values build_context stored on `ctx`. I^2 of fewer than two rows reads
     0.0 (no private release of it exists: release_noise rejects it)."""
@@ -165,7 +179,7 @@ def true_value(statistic: Statistic, data: VectorDataset, ctx: MeasureContext) -
     if statistic is Statistic.Q:
         return ctx.q_value
     if statistic is Statistic.I_SQUARED:
-        return i_squared(ctx.q_value, data.n) if data.n >= 2 else 0.0
+        return i_squared(ctx.q_value, ctx.n) if ctx.n >= 2 else 0.0
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
@@ -186,8 +200,7 @@ def i_squared_release(q_values: np.ndarray, n: int, i2_noise) -> np.ndarray:
 
 
 def release_noise(
-    statistic: Statistic, data: VectorDataset, ctx: MeasureContext, draws: TrialDraws,
-    sigmas: np.ndarray,
+    statistic: Statistic, ctx: MeasureContext, draws: TrialDraws, sigmas: np.ndarray
 ) -> np.ndarray:
     """Noise (B x T) of the T releases in `draws` at each budget of
     stage_sigmas' `sigmas`: m sigma_1^2 X + sigma_2 S, for I^2 that of its Q
@@ -198,12 +211,10 @@ def release_noise(
     (mean(w) = 1 for dispersion): the cross term -2 e.mean(w dev) vanishes,
     since weighted deviations from the weighted mean sum to zero.
     """
-    if draws.d != data.d or (draws.third is not None) != (statistic is Statistic.I_SQUARED):
-        raise ValueError(f"draws of d={draws.d} do not fit {statistic.value}, d={data.d}")
-    if statistic is not Statistic.DISPERSION and data.n < 2:
-        raise ValueError(f"{statistic.value} needs n >= 2, got n={data.n}")
-    if ctx.weights.shape != (data.n,):
-        raise ValueError(f"context weights {ctx.weights.shape} do not match n={data.n}")
+    if draws.d != ctx.d or (draws.third is not None) != (statistic is Statistic.I_SQUARED):
+        raise ValueError(f"draws of d={draws.d} do not fit {statistic.value}, d={ctx.d}")
+    if statistic is not Statistic.DISPERSION and ctx.n < 2:
+        raise ValueError(f"{statistic.value} needs n >= 2, got n={ctx.n}")
     if np.any(ctx.weights <= 0) or not np.all(np.isfinite(ctx.weights)):
         raise ValueError("context weights must be positive and finite")
     mean_w = 1.0 if statistic is Statistic.DISPERSION else ctx.weights.mean()
@@ -221,10 +232,11 @@ def noisy_statistic(
     runs the Q pipeline on its first two budget parts and adds a scalar
     third-stage draw.
     """
-    sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
-    draws = trial_draws(statistic, cfg, data.d, 1)
-    noise = release_noise(statistic, data, ctx, draws, sigmas)
+    check_context(data, ctx)
+    sigmas = stage_sigmas(statistic, ctx, cfg, [budget], {})
+    draws = trial_draws(statistic, cfg, ctx.d, 1)
+    noise = release_noise(statistic, ctx, draws, sigmas)
     if statistic is not Statistic.I_SQUARED:
-        return float(true_value(statistic, data, ctx) + noise[0, 0])
-    q_noisy = true_value(Statistic.Q, data, ctx) + noise[0]
-    return float(i_squared_release(q_noisy, data.n, sigmas[0, 2] * draws.third)[0])
+        return float(true_value_of(statistic, ctx) + noise[0, 0])
+    q_noisy = ctx.q_value + noise[0]
+    return float(i_squared_release(q_noisy, ctx.n, sigmas[0, 2] * draws.third)[0])

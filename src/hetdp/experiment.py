@@ -9,9 +9,9 @@ cell draws its trials' error law once (`trial_draws`: a few length-T
 scalar vectors, whatever d is), and every profile and epsilon of the cell
 scales those same draws by its own sigmas (common random numbers). That
 makes epsilon sweeps smooth and paired-profile comparisons difference out
-the noise. Each cell calibrates all its epsilons in one `stage_sigmas` call
-and scores them in one `error_reports` call, which reads no row of the
-sample.
+the noise. Each profile's sample is reduced to its context and true values and
+dropped before the next is drawn; each cell calibrates all its epsilons in one
+`stage_sigmas` call and scores them in one `error_reports` call on that context.
 
 CSV schema (stable, one header line, rows sorted by the key tuple):
 
@@ -201,18 +201,20 @@ def _sample_seed(plan: ExperimentPlan, profile: HeterogeneityProfile) -> int:
 
 
 def _materialize_samples(plan: ExperimentPlan):
-    """Load the dataset, draw one stratified sample per named profile (image
-    samples keep the bytes of their rows), and build the samples' contexts
-    once the full dataset is released."""
+    """Load the dataset, then per named profile draw its stratified sample
+    (image samples keep the bytes of their rows), build its context and true
+    values and drop the rows before the next draw: name -> (context, truths)."""
     data = load_dataset(plan.dataset)
-    samples = {}
+    profiles = {}
     for name, profile in plan.profiles:
         try:
-            samples[name] = stratified_sample(data, profile, seed=_sample_seed(plan, profile))
+            sample = stratified_sample(data, profile, seed=_sample_seed(plan, profile))
         except SampleCapacityError as err:
             raise SampleCapacityError(f"profile {name}: {err}") from err
-    del data
-    return {name: (sample, build_context(sample)) for name, sample in samples.items()}
+        ctx = build_context(sample)
+        profiles[name] = ctx, {stat.value: true_value(stat, sample, ctx) for stat in Statistic}
+        del sample
+    return profiles
 
 
 def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
@@ -220,28 +222,26 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
     evaluation order never shows. Each distinct noise scale is calibrated
     once per run, and each cell's draws are held for the whole run."""
     memo: dict = {}
-    samples = _materialize_samples(plan)
-    true_table = {name: {stat.value: true_value(stat, sample, ctx) for stat in Statistic}
-                  for name, (sample, ctx) in samples.items()}
+    profiles = _materialize_samples(plan)
     summary = {}
     for s in ("dispersion", "q", "i_squared"):
-        summary[f"{s}_min"] = min(v[s] for v in true_table.values())
-        summary[f"{s}_mean"] = sum(v[s] for v in true_table.values()) / len(true_table)
+        summary[f"{s}_min"] = min(truth[s] for _, truth in profiles.values())
+        summary[f"{s}_mean"] = sum(truth[s] for _, truth in profiles.values()) / len(profiles)
 
-    d = next(iter(samples.values()))[0].d
+    d = next(iter(profiles.values()))[0].d
     budgets = {stat: plan.budgets(stat) for stat in plan.statistics}
     cells = [(stat, cell, trial_draws(stat, cell, d, plan.trials)) for stat, cell in plan.cells()]
     rows: list[ResultRow] = []
     for name, _profile in plan.profiles:
-        sample, ctx = samples[name]
+        ctx, truth = profiles[name]
         for stat, cell, draws in cells:
-            sigmas = stage_sigmas(stat, sample, cell, budgets[stat], memo)
-            reports = error_reports(stat, sample, ctx, draws, sigmas)
+            sigmas = stage_sigmas(stat, ctx, cell, budgets[stat], memo)
+            reports = error_reports(stat, ctx, draws, sigmas)
             for epsilon, report in zip(plan.epsilons, reports):
                 rows.append(ResultRow(
                     dataset=plan.dataset.name, statistic=stat.value,
                     mechanism=cell.mechanism.value, setting=cell.setting.value, profile=name,
-                    epsilon=epsilon, delta=plan.delta, true_value=true_table[name][stat.value],
+                    epsilon=epsilon, delta=plan.delta, true_value=truth[stat.value],
                     **vars(report),  # trials and the error columns
                     **summary,
                 ))

@@ -12,8 +12,8 @@ a byte sample's unweighted part (variances, mean, dispersion) and Q's row
 squares from exact integer sums of its bytes (byte_moments), and Q from them
 plus two GEMVs per block; float rows reduce each row by the same numpy call
 as the whole-matrix form, so they are bit-identical to it. The weighted mean
-is a float pass either way. Only build_context computes the true statistics;
-releases, error reports and the CLI read them from its MeasureContext.
+is a float pass either way. Only build_context reads rows; releases, error
+reports and the CLI read the true statistics, n and d from its MeasureContext.
 """
 
 from __future__ import annotations
@@ -158,6 +158,7 @@ class VectorDataset:
 class MeasureContext:
     """Per-dataset quantities shared by the weighted statistics, and the true
     dispersion (p = 2) and Q; build_context is the one place they are made.
+    It is all a study keeps of a sample: n and d are len(weights), len(mean).
 
     weights[i] is 1 / max(within_variances[i], VARIANCE_FLOOR); the weighted
     mean is the weights-normalized average of the rows. q_sq_weights is Q
@@ -172,6 +173,14 @@ class MeasureContext:
     dispersion: float
     q_value: float
     q_sq_weights: float
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
+
+    @property
+    def d(self) -> int:
+        return len(self.mean)
 
 
 def byte_moments(pixels: np.ndarray) -> UnweightedPart:

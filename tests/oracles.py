@@ -68,7 +68,7 @@ from hetdp.gaussian import (
     _alpha_low_noise,
     std_normal_cdf,
 )
-from hetdp.measures import VARIANCE_FLOOR, MeasureContext, VectorDataset, row_blocks
+from hetdp.measures import VARIANCE_FLOOR, MeasureContext, VectorDataset, build_context, row_blocks
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def scaled_draws(
     """Stage noise of T releases, one trial per row: each stage's calibrated
     sigma at `budget` times its columns of `normals`."""
     d, z = data.d, normals.stages
-    sigmas = stage_sigmas(statistic, data, cfg, [budget], {})[0]
+    sigmas = stage_sigmas(statistic, build_context(data), cfg, [budget], {})[0]
     three = statistic.budget_parts == 3
     return StageDraws(
         mean_noise=sigmas[0] * z[:, :d],
@@ -259,7 +259,7 @@ def release_from_draws(
     law = TrialDraws(data.d, np.array([float(np.sum(np.square(draws.mean_noise)))]),
                      np.array([float(np.sum(draws.stat_noise))]), third, np.zeros(1))
     sigmas = np.ones((1, statistic.budget_parts + 1))
-    noise = release_noise(statistic, data, ctx, law, sigmas)
+    noise = release_noise(statistic, ctx, law, sigmas)
     base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
     value = true_value(base, data, ctx) + noise[0]
     if statistic is Statistic.I_SQUARED:

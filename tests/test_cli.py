@@ -172,6 +172,39 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--synth-seed needs --synthetic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["measure", "experiment", "compare-heterogeneity"])
+    def test_negative_synth_seed_is_two_before_data_is_read(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        def no_load(desc):
+            raise AssertionError("read the data")
+
+        for module in ("cli", "experiment"):
+            monkeypatch.setattr(f"hetdp.{module}.load_dataset", no_load)
+        argv = [command, "--synthetic", "400,4,0.5", "--synth-seed", "-1"]
+        if command != "measure":
+            argv += ["--profiles", "uniform-2,skewed-2", "--out", str(tmp_path / "o.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--synth-seed) must be nonnegative, got -1" in capsys.readouterr().err
+
+    def test_negative_sample_seed_is_two_before_data_is_read(self, monkeypatch, capsys):
+        def no_load(desc):
+            raise AssertionError("read the data")
+
+        monkeypatch.setattr("hetdp.cli.load_dataset", no_load)
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", *SYNTH_ARGS, "--profile", "uniform-2", "--sample-seed", "-1"])
+        assert exc.value.code == 2
+        assert "--sample-seed must be nonnegative, got -1" in capsys.readouterr().err
+
+    def test_negative_plan_seed_is_valid(self, tmp_path, capsys):
+        # derive_seed masks every seed to 64 bits
+        assert main(["measure", *SYNTH_ARGS, "--release", "--seed", "-1", "--json"]) == 0
+        assert main(["experiment", *SYNTH_ARGS, "--profiles", "uniform-2", "--seed", "-1",
+                     "--trials", "2", "--out", str(tmp_path / "o.csv")]) == 0
+
     def test_unknown_profile_is_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -340,8 +373,8 @@ class TestRunFailuresAreErrors:
 
         real = hetdp.estimators.release_noise
 
-        def nonpositive_q(statistic, data, ctx, *args):
-            return -abs(real(statistic, data, ctx, *args)) - 2.0 * ctx.q_value
+        def nonpositive_q(statistic, ctx, *args):
+            return -abs(real(statistic, ctx, *args)) - 2.0 * ctx.q_value
 
         monkeypatch.setattr(hetdp.errors, "release_noise", nonpositive_q)
         for command in ("experiment", "compare-heterogeneity"):
@@ -533,8 +566,8 @@ class TestMeasure:
 
         real = hetdp.estimators.release_noise
 
-        def nonpositive_q(statistic, data, ctx, *args):
-            return -abs(real(statistic, data, ctx, *args)) - 2.0 * ctx.q_value
+        def nonpositive_q(statistic, ctx, *args):
+            return -abs(real(statistic, ctx, *args)) - 2.0 * ctx.q_value
 
         monkeypatch.setattr(hetdp.estimators, "release_noise", nonpositive_q)
         assert main(["measure", *SYNTH_ARGS, "--release", "--json"]) == 0

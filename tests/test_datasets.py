@@ -333,6 +333,10 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="synth_n >= 2 and d >= 1"):
             DatasetDescriptor(format=DataFormat.SYNTHETIC, name="x", synth_n=1, d=4)
 
+    def test_negative_synth_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"synth_seed \(--synth-seed\) must be nonnegative"):
+            DatasetDescriptor(format=DataFormat.SYNTHETIC, name="x", synth_n=4, d=2, synth_seed=-1)
+
 
 @pytest.fixture
 def stored_descriptors(tmp_path):

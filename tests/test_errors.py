@@ -304,7 +304,7 @@ class TestErrorReport:
         )
         report = error_report(Statistic.DISPERSION, fix, build_context(fix), cfg, budget2, trials=5)
         first_cfg = replace(cfg, seed=derive_seed(cfg.seed, 0))
-        sigmas = stage_sigmas(Statistic.DISPERSION, fix, first_cfg, [budget2], {})
+        sigmas = stage_sigmas(Statistic.DISPERSION, build_context(fix), first_cfg, [budget2], {})
         expected = ci_half_width(Statistic.DISPERSION, fix.n, None, sigmas[0, 0] ** 2)
         assert report.ci_half_width == expected
 

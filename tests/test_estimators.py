@@ -60,7 +60,7 @@ def _cfg(setting=Setting.DISTRIBUTED, mech=Mechanism.ANALYTIC, seed=7, zero=Fals
 
 def _sigmas(statistic, data, cfg, budget):
     """The stage sigmas and full-budget sigma of `budget`, from a fresh memo."""
-    return stage_sigmas(statistic, data, cfg, [budget], {})[0]
+    return stage_sigmas(statistic, build_context(data), cfg, [budget], {})[0]
 
 
 class TestBudgetParts:
@@ -281,6 +281,20 @@ class TestDispatch:
         data = VectorDataset(np.array([[0.2, 0.4]]), np.array([0]))
         assert true_value(Statistic.I_SQUARED, data, build_context(data)) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_context_carries_the_sample_shape(self, n, budget2):
+        rng = np.random.default_rng(n)
+        labels = np.zeros(n, np.int64)
+        floats = VectorDataset(rng.random((n, 5)), labels)
+        pixels = VectorDataset.from_bytes(rng.integers(0, 256, (n, 3072), dtype=np.uint8), labels)
+        for data in (floats, pixels):
+            ctx = build_context(data)
+            assert (ctx.n, ctx.d) == (data.n, data.d) == data.rows.shape
+            if n == 1:  # the releases read n from the context, with the same message
+                for call in (noisy_statistic, lambda *args: error_report(*args, 3)):
+                    with pytest.raises(ValueError, match=r"^q needs n >= 2, got n=1$"):
+                        call(Statistic.Q, data, ctx, _cfg(), budget2)
+
 
 def _constant_row_data(n=40, d=6, seed=8):
     # Row 0 is constant: zero within-row variance, so its weight is the
@@ -310,7 +324,7 @@ def _library_tmse(statistic, data, ctx, draws, sigmas):
     """conditional_tmse of the releases on `draws`; None for I^2."""
     if statistic is Statistic.I_SQUARED:
         return None
-    noise = release_noise(statistic, data, ctx, draws, sigmas)
+    noise = release_noise(statistic, ctx, draws, sigmas)
     return conditional_tmse(statistic, ctx, draws, sigmas, noise)
 
 
@@ -318,8 +332,8 @@ def _oracle_kernel(statistic, data, ctx, cfg, budget, seeds):
     """The library's release values at `budget` on the law of the oracle's
     d-wide unit normals of `seeds`, with the scaled draws of the same normals."""
     normals = unit_normals(statistic, cfg, data.d, seeds)
-    sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
-    noise = release_noise(statistic, data, ctx, law_draws(statistic, normals, data.d), sigmas)
+    sigmas = stage_sigmas(statistic, ctx, cfg, [budget], {})
+    noise = release_noise(statistic, ctx, law_draws(statistic, normals, data.d), sigmas)
     draws = scaled_draws(statistic, data, cfg, budget, normals)
     return _released(statistic, data, ctx, noise[0]), draws
 
@@ -416,10 +430,10 @@ class TestBatchedKernelAgainstDirectForms:
             return real(sens, epsilon, delta)
 
         monkeypatch.setattr(estimators, "agm_sigma", counting)
-        data = _random_data()
+        ctx = build_context(_random_data())
         memo: dict = {}
         for statistic in (Statistic.DISPERSION, Statistic.Q):
-            stage_sigmas(statistic, data, _cfg(), [budget2, budget2], memo)
+            stage_sigmas(statistic, ctx, _cfg(), [budget2, budget2], memo)
         # both stages share one split part; the centralized error uses the total
         assert len(calls) == len(set(calls)) == len(memo) == 2
 
@@ -438,12 +452,12 @@ class TestSingleReleaseIsBatchedTrial:
             for statistic, setting, mech in product(Statistic, Setting, Mechanism):
                 budget = PrivacyBudget.equal_split(0.5, 1e-3, statistic.budget_parts)
                 cfg = _cfg(setting, mech, seed=29)
-                sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
+                sigmas = stage_sigmas(statistic, ctx, cfg, [budget], {})
 
                 def values(trials):
                     draws = trial_draws(statistic, cfg, data.d, trials)
                     released = _released(
-                        statistic, data, ctx, release_noise(statistic, data, ctx, draws, sigmas)[0]
+                        statistic, data, ctx, release_noise(statistic, ctx, draws, sigmas)[0]
                     )
                     if statistic is Statistic.I_SQUARED:
                         released = i_squared_release(released, data.n, sigmas[0, 2] * draws.third)
@@ -485,7 +499,7 @@ class TestProjectedKernelAgainstDirectKernel:
                 if statistic is not Statistic.I_SQUARED:
                     normals = unit_normals(statistic, cfg, data.d, seeds)
                     projected = project(data, normals.stages[:, : data.d])
-                    row = stage_sigmas(statistic, data, cfg, [budget], {})
+                    row = stage_sigmas(statistic, ctx, cfg, [budget], {})
                     kernel = tmse_kernel(statistic, data, ctx, normals, projected, row)[0]
                     tmse = ((shifts + batch.stat_noise.sum(axis=1)) ** 2).mean(axis=0)
                     np.testing.assert_allclose(kernel, tmse, rtol=1e-12, atol=0.0,
@@ -502,8 +516,8 @@ class TestProjectedKernelAgainstDirectKernel:
                 budget = budget3 if statistic is Statistic.I_SQUARED else budget2
                 cfg = _cfg(setting, zero=True)
                 draws = trial_draws(statistic, cfg, data.d, 3)
-                sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
-                noise = release_noise(statistic, data, ctx, draws, sigmas)
+                sigmas = stage_sigmas(statistic, ctx, cfg, [budget], {})
+                noise = release_noise(statistic, ctx, draws, sigmas)
                 values = _released(statistic, data, ctx, noise[0])
                 errors = _library_tmse(statistic, data, ctx, draws, sigmas)
                 base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
@@ -538,13 +552,13 @@ class TestBudgetBatchAgainstDirectKernel:
     def test_each_budget_agrees_with_direct_kernel_within_rtol_1e_12(self):
         for data, ctx, statistic, cell, budgets in self._cases():
             draws = trial_draws(statistic, cell, data.d, self.TRIALS)
-            sigmas = stage_sigmas(statistic, data, cell, budgets, {})
-            noise = release_noise(statistic, data, ctx, draws, sigmas)
+            sigmas = stage_sigmas(statistic, ctx, cell, budgets, {})
+            noise = release_noise(statistic, ctx, draws, sigmas)
             values = _released(statistic, data, ctx, noise)
             errors = _library_tmse(statistic, data, ctx, draws, sigmas)
             assert values.shape == (3, self.TRIALS)
             assert (errors is None) == (statistic is Statistic.I_SQUARED)
-            reports = error_reports(statistic, data, ctx, draws, sigmas)
+            reports = error_reports(statistic, ctx, draws, sigmas)
             for b, budget in enumerate(budgets):
                 case = (statistic, cell.setting, cell.mechanism, budget.epsilon, data.n)
                 assert np.array_equal(sigmas[b], _sigmas(statistic, data, cell, budget)), case
@@ -571,15 +585,15 @@ class TestBudgetBatchAgainstDirectKernel:
         # one-row reduction of a single budget, bit for bit.
         for data, ctx, statistic, cell, budgets in self._cases(self.MORE_EPSILONS[:budget_count]):
             draws = trial_draws(statistic, cell, data.d, trials)
-            sigmas = stage_sigmas(statistic, data, cell, budgets, {})
-            noise = release_noise(statistic, data, ctx, draws, sigmas)
+            sigmas = stage_sigmas(statistic, ctx, cell, budgets, {})
+            noise = release_noise(statistic, ctx, draws, sigmas)
             errors = _library_tmse(statistic, data, ctx, draws, sigmas)
-            reports = error_reports(statistic, data, ctx, draws, sigmas)
+            reports = error_reports(statistic, ctx, draws, sigmas)
             for b, budget in enumerate(budgets):
-                one = stage_sigmas(statistic, data, cell, [budget], {})
+                one = stage_sigmas(statistic, ctx, cell, [budget], {})
                 case = (statistic, cell.setting, cell.mechanism, budget.epsilon, data.n)
                 assert np.array_equal(one, sigmas[b : b + 1]), case
-                one_noise = release_noise(statistic, data, ctx, draws, one)
+                one_noise = release_noise(statistic, ctx, draws, one)
                 assert np.array_equal(one_noise[0], noise[b]), case
                 if errors is not None:
                     one_errors = _library_tmse(statistic, data, ctx, draws, one)
@@ -591,14 +605,14 @@ class TestBudgetBatchAgainstDirectKernel:
         for data, ctx, statistic, cell, budgets in self._cases():
             cell = replace(cell, zero_noise=True)
             draws = trial_draws(statistic, cell, data.d, self.TRIALS)
-            sigmas = stage_sigmas(statistic, data, cell, budgets, {})
-            noise = release_noise(statistic, data, ctx, draws, sigmas)
+            sigmas = stage_sigmas(statistic, ctx, cell, budgets, {})
+            noise = release_noise(statistic, ctx, draws, sigmas)
             values = _released(statistic, data, ctx, noise)
             errors = _library_tmse(statistic, data, ctx, draws, sigmas)
             base = Statistic.DISPERSION if statistic is Statistic.DISPERSION else Statistic.Q
             assert np.array_equal(values, np.full((3, self.TRIALS), true_value(base, data, ctx)))
             assert errors is None or np.array_equal(errors, np.zeros((3, self.TRIALS)))
-            for report in error_reports(statistic, data, ctx, draws, sigmas):
+            for report in error_reports(statistic, ctx, draws, sigmas):
                 assert report.emse == report.tmse == report.cmse == 0.0
 
 
@@ -621,10 +635,11 @@ class TestStageSigmas:
 
     def test_last_column_is_release_sigma_at_the_full_budget(self):
         data = _random_data()
+        ctx = build_context(data)
         sens = SensitivitySpec.from_shape(data.n, data.d)
         for statistic, mech in product(Statistic, Mechanism):
             budgets = self._budgets(statistic)
-            sigmas = stage_sigmas(statistic, data, _cfg(mech=mech), budgets, {})
+            sigmas = stage_sigmas(statistic, ctx, _cfg(mech=mech), budgets, {})
             assert sigmas.shape == (3, statistic.budget_parts + 1)
             for row, budget in zip(sigmas, budgets):
                 stages = [release_sigma(mech, sens, *part) for part in budget.split]
@@ -633,21 +648,21 @@ class TestStageSigmas:
 
     def test_zero_noise_is_all_zeros_and_calibrates_nothing(self, monkeypatch):
         _no_calibration(monkeypatch)
-        data = _random_data()
+        ctx = build_context(_random_data())
         for statistic in Statistic:
             budgets, memo = self._budgets(statistic), {}
-            sigmas = stage_sigmas(statistic, data, _cfg(zero=True), budgets, memo)
+            sigmas = stage_sigmas(statistic, ctx, _cfg(zero=True), budgets, memo)
             assert np.array_equal(sigmas, np.zeros((3, statistic.budget_parts + 1)))
             assert memo == {}
         with pytest.raises(AssertionError, match="calibrated"):
-            stage_sigmas(statistic, data, _cfg(), budgets, {})
+            stage_sigmas(statistic, ctx, _cfg(), budgets, {})
 
     def test_wrong_part_count_raises(self, budget2, budget3):
-        data = _random_data()
+        ctx = build_context(_random_data())
         with pytest.raises(ValueError, match="i_squared needs a 3-part budget split, got 2"):
-            stage_sigmas(Statistic.I_SQUARED, data, _cfg(), [budget3, budget2], {})
+            stage_sigmas(Statistic.I_SQUARED, ctx, _cfg(), [budget3, budget2], {})
         with pytest.raises(ValueError, match="q needs a 2-part budget split, got 3"):
-            stage_sigmas(Statistic.Q, data, _cfg(zero=True), [budget3], {})
+            stage_sigmas(Statistic.Q, ctx, _cfg(zero=True), [budget3], {})
 
     def test_release_and_errors_run_on_a_given_sigma_array(self, monkeypatch):
         data = _random_data()
@@ -655,18 +670,18 @@ class TestStageSigmas:
         for statistic in Statistic:
             budgets = self._budgets(statistic)
             cell = _cfg(seed=19)
-            sigmas = stage_sigmas(statistic, data, cell, budgets, {})
+            sigmas = stage_sigmas(statistic, ctx, cell, budgets, {})
             draws = trial_draws(statistic, cell, data.d, 5)
             expected = (
-                release_noise(statistic, data, ctx, draws, sigmas),
+                release_noise(statistic, ctx, draws, sigmas),
                 _library_tmse(statistic, data, ctx, draws, sigmas),
-                error_reports(statistic, data, ctx, draws, sigmas),
+                error_reports(statistic, ctx, draws, sigmas),
             )
             with monkeypatch.context() as patched:
                 _no_calibration(patched)
-                noise = release_noise(statistic, data, ctx, draws, sigmas)
+                noise = release_noise(statistic, ctx, draws, sigmas)
                 errors = _library_tmse(statistic, data, ctx, draws, sigmas)
-                reports = error_reports(statistic, data, ctx, draws, sigmas)
+                reports = error_reports(statistic, ctx, draws, sigmas)
             assert noise.shape == (3, 5) and np.array_equal(noise, expected[0])
             if statistic is Statistic.I_SQUARED:
                 assert errors is None
@@ -700,11 +715,16 @@ def test_noise_rejects_mismatched_or_nonpositive_weights(fix, budget2):
     ctx = build_context(fix)
     cfg = _cfg()
     draws = trial_draws(Statistic.Q, cfg, fix.d, 1)
-    sigmas = stage_sigmas(Statistic.Q, fix, cfg, [budget2], {})
-    for weights in (np.ones(3), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
+    sigmas = stage_sigmas(Statistic.Q, ctx, cfg, [budget2], {})
+    # a context of another sample's size fails the public calls' check of the pair
+    with pytest.raises(ValueError, match="context weights"):
+        noisy_statistic(Statistic.Q, fix, replace(ctx, weights=np.ones(3)), cfg, budget2)
+    with pytest.raises(ValueError, match=rf"mean \(3,\) do not match n=2, d={fix.d}$"):
+        error_report(Statistic.Q, fix, replace(ctx, mean=np.zeros(3)), cfg, budget2, 2)
+    for weights in (np.array([1.0, 0.0]), np.array([1.0, np.inf])):
         bad = replace(ctx, weights=weights)
         with pytest.raises(ValueError, match="context weights"):
-            release_noise(Statistic.Q, fix, bad, draws, sigmas)
+            release_noise(Statistic.Q, bad, draws, sigmas)
 
 
 def test_release_reads_no_row_of_the_sample(budget2, budget3):
@@ -767,22 +787,22 @@ class TestSharedNormalsAgainstPerTrialDraws:
         data = _random_data()
         cfg = _cfg(setting=Setting.CENTRALIZED, seed=17)
         draws = trial_draws(Statistic.I_SQUARED, cfg, data.d, self.TRIALS)
-        sigmas = stage_sigmas(Statistic.I_SQUARED, data, cfg, [budget3], {})
         ctx = build_context(data)
-        shared = error_reports(Statistic.I_SQUARED, data, ctx, draws, sigmas)
+        sigmas = stage_sigmas(Statistic.I_SQUARED, ctx, cfg, [budget3], {})
+        shared = error_reports(Statistic.I_SQUARED, ctx, draws, sigmas)
         assert [error_report(Statistic.I_SQUARED, data, ctx, cfg, budget3, self.TRIALS)] == shared
 
     def test_draws_must_fit_statistic_and_d(self, budget2, budget3):
         data = _random_data()
         ctx = build_context(data)
         draws = trial_draws(Statistic.DISPERSION, _cfg(), data.d, 4)
-        sigmas = stage_sigmas(Statistic.I_SQUARED, data, _cfg(), [budget3], {})
+        sigmas = stage_sigmas(Statistic.I_SQUARED, ctx, _cfg(), [budget3], {})
         with pytest.raises(ValueError, match="do not fit i_squared"):
-            release_noise(Statistic.I_SQUARED, data, ctx, draws, sigmas)
+            release_noise(Statistic.I_SQUARED, ctx, draws, sigmas)
         narrow = trial_draws(Statistic.DISPERSION, _cfg(), data.d - 1, 4)
-        sigmas = stage_sigmas(Statistic.DISPERSION, data, _cfg(), [budget2], {})
+        sigmas = stage_sigmas(Statistic.DISPERSION, ctx, _cfg(), [budget2], {})
         with pytest.raises(ValueError, match="draws of d=5 do not fit dispersion, d=6"):
-            error_reports(Statistic.DISPERSION, data, ctx, narrow, sigmas)
+            error_reports(Statistic.DISPERSION, ctx, narrow, sigmas)
 
     def test_zero_noise_releases_are_exact(self, fix, zero_cfg, budget2, budget3):
         ctx = build_context(fix)
@@ -842,10 +862,10 @@ class TestErrorLawAgainstVectorOracle:
             ctx = build_context(data)
             cfg = _cfg(seed=3)
             budget = PrivacyBudget.equal_split(1.0, 1e-3, statistic.budget_parts)
-            sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
+            sigmas = stage_sigmas(statistic, ctx, cfg, [budget], {})
             draws = trial_draws(statistic, cfg, data.d, self.TRIALS)
             library = _released(statistic, data, ctx,
-                                release_noise(statistic, data, ctx, draws, sigmas)[0])
+                                release_noise(statistic, ctx, draws, sigmas)[0])
             batch = draw_noise_per_trial(statistic, data, cfg, budget, seeds)
             direct = release_kernel_direct(statistic, data, ctx, batch)[0]
             if statistic is Statistic.I_SQUARED:
@@ -865,7 +885,7 @@ class TestErrorLawAgainstVectorOracle:
             ctx = build_context(data)
             cfg = _cfg(seed=int(4 * epsilon))
             budget = PrivacyBudget.equal_split(epsilon, 1e-3, 2)
-            sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
+            sigmas = stage_sigmas(statistic, ctx, cfg, [budget], {})
             library = _library_tmse(statistic, data, ctx,
                                     trial_draws(statistic, cfg, data.d, self.TRIALS), sigmas)[0]
             normals = trial_normals(statistic, cfg, data.d, self.TRIALS)
@@ -891,9 +911,9 @@ class TestErrorLawAgainstVectorOracle:
             ctx = build_context(data)
             cfg = _cfg(seed=8)
             budget = PrivacyBudget.equal_split(epsilon, 1e-3, 2)
-            sigmas = stage_sigmas(statistic, data, cfg, [budget], {})
+            sigmas = stage_sigmas(statistic, ctx, cfg, [budget], {})
             draws = trial_draws(statistic, cfg, data.d, self.TRIALS)
-            noise = release_noise(statistic, data, ctx, draws, sigmas)
+            noise = release_noise(statistic, ctx, draws, sigmas)
             tmse = conditional_tmse(statistic, ctx, draws, sigmas, noise)
             assert np.all(tmse >= noise**2), (statistic, epsilon, data.n)
 

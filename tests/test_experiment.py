@@ -2,6 +2,7 @@
 
 import json
 import re
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from itertools import product
@@ -10,11 +11,15 @@ import numpy as np
 import pytest
 
 from hetdp.datasets import (
+    CifarVariant,
     DataFormat,
     DatasetDescriptor,
     HeterogeneityProfile,
     LabelScheme,
     SampleCapacityError,
+    load_dataset,
+    stratified_sample,
+    write_cifar,
 )
 import hetdp.errors
 import hetdp.estimators
@@ -37,7 +42,7 @@ from hetdp.experiment import (
     write_plan_log,
 )
 from hetdp.gaussian import Mechanism
-from hetdp.measures import VectorDataset
+from hetdp.measures import VectorDataset, build_context
 
 SYNTH = DatasetDescriptor(
     format=DataFormat.SYNTHETIC, name="syn", d=4, synth_n=400, heterogeneity=0.5, synth_seed=0
@@ -63,6 +68,13 @@ def _plan(**overrides):
     )
     kwargs.update(overrides)
     return ExperimentPlan(**kwargs)
+
+
+def _own_samples(plan):
+    """Each named profile's sample, drawn apart from the sweep as it draws them."""
+    data = load_dataset(plan.dataset)
+    return {name: stratified_sample(data, profile, seed=_sample_seed(plan, profile))
+            for name, profile in plan.profiles}
 
 
 class TestPlanValidation:
@@ -354,7 +366,7 @@ class TestHeterogeneityComparison:
         plan = _plan(profiles=profiles, statistics=(Statistic.DISPERSION, Statistic.Q),
                      mechanisms=tuple(Mechanism), settings=tuple(Setting),
                      epsilons=(0.9, 0.25, 0.5), trials=4)
-        assert len({sample.n for sample, _ in _materialize_samples(plan).values()}) == 1
+        assert len({ctx.n for ctx, _ in _materialize_samples(plan).values()}) == 1
         emse = {}
         for row in run_experiment(plan, tmp_path / "sweep.csv"):
             if row.statistic == "dispersion":
@@ -429,6 +441,50 @@ class TestHeterogeneityComparison:
         assert rows == sorted(expected, key=ComparisonRow.key)
 
 
+class TestOneSampleAtATime:
+    """A study draws each profile's sample, reduces it to its context and
+    true values, and drops it before the next draw: no sample outlives its
+    turn, and none is alive once calibration starts."""
+
+    def _held(self, monkeypatch, plan):
+        samples = []
+        real_sample = hetdp.experiment.stratified_sample
+        real_sigmas = hetdp.experiment.stage_sigmas
+
+        def sampling(data, profile, **kwargs):
+            assert all(ref() is None for ref in samples), "the previous sample is still alive"
+            sample = real_sample(data, profile, **kwargs)
+            samples.append(weakref.ref(sample))
+            return sample
+
+        def calibrating(*args):
+            assert all(ref() is None for ref in samples), "a sample is alive at calibration"
+            return real_sigmas(*args)
+
+        monkeypatch.setattr(hetdp.experiment, "stratified_sample", sampling)
+        monkeypatch.setattr(hetdp.experiment, "stage_sigmas", calibrating)
+        rows = _cell_rows(plan)
+        assert len(samples) == len(plan.profiles)
+        return rows
+
+    def test_cifar_shaped_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        data = VectorDataset(rng.integers(0, 256, (200, 3072)) / 255.0, np.arange(200) % 10)
+        write_cifar(data, tmp_path / "batch.bin", CifarVariant.TEN)
+        plan = _plan(
+            dataset=DatasetDescriptor(DataFormat.CIFAR10_BIN, "c10", (str(tmp_path / "batch.bin"),)),
+            profiles=(("uniform-2", HeterogeneityProfile((1, 1), sample_fraction=0.1)),
+                      ("uniform-5", HeterogeneityProfile((1,) * 5, sample_fraction=0.1))),
+            statistics=tuple(Statistic), trials=3,
+        )
+        assert len(self._held(monkeypatch, plan)) == 2 * 3 * 2
+
+    def test_synthetic_data(self, monkeypatch):
+        plan = _plan(**TestSharedCellNormals.PLAN)
+        expected = _cell_rows(plan)
+        assert self._held(monkeypatch, plan) == expected
+
+
 class TestSharedCellNormals:
     """Each (statistic, mechanism, setting) cell draws one block of trial
     draws and shares it across its profiles and epsilons, and only there."""
@@ -446,14 +502,15 @@ class TestSharedCellNormals:
         plan = _plan(**self.PLAN)
         rows = _cell_rows(plan)
         assert len(rows) == 3 * 2 * 2 * 3 * 3
-        samples = _materialize_samples(plan)
+        samples = _own_samples(plan)
+        contexts = {name: build_context(sample) for name, sample in samples.items()}
         configs = {(stat.value, cfg.mechanism.value, cfg.setting.value): cfg
                    for stat, cfg in plan.cells()}
         for row in rows:
             stat = Statistic(row.statistic)
             cfg = configs[row.statistic, row.mechanism, row.setting]
             budget = stat.budget(row.epsilon, plan.delta, plan.budget_fractions)
-            sample, ctx = samples[row.profile]
+            sample, ctx = samples[row.profile], contexts[row.profile]
             report = asdict(error_report(stat, sample, ctx, cfg, budget, plan.trials))
             assert report == {name: getattr(row, name) for name in report}, row.key()
 
@@ -490,13 +547,15 @@ class TestSharedCellNormals:
         # row is the same when the samples' rows are zeroed after build_context.
         plan = _plan(**self.PLAN)
         full = _cell_rows(plan)
-        real = hetdp.experiment._materialize_samples
+        real = hetdp.experiment.build_context
 
-        def blanked(plan):
-            return {name: (VectorDataset(np.zeros((sample.n, sample.d)), sample.labels), ctx)
-                    for name, (sample, ctx) in real(plan).items()}
+        def blanking(sample):
+            ctx = real(sample)
+            sample.rows.setflags(write=True)
+            sample.rows[...] = 0.0
+            return ctx
 
-        monkeypatch.setattr(hetdp.experiment, "_materialize_samples", blanked)
+        monkeypatch.setattr(hetdp.experiment, "build_context", blanking)
         assert _cell_rows(plan) == full
 
     def test_i_squared_plan_rows_equal_the_full_plan_rows(self):
@@ -511,7 +570,7 @@ class TestSharedCellNormals:
         real = hetdp.estimators.release_noise
 
         def counting(*args):
-            calls.append((args[1].n, args[3].central.shape))
+            calls.append((args[1].n, args[2].central.shape))
             return real(*args)
 
         monkeypatch.setattr(hetdp.errors, "release_noise", counting)
@@ -520,7 +579,7 @@ class TestSharedCellNormals:
         assert len(rows) == 2 * 12 * 3
         # every epsilon of a cell is scored by the same call
         assert len(calls) == len(plan.profiles) * 12 == 24
-        samples = _materialize_samples(plan)
-        sizes = [samples[name][0].n for name, _ in plan.profiles]
+        samples = _own_samples(plan)
+        sizes = [samples[name].n for name, _ in plan.profiles]
         assert [n for n, _ in calls] == [size for size in sizes for _ in range(12)]
         assert {shape for _, shape in calls} == {(4,)}
