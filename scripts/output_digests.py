@@ -16,7 +16,7 @@ hetdp.cli.main in a temporary directory. It also writes an IDX pair
 a 3074-byte CIFAR-100 batch (d=3072) there with write_idx and write_cifar,
 sized so every profile sample spans at least three row blocks of
 hetdp.measures (300 and 100 rows), and runs an experiment on each, so both
-the concatenation of several files and the second label column are
+a dataset read across several batch files and the second label column are
 digested; the CIFAR-10 plan also runs with --zero-noise, so a zero-noise
 CSV of image samples is digested too. It measures the IDX pair and the one
 CIFAR-10 batch whole without --profile (the batch also with --release), so

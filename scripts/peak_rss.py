@@ -14,12 +14,17 @@ functions named in LAYERS, each where its module binds it, and adds
 `layer_ms_per_study`, their mean in-process time per study, and
 `other_ms_per_study`, the mean study wall time they leave over (none of
 them calls another, so their times add up); the wrappers' own cost falls
-inside `other_ms_per_study` and `wall_s_median`. The hetdp on PYTHONPATH is
-the one measured, so one copy of this script times two trees:
+inside `other_ms_per_study` and `wall_s_median`. --batches K splits a
+record-file workload's input (cifar-3072) into K batch files of whole
+records, as the real CIFAR-10 release comes in five, and passes them as one
+comma-separated --cifar10; K = 1 is the workload's own one file. The hetdp
+on PYTHONPATH is the one measured, so one copy of this script times two
+trees:
 
     PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 50
     PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 20 --trials 500
     PYTHONPATH=src python3 scripts/peak_rss.py --workload sweep-d8 --studies 200 --layers
+    PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 50 --batches 5
 """
 
 import argparse
@@ -74,6 +79,22 @@ def time_layers() -> dict[str, float]:
     return totals
 
 
+def split_records(path: Path, batches: int, record: int) -> list[Path]:
+    """Copy the headerless record file at `path` into `batches` files of
+    whole records (the first total % batches files hold one more), 1 MiB
+    at a time so this process never holds the file, and delete it."""
+    total = path.stat().st_size // record
+    parts = [path.with_name(f"data_batch_{k + 1}.bin") for k in range(batches)]
+    with open(path, "rb") as src:
+        for k, part in enumerate(parts):
+            left = (total // batches + (k < total % batches)) * record
+            with open(part, "wb") as dst:
+                while left:
+                    left -= dst.write(src.read(min(left, 1 << 20)))
+    path.unlink()
+    return parts
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
@@ -83,15 +104,20 @@ def main() -> int:
                         help="trials per cell (default: the workload's own)")
     parser.add_argument("--layers", action="store_true",
                         help="also report each LAYERS function's time per study")
+    parser.add_argument("--batches", type=int, default=1,
+                        help="split the record-file input into K batch files (default 1)")
     args = parser.parse_args()
     if args.studies < 1:
         parser.error("--studies must be at least 1")
     if args.trials is not None and args.trials < 1:
         parser.error("--trials must be at least 1")
     workload = workloads.get(args.workload)
+    if args.batches < 1 or (args.batches > 1 and workload.inputs != "cifar"):
+        parser.error("--batches needs a positive K, and K > 1 a record-file workload")
     if args.trials is not None:
         workload = dataclasses.replace(workload, trials=args.trials)
     from hetdp.cli import main as cli_main
+    from hetdp.datasets import CIFAR10_RECORD
 
     walls = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -102,6 +128,9 @@ def main() -> int:
             check=True, stdout=subprocess.DEVNULL,
         )
         argv = workload.argv(inputs, args.seed, out / "study.csv", out / "charts")
+        if args.batches > 1:
+            batches = split_records(workload.input_paths(inputs)[0], args.batches, CIFAR10_RECORD)
+            argv[argv.index("--cifar10") + 1] = ",".join(map(str, batches))
         totals = time_layers() if args.layers else None
         minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(args.studies):
@@ -117,6 +146,7 @@ def main() -> int:
         "seed": args.seed,
         "studies": args.studies,
         "trials": workload.trials,
+        "batches": args.batches,
         "nproc": len(os.sched_getaffinity(0)),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "wall_s_median": round(statistics.median(walls), 4),

@@ -4,12 +4,12 @@ Real datasets come from two binary formats: big-endian magic-tagged image and
 label files (28x28 grayscale images flattened to 784 coordinates) and fixed
 record-length RGB image files (3073- or 3074-byte records flattened to 3072
 coordinates). A pixel byte p stands for the coordinate p / 255 in [0, 1].
-An image file is mapped read-only, not read onto the heap. It is validated
-whole and loads as a byte-backed VectorDataset (VectorDataset.from_bytes)
-whose rows are a view of the mapping; the label scan reads the mapping one
-window at a time and drops each window's pages once read. A sample reads
-only the rows it picks from the file, one positioned read per row, and is
-never converted to an n x d float64 array.
+An image file is mapped read-only for validation only (header, size, label
+scan; the scan drops each window's pages once read). Its rows stay in the
+file, behind one positioned reader over the list of files in which a global
+row maps to a file and a record (VectorDataset.from_file): a sample reads
+the rows it picks, one positioned read per row, and is never converted to
+an n x d float64 array.
 
 Heterogeneity of a working subset is controlled by stratified sampling with
 explicit per-label ratios; a deterministic synthetic generator provides
@@ -19,7 +19,6 @@ label-clustered data for dataset-free runs.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import mmap
 import os
@@ -146,12 +145,9 @@ class DatasetDescriptor:
 
 def load_dataset(desc: DatasetDescriptor) -> VectorDataset:
     """Materialize a descriptor as a VectorDataset: synthetic data as float
-    rows, the binary formats validated over every record and kept as their
-    stored bytes. For one image file the rows are a view of its read-only
-    mapping, and a sample reads only the rows it picks from the file;
-    several record files concatenate their bytes on the heap. Do not
-    truncate a file while an unsampled dataset loaded from it is alive: a
-    pass over the mapped rows past the new end raises SIGBUS.
+    rows, the binary formats validated over every record and left in their
+    files, several batch files as one dataset in argument order. A sample
+    reads only the rows it picks; `rows` reads every row once.
 
     Raises:
         DatasetFormatError: malformed files, or loaded width differing from
@@ -185,8 +181,9 @@ CANONICAL_PROFILES: dict[str, HeterogeneityProfile] = {
 
 
 class _MappedFile:
-    """One stored file mapped read-only (`view`; b"" for an empty file) and
-    held open for positioned reads; the descriptor closes with this object."""
+    """One stored file held open for positioned reads (`fd`; it closes with
+    this object) and mapped read-only (`view`; b"" for an empty file) for
+    validation only: header, size check and label scan."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = path
@@ -205,29 +202,31 @@ class _MappedFile:
             self.view.madvise(mmap.MADV_DONTNEED, self.dropped, stop - self.dropped)
             self.dropped = stop
 
-    def dataset(self, labels: np.ndarray, offset: int, width: int, stride: int) -> VectorDataset:
-        """The byte dataset, one row per label, whose row r is the mapping's
-        `width` bytes from offset + r * stride. A sample of it reads its
-        rows from the file (read_rows), not through the mapping."""
-        pixels = np.ndarray((len(labels), width), np.uint8, self.view, offset, (stride, 1))
-        read = functools.partial(self.read_rows, offset=offset, width=width, stride=stride)
-        return VectorDataset.from_bytes(pixels, labels, read_rows=read)
 
-    def read_rows(self, index: np.ndarray, offset: int, width: int, stride: int) -> np.ndarray:
-        """The rows at `index` in a new array, one positioned read of the
-        file per row.
+class _StoredRows:
+    """The rows of `files`, counts[k] records each, in order: global row r
+    is record r - starts[k] of the file k that holds it, whose `width`
+    bytes start at offset + record * stride."""
+
+    def __init__(self, files: list[_MappedFile], counts, offset: int, width: int, stride: int):
+        self.files, self.offset, self.width, self.stride = files, offset, width, stride
+        self.starts = np.cumsum([0, *counts[:-1]])
+
+    def __call__(self, index: np.ndarray) -> np.ndarray:
+        """The rows at `index` in a new array, one positioned read per row.
 
         Raises:
-            DatasetFormatError: a read came up short (the file was cut since
-                it was loaded), at the offset where it stopped.
+            DatasetFormatError: a read came up short (its file was cut since
+                it was loaded), naming that file and the offset where it stopped.
         """
-        out = np.empty((len(index), width), np.uint8)
-        for row, start in zip(out, (offset + index * stride).tolist()):
-            got = os.preadv(self.fd, (row,), start)
-            if got != width:
-                raise DatasetFormatError(
-                    f"short read: {got} of a {width}-byte row", path=self.path, offset=start + got
-                )
+        out = np.empty((len(index), self.width), np.uint8)
+        which = np.searchsorted(self.starts, index, side="right") - 1
+        where = self.offset + (index - self.starts[which]) * self.stride
+        for row, k, start in zip(out, which.tolist(), where.tolist()):
+            got = os.preadv(self.files[k].fd, (row,), start)
+            if got != self.width:
+                raise DatasetFormatError(f"short read: {got} of a {self.width}-byte row",
+                                         path=self.files[k].path, offset=start + got)
         return out
 
 
@@ -283,16 +282,17 @@ def _read_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset
     labels = np.frombuffer(label_buf, dtype=np.uint8, count=label_count, offset=8)
     if count == 0:
         raise ValueError("dataset must contain at least one vector")
-    return images.dataset(labels.astype(np.int64), 16, rows * cols, rows * cols)
+    reader = _StoredRows([images], [count], 16, rows * cols, rows * cols)
+    return VectorDataset.from_file(labels.astype(np.int64), rows * cols, reader)
 
 
 def _write_records(path: str | Path, header: bytes, data: VectorDataset, heads: np.ndarray) -> None:
     """Write `header`, then row i as the bytes heads[i] (none for a zero-width
     `heads`) and its d pixel bytes rint(vector * 255), one write per block of
     rows. Each block of about WINDOW_BYTES of floats is quantised in one
-    reused buffer. Rows that view a file mapping are copied before the file
-    at `path` is truncated, since it may be the file they map."""
-    rows = np.array(data.rows) if isinstance(data.rows.base, mmap.mmap) else data.rows
+    reused buffer. The rows are read before the file at `path`, which may
+    hold them, is truncated."""
+    rows = data.rows
     step = max(1, WINDOW_BYTES // (8 * data.d))
     floats = np.empty((min(step, data.n), data.d))
     records = np.empty((len(floats), heads.shape[1] + data.d), np.uint8)
@@ -328,25 +328,26 @@ class CifarVariant(enum.Enum):
     HUNDRED = "hundred"
 
 
-def _scan_labels(mapped: _MappedFile, records: np.ndarray, tops, path) -> np.ndarray:
-    """The first label column of records mapped from a file, as int64, after
-    checking that every label column is at most its top, (top, what) per
-    column in `tops`; a fault is reported as one whole-column check after
-    another would find it. The scan reads the mapping one window of records
-    at a time and drops each window's pages once read, so it holds about
-    one window of the file."""
+def _scan_labels(mapped: _MappedFile, record: int, tops) -> np.ndarray:
+    """The first label column of a mapped file's `record`-byte records, as
+    int64, after checking that every label column is at most its top, (top,
+    what) per column in `tops`; a fault is reported as one whole-column check
+    after another would find it. The scan reads the mapping one window of
+    records at a time and drops each window's pages once read, so it holds
+    about one window of the file."""
+    records = np.frombuffer(mapped.view, dtype=np.uint8).reshape(-1, record)
     labels = np.empty((len(tops), len(records)), np.int64)
-    step = max(1, WINDOW_BYTES // records.shape[1])
+    step = max(1, WINDOW_BYTES // record)
     for start in range(0, len(records), step):
         labels[:, start : start + step] = records[start : start + step, : len(tops)].T
-        mapped.drop_below((start + step) * records.shape[1])
+        mapped.drop_below((start + step) * record)
     for column, (top, what) in enumerate(tops):
         bad = np.flatnonzero(labels[column] > top)
         if bad.size:
             raise DatasetFormatError(
                 f"{what} byte {labels[column, bad[0]]} out of range 0..{top}",
-                path=path,
-                offset=int(bad[0]) * records.shape[1] + column,
+                path=mapped.path,
+                offset=int(bad[0]) * record + column,
             )
     return labels[0]
 
@@ -356,8 +357,7 @@ def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> VectorDatas
         record, tops = CIFAR10_RECORD, ((9, "label"),)
     else:
         record, tops = CIFAR100_RECORD, ((19, "coarse label"), (99, "fine label"))
-    all_pixels: list[np.ndarray] = []
-    all_labels: list[np.ndarray] = []
+    files, labels = [], []
     for path in paths:
         mapped = _MappedFile(path)
         size = len(mapped.view)
@@ -368,16 +368,13 @@ def _read_cifar(paths: "list[str | Path]", variant: CifarVariant) -> VectorDatas
                 path=path,
                 offset=size - (size % record),
             )
-        records = np.frombuffer(mapped.view, dtype=np.uint8).reshape(-1, record)
-        labels = _scan_labels(mapped, records, tops, path)
-        if variant is CifarVariant.HUNDRED:
-            labels //= 2  # pairwise buckets of coarse labels: (0,1)->0, (2,3)->1, ...
-        if len(paths) == 1:
-            return mapped.dataset(labels, len(tops), 3072, record)
-        all_pixels.append(records[:, len(tops) :])
-        all_labels.append(labels)
-    # several files concatenate their bytes on the heap
-    return VectorDataset.from_bytes(np.concatenate(all_pixels), np.concatenate(all_labels))
+        labels.append(_scan_labels(mapped, record, tops))
+        files.append(mapped)
+    reader = _StoredRows(files, [len(column) for column in labels], len(tops), 3072, record)
+    labels = np.concatenate(labels)
+    if variant is CifarVariant.HUNDRED:
+        labels //= 2  # pairwise buckets of coarse labels: (0,1)->0, (2,3)->1, ...
+    return VectorDataset.from_file(labels, 3072, reader)
 
 
 def write_cifar(data: VectorDataset, path: str | Path, variant: CifarVariant) -> None:

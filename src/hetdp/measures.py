@@ -51,14 +51,14 @@ class VectorDataset:
     """n vectors in [0,1]^d with one nonnegative integer label per vector.
 
     `rows` holds the vectors times `scale`: float64 vectors as given (scale
-    1), or, from from_bytes, the n x d uint8 bytes of stored images (scale
-    255), which may be a view of a read-only file mapping. The row dtype is
-    the only mark of the two kinds. Every float pass reads `rows` through
-    row_blocks; `vectors` divides byte rows by 255 on demand.
+    1), or the n x d uint8 bytes of stored images (scale 255), from
+    from_bytes or, read from their file once on first use, from from_file.
+    Every float pass reads `rows` through row_blocks; `vectors` divides
+    byte rows by 255 on demand.
     """
 
-    rows: np.ndarray
     labels: np.ndarray
+    d: int
 
     def __init__(self, vectors: np.ndarray, labels: np.ndarray) -> None:
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -82,26 +82,22 @@ class VectorDataset:
             raise ValueError(f"coordinates must lie in [0, 1], got range [{low!r}, {high!r}]")
         if labels.min(initial=0) < 0:
             raise ValueError("labels must be nonnegative integers")
-        self._freeze(vectors, labels)
+        self._freeze(labels, vectors.shape[1], vectors)
 
-    def _freeze(self, rows: np.ndarray, labels: np.ndarray, read_rows=None) -> VectorDataset:
-        rows.setflags(write=False)
+    def _freeze(self, labels: np.ndarray, d: int, rows=None, read_rows=None) -> VectorDataset:
         labels.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_read_rows", read_rows)
+        vars(self).update(labels=labels, d=d, _read_rows=read_rows)
+        if rows is not None:  # in place of the cached property
+            rows.setflags(write=False)
+            vars(self)["rows"] = rows
         return self
 
     @classmethod
-    def from_bytes(cls, pixels: np.ndarray, labels: np.ndarray, *, read_rows=None) -> VectorDataset:
+    def from_bytes(cls, pixels: np.ndarray, labels: np.ndarray) -> VectorDataset:
         """Rows pixels / 255 of an n x d uint8 matrix, one nonnegative int64
         label each, kept as the bytes: no n x d float array is made and no
         pass runs over the bytes. Such rows are finite and in [0, 1], so
         they skip the constructor's scan over the coordinates.
-
-        The file loader passes `read_rows` when `pixels` is a view of a file
-        mapping: read_rows(index) returns the rows at `index` as a new
-        array read from the file, so a sample never faults the mapping in.
         """
         if pixels.dtype != np.uint8 or pixels.ndim != 2 or not len(pixels) == len(labels) >= 1:
             raise ValueError(f"need one label per uint8 row, got {pixels.shape} {pixels.dtype}")
@@ -109,15 +105,25 @@ class VectorDataset:
             raise ValueError(NO_COORDINATES)
         if labels.dtype != np.int64 or labels.min() < 0:
             raise ValueError("labels must be nonnegative int64")
-        return object.__new__(cls)._freeze(pixels, labels, read_rows)
+        return object.__new__(cls)._freeze(labels, pixels.shape[1], pixels)
+
+    @classmethod
+    def from_file(cls, labels: np.ndarray, d: int, read_rows) -> VectorDataset:
+        """len(labels) checked labels and rows of d bytes left in a file that
+        read_rows(index) reads into a new uint8 array, only when asked."""
+        return object.__new__(cls)._freeze(labels, d, read_rows=read_rows)
 
     def _take(self, index: np.ndarray) -> VectorDataset:
-        """The rows and labels at `index` in new arrays, of the same kind
-        (bytes stay bytes): read from the file for mapped rows, else
-        indexed. They were checked when this dataset was made, so no scan
-        runs over them again."""
+        """The rows and labels at `index` in new arrays, of the same kind (bytes
+        stay bytes), read from the file or indexed; they were checked when this
+        dataset was made, so no scan runs over them again."""
         rows = self.rows[index] if self._read_rows is None else self._read_rows(index)
-        return object.__new__(type(self))._freeze(rows, self.labels[index])
+        return object.__new__(type(self))._freeze(self.labels[index], self.d, rows)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """A from_file dataset's rows, every one read from the file on first use."""
+        return self._take(np.arange(self.n)).rows
 
     @functools.cached_property
     def _label_pools(self) -> dict[int, np.ndarray]:
@@ -132,7 +138,7 @@ class VectorDataset:
     @property
     def scale(self) -> float:
         """rows / scale are the vectors: 255.0 for uint8 rows, else 1.0."""
-        return 255.0 if self.rows.dtype == np.uint8 else 1.0
+        return 255.0 if self._read_rows is not None or self.rows.dtype == np.uint8 else 1.0
 
     @property
     def vectors(self) -> np.ndarray:
@@ -147,11 +153,7 @@ class VectorDataset:
 
     @property
     def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[1]
+        return len(self.labels)
 
 
 @dataclass(frozen=True)

@@ -510,6 +510,21 @@ class TestMeasure:
         assert 0.0 <= payload["q"] < 1e-15
         assert payload["heterogeneity_at_consensus_threshold"] is False
 
+    def test_two_batch_files_measure_as_their_records_in_one_file(self, tmp_path, capsys):
+        pixels = np.random.default_rng(8).integers(0, 256, (50, 3072), dtype=np.uint8)
+        write_cifar(VectorDataset.from_bytes(pixels, np.arange(50) % 10), tmp_path / "one.bin",
+                    CifarVariant.TEN)
+        records = (tmp_path / "one.bin").read_bytes()
+        (tmp_path / "a.bin").write_bytes(records[: 20 * 3073])
+        (tmp_path / "b.bin").write_bytes(records[20 * 3073 :])
+        outputs = []
+        for names in (["one.bin"], ["a.bin", "b.bin"]):
+            paths = ",".join(str(tmp_path / name) for name in names)
+            assert main(["measure", "--cifar10", paths, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["n"] == 50
+
     def test_json_payload(self, capsys):
         assert main(["measure", *SYNTH_ARGS, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

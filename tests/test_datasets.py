@@ -477,11 +477,12 @@ def mapped_descriptors(tmp_path):
 
 
 class TestMappedFiles:
-    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100"])
-    def test_one_file_loads_as_a_view_of_its_mapping(self, mapped_descriptors, kind):
+    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100", "cifar10x2"])
+    def test_every_layout_reads_its_rows_from_the_file(self, mapped_descriptors, kind):
         data = load_dataset(mapped_descriptors[kind])
+        assert "rows" not in vars(data)  # read on first use, not at load
         assert data.rows.dtype == np.uint8 and not data.rows.flags.writeable
-        assert _mapping(data.rows) is not None
+        assert _mapping(data.rows) is None
         expected = load_decoded(mapped_descriptors[kind])
         assert np.array_equal(data.vectors, expected.vectors)
         assert np.array_equal(data.labels, expected.labels)
@@ -523,6 +524,16 @@ class TestMappedFiles:
             _load_files(DataFormat.CIFAR10_BIN, path)
         assert err.value.offset == (n - 4) * CIFAR10_RECORD
 
+    def test_label_fault_in_the_second_batch_names_that_file(self, tmp_path):
+        first = _records(tmp_path / "a.bin", 30, CIFAR10_RECORD, seed=28)
+        labels = np.arange(2 * _STEP10) % 10
+        labels[_STEP10 + 3] = 11  # in the second file's second window
+        second = _records(tmp_path / "b.bin", len(labels), CIFAR10_RECORD, seed=29, labels=labels)
+        with pytest.raises(DatasetFormatError, match="label byte 11 out of range 0..9") as err:
+            _load_files(DataFormat.CIFAR10_BIN, first, second)
+        assert err.value.path == str(second)
+        assert err.value.offset == (_STEP10 + 3) * CIFAR10_RECORD
+
     def test_a_coarse_fault_in_a_later_window_outranks_a_fine_one(self, tmp_path):
         # a whole-column check of the coarse labels runs before the fine one
         n = 2 * _STEP100 + 10
@@ -542,8 +553,8 @@ class TestMappedFiles:
 
     @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100"])
     def test_writing_over_the_mapped_file(self, mapped_descriptors, tmp_path, kind):
-        # the writer must read the mapped rows before it truncates their file:
-        # a pass over them afterwards raises SIGBUS, so the write runs in a child
+        # the writer must read the rows before it truncates their file (a pass
+        # over them afterwards fails on a short read); the write runs in a child
         desc = mapped_descriptors[kind]
         expected = load_decoded(desc)
         if kind == "idx":
@@ -584,6 +595,19 @@ class TestMappedFiles:
             stratified_sample(data, HeterogeneityProfile((1,) * 10, sample_fraction=1.0), seed=0)
         assert err.value.path == str(images)
         assert err.value.offset >= 16 + 30 * d + 100
+
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_file_cut_after_loading_fails_by_name_on_a_whole_pass(self, tmp_path, batches):
+        paths = [_records(tmp_path / f"{k}.bin", 40, CIFAR10_RECORD, seed=30 + k)
+                 for k in range(batches)]
+        data = _load_files(DataFormat.CIFAR10_BIN, *paths)
+        stop = 30 * CIFAR10_RECORD + 100  # row 30 of the last file keeps 99 pixel bytes
+        os.truncate(paths[-1], stop)
+        for whole_pass in (lambda: data.rows, lambda: build_context(data)):
+            with pytest.raises(DatasetFormatError, match="short read: 99 of a 3072-byte row") as err:
+                whole_pass()
+            assert err.value.path == str(paths[-1])
+            assert err.value.offset == stop
 
 
 class TestStratifiedSample:
