@@ -6,14 +6,15 @@ record-length RGB image files (3073- or 3074-byte records flattened to 3072
 coordinates). A pixel byte p stands for the coordinate p / 255 in [0, 1].
 An image file is mapped read-only for validation only (header, size, label
 scan; the scan drops each window's pages once read). Its rows stay in the
-file, behind one positioned reader over the list of files in which a global
-row maps to a file and a record (VectorDataset.from_file): a sample reads
-the rows it picks, one positioned read per row, and is never converted to
-an n x d float64 array.
+files, behind one positioned reader in which a global row maps to a file and
+a record (VectorDataset.from_file): a sample reads the rows it picks, one
+positioned read per row, a whole pass reads each file in vectored reads, and
+no n x d float64 array is made of them.
 
 Heterogeneity of a working subset is controlled by stratified sampling with
 explicit per-label ratios; a deterministic synthetic generator provides
-label-clustered data for dataset-free runs.
+label-clustered data for dataset-free runs as its cluster-ordered rows behind
+the drawn permutation, so a sample gathers only the rows it picks.
 """
 
 from __future__ import annotations
@@ -144,10 +145,10 @@ class DatasetDescriptor:
 
 
 def load_dataset(desc: DatasetDescriptor) -> VectorDataset:
-    """Materialize a descriptor as a VectorDataset: synthetic data as float
-    rows, the binary formats validated over every record and left in their
-    files, several batch files as one dataset in argument order. A sample
-    reads only the rows it picks; `rows` reads every row once.
+    """Materialize a descriptor as a VectorDataset: synthetic float rows
+    behind their permutation, the binary formats validated over every record
+    and left in their files, several batch files as one dataset in argument
+    order. A sample reads only the rows it picks; `rows` reads every row once.
 
     Raises:
         DatasetFormatError: malformed files, or loaded width differing from
@@ -205,23 +206,38 @@ class _MappedFile:
 
 class _StoredRows:
     """The rows of `files`, counts[k] records each, in order: global row r
-    is record r - starts[k] of the file k that holds it, whose `width`
-    bytes start at offset + record * stride."""
+    is record r - bounds[k] of the file k that holds it, whose `width`
+    bytes start at offset + record * stride, after its label bytes."""
 
     def __init__(self, files: list[_MappedFile], counts, offset: int, width: int, stride: int):
         self.files, self.offset, self.width, self.stride = files, offset, width, stride
-        self.starts = np.cumsum([0, *counts[:-1]])
+        self.bounds = np.cumsum([0, *counts])
 
-    def __call__(self, index: np.ndarray) -> np.ndarray:
-        """The rows at `index` in a new array, one positioned read per row.
+    def __call__(self, index) -> np.ndarray:
+        """The rows at an int array `index` in a new array, one positioned read per
+        row, or at slice(None) every row in vectored reads of each file: an IDX
+        file's rows as one buffer, a record file's between label-byte scratch buffers.
 
         Raises:
             DatasetFormatError: a read came up short (its file was cut since
                 it was loaded), naming that file and the offset where it stopped.
         """
+        if isinstance(index, slice):
+            out = np.empty((self.bounds[-1], self.width), np.uint8)
+            heads, iov_max = np.empty(self.stride - self.width, np.uint8), os.sysconf("SC_IOV_MAX")
+            for k, rows in enumerate(np.split(out, self.bounds[1:-1])):
+                runs = rows if heads.size else rows.reshape(1, -1)
+                buffers = [heads] * (2 * len(runs) - 1)
+                buffers[::2] = runs
+                start = self.offset
+                for first in range(0, len(buffers), iov_max):  # a short read leaves start at EOF
+                    start += os.preadv(self.files[k].fd, buffers[first : first + iov_max], start)
+                if start != self.offset + len(rows) * self.stride - heads.size:
+                    rows[:] = self(np.arange(*self.bounds[k : k + 2]))  # a cut file: name the row
+            return out
         out = np.empty((len(index), self.width), np.uint8)
-        which = np.searchsorted(self.starts, index, side="right") - 1
-        where = self.offset + (index - self.starts[which]) * self.stride
+        which = np.searchsorted(self.bounds, index, side="right") - 1
+        where = self.offset + (index - self.bounds[which]) * self.stride
         for row, k, start in zip(out, which.tolist(), where.tolist()):
             got = os.preadv(self.files[k].fd, (row,), start)
             if got != self.width:
@@ -289,19 +305,19 @@ def _read_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset
 def _write_records(path: str | Path, header: bytes, data: VectorDataset, heads: np.ndarray) -> None:
     """Write `header`, then row i as the bytes heads[i] (none for a zero-width
     `heads`) and its d pixel bytes rint(vector * 255), one write per block of
-    rows. Each block of about WINDOW_BYTES of floats is quantised in one
-    reused buffer. The rows are read before the file at `path`, which may
-    hold them, is truncated."""
-    rows = data.rows
+    rows. Each block of about WINDOW_BYTES of floats is read from the row
+    source and quantised in one reused buffer. Byte rows are read whole
+    before the file at `path`, which may hold them, is truncated."""
+    read = data._read_rows if data.scale == 1.0 else data.rows.__getitem__
     step = max(1, WINDOW_BYTES // (8 * data.d))
     floats = np.empty((min(step, data.n), data.d))
     records = np.empty((len(floats), heads.shape[1] + data.d), np.uint8)
     with open(path, "wb") as fh:
         fh.write(header)
         for start in range(0, data.n, step):
-            pixels = rows[start : start + step]
-            block, out = floats[: len(pixels)], records[: len(pixels)]
-            np.multiply(pixels, 255.0 / data.scale, out=block)
+            out = records[: min(step, data.n - start)]
+            block = np.multiply(read(slice(start, start + step)), 255.0 / data.scale,
+                                out=floats[: len(out)])
             out[:, heads.shape[1] :] = np.rint(block, out=block)
             out[:, : heads.shape[1]] = heads[start : start + step]
             fh.write(out)
@@ -471,6 +487,7 @@ def synthetic_dataset(n: int, d: int, heterogeneity: float, seed: int) -> Vector
     the rows flatten onto their cluster levels and cluster sizes skew, so
     inverse-variance weights and the weighted statistics grow sharply. All
     coordinates are clipped to [0, 1]; output is deterministic given the seed.
+    The rows stay in cluster order behind the drawn permutation until read.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -499,4 +516,4 @@ def synthetic_dataset(n: int, d: int, heterogeneity: float, seed: int) -> Vector
         rows += levels[cluster]  # levels + scale * (amplitude * pattern + jitter * noise)
     np.clip(grouped, 0.0, 1.0, out=grouped)
     order = rng.permutation(n)
-    return VectorDataset(vectors=grouped[order], labels=np.repeat(np.arange(k), counts)[order])
+    return VectorDataset(grouped, np.repeat(np.arange(k), counts)[order], order)

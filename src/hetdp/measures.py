@@ -50,17 +50,18 @@ class UnweightedPart(NamedTuple):
 class VectorDataset:
     """n vectors in [0,1]^d with one nonnegative integer label per vector.
 
-    `rows` holds the vectors times `scale`: float64 vectors as given (scale
-    1), or the n x d uint8 bytes of stored images (scale 255), from
-    from_bytes or, read from their file once on first use, from from_file.
-    Every float pass reads `rows` through row_blocks; `vectors` divides
-    byte rows by 255 on demand.
+    `rows` holds the vectors times `scale`, stated by the row source: float64
+    (1.0) or stored image bytes (255.0). The source reads the rows at an index:
+    an array, float rows behind a permutation (row i is vectors[order[i]]) or
+    files (from_file); `rows` reads every row in order once. Float passes read
+    `rows` through row_blocks; `vectors` divides byte rows by 255 on demand.
     """
 
     labels: np.ndarray
     d: int
+    scale: float
 
-    def __init__(self, vectors: np.ndarray, labels: np.ndarray) -> None:
+    def __init__(self, vectors: np.ndarray, labels: np.ndarray, order=None) -> None:
         vectors = np.asarray(vectors, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if vectors.ndim != 2:
@@ -82,14 +83,16 @@ class VectorDataset:
             raise ValueError(f"coordinates must lie in [0, 1], got range [{low!r}, {high!r}]")
         if labels.min(initial=0) < 0:
             raise ValueError("labels must be nonnegative integers")
-        self._freeze(labels, vectors.shape[1], vectors)
+        vectors.setflags(write=False)
+        read = None if order is None else lambda index: vectors[order[index]]
+        self._freeze(labels, vectors.shape[1], 1.0, vectors if order is None else None, read)
 
-    def _freeze(self, labels: np.ndarray, d: int, rows=None, read_rows=None) -> VectorDataset:
+    def _freeze(self, labels, d: int, scale: float, rows=None, read_rows=None) -> VectorDataset:
         labels.setflags(write=False)
-        vars(self).update(labels=labels, d=d, _read_rows=read_rows)
-        if rows is not None:  # in place of the cached property
+        if rows is not None:  # in place of the cached property, and their own source
             rows.setflags(write=False)
-            vars(self)["rows"] = rows
+            vars(self)["rows"], read_rows = rows, rows.__getitem__
+        vars(self).update(labels=labels, d=d, scale=scale, _read_rows=read_rows)
         return self
 
     @classmethod
@@ -105,25 +108,25 @@ class VectorDataset:
             raise ValueError(NO_COORDINATES)
         if labels.dtype != np.int64 or labels.min() < 0:
             raise ValueError("labels must be nonnegative int64")
-        return object.__new__(cls)._freeze(labels, pixels.shape[1], pixels)
+        return object.__new__(cls)._freeze(labels, pixels.shape[1], 255.0, pixels)
 
     @classmethod
     def from_file(cls, labels: np.ndarray, d: int, read_rows) -> VectorDataset:
-        """len(labels) checked labels and rows of d bytes left in a file that
-        read_rows(index) reads into a new uint8 array, only when asked."""
-        return object.__new__(cls)._freeze(labels, d, read_rows=read_rows)
+        """len(labels) checked labels and rows of d bytes left in a file: read_rows
+        reads those at an int array, or all at slice(None), into a new uint8 array."""
+        return object.__new__(cls)._freeze(labels, d, 255.0, read_rows=read_rows)
 
     def _take(self, index: np.ndarray) -> VectorDataset:
         """The rows and labels at `index` in new arrays, of the same kind (bytes
-        stay bytes), read from the file or indexed; they were checked when this
+        stay bytes), read from the row source; they were checked when this
         dataset was made, so no scan runs over them again."""
-        rows = self.rows[index] if self._read_rows is None else self._read_rows(index)
-        return object.__new__(type(self))._freeze(self.labels[index], self.d, rows)
+        rows, labels = self._read_rows(index), self.labels[index]
+        return object.__new__(type(self))._freeze(labels, self.d, self.scale, rows)
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        """A from_file dataset's rows, every one read from the file on first use."""
-        return self._take(np.arange(self.n)).rows
+        """Every row in order (slice(None)), from the file or permutation on first use."""
+        return self._take(slice(None)).rows
 
     @functools.cached_property
     def _label_pools(self) -> dict[int, np.ndarray]:
@@ -134,11 +137,6 @@ class VectorDataset:
         order.setflags(write=False)
         pools = np.split(order, np.flatnonzero(np.diff(self.labels[order])) + 1)
         return {int(self.labels[pool[0]]): pool for pool in pools}
-
-    @property
-    def scale(self) -> float:
-        """rows / scale are the vectors: 255.0 for uint8 rows, else 1.0."""
-        return 255.0 if self._read_rows is not None or self.rows.dtype == np.uint8 else 1.0
 
     @property
     def vectors(self) -> np.ndarray:

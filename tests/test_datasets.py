@@ -609,6 +609,50 @@ class TestMappedFiles:
             assert err.value.path == str(paths[-1])
             assert err.value.offset == stop
 
+    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100", "cifar10x2"])
+    def test_whole_pass_equals_the_per_row_gather(self, mapped_descriptors, kind, monkeypatch):
+        data = load_dataset(mapped_descriptors[kind])
+        gathered = data._take(np.arange(data.n)).rows  # one positioned read per row
+        calls, preadv = [], os.preadv
+
+        def counted(fd, buffers, offset):
+            calls.append(len(buffers))
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", counted)
+        assert np.array_equal(data.rows, gathered)
+        # each file in vectored reads: an IDX file's rows in one, a record file's
+        # rows between scratch buffers for the label bytes, IOV_MAX buffers a read
+        iov_max = os.sysconf("SC_IOV_MAX")
+        counts = np.diff(data._read_rows.bounds)
+        want = [1] if kind == "idx" else [-(-(2 * count - 1) // iov_max) for count in counts]
+        assert len(calls) == sum(want) and max(calls) <= iov_max
+        if kind != "idx":
+            assert max(calls) == min(iov_max, 2 * max(counts) - 1)
+
+    def test_cut_idx_file_fails_by_name_on_a_whole_pass(self, tmp_path):
+        d = 784
+        images, labels = _idx_pair(tmp_path, 40, d, seed=31)
+        data = _load_files(DataFormat.IDX_IMAGES, images, labels)
+        os.truncate(images, 16 + 30 * d + 100)  # row 30 keeps 100 bytes
+        with pytest.raises(DatasetFormatError, match=f"short read: 100 of a {d}-byte row") as err:
+            data.rows
+        assert err.value.path == str(images)
+        assert err.value.offset == 16 + 30 * d + 100
+
+    @pytest.mark.parametrize("kept", [0, 1, 100])
+    def test_cut_first_batch_fails_by_name_on_a_whole_pass(self, tmp_path, kept):
+        # record 30 of the first of two files keeps `kept` bytes, its label byte first
+        paths = [_records(tmp_path / f"{k}.bin", 40, CIFAR10_RECORD, seed=32 + k)
+                 for k in range(2)]
+        data = _load_files(DataFormat.CIFAR10_BIN, *paths)
+        os.truncate(paths[0], 30 * CIFAR10_RECORD + kept)
+        got = max(0, kept - 1)
+        with pytest.raises(DatasetFormatError, match=f"short read: {got} of a 3072-byte row") as err:
+            data.rows
+        assert err.value.path == str(paths[0])
+        assert err.value.offset == 30 * CIFAR10_RECORD + 1 + got
+
 
 class TestStratifiedSample:
     def test_deterministic_and_seed_sensitive(self):
@@ -744,6 +788,34 @@ class TestAgainstDirectForms:
             empty += np.bincount(fast.labels, minlength=10).min() == 0
         assert empty > 0  # some clusters draw no rows
 
+    def test_synthetic_samples_read_the_direct_rows(self):
+        # a sample gathers only its rows, through the drawn permutation; they and
+        # `rows`, gathered on first use, equal the direct form's at the same indices
+        empty = 0
+        grid = itertools.product((2, 3, 57, 1000), (1, 5, 784), (0.0, 0.5, 1.0), (0, 2))
+        for n, d, heterogeneity, seed in grid:
+            case = (n, d, heterogeneity, seed)
+            fast = synthetic_dataset(n, d, heterogeneity, seed)
+            direct = synthetic_direct(n, d, heterogeneity, seed)
+            index = np.random.default_rng(seed).integers(0, n, size=max(1, n // 3))
+            picked = fast._take(index)
+            assert "rows" not in vars(fast), case
+            assert picked.rows.tobytes() == direct.rows[index].tobytes(), case
+            assert picked.labels.tobytes() == direct.labels[index].tobytes(), case
+            assert not picked.rows.flags.writeable and picked.scale == 1.0, case
+            assert fast.rows.tobytes() == direct.rows.tobytes(), case
+            assert not fast.rows.flags.writeable, case
+            empty += np.bincount(fast.labels, minlength=10).min() == 0
+        assert empty > 0  # some clusters draw no rows
+        data, direct = synthetic_dataset(1000, 8, 0.5, 4), synthetic_direct(1000, 8, 0.5, 4)
+        for profile, seed in itertools.product(CANONICAL_PROFILES.values(), (0, 1)):
+            profile = HeterogeneityProfile(profile.ratios, sample_fraction=0.1)
+            sample = stratified_sample(data, profile, seed)
+            expected = sample_decoded(direct, profile, seed)
+            assert sample.rows.tobytes() == expected.rows.tobytes(), (profile, seed)
+            assert sample.labels.tobytes() == expected.labels.tobytes(), (profile, seed)
+        assert "rows" not in vars(data)
+
     # a write block holds 42 rows of 3072 floats
     @pytest.mark.parametrize("n", [1, 42, 43, 400])
     def test_written_files_are_byte_identical(self, tmp_path, n):
@@ -777,8 +849,17 @@ class TestGenerationMemory:
     def test_synthetic_rows_make_no_temporary(self):
         n, d = 4000, 784
         peak = self._peak(lambda: synthetic_dataset(n, d, 0.5, seed=3))
-        # the grouped rows and their gathered copy
-        assert peak < 2.2 * n * d * 8, f"peak {peak} bytes"
+        # the grouped rows only: no copy is gathered into the drawn order
+        assert peak < 1.2 * n * d * 8, f"peak {peak} bytes"
+
+    def test_synthetic_sample_gathers_only_its_rows(self):
+        n, d = 4000, 784
+        data = synthetic_dataset(n, d, 0.5, seed=3)
+        profile = HeterogeneityProfile((1,) * 5, sample_fraction=0.1)
+        peak = self._peak(lambda: stratified_sample(data, profile, seed=1))
+        # the 0.1 * n picked rows, not every row in the drawn order
+        assert peak < 0.2 * n * d * 8, f"peak {peak} bytes"
+        assert "rows" not in vars(data)
 
     @pytest.mark.parametrize("kind", ["idx", "cifar10"])
     def test_writers_quantise_in_row_blocks(self, tmp_path, kind):
