@@ -6,10 +6,10 @@ record-length RGB image files (3073- or 3074-byte records flattened to 3072
 coordinates). A pixel byte p stands for the coordinate p / 255 in [0, 1].
 An image file is mapped read-only for validation only (header, size, label
 scan; the scan drops each window's pages once read). Its rows stay in the
-files, behind one positioned reader in which a global row maps to a file and
-a record (VectorDataset.from_file): a sample reads the rows it picks, one
-positioned read per row, a whole pass reads each file in vectored reads, and
-no n x d float64 array is made of them.
+file, behind one positioned reader over the list of files in which a global
+row maps to a file and a record (VectorDataset.from_file): a sample reads
+the rows it picks, one positioned read per row, and is never converted to
+an n x d float64 array.
 
 Heterogeneity of a working subset is controlled by stratified sampling with
 explicit per-label ratios; a deterministic synthetic generator provides
@@ -206,38 +206,23 @@ class _MappedFile:
 
 class _StoredRows:
     """The rows of `files`, counts[k] records each, in order: global row r
-    is record r - bounds[k] of the file k that holds it, whose `width`
-    bytes start at offset + record * stride, after its label bytes."""
+    is record r - starts[k] of the file k that holds it, whose `width`
+    bytes start at offset + record * stride."""
 
     def __init__(self, files: list[_MappedFile], counts, offset: int, width: int, stride: int):
         self.files, self.offset, self.width, self.stride = files, offset, width, stride
-        self.bounds = np.cumsum([0, *counts])
+        self.starts = np.cumsum([0, *counts[:-1]])
 
-    def __call__(self, index) -> np.ndarray:
-        """The rows at an int array `index` in a new array, one positioned read per
-        row, or at slice(None) every row in vectored reads of each file: an IDX
-        file's rows as one buffer, a record file's between label-byte scratch buffers.
+    def __call__(self, index: np.ndarray) -> np.ndarray:
+        """The rows at `index` in a new array, one positioned read per row.
 
         Raises:
             DatasetFormatError: a read came up short (its file was cut since
                 it was loaded), naming that file and the offset where it stopped.
         """
-        if isinstance(index, slice):
-            out = np.empty((self.bounds[-1], self.width), np.uint8)
-            heads, iov_max = np.empty(self.stride - self.width, np.uint8), os.sysconf("SC_IOV_MAX")
-            for k, rows in enumerate(np.split(out, self.bounds[1:-1])):
-                runs = rows if heads.size else rows.reshape(1, -1)
-                buffers = [heads] * (2 * len(runs) - 1)
-                buffers[::2] = runs
-                start = self.offset
-                for first in range(0, len(buffers), iov_max):  # a short read leaves start at EOF
-                    start += os.preadv(self.files[k].fd, buffers[first : first + iov_max], start)
-                if start != self.offset + len(rows) * self.stride - heads.size:
-                    rows[:] = self(np.arange(*self.bounds[k : k + 2]))  # a cut file: name the row
-            return out
         out = np.empty((len(index), self.width), np.uint8)
-        which = np.searchsorted(self.bounds, index, side="right") - 1
-        where = self.offset + (index - self.bounds[which]) * self.stride
+        which = np.searchsorted(self.starts, index, side="right") - 1
+        where = self.offset + (index - self.starts[which]) * self.stride
         for row, k, start in zip(out, which.tolist(), where.tolist()):
             got = os.preadv(self.files[k].fd, (row,), start)
             if got != self.width:
@@ -316,7 +301,7 @@ def _write_records(path: str | Path, header: bytes, data: VectorDataset, heads: 
         fh.write(header)
         for start in range(0, data.n, step):
             out = records[: min(step, data.n - start)]
-            block = np.multiply(read(slice(start, start + step)), 255.0 / data.scale,
+            block = np.multiply(read(np.arange(start, start + len(out))), 255.0 / data.scale,
                                 out=floats[: len(out)])
             out[:, heads.shape[1] :] = np.rint(block, out=block)
             out[:, : heads.shape[1]] = heads[start : start + step]
@@ -516,4 +501,4 @@ def synthetic_dataset(n: int, d: int, heterogeneity: float, seed: int) -> Vector
         rows += levels[cluster]  # levels + scale * (amplitude * pattern + jitter * noise)
     np.clip(grouped, 0.0, 1.0, out=grouped)
     order = rng.permutation(n)
-    return VectorDataset(grouped, np.repeat(np.arange(k), counts)[order], order)
+    return VectorDataset(grouped, np.repeat(np.arange(k), counts))._permuted(order)

@@ -50,18 +50,19 @@ class UnweightedPart(NamedTuple):
 class VectorDataset:
     """n vectors in [0,1]^d with one nonnegative integer label per vector.
 
-    `rows` holds the vectors times `scale`, stated by the row source: float64
-    (1.0) or stored image bytes (255.0). The source reads the rows at an index:
-    an array, float rows behind a permutation (row i is vectors[order[i]]) or
-    files (from_file); `rows` reads every row in order once. Float passes read
-    `rows` through row_blocks; `vectors` divides byte rows by 255 on demand.
+    `rows` holds the vectors times `scale`, stated where the dataset is made:
+    float64 (1.0) or stored image bytes (255.0). A row source reads the rows
+    at an int array: the rows themselves, float rows behind a
+    permutation (_permuted) or files (from_file); `rows` reads every row once
+    and then serves as the source. Float passes read `rows` through
+    row_blocks; `vectors` divides byte rows by 255 on demand.
     """
 
     labels: np.ndarray
     d: int
     scale: float
 
-    def __init__(self, vectors: np.ndarray, labels: np.ndarray, order=None) -> None:
+    def __init__(self, vectors: np.ndarray, labels: np.ndarray) -> None:
         vectors = np.asarray(vectors, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if vectors.ndim != 2:
@@ -83,9 +84,7 @@ class VectorDataset:
             raise ValueError(f"coordinates must lie in [0, 1], got range [{low!r}, {high!r}]")
         if labels.min(initial=0) < 0:
             raise ValueError("labels must be nonnegative integers")
-        vectors.setflags(write=False)
-        read = None if order is None else lambda index: vectors[order[index]]
-        self._freeze(labels, vectors.shape[1], 1.0, vectors if order is None else None, read)
+        self._freeze(labels, vectors.shape[1], 1.0, vectors)
 
     def _freeze(self, labels, d: int, scale: float, rows=None, read_rows=None) -> VectorDataset:
         labels.setflags(write=False)
@@ -112,9 +111,17 @@ class VectorDataset:
 
     @classmethod
     def from_file(cls, labels: np.ndarray, d: int, read_rows) -> VectorDataset:
-        """len(labels) checked labels and rows of d bytes left in a file: read_rows
-        reads those at an int array, or all at slice(None), into a new uint8 array."""
+        """len(labels) checked labels and rows of d bytes left in a file that
+        read_rows(index) reads into a new uint8 array, only when asked."""
         return object.__new__(cls)._freeze(labels, d, 255.0, read_rows=read_rows)
+
+    def _permuted(self, order: np.ndarray) -> VectorDataset:
+        """This dataset's rows and labels in `order`, a permutation of range(n),
+        with no scan run again: row i is rows[order[i]], gathered only when read."""
+        rows = self.rows
+        return object.__new__(type(self))._freeze(
+            self.labels[order], self.d, self.scale, read_rows=lambda index: rows[order[index]]
+        )
 
     def _take(self, index: np.ndarray) -> VectorDataset:
         """The rows and labels at `index` in new arrays, of the same kind (bytes
@@ -125,8 +132,11 @@ class VectorDataset:
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        """Every row in order (slice(None)), from the file or permutation on first use."""
-        return self._take(slice(None)).rows
+        """Every row in order, read from the row source on first use; they then
+        replace it, so a file or permutation is not read again."""
+        rows = self._take(np.arange(self.n)).rows
+        vars(self)["_read_rows"] = rows.__getitem__
+        return rows
 
     @functools.cached_property
     def _label_pools(self) -> dict[int, np.ndarray]:

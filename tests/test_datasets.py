@@ -609,50 +609,6 @@ class TestMappedFiles:
             assert err.value.path == str(paths[-1])
             assert err.value.offset == stop
 
-    @pytest.mark.parametrize("kind", ["idx", "cifar10", "cifar100", "cifar10x2"])
-    def test_whole_pass_equals_the_per_row_gather(self, mapped_descriptors, kind, monkeypatch):
-        data = load_dataset(mapped_descriptors[kind])
-        gathered = data._take(np.arange(data.n)).rows  # one positioned read per row
-        calls, preadv = [], os.preadv
-
-        def counted(fd, buffers, offset):
-            calls.append(len(buffers))
-            return preadv(fd, buffers, offset)
-
-        monkeypatch.setattr(os, "preadv", counted)
-        assert np.array_equal(data.rows, gathered)
-        # each file in vectored reads: an IDX file's rows in one, a record file's
-        # rows between scratch buffers for the label bytes, IOV_MAX buffers a read
-        iov_max = os.sysconf("SC_IOV_MAX")
-        counts = np.diff(data._read_rows.bounds)
-        want = [1] if kind == "idx" else [-(-(2 * count - 1) // iov_max) for count in counts]
-        assert len(calls) == sum(want) and max(calls) <= iov_max
-        if kind != "idx":
-            assert max(calls) == min(iov_max, 2 * max(counts) - 1)
-
-    def test_cut_idx_file_fails_by_name_on_a_whole_pass(self, tmp_path):
-        d = 784
-        images, labels = _idx_pair(tmp_path, 40, d, seed=31)
-        data = _load_files(DataFormat.IDX_IMAGES, images, labels)
-        os.truncate(images, 16 + 30 * d + 100)  # row 30 keeps 100 bytes
-        with pytest.raises(DatasetFormatError, match=f"short read: 100 of a {d}-byte row") as err:
-            data.rows
-        assert err.value.path == str(images)
-        assert err.value.offset == 16 + 30 * d + 100
-
-    @pytest.mark.parametrize("kept", [0, 1, 100])
-    def test_cut_first_batch_fails_by_name_on_a_whole_pass(self, tmp_path, kept):
-        # record 30 of the first of two files keeps `kept` bytes, its label byte first
-        paths = [_records(tmp_path / f"{k}.bin", 40, CIFAR10_RECORD, seed=32 + k)
-                 for k in range(2)]
-        data = _load_files(DataFormat.CIFAR10_BIN, *paths)
-        os.truncate(paths[0], 30 * CIFAR10_RECORD + kept)
-        got = max(0, kept - 1)
-        with pytest.raises(DatasetFormatError, match=f"short read: {got} of a 3072-byte row") as err:
-            data.rows
-        assert err.value.path == str(paths[0])
-        assert err.value.offset == 30 * CIFAR10_RECORD + 1 + got
-
 
 class TestStratifiedSample:
     def test_deterministic_and_seed_sensitive(self):
@@ -860,6 +816,20 @@ class TestGenerationMemory:
         # the 0.1 * n picked rows, not every row in the drawn order
         assert peak < 0.2 * n * d * 8, f"peak {peak} bytes"
         assert "rows" not in vars(data)
+
+    def test_gathered_rows_free_the_cluster_ordered_rows(self):
+        n, d = 4000, 784
+        tracemalloc.start()
+        try:
+            data = synthetic_dataset(n, d, 0.5, seed=3)
+            rows = data.rows
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the drawn-order rows only, and a sample now indexes them
+        assert held < 1.2 * n * d * 8, f"held {held} bytes"
+        index = np.array([5, 0, 3999, 5])
+        assert np.array_equal(data._take(index).rows, rows[index])
 
     @pytest.mark.parametrize("kind", ["idx", "cifar10"])
     def test_writers_quantise_in_row_blocks(self, tmp_path, kind):
