@@ -290,10 +290,10 @@ def _read_idx(images_path: str | Path, labels_path: str | Path) -> VectorDataset
 def _write_records(path: str | Path, header: bytes, data: VectorDataset, heads: np.ndarray) -> None:
     """Write `header`, then row i as the bytes heads[i] (none for a zero-width
     `heads`) and its d pixel bytes rint(vector * 255), one write per block of
-    rows. Each block of about WINDOW_BYTES of floats is read from the row
-    source and quantised in one reused buffer. Byte rows are read whole
-    before the file at `path`, which may hold them, is truncated."""
-    read = data._read_rows if data.scale == 1.0 else data.rows.__getitem__
+    rows. Float rows are read a block of about WINDOW_BYTES at a time into one
+    reused buffer and quantised there. Byte rows, copied as they are, are read
+    whole before the file at `path`, which may hold them, is truncated."""
+    byte_rows = None if data.scale == 1.0 else data.rows
     step = max(1, WINDOW_BYTES // (8 * data.d))
     floats = np.empty((min(step, data.n), data.d))
     records = np.empty((len(floats), heads.shape[1] + data.d), np.uint8)
@@ -301,9 +301,11 @@ def _write_records(path: str | Path, header: bytes, data: VectorDataset, heads: 
         fh.write(header)
         for start in range(0, data.n, step):
             out = records[: min(step, data.n - start)]
-            block = np.multiply(read(np.arange(start, start + len(out))), 255.0 / data.scale,
-                                out=floats[: len(out)])
-            out[:, heads.shape[1] :] = np.rint(block, out=block)
+            if byte_rows is None:
+                block = data._read_rows(np.arange(start, start + len(out)), out=floats[: len(out)])
+                out[:, heads.shape[1] :] = np.rint(np.multiply(block, 255.0, out=block), out=block)
+            else:
+                out[:, heads.shape[1] :] = byte_rows[start : start + step]
             out[:, : heads.shape[1]] = heads[start : start + step]
             fh.write(out)
 

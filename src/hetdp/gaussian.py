@@ -27,7 +27,8 @@ from dataclasses import dataclass
 MAX_EPSILON = math.log(sys.float_info.max)
 _SQRT2 = math.sqrt(2.0)
 _MAX_SOLVER_STEPS = 200
-#: Largest slack delta - achieved_delta(sigma) the analytic calibration leaves.
+#: Largest slack delta - achieved_delta(sigma) the analytic calibration leaves
+#: at delta >= 1e-6; below, it leaves at most 1e-6 * delta.
 _AGM_TOL = 1e-12
 
 
@@ -165,7 +166,8 @@ class CalibrationResult:
 
 
 def std_normal_cdf(t: float) -> float:
-    """Standard normal CDF, Phi(t) = (1 + erf(t/sqrt(2))) / 2.
+    """Standard normal CDF, Phi(t) = erfc(-t/sqrt(2)) / 2: the lower tail
+    keeps its relative precision, where (1 + erf(t/sqrt(2))) / 2 cancels.
 
     Args:
         t: finite evaluation point.
@@ -178,22 +180,24 @@ def std_normal_cdf(t: float) -> float:
     """
     if not math.isfinite(t):
         raise ValueError(f"standard normal CDF needs a finite argument, got {t!r}")
-    return 0.5 * (1.0 + math.erf(t / _SQRT2))
+    return 0.5 * math.erfc(-t / _SQRT2)
 
 
 def achieved_delta(sigma: float, delta_l2: float, epsilon: float) -> float:
     """Exact additive privacy slack of a Gaussian release at scale sigma.
 
     A Gaussian mechanism with this sigma and L2 sensitivity delta_l2 is
-    (epsilon, delta)-private exactly when the returned value is <= delta.
+    (epsilon, delta)-private exactly when the returned value is <= delta. A
+    subnormal Phi(-half_ratio - shift) has too few bits to scale by e^epsilon:
+    it reads as 0, which overstates the slack, so errs toward more noise.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     half_ratio = delta_l2 / (2.0 * sigma)
     shift = epsilon * sigma / delta_l2
-    return std_normal_cdf(half_ratio - shift) - math.exp(epsilon) * std_normal_cdf(
-        -half_ratio - shift
-    )
+    tail = std_normal_cdf(-half_ratio - shift)
+    scaled_tail = math.exp(epsilon) * tail if tail >= sys.float_info.min else 0.0
+    return std_normal_cdf(half_ratio - shift) - scaled_tail
 
 
 def _alpha_low_noise(v: float) -> float:
@@ -249,7 +253,7 @@ def agm_sigma(sens: SensitivitySpec, epsilon: float, delta: float) -> Calibratio
     bisection on a branch-dependent reparameterization
     sigma = alpha(x) * delta_l2 / sqrt(2 epsilon). The bisection evaluates the
     privacy slack through sigma itself, so the returned scale satisfies
-    achieved_delta(sigma) <= delta bit-for-bit, with slack at most 1e-12.
+    achieved_delta(sigma) <= delta bit-for-bit, with the slack _AGM_TOL bounds.
 
     Args:
         sens: sensitivity of the release.
@@ -283,7 +287,8 @@ def agm_sigma(sens: SensitivitySpec, epsilon: float, delta: float) -> Calibratio
     def slack_gap(x: float) -> float:
         return achieved_delta(alpha_of(x) * scale_unit, delta_l2, epsilon) - delta
 
-    root = _nonpositive_end(slack_gap, _AGM_TOL, branch is NoiseBranch.LOW_NOISE)
+    root = _nonpositive_end(slack_gap, min(_AGM_TOL, 1e-6 * delta),
+                            branch is NoiseBranch.LOW_NOISE)
     alpha = alpha_of(root)
     return CalibrationResult(
         mechanism=Mechanism.ANALYTIC,

@@ -52,10 +52,10 @@ class VectorDataset:
 
     `rows` holds the vectors times `scale`, stated where the dataset is made:
     float64 (1.0) or stored image bytes (255.0). A row source reads the rows
-    at an int array: the rows themselves, float rows behind a
-    permutation (_permuted) or files (from_file); `rows` reads every row once
-    and then serves as the source. Float passes read `rows` through
-    row_blocks; `vectors` divides byte rows by 255 on demand.
+    at an int array, a float one into `out` if given: the rows themselves, float
+    rows behind a permutation (_permuted) or files (from_file); `rows` reads
+    every row once and then serves as the source. Float passes read `rows`
+    through row_blocks; `vectors` divides byte rows by 255 on demand.
     """
 
     labels: np.ndarray
@@ -90,7 +90,7 @@ class VectorDataset:
         labels.setflags(write=False)
         if rows is not None:  # in place of the cached property, and their own source
             rows.setflags(write=False)
-            vars(self)["rows"], read_rows = rows, rows.__getitem__
+            vars(self)["rows"], read_rows = rows, functools.partial(np.take, rows, axis=0)
         vars(self).update(labels=labels, d=d, scale=scale, _read_rows=read_rows)
         return self
 
@@ -118,10 +118,10 @@ class VectorDataset:
     def _permuted(self, order: np.ndarray) -> VectorDataset:
         """This dataset's rows and labels in `order`, a permutation of range(n),
         with no scan run again: row i is rows[order[i]], gathered only when read."""
-        rows = self.rows
+        rows = self.rows  # order[index] checks the index, so np.take may "clip", not buffer out
         return object.__new__(type(self))._freeze(
-            self.labels[order], self.d, self.scale, read_rows=lambda index: rows[order[index]]
-        )
+            self.labels[order], self.d, self.scale,
+            read_rows=lambda index, out=None: np.take(rows, order[index], 0, out, "clip"))
 
     def _take(self, index: np.ndarray) -> VectorDataset:
         """The rows and labels at `index` in new arrays, of the same kind (bytes
@@ -135,7 +135,7 @@ class VectorDataset:
         """Every row in order, read from the row source on first use; they then
         replace it, so a file or permutation is not read again."""
         rows = self._take(np.arange(self.n)).rows
-        vars(self)["_read_rows"] = rows.__getitem__
+        vars(self)["_read_rows"] = functools.partial(np.take, rows, axis=0)
         return rows
 
     @functools.cached_property

@@ -666,12 +666,12 @@ def smallest_nonpositive(g, tol: float) -> float:
     return hi
 
 
-def agm_sigma_per_branch(
-    sens: SensitivitySpec, epsilon: float, delta: float, tol: float = 1e-12
-) -> CalibrationResult:
+def agm_sigma_per_branch(sens: SensitivitySpec, epsilon: float, delta: float) -> CalibrationResult:
     """agm_sigma with largest_nonpositive on the low-noise branch and
-    smallest_nonpositive on the high-noise one; the privacy slack is read
-    through hetdp.gaussian, so a patched achieved_delta sees every call."""
+    smallest_nonpositive on the high-noise one, both stopping at slack
+    min(1e-12, 1e-6 * delta); the privacy slack is read through
+    hetdp.gaussian, so a patched achieved_delta sees every call."""
+    tol = min(1e-12, 1e-6 * delta)
     delta_l2 = sens.delta_l2
     scale_unit = delta_l2 / math.sqrt(2.0 * epsilon)
     delta0 = gaussian.achieved_delta(scale_unit, delta_l2, epsilon)

@@ -43,6 +43,17 @@ class TestExitCodes:
         (["calibrate", "--epsilons", "1000"], "where e^epsilon overflows, got 1000.0"),
         (["experiment", "--epsilons", "1000"], "where e^epsilon overflows, got 1000.0"),
         (["measure", "--release", "--epsilon", "1000"], "where e^epsilon overflows, got 1000.0"),
+        (["measure", "--profile", "bogus"], "unknown profile 'bogus'; canonical names: "),
+        (["measure", "--profile", "uniform-2", "--fraction", "2"],
+         "bad profile 'uniform-2': sample fraction must lie in (0, 1], got 2.0"),
+        (["measure", "--profile", "x=1:0"],
+         "bad profile 'x=1:0': ratios must be positive integers, got (1, 0)"),
+        (["experiment", "--epsilons", "x"], "expected comma-separated numbers, got 'x'"),
+        (["experiment", "--epsilons", ","], "--epsilons: expected at least one number"),
+        (["experiment", "--profiles", ","], "--profiles: expected at least one name"),
+        (["measure", "--synthetic", "1,2"], "--synthetic takes N,D,H, got '1,2'"),
+        (["measure", "--idx-images", "img.bin"],
+         "--idx-images and --idx-labels must be given together"),
     ])
     def test_invalid_privacy_flag_is_two_before_data_is_read(
         self, tmp_path, monkeypatch, capsys, argv, message
@@ -53,11 +64,12 @@ class TestExitCodes:
         for module in ("cli", "experiment"):
             monkeypatch.setattr(f"hetdp.{module}.load_dataset", no_load)
         # SYNTH_ARGS go first, so a case's own --synthetic overrides them
+        source = [] if "--idx-images" in argv else SYNTH_ARGS
         if argv[0] == "experiment":
-            argv = [argv[0], *SYNTH_ARGS, *argv[1:], "--profiles", "uniform-2",
+            argv = [argv[0], *source, *argv[1:], "--profiles", "uniform-2",
                     "--out", str(tmp_path / "o.csv")]
         elif argv[0] == "measure":
-            argv = [argv[0], *SYNTH_ARGS, *argv[1:]]
+            argv = [argv[0], *source, *argv[1:]]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -542,6 +554,13 @@ class TestMeasure:
         payload = json.loads(capsys.readouterr().out)
         assert payload["profile"] == "uniform-2"
         assert payload["n"] == 100
+
+    @pytest.mark.parametrize("flags, n", [((), 8), (("--fraction", "0.25"), 100)])
+    def test_custom_profile_sampling(self, capsys, flags, n):
+        # a custom profile samples the canonical 2% unless --fraction says otherwise
+        assert main(["measure", *SYNTH_ARGS, "--profile", "mine=3:1", *flags, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["profile"], payload["n"]) == ("mine", n)
 
     def test_zero_noise_release_equals_true_values(self, capsys):
         assert main(["measure", *SYNTH_ARGS, "--json"]) == 0

@@ -207,6 +207,13 @@ class TestRunExperiment:
         header = path.read_text().splitlines()[0]
         assert tuple(header.split(",")) == CSV_COLUMNS
 
+    def test_reading_another_header_is_an_error(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("kind,subject\nratio,2\n")
+        with pytest.raises(ValueError) as raised:
+            read_result_csv(path)
+        assert str(raised.value) == f"unexpected CSV header in {path}: ['kind', 'subject']"
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_experiment(_plan(), a)

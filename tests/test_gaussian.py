@@ -209,6 +209,32 @@ class TestAnalyticCalibration:
         assert slack > delta - 1e-9
 
 
+class TestPrivacyClaimAgainstMpmath:
+    """The true delta of agm_sigma's sigma, evaluated in 60-digit arithmetic,
+    is at most the delta it was calibrated to. The log grid reaches large
+    epsilon, where (1 + erf) / 2 cancels; delta near 1e-12, where an absolute
+    1e-12 slack is as large as delta; and epsilon near MAX_EPSILON, where
+    Phi(-h - s) is subnormal."""
+
+    EPSILONS = [min(gaussian.MAX_EPSILON, 0.01 * (gaussian.MAX_EPSILON / 0.01) ** (i / 30))
+                for i in range(31)]
+    DELTAS = [1e-12 * (0.5 / 1e-12) ** (j / 6) for j in range(7)]
+
+    @pytest.mark.parametrize("delta_l2", [1.0, math.sqrt(8) / 2000])
+    def test_true_delta_at_most_the_claim(self, delta_l2):
+        mpmath = pytest.importorskip("mpmath")
+        over = []
+        with mpmath.workdps(60):
+            for eps in self.EPSILONS:
+                for delta in self.DELTAS:
+                    sigma = mpmath.mpf(agm_sigma(SensitivitySpec(delta_l2), eps, delta).sigma)
+                    h, s = delta_l2 / (2 * sigma), eps * sigma / delta_l2
+                    true = mpmath.ncdf(h - s) - mpmath.exp(eps) * mpmath.ncdf(-h - s)
+                    if true > delta:
+                        over.append((eps, delta, float(true / delta)))
+        assert not over
+
+
 class TestOneRootFinder:
     """The branch-parameterized finder against one finder per branch."""
 
@@ -314,6 +340,20 @@ class TestPrivacyBudget:
             PrivacyBudget.from_fractions(1.0, 0.1, (1.5, -0.5))
         with pytest.raises(ValueError):
             PrivacyBudget.from_fractions(1.0, 0.1, ())
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PrivacyBudget(1.0, 0.1, ((1.0, 0.05), (0.0, 0.05))),
+         "split part 1 has invalid epsilon 0.0"),
+        (lambda: PrivacyBudget(1.0, 0.1, ((0.5, 0.1), (0.5, 1.0))),
+         "split part 1 has delta 1.0 outside (0, 1)"),
+        (lambda: PrivacyBudget(1.0, 0.1, ((0.5, 0.02), (0.5, 0.02))),
+         "split deltas sum to 0.04, expected 0.1"),
+        (lambda: PrivacyBudget.equal_split(1.0, 0.1, 0), "parts must be >= 1, got 0"),
+    ])
+    def test_each_part_is_checked(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
 
     def test_split_consistency_enforced(self):
         with pytest.raises(ValueError):
