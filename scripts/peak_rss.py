@@ -14,12 +14,14 @@ functions named in LAYERS, each where its module binds it, and adds
 `layer_ms_per_study`, their mean in-process time per study, and
 `other_ms_per_study`, the mean study wall time they leave over (none of
 them calls another, so their times add up); the wrappers' own cost falls
-inside `other_ms_per_study` and `wall_s_median`. --batches K splits a
-record-file workload's input (cifar-3072) into K batch files of whole
-records, as the real CIFAR-10 release comes in five, and passes them as one
-comma-separated --cifar10; K = 1 is the workload's own one file. The hetdp
-on PYTHONPATH is the one measured, so one copy of this script times two
-trees:
+inside `other_ms_per_study` and `wall_s_median`. build_parser is built once
+per process, so after the first study it reads about 0; _build_plan turns
+the parsed flags into the plan, deriving its budgets, cells and seeds.
+--batches K splits a record-file workload's input (cifar-3072) into K batch
+files of whole records, as the real CIFAR-10 release comes in five, and
+passes them as one comma-separated --cifar10; K = 1 is the workload's own
+one file. The hetdp on PYTHONPATH is the one measured, so one copy of this
+script times two trees:
 
     PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 50
     PYTHONPATH=src python3 scripts/peak_rss.py --workload cifar-3072 --studies 20 --trials 500
@@ -48,10 +50,11 @@ sys.path.insert(0, str(BENCH_DIR))
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
 
 #: The study's layers that --layers times, by the module that binds them:
-#: argument parsing, loading, sampling, the data pass, the true values, the
-#: trial draws, calibration, scoring and the three writers.
+#: the parser, the plan built from the flags, loading, sampling, the data
+#: pass, the true values, the trial draws, calibration, scoring and the
+#: three writers.
 LAYERS = {
-    "hetdp.cli": ("build_parser",),
+    "hetdp.cli": ("build_parser", "_build_plan"),
     "hetdp.experiment": ("load_dataset", "stratified_sample", "build_context", "true_value",
                          "trial_draws", "stage_sigmas", "error_reports",
                          "write_result_csv", "write_plan_log", "write_emse_charts"),

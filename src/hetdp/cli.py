@@ -14,6 +14,7 @@ binary formats resolve against $HETDP_DATA_DIR when set and relative.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -383,6 +384,7 @@ def cmd_compare(args) -> Callable[[], int]:
     return run
 
 
+@functools.cache  # built from module constants alone, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetdp",

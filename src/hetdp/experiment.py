@@ -68,7 +68,11 @@ _CELL_TAG = 2
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One dataset, a set of named profiles, and the cell cross product."""
+    """One dataset, a set of named profiles, and the cell cross product. Its budgets,
+    cells and sample seeds are derived once, at construction, into slots: vars(plan),
+    which the plan log writes, holds only the fields."""
+
+    __slots__ = ("__dict__", "_budgets", "_cells", "_sample_seeds")
 
     dataset: DatasetDescriptor
     profiles: tuple[tuple[str, HeterogeneityProfile], ...]
@@ -97,23 +101,30 @@ class ExperimentPlan:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         check_classical_range(self.mechanisms, self.epsilons)
-        for stat in self.statistics:
-            self.budgets(stat)  # raises on a split the budget rule rejects
-
-    def budgets(self, stat: Statistic) -> list[PrivacyBudget]:
-        """The budget rule's split of (epsilon, delta) for `stat`, per epsilon."""
-        return [stat.budget(e, self.delta, self.budget_fractions) for e in self.epsilons]
-
-    def cells(self) -> list[tuple[Statistic, EstimatorConfig]]:
-        """Each (statistic, estimator config) cell, in product(statistics,
-        mechanisms, settings) order. A cell's seed derives from the enum
-        positions of its keys, so no listing order, profile or epsilon moves it."""
+        object.__setattr__(self, "_budgets", {  # raises on a split the budget rule rejects
+            stat: tuple(stat.budget(e, self.delta, self.budget_fractions) for e in self.epsilons)
+            for stat in self.statistics})
         cells = []
         for stat, mech, setting in product(self.statistics, self.mechanisms, self.settings):
             positions = (list(type(key)).index(key) for key in (stat, mech, setting))
             seed = derive_seed(self.seed, _CELL_TAG, *positions)
             cells.append((stat, EstimatorConfig(mech, setting, seed, self.zero_noise)))
-        return cells
+        object.__setattr__(self, "_cells", tuple(cells))
+        object.__setattr__(self, "_sample_seeds",
+                           tuple(_sample_seed(self, profile) for _, profile in self.profiles))
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__, which fills the slots
+        return type(self), tuple(vars(self).values())
+
+    def budgets(self, stat: Statistic) -> tuple[PrivacyBudget, ...]:
+        """The budget rule's split of (epsilon, delta) for `stat`, per epsilon."""
+        return self._budgets[stat]
+
+    def cells(self) -> tuple[tuple[Statistic, EstimatorConfig], ...]:
+        """Each (statistic, estimator config) cell, in product(statistics,
+        mechanisms, settings) order. A cell's seed derives from the enum
+        positions of its keys, so no listing order, profile or epsilon moves it."""
+        return self._cells
 
 
 @dataclass(frozen=True)
@@ -184,12 +195,6 @@ class ComparisonRow:
 COMPARISON_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _sample_seed(plan: ExperimentPlan, profile: HeterogeneityProfile) -> int:
     """Seed for a profile's stratified draw, derived from the profile content.
 
@@ -206,9 +211,9 @@ def _materialize_samples(plan: ExperimentPlan):
     values and drop the rows before the next draw: name -> (context, truths)."""
     data = load_dataset(plan.dataset)
     profiles = {}
-    for name, profile in plan.profiles:
+    for (name, profile), seed in zip(plan.profiles, plan._sample_seeds):
         try:
-            sample = stratified_sample(data, profile, seed=_sample_seed(plan, profile))
+            sample = stratified_sample(data, profile, seed=seed)
         except SampleCapacityError as err:
             raise SampleCapacityError(f"profile {name}: {err}") from err
         ctx = build_context(sample)
@@ -229,13 +234,12 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
         summary[f"{s}_mean"] = sum(truth[s] for _, truth in profiles.values()) / len(profiles)
 
     d = next(iter(profiles.values()))[0].d
-    budgets = {stat: plan.budgets(stat) for stat in plan.statistics}
     cells = [(stat, cell, trial_draws(stat, cell, d, plan.trials)) for stat, cell in plan.cells()]
     rows: list[ResultRow] = []
     for name, _profile in plan.profiles:
         ctx, truth = profiles[name]
         for stat, cell, draws in cells:
-            sigmas = stage_sigmas(stat, ctx, cell, budgets[stat], memo)
+            sigmas = stage_sigmas(stat, ctx, cell, plan.budgets(stat), memo)
             reports = error_reports(stat, ctx, draws, sigmas)
             for epsilon, report in zip(plan.epsilons, reports):
                 rows.append(ResultRow(
@@ -250,14 +254,10 @@ def _cell_rows(plan: ExperimentPlan) -> list[ResultRow]:
 
 
 def run_experiment(
-    plan: ExperimentPlan,
-    csv_path: str | Path,
-    svg_dir: str | Path | None = None,
+    plan: ExperimentPlan, csv_path: str | Path, svg_dir: str | Path | None = None
 ) -> list[ResultRow]:
-    """Evaluate every plan cell, then write the CSV, plan log, and charts.
-
-    Returns the rows (sorted by key).
-    """
+    """Evaluate every plan cell, then write the CSV, plan log, and charts;
+    returns the rows, sorted by key."""
     rows = _cell_rows(plan)
     write_result_csv(rows, csv_path)
     write_plan_log(plan, csv_path)
@@ -268,13 +268,19 @@ def run_experiment(
 
 def write_result_csv(rows: list, path: str | Path) -> None:
     """Write dataclass rows (ResultRow or ComparisonRow) under a header of
-    their field names; an empty list gets the ResultRow header."""
+    their field names; an empty list gets the ResultRow header. csv.writer
+    writes a float as its repr; a column that holds one object in every row
+    (a run's summary columns, delta, dataset, trials) is formatted once."""
     header = [f.name for f in fields(rows[0])] if rows else CSV_COLUMNS
+    columns = [[getattr(row, name) for row in rows] for name in header]
+    for column in columns:
+        if column and all(value is column[0] for value in column):
+            column[:] = [str(column[0])] * len(column)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(getattr(row, name)) for name in header] for row in rows)
+        writer.writerows(zip(*columns))
 
 
 def read_result_csv(path: str | Path) -> list[ResultRow]:
@@ -298,8 +304,8 @@ def write_plan_log(plan: ExperimentPlan, csv_path: str | Path) -> Path:
         **vars(plan),
         "dataset": asdict(plan.dataset),
         "profiles": [
-            {"name": name, **asdict(profile), "sample_seed": _sample_seed(plan, profile)}
-            for name, profile in plan.profiles
+            {"name": name, **asdict(profile), "sample_seed": seed}
+            for (name, profile), seed in zip(plan.profiles, plan._sample_seeds)
         ],
         "trial_draws": "error-law scalars",
         "budget_rule": "equal split with exact-remainder last part"
@@ -439,49 +445,39 @@ def emse_chart_svg(title: str, series: dict[str, list[tuple[float, float]]]) -> 
     ]
     for exp in range(exp_lo, exp_hi + 1):
         y = y_px(10.0**exp)
-        parts.append(
-            f'<line x1="{left - 4}" y1="{y:.1f}" x2="{left}" y2="{y:.1f}" stroke="black"/>'
-        )
-        parts.append(
+        parts += [
+            f'<line x1="{left - 4}" y1="{y:.1f}" x2="{left}" y2="{y:.1f}" stroke="black"/>',
             f'<text x="{left - 8}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">1e{exp}</text>'
-        )
-    for x in xs:
-        px = x_px(x)
-        parts.append(
-            f'<line x1="{px:.1f}" y1="{height - bottom}" x2="{px:.1f}" '
-            f'y2="{height - bottom + 4}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.1f}" y="{height - bottom + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{x:.6g}</text>'
-        )
+            f'font-family="sans-serif" font-size="11">1e{exp}</text>',
+        ]
+    # each epsilon's label and pixel column, formatted once for the axis and every series
+    x_text = {x: (f"{x:.6g}", f"{x_px(x):.1f}") for x in xs}
+    for tick, px in x_text.values():
+        parts += [
+            f'<line x1="{px}" y1="{height - bottom}" x2="{px}" '
+            f'y2="{height - bottom + 4}" stroke="black"/>',
+            f'<text x="{px}" y="{height - bottom + 18}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{tick}</text>',
+        ]
     parts.append(
         f'<text x="{(left + width - right) / 2:.1f}" y="{height - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">epsilon</text>'
     )
     for index, (label, pts) in enumerate(sorted(series.items())):
-        color = _PALETTE[index % len(_PALETTE)]
+        color, ly = _PALETTE[index % len(_PALETTE)], top + 16 * index
         pts = sorted(pts)
-        data = " ".join(f"{x:.6g},{y:.6g}" for x, y in pts)
-        parts.append(_comment(f"series {label}: {data}"))
-        polyline = " ".join(f"{x_px(x):.1f},{y_px(y):.1f}" for x, y in pts)
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{polyline}"/>'
-        )
-        for x, y in pts:
-            parts.append(
-                f'<circle cx="{x_px(x):.1f}" cy="{y_px(y):.1f}" r="2.5" fill="{color}"/>'
-            )
-        ly = top + 16 * index
-        parts.append(
+        data = " ".join(f"{x_text[x][0]},{y:.6g}" for x, y in pts)
+        pixels = [(x_text[x][1], f"{y_px(y):.1f}") for x, y in pts]
+        polyline = " ".join(f"{px},{py}" for px, py in pixels)
+        parts += [
+            _comment(f"series {label}: {data}"),
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{polyline}"/>',
+            *(f'<circle cx="{px}" cy="{py}" r="2.5" fill="{color}"/>' for px, py in pixels),
             f'<line x1="{width - right - 150}" y1="{ly}" x2="{width - right - 130}" '
-            f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
+            f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>',
             f'<text x="{width - right - 124}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{_escape(label)}</text>'
-        )
+            f'font-size="11">{_escape(label)}</text>',
+        ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -493,18 +489,17 @@ def write_emse_charts(
     (profile, mechanism, setting)."""
     svg_dir = Path(svg_dir)
     svg_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for stat in plan.statistics:
-        series: dict[str, list[tuple[float, float]]] = {}
-        for row in rows:
-            if row.statistic != stat.value:
-                continue
+    charts = {stat.value: {} for stat in plan.statistics}  # statistic -> label -> points
+    for row in rows:  # one pass groups every chart's series
+        if row.statistic in charts:
             label = f"{row.profile}/{row.mechanism}/{row.setting}"
-            series.setdefault(label, []).append((row.epsilon, row.emse))
+            charts[row.statistic].setdefault(label, []).append((row.epsilon, row.emse))
+    written = []
+    for stat, series in charts.items():
         if not series:
             continue
-        title = f"EMSE vs epsilon: {stat.value} on {plan.dataset.name}"
-        path = svg_dir / f"emse_{stat.value}_{plan.dataset.name}.svg"
+        title = f"EMSE vs epsilon: {stat} on {plan.dataset.name}"
+        path = svg_dir / f"emse_{stat}_{plan.dataset.name}.svg"
         path.write_text(emse_chart_svg(title, series))
         written.append(path)
     return written

@@ -90,7 +90,7 @@ class VectorDataset:
         labels.setflags(write=False)
         if rows is not None:  # in place of the cached property, and their own source
             rows.setflags(write=False)
-            vars(self)["rows"], read_rows = rows, functools.partial(np.take, rows, axis=0)
+            vars(self)["rows"], read_rows = rows, _row_reader(rows, np.arange(len(rows)))
         vars(self).update(labels=labels, d=d, scale=scale, _read_rows=read_rows)
         return self
 
@@ -118,10 +118,8 @@ class VectorDataset:
     def _permuted(self, order: np.ndarray) -> VectorDataset:
         """This dataset's rows and labels in `order`, a permutation of range(n),
         with no scan run again: row i is rows[order[i]], gathered only when read."""
-        rows = self.rows  # order[index] checks the index, so np.take may "clip", not buffer out
         return object.__new__(type(self))._freeze(
-            self.labels[order], self.d, self.scale,
-            read_rows=lambda index, out=None: np.take(rows, order[index], 0, out, "clip"))
+            self.labels[order], self.d, self.scale, read_rows=_row_reader(self.rows, order))
 
     def _take(self, index: np.ndarray) -> VectorDataset:
         """The rows and labels at `index` in new arrays, of the same kind (bytes
@@ -134,9 +132,9 @@ class VectorDataset:
     def rows(self) -> np.ndarray:
         """Every row in order, read from the row source on first use; they then
         replace it, so a file or permutation is not read again."""
-        rows = self._take(np.arange(self.n)).rows
-        vars(self)["_read_rows"] = functools.partial(np.take, rows, axis=0)
-        return rows
+        taken = self._take(np.arange(self.n))
+        vars(self)["_read_rows"] = taken._read_rows
+        return taken.rows
 
     @functools.cached_property
     def _label_pools(self) -> dict[int, np.ndarray]:
@@ -162,6 +160,11 @@ class VectorDataset:
     @property
     def n(self) -> int:
         return len(self.labels)
+
+
+def _row_reader(rows: np.ndarray, order: np.ndarray):
+    """Row i is rows[order[i]]: order[index] checks the index, so "clip" need not copy `out`."""
+    return lambda index, out=None: np.take(rows, order[index], 0, out, "clip")
 
 
 @dataclass(frozen=True)

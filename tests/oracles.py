@@ -14,7 +14,10 @@ replace, the subtract/square/sum squared deviations of byte rows that the
 exact-split byte Q pass replaces, the synthetic generator and image writers
 built from whole-matrix expressions and per-record writes, which in-place
 generation and row-blocked quantisation replace, and the analytic calibration with one
-root finder per branch, which the branch-parameterized finder replaces. The
+root finder per branch, which the branch-parameterized finder replaces, and
+the result writers as first written (every value formatted in every row,
+every seed derived again, one pass over the rows per chart), which the
+writers that format each shared value once replace. The
 suite keeps them as reference oracles and asserts that the fast forms agree
 with them, exactly or in law. The closing helpers (within-vector variance,
 the branch-parameterized privacy slack, the variance oracles) serve only the
@@ -23,9 +26,12 @@ suite's identity checks.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +74,7 @@ from hetdp.gaussian import (
     _alpha_low_noise,
     std_normal_cdf,
 )
+from hetdp.experiment import _CELL_TAG, _PALETTE, CSV_COLUMNS, _comment, _escape, _sample_seed
 from hetdp.measures import VARIANCE_FLOOR, MeasureContext, VectorDataset, build_context, row_blocks
 
 
@@ -685,3 +692,151 @@ def agm_sigma_per_branch(sens: SensitivitySpec, epsilon: float, delta: float) ->
     alpha = alpha_of(root)
     branch = NoiseBranch.LOW_NOISE if low else NoiseBranch.HIGH_NOISE
     return CalibrationResult(Mechanism.ANALYTIC, alpha * scale_unit, alpha, delta0, root, branch)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_result_csv_direct(rows: list, path: Path) -> None:
+    """write_result_csv with every value of every row formatted on its own."""
+    header = [f.name for f in fields(rows[0])] if rows else CSV_COLUMNS
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(getattr(row, name)) for name in header] for row in rows)
+
+
+def write_plan_log_direct(plan, csv_path: Path) -> Path:
+    """write_plan_log from the plan's fields alone: every sample and cell
+    seed derived again, as the plan itself derives them."""
+    log_path = Path(csv_path).with_suffix(".plan.json")
+    cells = []
+    for stat, mech, setting in product(plan.statistics, plan.mechanisms, plan.settings):
+        positions = (list(type(key)).index(key) for key in (stat, mech, setting))
+        cells.append({"statistic": stat, "mechanism": mech, "setting": setting,
+                      "seed": derive_seed(plan.seed, _CELL_TAG, *positions)})
+    resolved = {
+        **{f.name: getattr(plan, f.name) for f in fields(plan)},
+        "dataset": asdict(plan.dataset),
+        "profiles": [
+            {"name": name, **asdict(profile), "sample_seed": _sample_seed(plan, profile)}
+            for name, profile in plan.profiles
+        ],
+        "trial_draws": "error-law scalars",
+        "budget_rule": "equal split with exact-remainder last part"
+        if plan.budget_fractions is None
+        else "explicit fractions",
+        "variance_floor": VARIANCE_FLOOR,
+        "cell_seeds": cells,
+    }
+    text = json.dumps(resolved, indent=2, sort_keys=True, default=lambda member: member.value)
+    log_path.write_text(text + "\n")
+    return log_path
+
+
+def emse_chart_svg_direct(title: str, series: dict[str, list[tuple[float, float]]]) -> str:
+    """emse_chart_svg with every coordinate formatted where it is written."""
+    width, height = 640, 400
+    left, right, top, bottom = 70, 20, 40, 50
+    xs = sorted({x for pts in series.values() for x, _ in pts})
+    positives = [y for pts in series.values() for _, y in pts if y > 0]
+    x_lo, x_hi = min(xs), max(xs)
+    x_span = (x_hi - x_lo) or 1.0
+    if positives:
+        exp_lo = math.floor(math.log10(min(positives)))
+        exp_hi = math.ceil(math.log10(max(positives)))
+        if exp_lo == exp_hi:
+            exp_hi += 1
+    else:
+        exp_lo, exp_hi = 0, 1
+
+    def x_px(x: float) -> float:
+        return left + (x - x_lo) / x_span * (width - left - right)
+
+    def y_px(y: float) -> float:
+        if y <= 0:
+            return height - bottom
+        frac = (math.log10(y) - exp_lo) / (exp_hi - exp_lo)
+        return height - bottom - frac * (height - top - bottom)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        _comment(title),
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
+        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
+        f'y2="{height - bottom}" stroke="black"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="black"/>',
+    ]
+    for exp in range(exp_lo, exp_hi + 1):
+        y = y_px(10.0**exp)
+        parts.append(
+            f'<line x1="{left - 4}" y1="{y:.1f}" x2="{left}" y2="{y:.1f}" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{left - 8}" y="{y + 4:.1f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">1e{exp}</text>'
+        )
+    for x in xs:
+        px = x_px(x)
+        parts.append(
+            f'<line x1="{px:.1f}" y1="{height - bottom}" x2="{px:.1f}" '
+            f'y2="{height - bottom + 4}" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{px:.1f}" y="{height - bottom + 18}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{x:.6g}</text>'
+        )
+    parts.append(
+        f'<text x="{(left + width - right) / 2:.1f}" y="{height - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">epsilon</text>'
+    )
+    for index, (label, pts) in enumerate(sorted(series.items())):
+        color = _PALETTE[index % len(_PALETTE)]
+        pts = sorted(pts)
+        data = " ".join(f"{x:.6g},{y:.6g}" for x, y in pts)
+        parts.append(_comment(f"series {label}: {data}"))
+        polyline = " ".join(f"{x_px(x):.1f},{y_px(y):.1f}" for x, y in pts)
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{polyline}"/>'
+        )
+        for x, y in pts:
+            parts.append(
+                f'<circle cx="{x_px(x):.1f}" cy="{y_px(y):.1f}" r="2.5" fill="{color}"/>'
+            )
+        ly = top + 16 * index
+        parts.append(
+            f'<line x1="{width - right - 150}" y1="{ly}" x2="{width - right - 130}" '
+            f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>'
+        )
+        parts.append(
+            f'<text x="{width - right - 124}" y="{ly + 4}" font-family="sans-serif" '
+            f'font-size="11">{_escape(label)}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def write_emse_charts_direct(rows: list, plan, svg_dir: Path) -> list[Path]:
+    """write_emse_charts with one pass over the rows per statistic."""
+    svg_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for stat in plan.statistics:
+        series: dict[str, list[tuple[float, float]]] = {}
+        for row in rows:
+            if row.statistic != stat.value:
+                continue
+            label = f"{row.profile}/{row.mechanism}/{row.setting}"
+            series.setdefault(label, []).append((row.epsilon, row.emse))
+        if not series:
+            continue
+        title = f"EMSE vs epsilon: {stat.value} on {plan.dataset.name}"
+        path = svg_dir / f"emse_{stat.value}_{plan.dataset.name}.svg"
+        path.write_text(emse_chart_svg_direct(title, series))
+        written.append(path)
+    return written

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from hetdp.cli import DATA_DIR_ENV, main
+from hetdp.cli import DATA_DIR_ENV, build_parser, main
 from hetdp.datasets import CifarVariant, write_cifar, write_idx
 from hetdp.experiment import read_result_csv
 from hetdp.gaussian import SensitivitySpec, agm_sigma, cgm_sigma
@@ -734,3 +734,48 @@ class TestCompareCommand:
                  "--out", str(tmp_path / "cmp.csv")]
             )
         assert exc.value.code == 2
+
+
+class TestOneParserPerProcess:
+    """main parses every argv with one parser, built on the first call, and
+    no call leaves state in it that a later call reads."""
+
+    @staticmethod
+    def _call(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        return (code, *capsys.readouterr())
+
+    def test_calls_in_sequence_print_what_fresh_calls_print(self, tmp_path, capsys):
+        source = ["--synthetic", "400,4,0.5"]
+        plan = [*source, "--profiles", "uniform-2", "--fraction", "0.25", "--epsilons", "1",
+                "--trials", "3", "--out", str(tmp_path / "x.csv")]
+        sequence = [
+            ["measure", *source, "--release", "--epsilon", "2"],
+            ["measure", *source],
+            ["experiment", *plan, "--json"],
+            ["experiment", *plan],
+            ["measure", *source, "--fraction", "0.5"],
+            ["measure", *source, "--no-such-flag"],
+            ["measure", *source],
+        ]
+        build_parser.cache_clear()
+        shared = [self._call(argv, capsys) for argv in sequence]
+        assert build_parser.cache_info().misses == 1
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(self._call(argv, capsys))
+        assert shared == fresh
+        codes, outs, errs = zip(*shared)
+        assert codes == (0, 0, 0, 0, 2, 2, 0)
+        assert "noisy release at epsilon=2" in outs[0]
+        assert "noisy release" not in outs[1] and errs[1] == ""
+        assert len(json.loads(outs[2])) == 3
+        assert outs[3].startswith("wrote 3 rows to ")
+        assert "--fraction needs --profile" in errs[4]
+        assert "unrecognized arguments: --no-such-flag" in errs[5]
+        assert outs[6] == outs[1]

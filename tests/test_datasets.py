@@ -841,6 +841,27 @@ class TestGenerationMemory:
             peak = self._peak(lambda: write_cifar(data, tmp_path / "batch", CifarVariant.TEN))
         assert peak < 0.1 * n * d * 8, f"peak {peak} bytes"
 
+    def test_in_memory_float_rows_are_written_without_a_temporary(self, tmp_path):
+        n, d = 1000, 3072
+        rng = np.random.default_rng(4)
+        data = VectorDataset(rng.random((n, d)), rng.integers(0, 10, n))
+        peak = self._peak(lambda: write_cifar(data, tmp_path / "batch", CifarVariant.TEN))
+        assert peak < 0.1 * n * d * 8, f"peak {peak} bytes"
+        # one window of floats and its records: no copy of the window is buffered
+        assert peak < 1.5 * WINDOW_BYTES, f"peak {peak} bytes"
+
+    def test_in_memory_rows_reject_an_index_out_of_range(self):
+        rows = np.random.default_rng(5).random((6, 3))
+        data = VectorDataset(rows, np.arange(6))
+        for index in ([0, 6], [-7], [2, 6, 1]):
+            with pytest.raises(IndexError):
+                data._take(np.array(index))
+        # numpy's own reading of a negative index: rows count from the end
+        assert np.array_equal(data._take(np.array([-1, 0, -6])).rows, rows[[5, 0, 0]])
+        out = np.empty((2, 3))
+        assert data._read_rows(np.array([4, -2]), out=out) is out
+        assert np.array_equal(out, rows[[4, 4]])
+
 
 class TestSyntheticData:
     def test_deterministic(self):

@@ -1,10 +1,12 @@
 """Experiment runner: plans, CSV/plan-log/SVG emission, paired comparisons."""
 
+import copy
 import json
+import pickle
 import re
 import weakref
 import xml.etree.ElementTree as ET
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import product
 
 import numpy as np
@@ -43,6 +45,8 @@ from hetdp.experiment import (
 )
 from hetdp.gaussian import Mechanism
 from hetdp.measures import VectorDataset, build_context
+
+from oracles import write_emse_charts_direct, write_plan_log_direct, write_result_csv_direct
 
 SYNTH = DatasetDescriptor(
     format=DataFormat.SYNTHETIC, name="syn", d=4, synth_n=400, heterogeneity=0.5, synth_seed=0
@@ -521,8 +525,7 @@ class TestSharedCellNormals:
             report = asdict(error_report(stat, sample, ctx, cfg, budget, plan.trials))
             assert report == {name: getattr(row, name) for name in report}, row.key()
 
-    def test_budget_rule_runs_once_per_statistic_and_epsilon(self, monkeypatch):
-        plan = _plan(**self.PLAN)
+    def test_budget_rule_runs_once_per_statistic_and_epsilon(self, monkeypatch, tmp_path):
         calls = []
         real = Statistic.budget
 
@@ -531,9 +534,25 @@ class TestSharedCellNormals:
             return real(stat, epsilon, delta, fractions)
 
         monkeypatch.setattr(Statistic, "budget", counting)
-        assert len(_cell_rows(plan)) == 108
-        # 3 statistics x 3 epsilons, not once more per profile or cell
+        plan = _plan(**self.PLAN)
+        assert len(run_experiment(plan, tmp_path / "x.csv", svg_dir=tmp_path)) == 108
+        # 3 statistics x 3 epsilons, when the plan is built: not again per
+        # run, profile or cell
         assert len(calls) == 9 and set(calls) == set(product(plan.statistics, plan.epsilons))
+
+    def test_seeds_derive_once_per_plan(self, monkeypatch, tmp_path):
+        calls = []
+        real = hetdp.experiment.derive_seed
+
+        def counting(*path):
+            calls.append(path)
+            return real(*path)
+
+        monkeypatch.setattr(hetdp.experiment, "derive_seed", counting)
+        plan = _plan(**self.PLAN)
+        run_experiment(plan, tmp_path / "x.csv", svg_dir=tmp_path)
+        # 12 cell seeds and 3 sample seeds, not again for the plan log
+        assert len(calls) == len(set(calls)) == 12 + 3
 
     def test_one_block_per_cell(self, monkeypatch):
         blocks = []
@@ -590,3 +609,57 @@ class TestSharedCellNormals:
         sizes = [samples[name].n for name, _ in plan.profiles]
         assert [n for n, _ in calls] == [size for size in sizes for _ in range(12)]
         assert {shape for _, shape in calls} == {(4,)}
+
+
+class TestWritersMatchOracles:
+    """The writers that format each shared value once write the bytes of the
+    writers that format every value in every row and derive every seed again."""
+
+    PAIRED = (("uniform-2", UNIFORM2), ("skewed-2", SKEWED2),
+              ("uniform-5", UNIFORM5), ("skewed-5", SKEWED5))
+
+    @staticmethod
+    def _bytes(directory):
+        return {path.name: path.read_bytes() for path in sorted(directory.rglob("*"))
+                if path.is_file()}
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"zero_noise": True},
+        {"statistics": tuple(Statistic), "mechanisms": tuple(Mechanism),
+         "settings": tuple(Setting), "epsilons": (0.5, 0.25, 0.987654321)},
+        {"statistics": (Statistic.DISPERSION, Statistic.Q), "budget_fractions": (0.3, 0.7)},
+        {"dataset": replace(SYNTH, name='syn, "quoted"')},
+    ], ids=["default", "zero-noise", "mixed", "fractions", "comma-and-quote"])
+    def test_experiment_outputs(self, tmp_path, overrides):
+        plan = _plan(**overrides)
+        rows = run_experiment(plan, tmp_path / "fast" / "out.csv", svg_dir=tmp_path / "fast")
+        (tmp_path / "direct").mkdir()
+        write_result_csv_direct(rows, tmp_path / "direct" / "out.csv")
+        write_plan_log_direct(plan, tmp_path / "direct" / "out.csv")
+        write_emse_charts_direct(rows, plan, tmp_path / "direct")
+        fast, direct = self._bytes(tmp_path / "fast"), self._bytes(tmp_path / "direct")
+        assert len(fast) == 2 + len(plan.statistics) and fast == direct
+        assert read_result_csv(tmp_path / "fast" / "out.csv") == rows
+
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_comparison_outputs(self, tmp_path, zero_noise):
+        plan = _plan(profiles=self.PAIRED, zero_noise=zero_noise)
+        rows = run_heterogeneity_comparison(plan, tmp_path / "fast" / "cmp.csv")
+        (tmp_path / "direct").mkdir()
+        write_result_csv_direct(rows, tmp_path / "direct" / "cmp.csv")
+        write_plan_log_direct(plan, tmp_path / "direct" / "cmp.csv")
+        assert self._bytes(tmp_path / "fast") == self._bytes(tmp_path / "direct")
+
+    def test_empty_rows_write_the_header(self, tmp_path):
+        hetdp.experiment.write_result_csv([], tmp_path / "fast.csv")
+        write_result_csv_direct([], tmp_path / "direct.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+    def test_plan_copies_derive_the_same_plan(self):
+        plan = _plan(profiles=self.PAIRED, budget_fractions=(0.2, 0.3, 0.5),
+                     statistics=(Statistic.I_SQUARED,))
+        for twin in (copy.copy(plan), copy.deepcopy(plan), pickle.loads(pickle.dumps(plan))):
+            assert twin == plan and vars(twin) == vars(plan)
+            assert twin.cells() == plan.cells()
+            assert twin.budgets(Statistic.I_SQUARED) == plan.budgets(Statistic.I_SQUARED)
